@@ -120,8 +120,12 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _given(args, mapping: dict[str, str]) -> dict:
+    """Config fields for the flags in ``mapping`` that the user gave."""
+    return {key: getattr(args, attr) for attr, key in mapping.items() if getattr(args, attr) is not None}
+
+
 def _collect_overrides(args) -> dict:
-    overrides = {}
     mapping = {
         "k": "K",
         "alpha": "alpha",
@@ -133,10 +137,7 @@ def _collect_overrides(args) -> dict:
         "max_step": "max_step",
         "gamma": "gamma",
     }
-    for attr, key in mapping.items():
-        value = getattr(args, attr)
-        if value is not None:
-            overrides[key] = value
+    overrides = _given(args, mapping)
     if args.init_if is not None:
         overrides["init_if_hz"] = tuple(float(v) for v in args.init_if.split(","))
         overrides["K"] = len(overrides["init_if_hz"])
@@ -148,11 +149,12 @@ def _cmd_decompose(args) -> int:
     if args.method in ("memd", "mvmd"):
         if isinstance(loaded, Signal):
             raise ContractViolation("multivariate methods need a multicolumn input")
+        # pass only the flags given, so the defaults live in the configs
         if args.method == "memd":
-            cfg = MemdConfig(M=args.m_directions or 64, seed=args.seed)
+            cfg = MemdConfig(seed=args.seed, **_given(args, {"m_directions": "M"}))
             aligned = memd_decompose(loaded, cfg)
         else:
-            cfg = MvmdConfig(K=args.k or 3, alpha=args.alpha or 500.0, tau=args.tau or 0.0)
+            cfg = MvmdConfig(**_given(args, {"k": "K", "alpha": "alpha", "tau": "tau"}))
             aligned, _ = mvmd_decompose(loaded, cfg)
         outdir = Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -180,10 +182,10 @@ def _cmd_decompose(args) -> int:
         print(f"wrote {aligned.n_modes} modes to {outdir}")
         return EXIT_OK
 
-    if isinstance(loaded, MultichannelSignal):
-        x = loaded.channel(args.column)
-    else:
-        x = loaded
+    n_columns = loaded.n_channels if isinstance(loaded, MultichannelSignal) else 1
+    if not 0 <= args.column < n_columns:
+        raise ContractViolation(f"--column {args.column} is out of range for {n_columns} column(s)")
+    x = loaded.channel(args.column) if n_columns > 1 else loaded
     overrides = _collect_overrides(args)
     d = bench.decompose(args.method, x, args.signal_profile, noisy=False, overrides=overrides or None)
     cfgs = bench.default_configs(args.method, args.signal_profile)

@@ -20,14 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import find_extrema_arrays, natural_spline
-from .core import (
-    ContractViolation,
-    MultichannelSignal,
-    NumericalFailure,
-    Signal,
-)
+from .core import ContractViolation, MultichannelSignal, Signal
 from .emd import EmdConfig
-from .variational import ConvergenceReport
+from .variational import (
+    ConvergenceReport,
+    _check_variational_config,
+    _initial_centers,
+    _variational_modes,
+)
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,7 @@ class MvmdConfig:
     init_mode: str = "zeros"  # zero-frequency start works well in practice
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ContractViolation("K must be >= 1")
-        if self.init_mode not in ("zeros", "uniform"):
-            raise ContractViolation("init_mode must be zeros or uniform")
+        _check_variational_config(self, ("zeros", "uniform"))
 
 
 @dataclass(frozen=True)
@@ -270,103 +267,20 @@ def mvmd_decompose(
 
     Per-channel spectra receive Wiener-style updates against the shared
     center frequency, whose update pools |spectrum|^2 over channels;
-    modes are returned ascending in frequency.  Stopping and the dual
-    update follow the univariate scheme.
+    modes are returned ascending in frequency.  This is the engine
+    behind :func:`~sigdecomp.variational.vmd_decompose`, run on every
+    channel at once.
     """
-    n = x.n_samples
-    n_ch = x.n_channels
-    if cfg.K >= n / 2:
-        raise ContractViolation("K must be smaller than half the sample count")
-
-    half_n = n // 2
-    mirrored = np.concatenate(
-        [x.channels[:, :half_n][:, ::-1], x.channels, x.channels[:, n - half_n :][:, ::-1]],
-        axis=1,
+    modes, centers, residual, report = _variational_modes(
+        x.channels, _initial_centers(cfg.K, cfg.init_mode), cfg
     )
-    t_len = mirrored.shape[1]
-    half = t_len // 2
-    freqs = (np.arange(t_len) - half) / t_len
-
-    spectrum = np.fft.fftshift(np.fft.fft(mirrored, axis=1), axes=1)
-    spectrum_plus = spectrum.copy()
-    spectrum_plus[:, :half] = 0.0
-
-    k = cfg.K
-    omega = np.zeros(k)
-    if cfg.init_mode == "uniform":
-        omega = 0.5 * np.arange(1, k + 1) / (k + 1)
-
-    u = np.zeros((k, n_ch, t_len), dtype=complex)
-    u_prev = np.zeros_like(u)
-    lam = np.zeros((n_ch, t_len), dtype=complex)
-    pos = slice(half, t_len)
-
-    trace: list[float] = []
-    update_norm = np.inf
-    converged = False
-    iterations = 0
-
-    for iteration in range(cfg.max_iters):
-        u_prev[:] = u
-        acc = u.sum(axis=0)  # (channels, t_len)
-        for i in range(k):
-            acc -= u[i]
-            gain = 1.0 / (1.0 + 2.0 * cfg.alpha * (freqs - omega[i]) ** 2)
-            u[i] = (spectrum_plus - acc + lam / 2.0) * gain[None, :]
-            power = np.abs(u[i][:, pos]) ** 2  # pooled over channels
-            denom = power.sum()
-            if denom > 0.0:
-                omega[i] = float((power.sum(axis=0) @ freqs[pos]) / denom)
-            acc += u[i]
-        lam = lam + cfg.tau * (spectrum_plus - acc)
-
-        if not np.all(np.isfinite(u.view(np.float64))):
-            raise NumericalFailure("joint variational iteration produced non-finite values")
-
-        diff = u - u_prev
-        update_norm = float(
-            sum(
-                np.vdot(diff[i], diff[i]).real / (np.vdot(u_prev[i], u_prev[i]).real + 1e-30)
-                for i in range(k)
-            )
-        )
-        trace.append(update_norm)
-        iterations = iteration + 1
-        if update_norm < cfg.tol:
-            converged = True
-            break
-
-    order = np.argsort(omega)
-    lo = t_len // 4
-    hi = lo + n
     fs = x.sample_rate_hz
-    per_channel: list[list[Signal]] = [[] for _ in range(n_ch)]
-    centers = []
-    for i in order:
-        centers.append(float(omega[i] * fs))
-        for c in range(n_ch):
-            full = np.zeros(t_len, dtype=complex)
-            full[half:] = u[i, c, half:]
-            full[1:half][::-1] = np.conj(u[i, c, half + 1 :])
-            full[0] = np.conj(full[-1])
-            series = np.real(np.fft.ifft(np.fft.ifftshift(full)))
-            per_channel[c].append(Signal(series[lo:hi], fs))
-
-    residuals = []
-    for c in range(n_ch):
-        total = np.sum([m.samples for m in per_channel[c]], axis=0)
-        residuals.append(Signal(x.channels[c] - total, fs))
-
     decomp = AlignedDecomposition(
-        channel_modes=tuple(tuple(m) for m in per_channel),
-        residuals=tuple(residuals),
+        channel_modes=tuple(
+            tuple(Signal(m, fs) for m in modes[:, c]) for c in range(x.n_channels)
+        ),
+        residuals=tuple(Signal(r, fs) for r in residual),
         sample_rate_hz=fs,
-        center_freqs_hz=tuple(centers),
-    )
-    report = ConvergenceReport(
-        iterations=iterations,
-        final_update_norm=update_norm,
-        converged=converged,
-        objective_trace=tuple(trace),
+        center_freqs_hz=tuple(float(f * fs) for f in centers),
     )
     return decomp, report

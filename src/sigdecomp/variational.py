@@ -2,7 +2,9 @@
 
 VMD alternates Wiener-filter-like spectral mode updates with center-
 frequency recentering inside an augmented-Lagrangian scheme; it assumes
-each component is narrow-band.  VNCMD drops that assumption by jointly
+each component is narrow-band.  The iteration runs on multichannel data
+with one center per mode pooled over the channels, so VMD is its
+one-channel case and MVMD (``multivariate.mvmd_decompose``) uses it too.  VNCMD drops that assumption by jointly
 demodulating each component against an evolving instantaneous-frequency
 track, solving smoothness-penalized least squares for the quadrature
 envelopes and nudging the tracks with a filtered frequency increment.
@@ -10,8 +12,7 @@ envelopes and nudging the tracks with a filtered frequency increment.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -25,6 +26,18 @@ from .core import (
 )
 
 
+def _check_variational_config(cfg, init_modes: tuple[str, ...]) -> None:
+    """Shared ``__post_init__`` checks of the VMD and MVMD configs."""
+    if cfg.K < 1:
+        raise ContractViolation("K must be >= 1")
+    if cfg.alpha <= 0 or cfg.tol <= 0 or cfg.tau < 0:
+        raise ContractViolation("alpha/tol must be positive, tau nonnegative")
+    if cfg.init_mode not in init_modes:
+        raise ContractViolation(
+            f"init_mode must be {', '.join(init_modes[:-1])} or {init_modes[-1]}"
+        )
+
+
 @dataclass(frozen=True)
 class VmdConfig:
     K: int = 3
@@ -36,12 +49,7 @@ class VmdConfig:
     seed: int = 0  # used by init_mode="random" only
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ContractViolation("K must be >= 1")
-        if self.alpha <= 0 or self.tol <= 0 or self.tau < 0:
-            raise ContractViolation("alpha/tol must be positive, tau nonnegative")
-        if self.init_mode not in ("zeros", "uniform", "random"):
-            raise ContractViolation("init_mode must be zeros, uniform or random")
+        _check_variational_config(self, ("zeros", "uniform", "random"))
 
 
 @dataclass(frozen=True)
@@ -56,49 +64,52 @@ class ConvergenceReport:
             raise ContractViolation("trace length must equal iteration count")
 
 
-def _mirror(samples: np.ndarray) -> np.ndarray:
-    n = samples.size
-    half = n // 2
-    return np.concatenate([samples[:half][::-1], samples, samples[n - half :][::-1]])
+def _initial_centers(k: int, init_mode: str, seed: int = 0) -> np.ndarray:
+    """Starting center frequencies in cycles/sample for ``init_mode``."""
+    if init_mode == "uniform":
+        return 0.5 * np.arange(1, k + 1) / (k + 1)
+    if init_mode == "random":
+        rng = np.random.Generator(np.random.Philox(seed))
+        return np.sort(rng.random(k) * 0.5)
+    return np.zeros(k)
 
 
-def vmd_decompose(
-    x: Signal, cfg: VmdConfig = VmdConfig()
-) -> tuple[Decomposition, ConvergenceReport]:
-    """Decompose into ``cfg.K`` bandlimited modes with center frequencies.
+def _variational_modes(
+    channels: np.ndarray, omega: np.ndarray, cfg
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, ConvergenceReport]:
+    """Joint Wiener-update / augmented-Lagrangian iteration on ``(C, n)`` data.
 
-    The input is mirrored to double length before the frequency-domain
-    iteration and trimmed afterwards, suppressing boundary splitting.
-    Modes come back sorted by ascending center frequency; the residual is
-    the input minus the mode sum.  Non-convergence inside ``max_iters``
-    is reported, not raised; non-finite iterates raise
-    :class:`NumericalFailure`.
+    Every mode keeps one spectrum per channel and one center frequency
+    shared by all channels, recentred on the spectral power pooled over
+    the channels; with one channel this is plain VMD.  ``cfg`` supplies
+    ``alpha``, ``tau``, ``tol`` and ``max_iters``; ``omega`` holds the
+    initial centers in cycles/sample.  Returns the modes ``(K, C, n)``
+    and their centers (cycles/sample), both ascending in frequency, the
+    residual ``(C, n)`` and the report.
     """
-    n = len(x)
-    if cfg.K >= n / 2:
+    n_ch, n = channels.shape
+    k = omega.size
+    if k >= n / 2:
         raise ContractViolation("K must be smaller than half the sample count")
 
-    extended = _mirror(x.samples)
-    t_len = extended.size
+    half_n = n // 2
+    mirrored = np.concatenate(
+        [channels[:, :half_n][:, ::-1], channels, channels[:, n - half_n :][:, ::-1]],
+        axis=1,
+    )
+    t_len = mirrored.shape[1]
     half = t_len // 2
     freqs = (np.arange(t_len) - half) / t_len  # cycles/sample, 0 at index `half`
 
-    spectrum = np.fft.fftshift(np.fft.fft(extended))
-    spectrum_plus = spectrum.copy()
-    spectrum_plus[:half] = 0.0
+    spectrum_plus = np.fft.fftshift(np.fft.fft(mirrored, axis=1), axes=1)
+    spectrum_plus[:, :half] = 0.0
 
-    k = cfg.K
-    omega = np.zeros(k)
-    if cfg.init_mode == "uniform":
-        omega = 0.5 * np.arange(1, k + 1) / (k + 1)
-    elif cfg.init_mode == "random":
-        rng = np.random.Generator(np.random.Philox(cfg.seed))
-        omega = np.sort(rng.random(k) * 0.5)
-
-    u = np.zeros((k, t_len), dtype=complex)
+    omega = omega.copy()
+    u = np.zeros((k, n_ch, t_len), dtype=complex)
     u_prev = np.zeros_like(u)
-    lam = np.zeros(t_len, dtype=complex)
+    lam = np.zeros((n_ch, t_len), dtype=complex)
     pos = slice(half, t_len)
+    pos_freqs = freqs[pos]
     bin_width = 1.0 / t_len
     collision_run = np.zeros((k, k), dtype=int)
 
@@ -109,21 +120,26 @@ def vmd_decompose(
 
     for iteration in range(cfg.max_iters):
         u_prev[:] = u
-        acc = u.sum(axis=0)
+        acc = u.sum(axis=0)  # (channels, t_len)
+        half_lam = lam / 2.0
         for i in range(k):
             acc -= u[i]
-            u[i] = (spectrum_plus - acc + lam / 2.0) / (
-                1.0 + 2.0 * cfg.alpha * (freqs - omega[i]) ** 2
+            np.divide(
+                spectrum_plus - acc + half_lam,
+                1.0 + 2.0 * cfg.alpha * (freqs - omega[i]) ** 2,
+                out=u[i],
             )
-            power = np.abs(u[i, pos]) ** 2
+            power = np.abs(u[i, :, pos]) ** 2
             denom = power.sum()
             if denom > 0.0:
-                omega[i] = float(freqs[pos] @ power / denom)
+                # one channel needs no pooling; skipping the reduction keeps VMD fast
+                pooled = power[0] if n_ch == 1 else power.sum(axis=0)
+                omega[i] = float((pooled @ pos_freqs) / denom)
             acc += u[i]
         lam = lam + cfg.tau * (spectrum_plus - acc)
 
         if not np.all(np.isfinite(u.view(np.float64))):
-            raise NumericalFailure("VMD iteration produced non-finite values")
+            raise NumericalFailure("variational iteration produced non-finite values")
 
         # keep center frequencies from locking onto one another
         for i in range(k):
@@ -152,30 +168,43 @@ def vmd_decompose(
 
     # rebuild time-domain modes from the positive-frequency half spectra
     order = np.argsort(omega)
-    modes: list[Signal] = []
-    centers: list[float] = []
+    full = np.zeros((k, n_ch, t_len), dtype=complex)
+    full[..., half:] = u[order, :, half:]
+    full[..., 1:half] = np.conj(u[order, :, half + 1 :][..., ::-1])
+    full[..., 0] = np.conj(full[..., -1])
+    series = np.real(np.fft.ifft(np.fft.ifftshift(full, axes=-1), axis=-1))
     lo = t_len // 4
-    hi = lo + n
-    for i in order:
-        full = np.zeros(t_len, dtype=complex)
-        full[half:] = u[i, half:]
-        full[1:half][::-1] = np.conj(u[i, half + 1 :])
-        full[0] = np.conj(full[-1])
-        series = np.real(np.fft.ifft(np.fft.ifftshift(full)))
-        modes.append(Signal(series[lo:hi], x.sample_rate_hz))
-        centers.append(float(omega[i] * x.sample_rate_hz))
+    modes = series[..., lo : lo + n]
 
-    residual = x.samples - np.sum([m.samples for m in modes], axis=0)
-    decomp = Decomposition(
-        modes=tuple(modes),
-        residual=Signal(residual, x.sample_rate_hz),
-        center_freqs_hz=tuple(centers),
-    )
     report = ConvergenceReport(
         iterations=iterations,
         final_update_norm=update_norm,
         converged=converged,
         objective_trace=tuple(trace),
+    )
+    return modes, omega[order], channels - modes.sum(axis=0), report
+
+
+def vmd_decompose(
+    x: Signal, cfg: VmdConfig = VmdConfig()
+) -> tuple[Decomposition, ConvergenceReport]:
+    """Decompose into ``cfg.K`` bandlimited modes with center frequencies.
+
+    The input is mirrored to double length before the frequency-domain
+    iteration and trimmed afterwards, suppressing boundary splitting.
+    Modes come back sorted by ascending center frequency; the residual is
+    the input minus the mode sum.  Non-convergence inside ``max_iters``
+    is reported, not raised; non-finite iterates raise
+    :class:`NumericalFailure`.
+    """
+    modes, centers, residual, report = _variational_modes(
+        x.samples[None, :], _initial_centers(cfg.K, cfg.init_mode, cfg.seed), cfg
+    )
+    fs = x.sample_rate_hz
+    decomp = Decomposition(
+        modes=tuple(Signal(m, fs) for m in modes[:, 0]),
+        residual=Signal(residual[0], fs),
+        center_freqs_hz=tuple(float(f * fs) for f in centers),
     )
     return decomp, report
 

@@ -119,6 +119,31 @@ class TestCliContract:
         )
         assert r.returncode == 3
 
+    @pytest.mark.parametrize("flags", [("--alpha", "-5"), ("--alpha", "0"), ("--k", "0")])
+    def test_mvmd_invalid_flag_exit_two(self, tmp_path, flags):
+        mv = tmp_path / "mv.csv"
+        assert run_cli("synth", "--signal", "mv", "--duration", "0.25", "--out", str(mv)).returncode == 0
+        r = run_cli("decompose", "--method", "mvmd", "--input", str(mv), "--outdir", str(tmp_path / "d"), *flags)
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "d" / "manifest.json").exists()
+
+    def test_mvmd_manifest_records_given_flags(self, tmp_path):
+        mv = tmp_path / "mv.csv"
+        assert run_cli("synth", "--signal", "mv", "--duration", "0.25", "--out", str(mv)).returncode == 0
+        r = run_cli("decompose", "--method", "mvmd", "--input", str(mv), "--outdir", str(tmp_path / "d"), "--k", "2")
+        assert r.returncode == 0
+        config = json.loads((tmp_path / "d" / "manifest.json").read_text())["config"]
+        assert (config["K"], config["alpha"], config["tau"]) == (2, 500.0, 0.0)
+
+    def test_column_out_of_range_exit_two(self, tmp_path):
+        mv = tmp_path / "mv.csv"
+        assert run_cli("synth", "--signal", "mv", "--duration", "0.25", "--out", str(mv)).returncode == 0
+        r = run_cli("decompose", "--method", "vmd", "--input", str(mv), "--outdir", str(tmp_path / "d"), "--column", "5")
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert "--column" in r.stderr
+
     def test_io_failure_exit_four(self, tmp_path):
         r = run_cli("decompose", "--method", "vmd", "--input", str(tmp_path / "missing.csv"))
         assert r.returncode == 4

@@ -9,6 +9,7 @@ from sigdecomp.core import ContractViolation, Signal, add, scale
 from sigdecomp.metrics import (
     QRF_SATURATION_DB,
     QrfReport,
+    _max_weight_matching,
     match_components,
     qrf,
     total_qrf,
@@ -95,6 +96,21 @@ class TestMatching:
             )
             assert report.total_qrf_db == pytest.approx(best, abs=1e-9)
 
+    def test_matching_equals_scipy_reference(self, rng):
+        from scipy.optimize import linear_sum_assignment
+
+        for trial in range(200):
+            n_e, n_r = (int(v) for v in rng.integers(1, 13, size=2))
+            table = 20.0 * rng.normal(size=(n_e, n_r))
+            if trial % 2:
+                table = np.round(table / 10.0)  # ties
+            pairs = _max_weight_matching(table)
+            assert len(pairs) == min(n_e, n_r)
+            assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+            rows, cols = linear_sum_assignment(table, maximize=True)
+            total = sum(table[i, j] for i, j in pairs)
+            assert total == pytest.approx(table[rows, cols].sum(), abs=1e-9)
+
     def test_surplus_modes_unmatched(self):
         refs = [tone(5.0, 1.0, 64.0)]
         ests = [tone(5.0, 1.0, 64.0), tone(13.0, 1.0, 64.0)]
@@ -102,12 +118,27 @@ class TestMatching:
         assert len(report.assignment) == 1
         assert report.unmatched_est == (1,)
 
-    def test_greedy_path_for_many_modes(self, rng):
+    def test_many_modes_identity(self, rng):
         fs = 64.0
         refs = [Signal(rng.normal(size=64), fs) for _ in range(10)]
         ests = [Signal(r.samples + 0.1 * rng.normal(size=64), fs) for r in refs]
         report = match_components(ests, refs)
         assert report.assignment == tuple((i, i) for i in range(10))
+
+    def test_exact_beyond_eight_modes(self):
+        # nine pairs: seven exact-up-to-scale ones, plus two refs r7 and
+        # r8 = r7 + 0.2 b that sit close together.  Est 7 scores best on
+        # r7 (20.9 dB), so best-pair-first takes that and leaves est 8 on
+        # r8 (10.6 dB); crossing them scores 19.3 + 20.0 dB instead.
+        fs = 64.0
+        basis = np.linalg.qr(np.random.Generator(np.random.Philox(3)).normal(size=(64, 9)))[0].T
+        refs = [Signal(b, fs) for b in basis[:8]] + [Signal(basis[7] + 0.2 * basis[8], fs)]
+        ests = [Signal(1.01 * b, fs) for b in basis[:7]]
+        ests += [Signal(basis[7] + 0.09 * basis[8], fs), Signal(basis[7] - 0.1 * basis[8], fs)]
+        report = match_components(ests, refs)
+        assert report.assignment == tuple((i, i) for i in range(7)) + ((8, 7), (7, 8))
+        crossed = qrf(ests[8], refs[7]) + qrf(ests[7], refs[8])
+        assert report.total_qrf_db == pytest.approx(7 * qrf(ests[0], refs[0]) + crossed, abs=1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):

@@ -11,7 +11,8 @@ from sigdecomp.multivariate import (
     memd_decompose,
     mvmd_decompose,
 )
-from sigdecomp.synth import gen_mv_test, mv_component_bank
+from sigdecomp.synth import gen_mv_test, gen_s1, mv_component_bank
+from sigdecomp.variational import VmdConfig, vmd_decompose
 from sigdecomp.bench import noisy_mv_signal
 
 
@@ -133,6 +134,25 @@ class TestMvmd:
         d, _ = mvmd_decompose(noisy_mv_signal(mv, 40.0, 0), MvmdConfig(K=3))
         # one frequency per mode, stored once for all channels
         assert len(d.center_freqs_hz) == d.n_modes
+
+    @pytest.mark.parametrize("bad", [{"alpha": -5.0}, {"alpha": 0.0}, {"tol": 0.0}, {"tau": -1.0}])
+    def test_config_checks_match_vmd(self, bad):
+        with pytest.raises(ContractViolation):
+            VmdConfig(**bad)
+        with pytest.raises(ContractViolation):
+            MvmdConfig(**bad)
+
+    def test_one_channel_is_vmd(self):
+        x, _ = gen_s1()
+        joint, joint_report = mvmd_decompose(
+            MultichannelSignal(x.samples[None, :], x.sample_rate_hz),
+            MvmdConfig(K=3, tau=0.5, init_mode="uniform"),
+        )
+        single, report = vmd_decompose(x, VmdConfig(K=3, tau=0.5, init_mode="uniform"))
+        assert joint_report.iterations == report.iterations
+        assert joint.center_freqs_hz == single.center_freqs_hz
+        for a, b in zip(joint.channel_modes[0], single.modes):
+            assert np.array_equal(a.samples, b.samples)
 
     def test_mode_count_mismatch_rejected(self):
         fs = 64.0

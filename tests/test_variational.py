@@ -70,6 +70,13 @@ class TestVmd:
         total = np.sum([m.samples for m in d.modes], axis=0)
         assert np.linalg.norm(mix.samples - total) / l2_norm(mix) <= 1e-2
 
+    def test_collision_guard_pins_centers(self):
+        # two modes chase one tone from the same start: the guard pushes
+        # the later center away whenever they lock within one bin
+        s = tone(50.0, 1.0, 512.0)
+        d, _ = vmd_decompose(s, VmdConfig(K=2, alpha=500, tau=0, init_mode="zeros"))
+        assert d.center_freqs_hz == pytest.approx((49.933459, 50.018234), abs=1e-3)
+
     def test_mode_spectrum_concentrated(self):
         s = tone(50.0, 1.0, 512.0)
         d, _ = vmd_decompose(s, VmdConfig(K=1, alpha=500.0, tau=0.5))
