@@ -23,7 +23,6 @@ from .metrics import (
     alignment_score,
     match_components,
     qrf,
-    total_qrf,
 )
 from .multivariate import (
     AlignedDecomposition,
@@ -78,7 +77,6 @@ __all__ = [
     "alignment_score",
     "match_components",
     "qrf",
-    "total_qrf",
     "TFGrid",
     "analytic_signal",
     "hilbert_spectrum",

@@ -1,40 +1,8 @@
-"""Numba JIT switch for the hot kernels.
+"""Compatibility stub: the kernels have one numpy/scipy implementation.
 
-Kernels in :mod:`sigdecomp._kernels` are written twice: a loop-style
-implementation that numba can compile, and a vectorized numpy/scipy
-fallback.  Which one is exported is decided once, at import time:
-
-* numba installed and ``SIGDECOMP_NO_NUMBA`` unset  -> JIT-compiled loops
-* otherwise                                         -> numpy fallback
-
-Set ``SIGDECOMP_NO_NUMBA=1`` to force the fallback path (useful for
-debugging and for the kernel benchmark in ``benchmarks/``).
+``perfbench/run.py`` imports ``sigdecomp._accel`` and reads
+``NUMBA_ENABLED`` into its machine facts; this module stays only for that
+reader and goes once the benchmark stops importing it.
 """
 
-from __future__ import annotations
-
-import os
-
-_FALSEY = {"", "0", "false", "no", "off"}
-
-
-def _jit_allowed() -> bool:
-    return os.environ.get("SIGDECOMP_NO_NUMBA", "").strip().lower() in _FALSEY
-
-
 NUMBA_ENABLED = False
-
-if _jit_allowed():
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        NUMBA_ENABLED = False
-
-
-def maybe_jit(fn):
-    """Compile ``fn`` with numba when enabled, else return it unchanged."""
-    if NUMBA_ENABLED:
-        return _njit(cache=True)(fn)
-    return fn

@@ -1,69 +1,19 @@
 """Hot numeric kernels: extrema search, natural cubic splines, ridge walking.
 
-Each kernel has two implementations with identical semantics:
-
-* ``*_loop`` -- plain loops, compiled with numba when available;
-* ``*_numpy`` -- vectorized numpy/scipy, used when numba is disabled
-  (``SIGDECOMP_NO_NUMBA=1``) or not installed.
-
-The public names (``find_extrema_arrays``, ``natural_spline``,
-``walk_ridge``) dispatch to whichever path is active.  ``PY_IMPLS`` keeps
-the uncompiled loop versions importable so tests and the kernel benchmark
-can compare paths inside one process.
+Each kernel has one vectorized numpy/scipy implementation.  Callers import
+the public names (``find_extrema_arrays``, ``natural_spline``,
+``walk_ridge``) into their own modules, which is where the benchmark's
+probes look them up.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, maybe_jit
 
-PY_IMPLS: dict[str, object] = {}
-
-
-def _register(fn):
-    PY_IMPLS[fn.__name__] = fn
-    return maybe_jit(fn)
-
-
-# ---------------------------------------------------------------------------
-# extrema
-# ---------------------------------------------------------------------------
-
-def _extrema_loop(x):
-    n = x.shape[0]
-    max_idx = np.empty(n, dtype=np.int64)
-    min_idx = np.empty(n, dtype=np.int64)
-    n_max = 0
-    n_min = 0
-    i = 1
-    while i < n - 1:
-        if x[i - 1] < x[i]:
-            j = i
-            while j < n - 1 and x[j + 1] == x[j]:
-                j += 1
-            if j < n - 1 and x[j + 1] < x[j]:
-                max_idx[n_max] = (i + j) // 2
-                n_max += 1
-            i = j + 1
-        elif x[i - 1] > x[i]:
-            j = i
-            while j < n - 1 and x[j + 1] == x[j]:
-                j += 1
-            if j < n - 1 and x[j + 1] > x[j]:
-                min_idx[n_min] = (i + j) // 2
-                n_min += 1
-            i = j + 1
-        else:
-            i += 1
-    return max_idx[:n_max].copy(), min_idx[:n_min].copy()
-
-
-_extrema_loop = _register(_extrema_loop)
-
-
-def _extrema_numpy(x):
-    dy = np.diff(x)
+def find_extrema_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of strict local maxima and minima (plateau midpoint rule)."""
+    dy = np.diff(np.asarray(x, dtype=np.float64))
     nz = np.flatnonzero(dy != 0)
     if nz.size < 2:
         empty = np.empty(0, dtype=np.int64)
@@ -76,168 +26,25 @@ def _extrema_numpy(x):
     return idx[kind > 0].astype(np.int64), idx[kind < 0].astype(np.int64)
 
 
-def find_extrema_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of strict local maxima and minima (plateau midpoint rule)."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _extrema_loop(x)
-    return _extrema_numpy(x)
-
-
-# ---------------------------------------------------------------------------
-# natural cubic spline
-# ---------------------------------------------------------------------------
-
-def _spline_natural_loop(xs, ys, q):
-    n = xs.shape[0]
-    out = np.empty(q.shape[0], dtype=np.float64)
-    if n == 2:
-        slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
-        for j in range(q.shape[0]):
-            out[j] = ys[0] + slope * (q[j] - xs[0])
-        return out
-
-    h = np.empty(n - 1, dtype=np.float64)
-    for i in range(n - 1):
-        h[i] = xs[i + 1] - xs[i]
-
-    # tridiagonal system for second-derivative coefficients, natural ends
-    c = np.zeros(n, dtype=np.float64)
-    diag = np.empty(n, dtype=np.float64)
-    rhs = np.zeros(n, dtype=np.float64)
-    diag[0] = 1.0
-    diag[n - 1] = 1.0
-    for i in range(1, n - 1):
-        diag[i] = 2.0 * (h[i - 1] + h[i])
-        rhs[i] = 3.0 * ((ys[i + 1] - ys[i]) / h[i] - (ys[i] - ys[i - 1]) / h[i - 1])
-    # Thomas forward sweep (upper/lower bands are h, zero at natural ends)
-    cp = np.zeros(n, dtype=np.float64)
-    dp = np.zeros(n, dtype=np.float64)
-    cp[0] = 0.0
-    dp[0] = 0.0
-    for i in range(1, n - 1):
-        m = diag[i] - h[i - 1] * cp[i - 1]
-        cp[i] = h[i] / m
-        dp[i] = (rhs[i] - h[i - 1] * dp[i - 1]) / m
-    c[n - 1] = 0.0
-    for i in range(n - 2, 0, -1):
-        c[i] = dp[i] - cp[i] * c[i + 1]
-
-    b = np.empty(n - 1, dtype=np.float64)
-    d = np.empty(n - 1, dtype=np.float64)
-    for i in range(n - 1):
-        b[i] = (ys[i + 1] - ys[i]) / h[i] - h[i] * (2.0 * c[i] + c[i + 1]) / 3.0
-        d[i] = (c[i + 1] - c[i]) / (3.0 * h[i])
-
-    # q is sorted ascending: single merge pass, end segments extrapolate
-    seg = 0
-    for j in range(q.shape[0]):
-        t = q[j]
-        while seg < n - 2 and t >= xs[seg + 1]:
-            seg += 1
-        dt = t - xs[seg]
-        out[j] = ys[seg] + dt * (b[seg] + dt * (c[seg] + dt * d[seg]))
-    return out
-
-
-_spline_natural_loop = _register(_spline_natural_loop)
-
-
-def _spline_natural_scipy(xs, ys, q):
-    from scipy.interpolate import CubicSpline
-
-    if xs.shape[0] == 2:
-        slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
-        return ys[0] + slope * (q - xs[0])
-    return CubicSpline(xs, ys, bc_type="natural")(q)
-
-
 def natural_spline(xs: np.ndarray, ys: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Natural cubic spline through ``(xs, ys)`` evaluated at sorted ``q``.
 
-    Requires at least two strictly increasing knots; queries outside the
-    knot range use the end polynomials (linear for the two-knot case).
+    ``ys`` holds one value per knot, shape ``(k,)``, or one column per
+    channel, shape ``(k, C)``; the result is ``(len(q),)`` or
+    ``(len(q), C)``, and each column equals the spline of that column
+    alone.  Requires at least two strictly increasing knots; queries
+    outside the knot range use the end polynomials (linear for the
+    two-knot case).
     """
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    ys = np.ascontiguousarray(ys, dtype=np.float64)
-    q = np.ascontiguousarray(q, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _spline_natural_loop(xs, ys, q)
-    return _spline_natural_scipy(xs, ys, q)
+    from scipy.interpolate import CubicSpline  # deferred: keeps package import light
 
-
-# ---------------------------------------------------------------------------
-# greedy ridge walk over a (freq x time) energy map
-# ---------------------------------------------------------------------------
-
-def _walk_ridge_loop(energy, seed_f, seed_t, max_step, floor, patience):
-    n_f, n_t = energy.shape
-    bins = np.empty(n_t, dtype=np.int64)
-    valid = np.zeros(n_t, dtype=np.bool_)
-    bins[:] = seed_f
-    valid[seed_t] = True
-
-    for direction in range(2):
-        cur = seed_f
-        dead = 0
-        if direction == 0:
-            start, stop, step = seed_t + 1, n_t, 1
-        else:
-            start, stop, step = seed_t - 1, -1, -1
-        for t in range(start, stop, step):
-            lo = cur - max_step
-            if lo < 0:
-                lo = 0
-            hi = cur + max_step + 1
-            if hi > n_f:
-                hi = n_f
-            best = lo
-            best_e = energy[lo, t]
-            for f in range(lo + 1, hi):
-                if energy[f, t] > best_e:
-                    best_e = energy[f, t]
-                    best = f
-            if best_e > floor:
-                cur = best
-                bins[t] = best
-                valid[t] = True
-                dead = 0
-            else:
-                bins[t] = cur  # hold position across dropouts
-                dead += 1
-                if dead > patience:
-                    break
-    return bins, valid
-
-
-_walk_ridge_loop = _register(_walk_ridge_loop)
-
-
-def _walk_ridge_numpy(energy, seed_f, seed_t, max_step, floor, patience):
-    n_f, n_t = energy.shape
-    bins = np.full(n_t, seed_f, dtype=np.int64)
-    valid = np.zeros(n_t, dtype=bool)
-    valid[seed_t] = True
-
-    for rng in (range(seed_t + 1, n_t), range(seed_t - 1, -1, -1)):
-        cur = seed_f
-        dead = 0
-        for t in rng:
-            lo = max(cur - max_step, 0)
-            hi = min(cur + max_step + 1, n_f)
-            window = energy[lo:hi, t]
-            best = lo + int(np.argmax(window))
-            if energy[best, t] > floor:
-                cur = best
-                bins[t] = best
-                valid[t] = True
-                dead = 0
-            else:
-                bins[t] = cur
-                dead += 1
-                if dead > patience:
-                    break
-    return bins, valid
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    if xs.shape[0] == 2:
+        slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
+        return ys[0] + slope * (q - xs[0])[(...,) + (None,) * (ys.ndim - 1)]
+    return CubicSpline(xs, ys, bc_type="natural")(q)
 
 
 def walk_ridge(
@@ -255,23 +62,26 @@ def walk_ridge(
     not move the track; after more than ``patience`` consecutive dead
     frames the walk stops in that direction.
     """
-    energy = np.ascontiguousarray(energy, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _walk_ridge_loop(
-            energy, int(seed_f), int(seed_t), int(max_step), float(floor), int(patience)
-        )
-    return _walk_ridge_numpy(
-        energy, int(seed_f), int(seed_t), int(max_step), float(floor), int(patience)
-    )
+    n_f, n_t = energy.shape
+    bins = np.full(n_t, seed_f, dtype=np.int64)
+    valid = np.zeros(n_t, dtype=bool)
+    valid[seed_t] = True
 
-
-def warmup() -> None:
-    """Trigger JIT compilation of every kernel on tiny inputs."""
-    x = np.array([0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0])
-    find_extrema_arrays(x)
-    natural_spline(
-        np.array([0.0, 1.0, 2.0, 3.0]),
-        np.array([0.0, 1.0, 0.0, 1.0]),
-        np.linspace(0.0, 3.0, 7),
-    )
-    walk_ridge(np.ones((4, 5)), 2, 2, 1, 0.0, 8)
+    for frames in (range(seed_t + 1, n_t), range(seed_t - 1, -1, -1)):
+        cur = seed_f
+        dead = 0
+        for t in frames:
+            lo = max(cur - max_step, 0)
+            hi = min(cur + max_step + 1, n_f)
+            best = lo + int(np.argmax(energy[lo:hi, t]))
+            if energy[best, t] > floor:
+                cur = best
+                bins[t] = best
+                valid[t] = True
+                dead = 0
+            else:
+                bins[t] = cur  # hold position across dropouts
+                dead += 1
+                if dead > patience:
+                    break
+    return bins, valid

@@ -93,27 +93,36 @@ def default_configs(method: str, signal_id: str, noisy: bool = False) -> dict[st
     raise ValueError(f"unknown method: {method}")
 
 
-def _apply_overrides(configs: dict[str, Any], overrides: dict[str, Any] | None) -> dict[str, Any]:
-    if not overrides:
-        return configs
-    out = dict(configs)
-    for key, value in overrides.items():
-        placed = False
-        for name, cfg in configs.items():
-            if dataclasses.is_dataclass(cfg) and key in {f.name for f in dataclasses.fields(cfg)}:
-                out[name] = dataclasses.replace(out[name], **{key: value})
-                placed = True
-                break
-        if not placed:
+def effective_configs(
+    method: str, signal_id: str, noisy: bool = False, overrides: dict[str, Any] | None = None
+) -> dict[str, Any]:
+    """The recipe's configs with ``overrides`` applied: the configs a run uses.
+
+    Each override goes to the first config that has a field of that name;
+    every config is rebuilt once with all of its overrides, so fields that
+    are checked together (``K`` and ``init_if_hz``) change together.
+    """
+    configs = default_configs(method, signal_id, noisy)
+    grouped: dict[str, dict[str, Any]] = {}
+    for key, value in (overrides or {}).items():
+        name = next(
+            (name for name, cfg in configs.items() if key in {f.name for f in dataclasses.fields(cfg)}),
+            None,
+        )
+        if name is None:
             raise ValueError(f"parameter {key!r} not found in {list(configs)}")
-    return out
+        grouped.setdefault(name, {})[key] = value
+    return {
+        name: dataclasses.replace(cfg, **grouped[name]) if name in grouped else cfg
+        for name, cfg in configs.items()
+    }
 
 
 def decompose(
     method: str, x: Signal, signal_id: str, noisy: bool = False, overrides: dict[str, Any] | None = None
 ):
     """Run one univariate method with its per-signal recipe."""
-    configs = _apply_overrides(default_configs(method, signal_id, noisy), overrides)
+    configs = effective_configs(method, signal_id, noisy, overrides)
     if method == "emd":
         return emd_decompose(x, configs["cfg"])
     if method == "vmd":

@@ -188,8 +188,8 @@ def _cmd_decompose(args) -> int:
     x = loaded.channel(args.column) if n_columns > 1 else loaded
     overrides = _collect_overrides(args)
     d = bench.decompose(args.method, x, args.signal_profile, noisy=False, overrides=overrides or None)
-    cfgs = bench.default_configs(args.method, args.signal_profile)
-    sdio.write_decomposition(d, args.outdir, method=args.method, config=cfgs.get("cfg"), original=x)
+    cfg = bench.effective_configs(args.method, args.signal_profile, overrides=overrides)["cfg"]
+    sdio.write_decomposition(d, args.outdir, method=args.method, config=cfg, original=x)
     print(f"wrote {d.n_modes} modes to {args.outdir}")
     return EXIT_OK
 

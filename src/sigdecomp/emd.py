@@ -173,12 +173,6 @@ def envelope_mean(x: Signal, boundary: int = 2) -> Signal:
     return Signal(mean, x.sample_rate_hz)
 
 
-def _counts_as_imf(samples: np.ndarray) -> bool:
-    max_idx, min_idx = find_extrema_arrays(samples)
-    n_ext = max_idx.size + min_idx.size
-    return abs(n_ext - count_zero_crossings(samples)) <= 1
-
-
 def _sift(residue: np.ndarray, cfg: EmdConfig) -> np.ndarray:
     """One mode's sift.  Raises :class:`NotEnoughExtrema` when no valid
     intrinsic mode can be produced (the caller keeps the remainder as
@@ -188,7 +182,7 @@ def _sift(residue: np.ndarray, cfg: EmdConfig) -> np.ndarray:
         try:
             mean, half_range = _envelopes(h, cfg.boundary)
         except NotEnoughExtrema:
-            if iteration == 0 or not _counts_as_imf(h):
+            if iteration == 0 or not imf_property_holds(h):
                 raise
             return h  # oscillation exhausted mid-sift; candidate still valid
         sigma = np.abs(mean) / np.maximum(np.abs(half_range), _EPS)
@@ -197,10 +191,10 @@ def _sift(residue: np.ndarray, cfg: EmdConfig) -> np.ndarray:
             and np.mean(sigma < cfg.theta1) >= 1.0 - cfg.alpha_fraction
         )
         # the defining extrema/zero-crossing balance must hold as well
-        if small_enough and _counts_as_imf(h):
+        if small_enough and imf_property_holds(h):
             return h
         h -= mean
-    if not _counts_as_imf(h):
+    if not imf_property_holds(h):
         raise NotEnoughExtrema("sift cap reached without a valid intrinsic mode")
     return h
 
@@ -235,8 +229,10 @@ def count_zero_crossings(samples: np.ndarray) -> int:
     return int(np.sum(signs[:-1] != signs[1:]))
 
 
-def imf_property_holds(mode: Signal) -> bool:
-    """Check |#extrema - #zero crossings| <= 1 for one mode."""
-    max_idx, min_idx = find_extrema_arrays(mode.samples)
+def imf_property_holds(mode: Signal | np.ndarray) -> bool:
+    """Check |#extrema - #zero crossings| <= 1 for one mode (a signal or
+    its raw samples)."""
+    samples = mode.samples if isinstance(mode, Signal) else mode
+    max_idx, min_idx = find_extrema_arrays(samples)
     n_ext = max_idx.size + min_idx.size
-    return abs(n_ext - count_zero_crossings(mode.samples)) <= 1
+    return abs(n_ext - count_zero_crossings(samples)) <= 1

@@ -141,11 +141,6 @@ def match_components(est: list[Signal], refs: list[Signal]) -> QrfReport:
     )
 
 
-def total_qrf(report: QrfReport) -> float:
-    """Sum of the matched per-pair QRF values (0 for an empty match)."""
-    return float(sum(report.per_mode_qrf_db))
-
-
 # ---------------------------------------------------------------------------
 # multivariate mode alignment
 # ---------------------------------------------------------------------------

@@ -167,13 +167,10 @@ def _directional_envelope_stats(
         max_idx, min_idx = find_extrema_arrays(projection)
         if max_idx.size < 2 or min_idx.size < 2:
             continue
-        upper = np.empty((n, n_ch))
-        lower = np.empty((n, n_ch))
-        t_max = _mirror_times(max_idx, n)
-        t_min = _mirror_times(min_idx, n)
-        for c in range(n_ch):
-            upper[:, c] = natural_spline(t_max, _mirror_values(data[:, c], max_idx), query)
-            lower[:, c] = natural_spline(t_min, _mirror_values(data[:, c], min_idx), query)
+        t_max, k_max = _mirrored_knots(max_idx)
+        t_min, k_min = _mirrored_knots(min_idx)
+        upper = natural_spline(t_max, data[k_max], query)  # (n, channels)
+        lower = natural_spline(t_min, data[k_min], query)
         env_mean += (upper + lower) / 2.0
         amplitude += np.linalg.norm(upper - lower, axis=1) / 2.0
         used += 1
@@ -186,22 +183,17 @@ def _directional_envelope_stats(
 _MIRROR_DEPTH = 2
 
 
-def _mirror_times(idx: np.ndarray, n: int) -> np.ndarray:
-    left = idx[1 : _MIRROR_DEPTH + 1]
-    right = idx[-_MIRROR_DEPTH - 1 : -1]
-    return np.concatenate(
-        [
-            (2.0 * idx[0] - left.astype(np.float64))[::-1],
-            idx.astype(np.float64),
-            (2.0 * idx[-1] - right.astype(np.float64))[::-1],
-        ]
-    )
+def _mirrored_knots(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knot times and the sample index each knot takes its values from.
 
-
-def _mirror_values(channel: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    left = idx[1 : _MIRROR_DEPTH + 1]
-    right = idx[-_MIRROR_DEPTH - 1 : -1]
-    return np.concatenate([channel[left][::-1], channel[idx], channel[right][::-1]])
+    The extrema at ``idx`` are extended ``_MIRROR_DEPTH`` deep past each
+    end by reflection about the first and last extremum; a mirrored knot
+    reuses the values of the extremum it reflects.
+    """
+    left = idx[1 : _MIRROR_DEPTH + 1][::-1]
+    right = idx[-_MIRROR_DEPTH - 1 : -1][::-1]
+    times = np.concatenate([2 * idx[0] - left, idx, 2 * idx[-1] - right])
+    return times.astype(np.float64), np.concatenate([left, idx, right])
 
 
 def _has_oscillation(data: np.ndarray, directions: np.ndarray) -> bool:

@@ -170,8 +170,10 @@ def _variational_modes(
     order = np.argsort(omega)
     full = np.zeros((k, n_ch, t_len), dtype=complex)
     full[..., half:] = u[order, :, half:]
-    full[..., 1:half] = np.conj(u[order, :, half + 1 :][..., ::-1])
-    full[..., 0] = np.conj(full[..., -1])
+    m = t_len - half - 1  # positive bins above zero; odd lengths have no Nyquist bin
+    full[..., half - m : half] = np.conj(u[order, :, half + 1 :][..., ::-1])
+    if t_len % 2 == 0:
+        full[..., 0] = np.conj(full[..., -1])
     series = np.real(np.fft.ifft(np.fft.ifftshift(full, axes=-1), axis=-1))
     lo = t_len // 4
     modes = series[..., lo : lo + n]

@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from sigdecomp import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # pay JIT compilation once up front so timing-sensitive tests are clean
-    _kernels.warmup()
-
 
 @pytest.fixture()
 def rng():

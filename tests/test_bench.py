@@ -1,3 +1,8 @@
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -116,3 +121,22 @@ class TestAlignmentSuite:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             run_alignment_suite("emd", 40.0)
+
+
+class TestProbeContract:
+    def test_probe_sites_exist(self, monkeypatch):
+        # perfbench wraps these attributes by name; a missing one breaks `--trace 1`
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "probes.py"
+        spec = importlib.util.spec_from_file_location("perfbench_probes", path)
+        probes = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, probes)  # dataclasses look their module up
+        spec.loader.exec_module(probes)
+        sites = [site[:2] for site in probes.LAYER_SITES + probes.ENTRY_SITES]
+        assert sites
+        missing = [
+            f"{module}.{attr}"
+            for module, attr in sites
+            if not hasattr(importlib.import_module(module), attr)
+        ]
+        assert missing == []
+        assert hasattr(importlib.import_module("sigdecomp._accel"), "NUMBA_ENABLED")

@@ -136,6 +136,36 @@ class TestCliContract:
         config = json.loads((tmp_path / "d" / "manifest.json").read_text())["config"]
         assert (config["K"], config["alpha"], config["tau"]) == (2, 500.0, 0.0)
 
+    def test_vmd_odd_length_csv_exit_zero(self, tmp_path):
+        t = np.arange(511) / 512.0
+        write_signals_csv(tmp_path / "x.csv", {"x": np.cos(2 * np.pi * 20 * t) + np.cos(2 * np.pi * 60 * t)}, 512.0)
+        r = run_cli("decompose", "--method", "vmd", "--k", "2", "--input", str(tmp_path / "x.csv"), "--outdir", str(tmp_path / "d"))
+        assert r.returncode == 0, r.stderr
+        d, _ = read_decomposition(tmp_path / "d")
+        assert [len(m) for m in d.modes] == [511, 511]
+
+    def test_init_if_with_k_exit_zero(self, tmp_path):
+        assert run_cli("synth", "--signal", "s1", "--out", str(tmp_path / "s1.csv")).returncode == 0
+        r = run_cli(
+            "decompose", "--method", "vncmd", "--k", "2", "--init-if", "30,50",
+            "--input", str(tmp_path / "s1.csv"), "--outdir", str(tmp_path / "d"),
+        )
+        assert r.returncode == 0, r.stderr
+        config = json.loads((tmp_path / "d" / "manifest.json").read_text())["config"]
+        assert (config["K"], config["init_if_hz"]) == (2, [30.0, 50.0])
+
+    def test_manifest_records_overridden_config(self, tmp_path):
+        assert run_cli("synth", "--signal", "s1", "--out", str(tmp_path / "s1.csv")).returncode == 0
+        r = run_cli(
+            "decompose", "--method", "vmd", "--k", "5", "--alpha", "100",
+            "--input", str(tmp_path / "s1.csv"), "--outdir", str(tmp_path / "d"),
+        )
+        assert r.returncode == 0, r.stderr
+        _, manifest = read_decomposition(tmp_path / "d")
+        assert (manifest["config"]["K"], manifest["config"]["alpha"]) == (5, 100.0)
+        assert manifest["config"]["tau"] == 0.5  # untouched fields keep the recipe's value
+        assert manifest["n_modes"] == 5
+
     def test_column_out_of_range_exit_two(self, tmp_path):
         mv = tmp_path / "mv.csv"
         assert run_cli("synth", "--signal", "mv", "--duration", "0.25", "--out", str(mv)).returncode == 0

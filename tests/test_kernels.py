@@ -1,18 +1,12 @@
-"""Parity and behavior checks for the accelerated kernels.
-
-Both implementations (jitted loop and numpy fallback) are exercised in
-one process regardless of which one the package selected at import.
-"""
+"""Behavior checks for the numeric kernels against independent oracles:
+a strict-extrema comparison, scipy's natural ``CubicSpline`` and a
+hand-walked ridge."""
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
 from sigdecomp import _kernels as K
-
-
-def both_extrema(x):
-    return [K._extrema_loop(np.asarray(x, float)), K._extrema_numpy(np.asarray(x, float))]
 
 
 class TestExtremaParity:
@@ -27,16 +21,24 @@ class TestExtremaParity:
         ],
     )
     def test_cases_match_both_paths(self, x, want_max, want_min):
-        for mx, mn in both_extrema(x):
-            assert list(mx) == want_max
-            assert list(mn) == want_min
+        # the maxima and the minima path: negating the input swaps them
+        mx, mn = K.find_extrema_arrays(np.asarray(x, float))
+        assert list(mx) == want_max
+        assert list(mn) == want_min
+        mx, mn = K.find_extrema_arrays(-np.asarray(x, float))
+        assert list(mx) == want_min
+        assert list(mn) == want_max
 
     def test_random_parity(self, rng):
+        # rng.normal has no ties, so every extremum is a strict one
         for _ in range(20):
             x = rng.normal(size=200)
-            (mx1, mn1), (mx2, mn2) = both_extrema(x)
-            assert np.array_equal(mx1, mx2)
-            assert np.array_equal(mn1, mn2)
+            inner = x[1:-1]
+            want_max = np.flatnonzero((inner > x[:-2]) & (inner > x[2:])) + 1
+            want_min = np.flatnonzero((inner < x[:-2]) & (inner < x[2:])) + 1
+            mx, mn = K.find_extrema_arrays(x)
+            assert np.array_equal(mx, want_max)
+            assert np.array_equal(mn, want_min)
 
 
 class TestSplineParity:
@@ -45,7 +47,7 @@ class TestSplineParity:
         xs += np.arange(12) * 1e-3  # ensure strict increase
         ys = rng.normal(size=12)
         q = np.linspace(xs[0], xs[-1], 200)
-        mine = K._spline_natural_loop(xs, ys, q)
+        mine = K.natural_spline(xs, ys, q)
         ref = CubicSpline(xs, ys, bc_type="natural")(q)
         assert np.max(np.abs(mine - ref)) < 1e-9 * max(np.max(np.abs(ref)), 1.0)
 
@@ -53,27 +55,42 @@ class TestSplineParity:
         xs = np.array([0.0, 2.0])
         ys = np.array([1.0, 5.0])
         q = np.array([-1.0, 0.5, 3.0])
-        out = K._spline_natural_loop(xs, ys, q)
+        out = K.natural_spline(xs, ys, q)
         assert np.allclose(out, [-1.0, 2.0, 7.0])
 
     def test_extrapolation_matches_scipy(self, rng):
         xs = np.arange(10.0)
         ys = rng.normal(size=10)
         q = np.array([-2.0, -0.5, 9.5, 11.0])
-        mine = K._spline_natural_loop(xs, ys, q)
+        mine = K.natural_spline(xs, ys, q)
         ref = CubicSpline(xs, ys, bc_type="natural")(q)
         assert np.allclose(mine, ref, atol=1e-9)
 
+    @pytest.mark.parametrize("n_knots", [2, 3, 17])
+    def test_columns_equal_per_column_calls(self, rng, n_knots):
+        xs = np.cumsum(rng.uniform(0.5, 3.0, size=n_knots))
+        ys = rng.normal(size=(n_knots, 3))
+        q = np.linspace(xs[0] - 2.0, xs[-1] + 2.0, 50)  # includes extrapolation
+        out = K.natural_spline(xs, ys, q)
+        assert out.shape == (q.size, 3)
+        for c in range(3):
+            assert np.array_equal(out[:, c], K.natural_spline(xs, ys[:, c], q))
+
 
 class TestRidgeWalkParity:
-    def test_paths_identical(self, rng):
-        energy = rng.random((60, 120))
-        energy[30, :] += 5.0  # strong flat ridge
-        for args in ((30, 60, 3, 0.0, 8), (30, 60, 10, 0.5, 4)):
-            loop = K._walk_ridge_loop(energy, *args)
-            vect = K._walk_ridge_numpy(energy, *args)
-            assert np.array_equal(loop[0], vect[0])
-            assert np.array_equal(loop[1], vect[1])
+    def test_paths_identical(self):
+        # seed (2, 4); max_step 1, floor 0.5, patience 1
+        energy = np.zeros((6, 9))
+        energy[2, 4] = 5.0
+        energy[3, 5], energy[0, 5] = 2.0, 9.0  # bin 0 lies outside the step window
+        energy[4, 6] = 2.0
+        energy[0, 7], energy[3, 7] = 9.0, 0.5  # frame 7 dead (at the floor): hold bin 4
+        energy[5, 8] = 1.0
+        energy[1, 3] = 2.0  # backwards: frames 2 and 1 dead, walk stops at 1
+        energy[1, 0] = 3.0  # never reached
+        bins, valid = K.walk_ridge(energy, 2, 4, 1, 0.5, 1)
+        assert list(bins) == [2, 1, 1, 1, 2, 3, 4, 4, 5]
+        assert list(valid) == [False, False, False, True, True, True, True, False, True]
 
     def test_patience_stops_walk(self):
         energy = np.zeros((10, 100))
@@ -92,6 +109,13 @@ class TestRidgeWalkParity:
 
 class TestDispatch:
     def test_public_names_work(self):
+        # callers hold the kernels under their own names; those must be the kernels
+        from sigdecomp import emd, multivariate, sst
+
+        for mod in (emd, multivariate):
+            assert mod.find_extrema_arrays is K.find_extrema_arrays
+            assert mod.natural_spline is K.natural_spline
+        assert sst.walk_ridge is K.walk_ridge
         x = np.sin(np.arange(100) / 3.0)
         mx, mn = K.find_extrema_arrays(x)
         assert mx.size > 0 and mn.size > 0

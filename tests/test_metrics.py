@@ -12,7 +12,6 @@ from sigdecomp.metrics import (
     _max_weight_matching,
     match_components,
     qrf,
-    total_qrf,
 )
 
 
@@ -148,17 +147,20 @@ class TestMatching:
 class TestTotals:
     def test_empty_report(self):
         report = QrfReport(assignment=(), per_mode_qrf_db=(), total_qrf_db=0.0)
-        assert total_qrf(report) == 0.0
+        assert report.total_qrf_db == 0.0
 
     def test_single_pair(self):
-        report = QrfReport(assignment=((0, 0),), per_mode_qrf_db=(17.5,), total_qrf_db=17.5)
-        assert total_qrf(report) == 17.5
+        ref = tone(5.0, 1.0, 64.0)
+        est = add(ref, scale(tone(9.0, 1.0, 64.0), 0.1))
+        report = match_components([est], [ref])
+        assert report.total_qrf_db == report.per_mode_qrf_db[0] == qrf(est, ref)
 
     def test_two_pairs(self):
-        report = QrfReport(
-            assignment=((0, 0), (1, 1)), per_mode_qrf_db=(20.0, 30.0), total_qrf_db=50.0
-        )
-        assert total_qrf(report) == pytest.approx(50.0)
+        refs = [tone(5.0, 1.0, 64.0), tone(17.0, 1.0, 64.0)]
+        ests = [scale(refs[1], 0.9), scale(refs[0], 1.2)]
+        report = match_components(ests, refs)
+        assert report.total_qrf_db == pytest.approx(qrf(ests[0], refs[1]) + qrf(ests[1], refs[0]))
+        assert report.total_qrf_db == pytest.approx(sum(report.per_mode_qrf_db))
 
     def test_injectivity_enforced(self):
         with pytest.raises(ContractViolation):

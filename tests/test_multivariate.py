@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sigdecomp.core import ContractViolation, MultichannelSignal, Signal, l2_norm
-from sigdecomp.metrics import alignment_score
+from sigdecomp.metrics import alignment_score, qrf
 from sigdecomp.multivariate import (
     AlignedDecomposition,
     MemdConfig,
@@ -153,6 +153,23 @@ class TestMvmd:
         assert joint.center_freqs_hz == single.center_freqs_hz
         for a, b in zip(joint.channel_modes[0], single.modes):
             assert np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("n", [511, 513])
+    def test_odd_sample_count(self, n):
+        fs = 512.0
+        t = np.arange(n) / fs
+        low, high = np.cos(2 * np.pi * 20.0 * t), np.cos(2 * np.pi * 60.0 * t)
+        x = MultichannelSignal(np.stack([low + high, low - 0.5 * high]), fs)
+        d, _ = mvmd_decompose(x, MvmdConfig(K=2))
+        assert abs(d.center_freqs_hz[0] - 20.0) <= 1.0
+        assert abs(d.center_freqs_hz[1] - 60.0) <= 1.0
+        for c in range(2):
+            modes = d.channel_modes[c]
+            assert all(len(m) == n for m in modes)
+            rebuilt = sum(m.samples for m in modes) + d.residuals[c].samples
+            assert np.max(np.abs(rebuilt - x.channels[c])) < 1e-9
+        assert qrf(d.channel_modes[0][0], Signal(low, fs)) >= 20.0
+        assert qrf(d.channel_modes[1][1], Signal(-0.5 * high, fs)) >= 20.0
 
     def test_mode_count_mismatch_rejected(self):
         fs = 64.0

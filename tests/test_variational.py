@@ -46,6 +46,19 @@ class TestVmd:
         report = match_components(list(d.modes), refs)
         assert min(report.per_mode_qrf_db) >= 30.0
 
+    @pytest.mark.parametrize("n", [511, 513])
+    def test_odd_sample_count(self, n):
+        fs = 512.0
+        t = np.arange(n) / fs
+        refs = [Signal(np.cos(2 * np.pi * f * t), fs) for f in (20.0, 60.0)]
+        mix = Signal(refs[0].samples + refs[1].samples, fs)
+        d, _ = vmd_decompose(mix, VmdConfig(K=2, alpha=500.0, tau=0.0))
+        assert all(len(m) == n for m in d.modes)
+        assert d.reconstruction_error(mix) < 1e-9
+        assert abs(d.center_freqs_hz[0] - 20.0) <= 1.0
+        assert abs(d.center_freqs_hz[1] - 60.0) <= 1.0
+        assert min(match_components(list(d.modes), refs).per_mode_qrf_db) >= 20.0
+
     def test_centers_strictly_ascending(self):
         x, _ = gen_s1()
         d, _ = vmd_decompose(x, VmdConfig(K=3, alpha=500.0, tau=0.5))
