@@ -32,6 +32,7 @@ from .synth import add_wgn, gen_mv_test, gen_s1, gen_s2, mv_component_bank
 from .variational import VmdConfig, VncmdConfig, vmd_decompose, vncmd_decompose
 
 UNIVARIATE_METHODS = ("emd", "vmd", "vncmd", "sst", "ssa")
+MULTICHANNEL_METHODS = ("memd", "mvmd")
 ALIGNMENT_METHODS = ("vmd-channelwise", "memd", "mvmd")
 SIGNAL_IDS = ("s1", "s2")
 
@@ -52,7 +53,8 @@ def default_configs(method: str, signal_id: str, noisy: bool = False) -> dict[st
 
     ``noisy`` switches the variational reconstruction slack off
     (``tau=0``), which behaves better under noise; clean runs use
-    ``tau=0.5`` for tighter reconstruction.
+    ``tau=0.5`` for tighter reconstruction.  The multichannel recipes
+    (``memd``, ``mvmd``) depend on neither ``signal_id`` nor ``noisy``.
     """
     tau = 0.0 if noisy else 0.5
     if method == "emd":
@@ -90,6 +92,10 @@ def default_configs(method: str, signal_id: str, noisy: bool = False) -> dict[st
         if signal_id == "s1":
             return {"cfg": SsaConfig(L=110, K=3, window_len=880, hop=220)}
         return {"cfg": SsaConfig(L=110, K=2)}
+    if method == "memd":
+        return {"cfg": MemdConfig(M=64)}
+    if method == "mvmd":
+        return {"cfg": MvmdConfig(K=3, alpha=500.0, tau=0.0)}
     raise ValueError(f"unknown method: {method}")
 
 
@@ -105,17 +111,18 @@ def effective_configs(
     configs = default_configs(method, signal_id, noisy)
     grouped: dict[str, dict[str, Any]] = {}
     for key, value in (overrides or {}).items():
-        name = next(
-            (name for name, cfg in configs.items() if key in {f.name for f in dataclasses.fields(cfg)}),
-            None,
-        )
+        name = next((name for name, cfg in configs.items() if key in _field_names(cfg)), None)
         if name is None:
-            raise ValueError(f"parameter {key!r} not found in {list(configs)}")
+            raise ValueError(f"{method} has no parameter {key!r}")
         grouped.setdefault(name, {})[key] = value
     return {
         name: dataclasses.replace(cfg, **grouped[name]) if name in grouped else cfg
         for name, cfg in configs.items()
     }
+
+
+def _field_names(cfg) -> set[str]:
+    return {f.name for f in dataclasses.fields(cfg)}
 
 
 def decompose(
@@ -252,14 +259,7 @@ def run_param_sweep(
     """One clean accuracy run per parameter value, other fields at the
     recipe defaults.  The parameter must exist in the method's config;
     invalid values are recorded per row, not raised."""
-    configs = default_configs(method, signal_id)
-    known = {
-        f.name
-        for cfg in configs.values()
-        if dataclasses.is_dataclass(cfg)
-        for f in dataclasses.fields(cfg)
-    }
-    if param not in known:
+    if not any(param in _field_names(cfg) for cfg in default_configs(method, signal_id).values()):
         raise ValueError(f"parameter {param!r} not found in {method}'s configuration")
     rows: list[dict[str, Any]] = []
     for value in values:
@@ -306,9 +306,9 @@ def run_alignment_suite(method: str, snr_db: float, base_seed: int = 0) -> Align
     mv, table = gen_mv_test()
     noisy = noisy_mv_signal(mv, snr_db, base_seed)
     if method == "memd":
-        d = memd_decompose(noisy, MemdConfig(M=64))
+        d = memd_decompose(noisy, default_configs(method, "mv")["cfg"])
     elif method == "mvmd":
-        d, _ = mvmd_decompose(noisy, MvmdConfig(K=3, alpha=500.0, tau=0.0))
+        d, _ = mvmd_decompose(noisy, default_configs(method, "mv")["cfg"])
     elif method == "vmd-channelwise":
         d = vmd_channelwise(noisy, K=3)
     else:

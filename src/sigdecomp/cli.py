@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, io as sdio
-from .core import ContractViolation, Diverged, MultichannelSignal, NumericalFailure, Signal
-from .multivariate import MemdConfig, MvmdConfig, memd_decompose, mvmd_decompose
+from .core import ContractViolation, Decomposition, Diverged, MultichannelSignal, NumericalFailure, Signal
+from .multivariate import AlignedDecomposition, memd_decompose, mvmd_decompose
 from .spectral import hilbert_spectrum
 from .synth import GapSpec, S2Config, gen_mv_test, gen_s1, gen_s2
 
@@ -29,6 +29,28 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+
+def _float_tuple(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+#: decompose flag -> (config field it sets, value type, help); a flag the
+#: method's configs lack is a usage error
+_DECOMPOSE_FLAGS = {
+    "--k": ("K", int, None),
+    "--alpha": ("alpha", float, None),
+    "--tau": ("tau", float, None),
+    "--mu": ("mu", float, None),
+    "--init-if": ("init_if_hz", _float_tuple, "comma-separated initial frequencies (Hz)"),
+    "--l": ("L", int, "embedding dimension"),
+    "--epsilon": ("epsilon", float, None),
+    "--start-band": ("start_band", int, None),
+    "--max-step": ("max_step", int, None),
+    "--gamma": ("gamma", float, None),
+    "--m-directions": ("M", int, None),
+    "--seed": ("seed", int, None),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,25 +71,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--fs", type=float, default=None)
 
     p_dec = sub.add_parser("decompose", help="decompose a CSV signal")
-    p_dec.add_argument("--method", required=True, choices=bench.UNIVARIATE_METHODS + ("memd", "mvmd"))
+    p_dec.add_argument("--method", required=True, choices=bench.UNIVARIATE_METHODS + bench.MULTICHANNEL_METHODS)
     p_dec.add_argument("--input", required=True)
     p_dec.add_argument("--outdir", default="decomposition")
     p_dec.add_argument("--fs", type=float, default=None, help="sample rate when the file has no header")
     p_dec.add_argument("--column", type=int, default=0, help="column for univariate methods on multicolumn files")
     p_dec.add_argument("--signal-profile", choices=bench.SIGNAL_IDS, default="s1",
                        help="which recipe's defaults to start from")
-    p_dec.add_argument("--k", type=int, default=None)
-    p_dec.add_argument("--alpha", type=float, default=None)
-    p_dec.add_argument("--tau", type=float, default=None)
-    p_dec.add_argument("--mu", type=float, default=None)
-    p_dec.add_argument("--init-if", type=str, default=None, help="comma-separated initial frequencies (Hz)")
-    p_dec.add_argument("--l", type=int, default=None, help="embedding dimension")
-    p_dec.add_argument("--epsilon", type=float, default=None)
-    p_dec.add_argument("--start-band", type=int, default=None)
-    p_dec.add_argument("--max-step", type=int, default=None)
-    p_dec.add_argument("--gamma", type=float, default=None)
-    p_dec.add_argument("--m-directions", type=int, default=None)
-    p_dec.add_argument("--seed", type=int, default=0)
+    for flag, (key, kind, help_text) in _DECOMPOSE_FLAGS.items():
+        p_dec.add_argument(flag, dest=key, type=kind, default=None, help=help_text)
 
     p_tf = sub.add_parser("tf", help="render a time-frequency grid as CSV")
     p_tf.add_argument("--input", help="signal CSV (rendered as its own single mode)")
@@ -97,99 +109,50 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    if args.signal == "s1":
-        gap = None if args.no_gap else GapSpec(args.gap_start, args.gap_end)
-        composite, refs = gen_s1(gap)
-        cols = {"s1": composite.samples}
-        for i, r in enumerate(refs, start=1):
-            cols[f"s1{i}"] = r.samples
-        sdio.write_signals_csv(args.out, cols, composite.sample_rate_hz)
-    elif args.signal == "s2":
-        composite, refs = gen_s2(S2Config(rng_seed=args.seed))
-        cols = {"s2": composite.samples, "s21": refs[0].samples, "s22": refs[1].samples}
-        sdio.write_signals_csv(args.out, cols, composite.sample_rate_hz)
-    else:
-        kwargs = {}
-        if args.duration is not None:
-            kwargs["duration_s"] = args.duration
-        if args.fs is not None:
-            kwargs["fs"] = args.fs
+    if args.signal == "mv":
+        kwargs = {key: v for key, v in (("duration_s", args.duration), ("fs", args.fs)) if v is not None}
         mv, _ = gen_mv_test(**kwargs)
-        cols = {f"ch{c+1}": mv.channels[c] for c in range(mv.n_channels)}
-        sdio.write_signals_csv(args.out, cols, mv.sample_rate_hz)
+        cols, fs = {f"ch{c+1}": mv.channels[c] for c in range(mv.n_channels)}, mv.sample_rate_hz
+    else:
+        if args.signal == "s1":
+            composite, refs = gen_s1(None if args.no_gap else GapSpec(args.gap_start, args.gap_end))
+        else:
+            composite, refs = gen_s2(S2Config(rng_seed=args.seed))
+        cols = {args.signal: composite.samples}
+        cols.update({f"{args.signal}{i}": r.samples for i, r in enumerate(refs, start=1)})
+        fs = composite.sample_rate_hz
+    sdio.write_signals_csv(args.out, cols, fs)
     return EXIT_OK
 
 
-def _given(args, mapping: dict[str, str]) -> dict:
-    """Config fields for the flags in ``mapping`` that the user gave."""
-    return {key: getattr(args, attr) for attr, key in mapping.items() if getattr(args, attr) is not None}
-
-
 def _collect_overrides(args) -> dict:
-    mapping = {
-        "k": "K",
-        "alpha": "alpha",
-        "tau": "tau",
-        "mu": "mu",
-        "l": "L",
-        "epsilon": "epsilon",
-        "start_band": "start_band",
-        "max_step": "max_step",
-        "gamma": "gamma",
-    }
-    overrides = _given(args, mapping)
-    if args.init_if is not None:
-        overrides["init_if_hz"] = tuple(float(v) for v in args.init_if.split(","))
-        overrides["K"] = len(overrides["init_if_hz"])
+    """Config field -> value for every decompose flag given; ``--init-if``
+    sets ``K`` to its count unless ``--k`` is given too."""
+    overrides = {key: v for key, _, _ in _DECOMPOSE_FLAGS.values() if (v := getattr(args, key)) is not None}
+    if "init_if_hz" in overrides:
+        overrides.setdefault("K", len(overrides["init_if_hz"]))
     return overrides
 
 
 def _cmd_decompose(args) -> int:
+    overrides = _collect_overrides(args)
+    configs = bench.effective_configs(args.method, args.signal_profile, overrides=overrides)
     loaded = sdio.read_csv_signal(args.input, args.fs)
-    if args.method in ("memd", "mvmd"):
+    if args.method in bench.MULTICHANNEL_METHODS:
         if isinstance(loaded, Signal):
             raise ContractViolation("multivariate methods need a multicolumn input")
-        # pass only the flags given, so the defaults live in the configs
+        x = loaded
         if args.method == "memd":
-            cfg = MemdConfig(seed=args.seed, **_given(args, {"m_directions": "M"}))
-            aligned = memd_decompose(loaded, cfg)
+            d = memd_decompose(x, configs["cfg"])
         else:
-            cfg = MvmdConfig(**_given(args, {"k": "K", "alpha": "alpha", "tau": "tau"}))
-            aligned, _ = mvmd_decompose(loaded, cfg)
-        outdir = Path(args.outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        fs = loaded.sample_rate_hz
-        files = []
-        for k in range(aligned.n_modes):
-            name = f"mode_{k+1:02d}.csv"
-            cols = {f"ch{c+1}": aligned.channel_modes[c][k].samples for c in range(aligned.n_channels)}
-            sdio.write_signals_csv(outdir / name, cols, fs)
-            files.append(name)
-        cols = {f"ch{c+1}": aligned.residuals[c].samples for c in range(aligned.n_channels)}
-        sdio.write_signals_csv(outdir / "residual.csv", cols, fs)
-        manifest = {
-            "method": args.method,
-            "config": sdio._config_to_jsonable(cfg),
-            "sample_rate_hz": fs,
-            "n_modes": aligned.n_modes,
-            "n_channels": aligned.n_channels,
-            "mode_files": files,
-            "residual_file": "residual.csv",
-            "center_freqs_hz": list(aligned.center_freqs_hz) if aligned.center_freqs_hz else None,
-        }
-        with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-        print(f"wrote {aligned.n_modes} modes to {outdir}")
-        return EXIT_OK
-
-    n_columns = loaded.n_channels if isinstance(loaded, MultichannelSignal) else 1
-    if not 0 <= args.column < n_columns:
-        raise ContractViolation(f"--column {args.column} is out of range for {n_columns} column(s)")
-    x = loaded.channel(args.column) if n_columns > 1 else loaded
-    overrides = _collect_overrides(args)
-    d = bench.decompose(args.method, x, args.signal_profile, noisy=False, overrides=overrides or None)
-    cfg = bench.effective_configs(args.method, args.signal_profile, overrides=overrides)["cfg"]
-    sdio.write_decomposition(d, args.outdir, method=args.method, config=cfg, original=x)
+            d, _ = mvmd_decompose(x, configs["cfg"])
+    else:
+        n_columns = loaded.n_channels if isinstance(loaded, MultichannelSignal) else 1
+        if not 0 <= args.column < n_columns:
+            raise ContractViolation(f"--column {args.column} is out of range for {n_columns} column(s)")
+        x = loaded.channel(args.column) if n_columns > 1 else loaded
+        d = bench.decompose(args.method, x, args.signal_profile, noisy=False, overrides=overrides)
+    sdio.write_decomposition(d, args.outdir, method=args.method, config=configs, original=x)
     print(f"wrote {d.n_modes} modes to {args.outdir}")
     return EXIT_OK
 
@@ -199,12 +162,12 @@ def _cmd_tf(args) -> int:
         raise ContractViolation("tf needs exactly one of --input or --indir")
     if args.indir:
         d, _ = sdio.read_decomposition(args.indir)
+        if isinstance(d, AlignedDecomposition):
+            d = d.channel(0)
     else:
         sig = sdio.read_csv_signal(args.input, args.fs)
         if isinstance(sig, MultichannelSignal):
             sig = sig.channel(0)
-        from .core import Decomposition
-
         zero = Signal(np.zeros(len(sig)), sig.sample_rate_hz)
         d = Decomposition(modes=(sig,), residual=zero)
     fs = d.residual.sample_rate_hz
@@ -227,18 +190,8 @@ def _cmd_bench(args) -> int:
             "report": report.to_dict(),
         }
     elif args.suite == "noise":
-        grid = (
-            tuple(float(v) for v in args.snr_grid.split(","))
-            if args.snr_grid
-            else bench.DEFAULT_SNR_GRID_DB
-        )
-        spec = bench.NoiseSuiteSpec(
-            method=args.method,
-            signal=args.signal,
-            snr_grid_db=grid,
-            n_realizations=args.n,
-            base_seed=args.seed,
-        )
+        grid = _float_tuple(args.snr_grid) if args.snr_grid else bench.DEFAULT_SNR_GRID_DB
+        spec = bench.NoiseSuiteSpec(args.method, args.signal, grid, n_realizations=args.n, base_seed=args.seed)
         result = bench.run_noise_suite(spec)
         payload = {
             "suite": "noise",
@@ -248,13 +201,12 @@ def _cmd_bench(args) -> int:
             "base_seed": args.seed,
             "rows": result.to_rows(),
             "raw_totals_db": {str(k): list(v) for k, v in result.raw_totals_db.items()},
+            "elapsed_s": {str(k): list(v) for k, v in result.elapsed_s.items()},
         }
         if args.out:
-            csv_path = Path(args.out).with_suffix(".csv")
-            with open(csv_path, "w", encoding="utf-8") as fh:
-                fh.write("snr_db,mean_db,std_db,failures\n")
-                for row in result.to_rows():
-                    fh.write(f"{row['snr_db']},{row['mean_db']},{row['std_db']},{row['failures']}\n")
+            lines = ["snr_db,mean_db,std_db,failures"]
+            lines += [f"{r['snr_db']},{r['mean_db']},{r['std_db']},{r['failures']}" for r in result.to_rows()]
+            Path(args.out).with_suffix(".csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
         if not args.param or not args.values:
             raise ContractViolation("sweep needs --param and --values")
@@ -266,21 +218,11 @@ def _cmd_bench(args) -> int:
             "signal": args.signal,
             "param": args.param,
             "rows": [
-                {
-                    "value": row["value"],
-                    "total_qrf_db": row.get("total_qrf_db"),
-                    "error": row.get("error"),
-                }
+                {"value": row["value"], "total_qrf_db": row.get("total_qrf_db"), "error": row.get("error")}
                 for row in rows
             ],
         }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
-    return EXIT_OK
+    return _emit_json(payload, args.out)
 
 
 def _cmd_align(args) -> int:
@@ -294,10 +236,17 @@ def _cmd_align(args) -> int:
         "row_to_mode": list(score.row_to_mode),
         "dominant_freqs_hz": [list(row) for row in score.dominant_freqs_hz],
     }
+    return _emit_json(payload, args.out)
+
+
+def _emit_json(payload: dict, out: str | None) -> int:
+    """Write ``payload`` to ``out``, or print it when no path is given."""
     text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    print(text if not args.out else f"wrote {args.out}")
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+        print(f"wrote {out}")
+    else:
+        print(text)
     return EXIT_OK
 
 
@@ -319,11 +268,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ContractViolation, ValueError) as exc:
-        if isinstance(exc, sdio.CsvFormatError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_IO if isinstance(exc, sdio.CsvFormatError) else EXIT_USAGE
     except (Diverged, NumericalFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -159,12 +159,6 @@ class Decomposition:
     def n_modes(self) -> int:
         return len(self.modes)
 
-    def mode_sum(self) -> Signal:
-        total = np.zeros(len(self.residual))
-        for m in self.modes:
-            total = total + m.samples
-        return Signal(total, self.residual.sample_rate_hz)
-
     def reconstruction_error(self, original: Signal) -> float:
         """l2 norm of (original - sum of modes - residual)."""
         if len(original) != len(self.residual) or not rates_equal(

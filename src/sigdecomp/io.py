@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ContractViolation, Decomposition, MultichannelSignal, Signal
+from .multivariate import AlignedDecomposition
 from .spectral import TFGrid
 
 
@@ -105,64 +106,102 @@ def _config_to_jsonable(obj) -> object:
     return obj
 
 
+def _config_fields(config) -> dict | None:
+    """One flat JSON object of the fields of a config or of a mapping of
+    configs (as :func:`~sigdecomp.bench.effective_configs` returns)."""
+    if config is None:
+        return None
+    configs = config.values() if isinstance(config, dict) else (config,)
+    return {key: value for cfg in configs for key, value in _config_to_jsonable(cfg).items()}
+
+
 def write_decomposition(
-    d: Decomposition,
+    d: Decomposition | AlignedDecomposition,
     outdir: str | Path,
     method: str = "",
     config: object = None,
-    original: Signal | None = None,
+    original: Signal | MultichannelSignal | None = None,
 ) -> dict:
     """Write one CSV per mode plus the residual and a JSON manifest.
 
-    The manifest records the method name, its configuration, center
-    frequencies when present, and the reconstruction error against
-    ``original`` when supplied.  Returns the manifest dict.
+    A multichannel decomposition writes one ``ch<c>`` column per channel
+    in every file.  The manifest records the method name, the fields of
+    ``config`` (one config or a name -> config mapping, flattened), the
+    channel count, center frequencies when present, and the
+    reconstruction error against ``original`` when supplied.  Returns the
+    manifest dict.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    fs = d.residual.sample_rate_hz
+    if isinstance(d, AlignedDecomposition):
+        channels = [d.channel(c) for c in range(d.n_channels)]
+        names = [f"ch{c + 1}" for c in range(d.n_channels)]
+    else:
+        channels, names = [d], None
+    fs = channels[0].residual.sample_rate_hz
     files = []
-    for i, mode in enumerate(d.modes, start=1):
-        name = f"mode_{i:02d}.csv"
-        write_signals_csv(outdir / name, {f"mode_{i:02d}": mode.samples}, fs)
+    for k in range(d.n_modes):
+        name = f"mode_{k + 1:02d}.csv"
+        labels = names or [name[:-4]]
+        write_signals_csv(outdir / name, {c: ch.modes[k].samples for c, ch in zip(labels, channels)}, fs)
         files.append(name)
-    write_signals_csv(outdir / "residual.csv", {"residual": d.residual.samples}, fs)
+    labels = names or ["residual"]
+    write_signals_csv(outdir / "residual.csv", {c: ch.residual.samples for c, ch in zip(labels, channels)}, fs)
 
     manifest = {
         "method": method,
-        "config": _config_to_jsonable(config),
+        "config": _config_fields(config),
         "sample_rate_hz": fs,
         "n_modes": d.n_modes,
+        "n_channels": len(channels),
         "mode_files": files,
         "residual_file": "residual.csv",
         "center_freqs_hz": list(d.center_freqs_hz) if d.center_freqs_hz else None,
-        "reconstruction_error": (
-            d.reconstruction_error(original) if original is not None else None
-        ),
+        "reconstruction_error": d.reconstruction_error(original) if original is not None else None,
     }
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
     return manifest
 
 
-def read_decomposition(outdir: str | Path) -> tuple[Decomposition, dict]:
-    """Load a decomposition bundle written by :func:`write_decomposition`."""
+def read_decomposition(outdir: str | Path) -> tuple[Decomposition | AlignedDecomposition, dict]:
+    """Load a bundle written by :func:`write_decomposition`.
+
+    Multicolumn files give an :class:`AlignedDecomposition`, one-column
+    files a :class:`Decomposition`.  A manifest without its file names,
+    or files that disagree in shape, rate or mode count, raise
+    :class:`CsvFormatError`.
+    """
     outdir = Path(outdir)
-    with open(outdir / "manifest.json", "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    modes = []
-    for name in manifest["mode_files"]:
-        sig = read_csv_signal(outdir / name)
-        assert isinstance(sig, Signal)
-        modes.append(sig)
-    residual = read_csv_signal(outdir / manifest["residual_file"])
-    centers = manifest.get("center_freqs_hz")
-    d = Decomposition(
-        modes=tuple(modes),
-        residual=residual,
-        center_freqs_hz=tuple(centers) if centers else None,
-    )
+    path = outdir / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        mode_files, residual_file = list(manifest["mode_files"]), str(manifest["residual_file"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CsvFormatError(f"{path}: not a bundle manifest ({exc!r})") from exc
+    residual = read_csv_signal(outdir / residual_file)
+    modes = [read_csv_signal(outdir / str(name)) for name in mode_files]
+    shape = _samples(residual).shape
+    if any(_samples(m).shape != shape for m in modes):
+        raise CsvFormatError(f"{outdir}: mode files and residual differ in shape")
+    centers = manifest.get("center_freqs_hz") or None
+    try:
+        if isinstance(residual, Signal):
+            d = Decomposition(modes=tuple(modes), residual=residual, center_freqs_hz=centers)
+        else:
+            d = AlignedDecomposition(
+                channel_modes=tuple(tuple(m.channel(c) for m in modes) for c in range(shape[0])),
+                residuals=tuple(residual.channel(c) for c in range(shape[0])),
+                sample_rate_hz=residual.sample_rate_hz,
+                center_freqs_hz=centers,
+            )
+    except (TypeError, ValueError) as exc:
+        raise CsvFormatError(f"{path}: {exc}") from exc
     return d, manifest
+
+
+def _samples(sig: Signal | MultichannelSignal) -> np.ndarray:
+    return sig.samples if isinstance(sig, Signal) else sig.channels
 
 
 def write_tfgrid_csv(path: str | Path, grid: TFGrid) -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import find_extrema_arrays, natural_spline
-from .core import ContractViolation, MultichannelSignal, Signal
+from .core import ContractViolation, Decomposition, MultichannelSignal, Signal
 from .emd import EmdConfig
 from .variational import (
     ConvergenceReport,
@@ -68,8 +68,12 @@ class AlignedDecomposition:
 
     def __post_init__(self):
         counts = {len(modes) for modes in self.channel_modes}
-        if len(counts) > 1:
-            raise ContractViolation("every channel must have the same mode count")
+        if len(counts) > 1 or len(self.residuals) != len(self.channel_modes):
+            raise ContractViolation("every channel needs the same mode count and one residual")
+        if self.center_freqs_hz is not None:
+            object.__setattr__(self, "center_freqs_hz", tuple(float(f) for f in self.center_freqs_hz))
+        for c in range(self.n_channels):
+            self.channel(c)  # one length and rate per channel, one center per mode
 
     @property
     def n_channels(self) -> int:
@@ -79,8 +83,16 @@ class AlignedDecomposition:
     def n_modes(self) -> int:
         return len(self.channel_modes[0]) if self.channel_modes else 0
 
-    def mode(self, k: int) -> tuple[Signal, ...]:
-        return tuple(self.channel_modes[c][k] for c in range(self.n_channels))
+    def channel(self, c: int) -> Decomposition:
+        """The modes and residual of channel ``c`` as a one-channel decomposition."""
+        return Decomposition(self.channel_modes[c], self.residuals[c], self.center_freqs_hz)
+
+    def reconstruction_error(self, original: MultichannelSignal) -> float:
+        """l2 norm of (original - sum of modes - residual) over all channels."""
+        if original.n_channels != self.n_channels:
+            raise ContractViolation("original does not match decomposition geometry")
+        errors = [self.channel(c).reconstruction_error(original.channel(c)) for c in range(self.n_channels)]
+        return float(np.sqrt(np.sum(np.square(errors))))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, Decomposition, ModeModel, Signal
+from .core import ContractViolation, Decomposition, ModeModel, NumericalFailure, Signal
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def hilbert_spectrum(d: Decomposition, n_freq_bins: int, fmax_hz: float) -> TFGr
 
     Nearest-bin deposit on a linear frequency axis covering [0, fmax_hz];
     contributions with IF outside that range are dropped and tallied in
-    ``dropped_energy``.
+    ``dropped_energy``.  Overflowing energy raises :class:`NumericalFailure`.
     """
     if n_freq_bins < 2:
         raise ContractViolation("need at least 2 frequency bins")
@@ -102,4 +102,6 @@ def hilbert_spectrum(d: Decomposition, n_freq_bins: int, fmax_hz: float) -> TFGr
         dropped += float(ia2[~inside].sum())
         bins = np.rint(f[inside] / fmax_hz * (n_freq_bins - 1)).astype(np.int64)
         np.add.at(energy, (bins, np.flatnonzero(inside)), ia2[inside])
+    if not np.all(np.isfinite(energy)):
+        raise NumericalFailure("time-frequency energy overflows")
     return TFGrid(times_s=times, freqs_hz=freqs, energy=energy, dropped_energy=dropped)

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import walk_ridge
-from .core import ContractViolation, Decomposition, Signal
+from .core import ContractViolation, Decomposition, NumericalFailure, Signal
 
 
 @dataclass(frozen=True)
@@ -188,12 +188,15 @@ def extract_ridges(S: SqueezedGrid, rcfg: RidgeConfig, K: int) -> list[RidgeTrac
     below the ridge's seed energy, are flagged invalid.  A band of
     ``start_band`` bins around an extracted ridge is zeroed before the
     next one is sought.  Returns fewer than ``K`` tracks (with a warning)
-    when the energy is exhausted.
+    when the energy is exhausted; raises :class:`NumericalFailure` when
+    the energy overflows.
     """
     if K < 1:
         raise ContractViolation("K must be >= 1")
-    energy = S.energy().copy()
-    gamma_floor = S.gamma_abs**2
+    energy = S.energy()
+    gamma_floor = S.gamma_abs * S.gamma_abs  # inf, not OverflowError, on overflow
+    if not (np.isfinite(gamma_floor) and np.all(np.isfinite(energy))):
+        raise NumericalFailure("squeezed energy is not finite")
     n_bins, n_t = energy.shape
     tracks: list[RidgeTrack] = []
     for _ in range(K):

@@ -17,6 +17,7 @@ from sigdecomp.bench import (
     run_param_sweep,
 )
 from sigdecomp.core import Signal
+from sigdecomp.multivariate import MemdConfig, MvmdConfig
 
 
 class TestRecipes:
@@ -25,6 +26,10 @@ class TestRecipes:
             for sig in ("s1", "s2"):
                 cfgs = default_configs(method, sig)
                 assert "cfg" in cfgs
+
+    def test_multichannel_recipes_are_the_class_defaults(self):
+        assert default_configs("memd", "mv") == {"cfg": MemdConfig()}
+        assert default_configs("mvmd", "mv") == {"cfg": MvmdConfig()}
 
     def test_noisy_flag_zeroes_tau(self):
         assert default_configs("vmd", "s1", noisy=True)["cfg"].tau == 0.0

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from sigdecomp.core import MultichannelSignal, Signal
+from sigdecomp import cli
+from sigdecomp.core import Decomposition, MultichannelSignal, Signal
 from sigdecomp.io import (
     CsvFormatError,
     read_csv_signal,
@@ -14,6 +15,8 @@ from sigdecomp.io import (
     write_signals_csv,
 )
 from sigdecomp.metrics import qrf
+from sigdecomp.multivariate import AlignedDecomposition, MvmdConfig, mvmd_decompose
+from sigdecomp.synth import gen_mv_test
 from sigdecomp.variational import VmdConfig, vmd_decompose
 
 
@@ -21,6 +24,29 @@ def run_cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "sigdecomp", *args], capture_output=True, text=True, cwd=cwd
     )
+
+
+def main(*args) -> int:
+    """The CLI in this process (exceptions surface as test errors)."""
+    return cli.main([str(a) for a in args])
+
+
+@pytest.fixture()
+def mv_csv(tmp_path):
+    path = tmp_path / "mv.csv"
+    assert main("synth", "--signal", "mv", "--duration", "0.25", "--out", path) == 0
+    return path
+
+
+@pytest.fixture()
+def s1_csv(tmp_path):
+    path = tmp_path / "s1.csv"
+    assert main("synth", "--signal", "s1", "--out", path) == 0
+    return path
+
+
+def manifest_of(outdir):
+    return json.loads((outdir / "manifest.json").read_text())
 
 
 class TestCsvRoundTrip:
@@ -92,6 +118,43 @@ class TestDecompositionBundle:
         assert manifest["mode_files"] == []
         loaded, _ = read_decomposition(tmp_path / "res")
         assert np.array_equal(loaded.residual.samples, x.samples)
+
+
+    def test_multichannel_roundtrip(self, tmp_path):
+        x, _ = gen_mv_test(duration_s=0.25)
+        d, _ = mvmd_decompose(x, MvmdConfig())
+        written = write_decomposition(d, tmp_path / "mv", method="mvmd", config=MvmdConfig(), original=x)
+        loaded, manifest = read_decomposition(tmp_path / "mv")
+        assert isinstance(loaded, AlignedDecomposition)
+        assert manifest == json.loads(json.dumps(written))
+        assert manifest["n_channels"] == 2
+        assert manifest["reconstruction_error"] < 1e-9
+        assert loaded.center_freqs_hz == d.center_freqs_hz
+        for c in range(2):
+            for orig, back in zip(d.channel_modes[c] + (d.residuals[c],), loaded.channel_modes[c] + (loaded.residuals[c],)):
+                assert np.array_equal(orig.samples, back.samples)
+
+    def test_both_kinds_share_manifest_keys(self, tmp_path):
+        x, _ = gen_mv_test(duration_s=0.25)
+        d, _ = mvmd_decompose(x, MvmdConfig())
+        multi = write_decomposition(d, tmp_path / "mv", original=x)
+        single = write_decomposition(d.channel(0), tmp_path / "one", original=x.channel(0))
+        assert list(multi) == list(single)
+        assert single["n_channels"] == 1
+
+    @pytest.mark.parametrize("manifest", ["{}", "[]", "not json", '{"mode_files": 3, "residual_file": "r.csv"}'])
+    def test_bad_manifest_is_format_error(self, tmp_path, manifest):
+        (tmp_path / "manifest.json").write_text(manifest)
+        with pytest.raises(CsvFormatError):
+            read_decomposition(tmp_path)
+
+    def test_mode_file_shape_mismatch_is_format_error(self, tmp_path):
+        x, _ = gen_mv_test(duration_s=0.25)
+        d, _ = mvmd_decompose(x, MvmdConfig())
+        write_decomposition(d, tmp_path)
+        write_signals_csv(tmp_path / "mode_02.csv", {"ch1": d.channel_modes[0][1].samples}, x.sample_rate_hz)
+        with pytest.raises(CsvFormatError, match="shape"):
+            read_decomposition(tmp_path)
 
 
 class TestCliContract:
@@ -173,6 +236,79 @@ class TestCliContract:
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
         assert "--column" in r.stderr
+
+    @pytest.mark.parametrize(
+        "method, flags",
+        [("memd", ("--k", "7")), ("mvmd", ("--mu", "0.3")), ("mvmd", ("--l", "4")),
+         ("mvmd", ("--epsilon", "3")), ("mvmd", ("--seed", "5")), ("ssa", ("--m-directions", "3")),
+         ("emd", ("--seed", "0"))],
+    )
+    def test_flag_the_method_lacks_exit_two(self, tmp_path, mv_csv, capsys, method, flags):
+        code = main("decompose", "--method", method, "--input", mv_csv, "--outdir", tmp_path / "d", *flags)
+        assert code == 2
+        assert f"{method} has no parameter" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_seed_recorded(self, tmp_path, s1_csv):
+        assert main("decompose", "--method", "vmd", "--seed", "5", "--input", s1_csv, "--outdir", tmp_path / "d") == 0
+        assert manifest_of(tmp_path / "d")["config"]["seed"] == 5
+
+    def test_sst_manifest_records_ridge_config(self, tmp_path, s1_csv):
+        code = main("decompose", "--method", "sst", "--k", "2", "--max-step", "5",
+                    "--input", s1_csv, "--outdir", tmp_path / "d")
+        assert code == 0
+        config = manifest_of(tmp_path / "d")["config"]
+        assert (config["K"], config["max_step"], config["start_band"]) == (2, 5, 15)
+
+    def test_memd_manifest_records_directions(self, tmp_path, mv_csv):
+        assert main("decompose", "--method", "memd", "--m-directions", "4", "--seed", "2",
+                    "--input", mv_csv, "--outdir", tmp_path / "d") == 0
+        manifest = manifest_of(tmp_path / "d")
+        assert (manifest["config"]["M"], manifest["config"]["seed"]) == (4, 2)
+        assert manifest["n_channels"] == 2
+        assert manifest["reconstruction_error"] < 1e-9
+
+    def test_init_if_conflicting_k_exit_two(self, tmp_path, s1_csv):
+        code = main("decompose", "--method", "vncmd", "--k", "3", "--init-if", "30,50",
+                    "--input", s1_csv, "--outdir", tmp_path / "d")
+        assert code == 2
+        assert not (tmp_path / "d").exists()
+
+    def test_sst_overflow_exit_three(self, tmp_path, capsys):
+        write_signals_csv(tmp_path / "huge.csv", {"x": np.sin(np.arange(256.0)) * 1e300}, 256.0)
+        code = main("decompose", "--method", "sst", "--input", tmp_path / "huge.csv", "--outdir", tmp_path / "d")
+        assert code == 3
+        assert "not finite" in capsys.readouterr().err
+
+    def test_tf_overflow_exit_three(self, tmp_path):
+        fs = 64.0
+        mode = Signal(np.sin(np.arange(64.0)) * 1e300, fs)
+        write_decomposition(Decomposition(modes=(mode,), residual=Signal(np.zeros(64), fs)), tmp_path / "d")
+        assert main("tf", "--indir", tmp_path / "d", "--out", tmp_path / "g.csv") == 3
+
+    def test_tf_on_multichannel_bundle_renders_channel_zero(self, tmp_path, mv_csv):
+        assert main("decompose", "--method", "mvmd", "--input", mv_csv, "--outdir", tmp_path / "d") == 0
+        assert main("tf", "--indir", tmp_path / "d", "--out", tmp_path / "g.csv", "--bins", "16") == 0
+        x = read_csv_signal(mv_csv)
+        assert main("tf", "--input", mv_csv, "--out", tmp_path / "x.csv", "--bins", "16") == 0
+        grid = np.loadtxt(tmp_path / "g.csv", delimiter=",", skiprows=1)
+        assert grid.shape == (x.n_samples, 17)
+        assert np.all(grid[:, 1:] >= 0) and grid[:, 1:].sum() > 0
+
+    def test_tf_on_empty_manifest_exit_four(self, tmp_path, capsys):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "manifest.json").write_text("{}")
+        assert main("tf", "--indir", tmp_path / "d", "--out", tmp_path / "g.csv") == 4
+        assert "manifest.json" in capsys.readouterr().err
+
+    def test_noise_suite_json_has_elapsed(self, tmp_path):
+        out = tmp_path / "noise.json"
+        code = main("bench", "--suite", "noise", "--method", "vmd", "--signal", "s2",
+                    "--n", "2", "--snr-grid", "20,10", "--out", out)
+        assert code == 0
+        elapsed = json.loads(out.read_text())["elapsed_s"]
+        assert sorted(elapsed) == ["10.0", "20.0"]
+        assert all(len(v) == 2 and min(v) > 0 for v in elapsed.values())
 
     def test_io_failure_exit_four(self, tmp_path):
         r = run_cli("decompose", "--method", "vmd", "--input", str(tmp_path / "missing.csv"))
