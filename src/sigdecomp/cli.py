@@ -23,7 +23,7 @@ from . import bench, io as sdio
 from .core import ContractViolation, Decomposition, Diverged, MultichannelSignal, NumericalFailure, Signal
 from .multivariate import AlignedDecomposition, memd_decompose, mvmd_decompose
 from .spectral import hilbert_spectrum
-from .synth import GapSpec, S2Config, gen_mv_test, gen_s1, gen_s2
+from .synth import DEFAULT_GAP, GapSpec, S2Config, gen_mv_test, gen_s1, gen_s2
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -63,19 +63,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a benchmark signal as CSV")
     p_synth.add_argument("--signal", required=True, choices=("s1", "s2", "mv"))
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--gap-start", type=float, default=4.0)
-    p_synth.add_argument("--gap-end", type=float, default=5.0)
-    p_synth.add_argument("--no-gap", action="store_true")
-    p_synth.add_argument("--duration", type=float, default=None)
-    p_synth.add_argument("--fs", type=float, default=None)
+    p_synth.add_argument("--seed", type=int, help="s2 only (default 0)")
+    p_synth.add_argument("--gap-start", type=float, help=f"s1 only (default {DEFAULT_GAP[0]})")
+    p_synth.add_argument("--gap-end", type=float, help=f"s1 only (default {DEFAULT_GAP[1]})")
+    p_synth.add_argument("--no-gap", action="store_true", default=None, help="s1 only")
+    p_synth.add_argument("--duration", type=float, help="mv only")
+    p_synth.add_argument("--fs", type=float, help="mv only")
 
     p_dec = sub.add_parser("decompose", help="decompose a CSV signal")
     p_dec.add_argument("--method", required=True, choices=bench.UNIVARIATE_METHODS + bench.MULTICHANNEL_METHODS)
     p_dec.add_argument("--input", required=True)
     p_dec.add_argument("--outdir", default="decomposition")
     p_dec.add_argument("--fs", type=float, default=None, help="sample rate when the file has no header")
-    p_dec.add_argument("--column", type=int, default=0, help="column for univariate methods on multicolumn files")
+    p_dec.add_argument("--column", type=int, help="column for univariate methods on multicolumn files (default 0)")
     p_dec.add_argument("--signal-profile", choices=bench.SIGNAL_IDS, default="s1",
                        help="which recipe's defaults to start from")
     for flag, (key, kind, help_text) in _DECOMPOSE_FLAGS.items():
@@ -108,16 +108,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: synth flag (argparse dest) -> the one signal it applies to
+_SYNTH_FLAGS = {"seed": "s2", "gap_start": "s1", "gap_end": "s1", "no_gap": "s1", "duration": "mv", "fs": "mv"}
+
+
 def _cmd_synth(args) -> int:
+    for key, signal in _SYNTH_FLAGS.items():
+        if getattr(args, key) is not None and signal != args.signal:
+            raise ContractViolation(f"--{key.replace('_', '-')} applies to {signal} only, not {args.signal}")
     if args.signal == "mv":
         kwargs = {key: v for key, v in (("duration_s", args.duration), ("fs", args.fs)) if v is not None}
         mv, _ = gen_mv_test(**kwargs)
         cols, fs = {f"ch{c+1}": mv.channels[c] for c in range(mv.n_channels)}, mv.sample_rate_hz
     else:
         if args.signal == "s1":
-            composite, refs = gen_s1(None if args.no_gap else GapSpec(args.gap_start, args.gap_end))
+            start = DEFAULT_GAP[0] if args.gap_start is None else args.gap_start
+            end = DEFAULT_GAP[1] if args.gap_end is None else args.gap_end
+            composite, refs = gen_s1(None if args.no_gap else GapSpec(start, end))
         else:
-            composite, refs = gen_s2(S2Config(rng_seed=args.seed))
+            composite, refs = gen_s2(S2Config(rng_seed=args.seed or 0))
         cols = {args.signal: composite.samples}
         cols.update({f"{args.signal}{i}": r.samples for i, r in enumerate(refs, start=1)})
         fs = composite.sample_rate_hz
@@ -135,6 +144,8 @@ def _collect_overrides(args) -> dict:
 
 
 def _cmd_decompose(args) -> int:
+    if args.column is not None and args.method in bench.MULTICHANNEL_METHODS:
+        raise ContractViolation(f"--column applies to univariate methods only, not {args.method}")
     overrides = _collect_overrides(args)
     configs = bench.effective_configs(args.method, args.signal_profile, overrides=overrides)
     loaded = sdio.read_csv_signal(args.input, args.fs)
@@ -147,10 +158,11 @@ def _cmd_decompose(args) -> int:
         else:
             d, _ = mvmd_decompose(x, configs["cfg"])
     else:
+        column = args.column or 0
         n_columns = loaded.n_channels if isinstance(loaded, MultichannelSignal) else 1
-        if not 0 <= args.column < n_columns:
-            raise ContractViolation(f"--column {args.column} is out of range for {n_columns} column(s)")
-        x = loaded.channel(args.column) if n_columns > 1 else loaded
+        if not 0 <= column < n_columns:
+            raise ContractViolation(f"--column {column} is out of range for {n_columns} column(s)")
+        x = loaded.channel(column) if n_columns > 1 else loaded
         d = bench.decompose(args.method, x, args.signal_profile, noisy=False, overrides=overrides)
     sdio.write_decomposition(d, args.outdir, method=args.method, config=configs, original=x)
     print(f"wrote {d.n_modes} modes to {args.outdir}")

@@ -37,6 +37,13 @@ class EmdConfig:
         if self.boundary < 1:
             raise ContractViolation("boundary depth must be >= 1")
 
+    def sift_converged(self, mean_size: np.ndarray, half_range: np.ndarray) -> bool:
+        """Two-threshold stop test on sigma = mean size / envelope half-range:
+        below ``theta1`` on at least (1 - alpha_fraction) of the samples
+        and below ``theta2`` everywhere."""
+        sigma = mean_size / np.maximum(half_range, _EPS)
+        return bool(np.all(sigma < self.theta2) and np.mean(sigma < self.theta1) >= 1.0 - self.alpha_fraction)
+
 
 def find_extrema(x: Signal) -> tuple[np.ndarray, np.ndarray]:
     """Indices of strict local maxima and minima.
@@ -71,83 +78,61 @@ def refine_extrema(samples: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np
     return pos, mag
 
 
+def _edge_knots(x_end: float, edge: float, inward: int, maxima, minima, depth: int):
+    """Mirror knots past one end of the signal.
+
+    ``maxima`` and ``minima`` are (times, values) ordered from that end
+    inward, ``edge`` is the end's time and ``inward`` is +1 at the start
+    and -1 at the end.  The family whose first extremum lies nearer the
+    end leads: its next ``depth`` extrema and the other family's first
+    ``depth`` are reflected about that extremum.  If the endpoint value
+    overshoots the other family's first extremum, the reflection is
+    anchored at the endpoint instead, which then joins the other family.
+    If the farthest reflected knot falls short of the end, the leading
+    family is reflected about the end.  Returns the maxima side, the
+    minima side (both ordered from the end inward) and the symmetry time.
+    """
+    max_leads = inward * maxima[0][0] < inward * minima[0][0]
+    (pa, va), (pb, vb) = (maxima, minima) if max_leads else (minima, maxima)
+    reflect = x_end > vb[0] if max_leads else x_end < vb[0]
+    if reflect:
+        lead, other, sym = (pa[1 : depth + 1], va[1 : depth + 1]), (pb[:depth], vb[:depth]), pa[0]
+        # where each family's farthest knot lands, measured inward
+        farthest = [inward * (2.0 * sym - side[0][-1]) for side in (lead, other)]
+        if max(farthest) > inward * edge:
+            lead, sym = (pa[:depth], va[:depth]), edge
+    else:
+        lead = (pa[:depth], va[:depth])
+        other = (np.concatenate([[edge], pb[: depth - 1]]), np.concatenate([[x_end], vb[: depth - 1]]))
+        sym = edge
+    return (lead, other, sym) if max_leads else (other, lead, sym)
+
+
 def mirrored_extrema_knots(
     samples: np.ndarray, max_idx: np.ndarray, min_idx: np.ndarray, depth: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Envelope knots (times, values) for both extrema families, extended
     past the signal ends by mirror symmetry.
 
-    Knots are the parabolically refined extrema, reflected about the
-    first/last extremum ``depth`` deep.  When a signal endpoint pokes
-    outside the first (last) extrema pair, the reflection is re-anchored
-    at the endpoint itself and the endpoint joins the opposing family,
-    which keeps the splines from diverging at the edges.  Returns
-    (t_max, v_max, t_min, v_min).
+    Knots are the parabolically refined extrema, reflected ``depth`` deep
+    about the first/last extremum or, where a signal endpoint pokes outside
+    the first (last) extrema pair, about the endpoint itself, which keeps
+    the splines from diverging at the edges.  Both ends follow one rule
+    (:func:`_edge_knots`).  Returns (t_max, v_max, t_min, v_min).
     """
-    x = samples
-    last = float(x.size - 1)
-    pmax, vmax = refine_extrema(x, max_idx)
-    pmin, vmin = refine_extrema(x, min_idx)
-    end_left = (np.array([0.0]), np.array([x[0]]))
-    end_right = (np.array([last]), np.array([x[-1]]))
+    maxima = refine_extrema(samples, max_idx)
+    minima = refine_extrema(samples, min_idx)
+    lmax, lmin, lsym = _edge_knots(samples[0], 0.0, 1, maxima, minima, depth)
+    backwards = [(p[::-1], v[::-1]) for p, v in (maxima, minima)]
+    rmax, rmin, rsym = _edge_knots(samples[-1], float(samples.size - 1), -1, *backwards, depth)
 
-    def take(p, v, sl):
-        return p[sl], v[sl]
-
-    # left edge: pick reflection point and which extrema to reflect
-    if pmax[0] < pmin[0]:  # leads with a maximum
-        if x[0] > vmin[0]:
-            lmax, lmin, lsym = take(pmax, vmax, slice(1, depth + 1)), take(pmin, vmin, slice(0, depth)), pmax[0]
-        else:  # start dips below the first minimum: anchor there
-            lmax = take(pmax, vmax, slice(0, depth))
-            lmin = (np.concatenate([end_left[0], pmin[: depth - 1]]), np.concatenate([end_left[1], vmin[: depth - 1]]))
-            lsym = 0.0
-    else:
-        if x[0] < vmax[0]:
-            lmax, lmin, lsym = take(pmax, vmax, slice(0, depth)), take(pmin, vmin, slice(1, depth + 1)), pmin[0]
-        else:
-            lmax = (np.concatenate([end_left[0], pmax[: depth - 1]]), np.concatenate([end_left[1], vmax[: depth - 1]]))
-            lmin = take(pmin, vmin, slice(0, depth))
-            lsym = 0.0
-    if 2.0 * lsym - lmax[0][-1] > 0.0 or 2.0 * lsym - lmin[0][-1] > 0.0:
-        # reflected points fail to reach past the start: re-anchor at it
-        if lsym == pmax[0]:
-            lmax = take(pmax, vmax, slice(0, depth))
-        else:
-            lmin = take(pmin, vmin, slice(0, depth))
-        lsym = 0.0
-
-    # right edge, mirror image of the above
-    if pmax[-1] > pmin[-1]:  # ends with a maximum
-        if x[-1] > vmin[-1]:
-            rmax, rmin, rsym = take(pmax, vmax, slice(-depth - 1, -1)), take(pmin, vmin, slice(-depth, None)), pmax[-1]
-        else:
-            rmax = take(pmax, vmax, slice(-depth, None))
-            rmin = (np.concatenate([pmin[pmin.size - depth + 1 :], end_right[0]]), np.concatenate([vmin[pmin.size - depth + 1 :], end_right[1]]))
-            rsym = last
-    else:
-        if x[-1] < vmax[-1]:
-            rmax, rmin, rsym = take(pmax, vmax, slice(-depth, None)), take(pmin, vmin, slice(-depth - 1, -1)), pmin[-1]
-        else:
-            rmax = (np.concatenate([pmax[pmax.size - depth + 1 :], end_right[0]]), np.concatenate([vmax[pmax.size - depth + 1 :], end_right[1]]))
-            rmin = take(pmin, vmin, slice(-depth, None))
-            rsym = last
-    if 2.0 * rsym - rmax[0][0] < last or 2.0 * rsym - rmin[0][0] < last:
-        if rsym == pmax[-1]:
-            rmax = take(pmax, vmax, slice(-depth, None))
-        else:
-            rmin = take(pmin, vmin, slice(-depth, None))
-        rsym = last
-
-    def knots(mid_p, mid_v, left, right):
-        t = np.concatenate([(2.0 * lsym - left[0])[::-1], mid_p, (2.0 * rsym - right[0])[::-1]])
-        v = np.concatenate([left[1][::-1], mid_v, right[1][::-1]])
+    def knots(family, left, right):
+        t = np.concatenate([(2.0 * lsym - left[0])[::-1], family[0], 2.0 * rsym - right[0]])
+        v = np.concatenate([left[1][::-1], family[1], right[1]])
         keep = np.concatenate([[True], np.diff(t) > 1e-12])
         return t[keep], v[keep]
 
-    t_max, v_max = knots(pmax, vmax, lmax, rmax)
-    t_min, v_min = knots(pmin, vmin, lmin, rmin)
-    return t_max, v_max, t_min, v_min
+    return (*knots(maxima, lmax, rmax), *knots(minima, lmin, rmin))
 
 
 def _envelopes(samples: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,13 +170,8 @@ def _sift(residue: np.ndarray, cfg: EmdConfig) -> np.ndarray:
             if iteration == 0 or not imf_property_holds(h):
                 raise
             return h  # oscillation exhausted mid-sift; candidate still valid
-        sigma = np.abs(mean) / np.maximum(np.abs(half_range), _EPS)
-        small_enough = (
-            np.all(sigma < cfg.theta2)
-            and np.mean(sigma < cfg.theta1) >= 1.0 - cfg.alpha_fraction
-        )
         # the defining extrema/zero-crossing balance must hold as well
-        if small_enough and imf_property_holds(h):
+        if cfg.sift_converged(np.abs(mean), np.abs(half_range)) and imf_property_holds(h):
             return h
         h -= mean
     if not imf_property_holds(h):

@@ -21,7 +21,7 @@ from .spectral import TFGrid
 
 
 class CsvFormatError(ValueError):
-    """Malformed signal file (bad header, ragged or non-numeric rows)."""
+    """Malformed signal file (bad header, ragged, non-numeric or non-finite rows)."""
 
 
 def write_signals_csv(
@@ -47,13 +47,14 @@ def read_csv_signal(
 
     The sample rate comes from the ``# sample_rate=`` header line unless
     overridden by the argument; missing both is an error.  Rows with
-    non-numeric cells or the wrong column count are rejected with their
-    line number.
+    non-numeric or non-finite cells or the wrong column count are
+    rejected with their line number.
     """
     path = Path(path)
     header_rate: float | None = None
     names: list[str] | None = None
     rows: list[list[float]] = []
+    linenos: list[int] = []  # file line of each row
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -83,12 +84,16 @@ def read_csv_signal(
                 rows.append([float(c) for c in cells])
             except ValueError as exc:
                 raise CsvFormatError(f"line {lineno}: non-numeric cell") from exc
+            linenos.append(lineno)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
+    data = np.asarray(rows, dtype=np.float64)
+    non_finite = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if non_finite.size:
+        raise CsvFormatError(f"line {linenos[non_finite[0]]}: non-finite cell")
     rate = sample_rate_hz if sample_rate_hz is not None else header_rate
     if rate is None:
         raise CsvFormatError(f"{path}: no sample_rate header and none supplied")
-    data = np.asarray(rows, dtype=np.float64)
     if data.shape[1] == 1:
         return Signal(data[:, 0], rate)
     return MultichannelSignal(data.T, rate)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import find_extrema_arrays, natural_spline
+from ._rng import uniforms
 from .core import ContractViolation, Decomposition, MultichannelSignal, Signal
 from .emd import EmdConfig
 from .variational import (
@@ -33,7 +34,7 @@ from .variational import (
 @dataclass(frozen=True)
 class MemdConfig:
     M: int = 64  # projection directions
-    emd: EmdConfig = field(default_factory=EmdConfig)
+    emd: EmdConfig = field(default_factory=EmdConfig)  # stop rule, caps and mirror depth
     seed: int = 0  # offsets the direction set deterministically
 
     def __post_init__(self):
@@ -126,8 +127,7 @@ def hypersphere_directions(M: int, n_channels: int, seed: int = 0) -> np.ndarray
     n_cols = n_channels if n_channels >= 4 else n_channels - 1
     if n_cols - 1 > len(_PRIMES):
         raise ContractViolation("too many channels for the prime table")
-    rng = np.random.Generator(np.random.Philox(seed))
-    shift = rng.random(n_cols)
+    shift = uniforms(n_cols, seed)
 
     i = np.arange(M)
     u = np.empty((M, n_cols))
@@ -164,11 +164,11 @@ def hypersphere_directions(M: int, n_channels: int, seed: int = 0) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def _directional_envelope_stats(
-    data: np.ndarray, directions: np.ndarray
+    data: np.ndarray, directions: np.ndarray, depth: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Mean envelope (n, c) and mean amplitude (n,) over all directions
-    with enough projection extrema; also returns how many directions
-    were usable."""
+    with enough projection extrema, knots mirrored ``depth`` deep; also
+    returns how many directions were usable."""
     n, n_ch = data.shape
     query = np.arange(n, dtype=np.float64)
     env_mean = np.zeros((n, n_ch))
@@ -179,8 +179,8 @@ def _directional_envelope_stats(
         max_idx, min_idx = find_extrema_arrays(projection)
         if max_idx.size < 2 or min_idx.size < 2:
             continue
-        t_max, k_max = _mirrored_knots(max_idx)
-        t_min, k_min = _mirrored_knots(min_idx)
+        t_max, k_max = _mirrored_knots(max_idx, depth)
+        t_min, k_min = _mirrored_knots(min_idx, depth)
         upper = natural_spline(t_max, data[k_max], query)  # (n, channels)
         lower = natural_spline(t_min, data[k_min], query)
         env_mean += (upper + lower) / 2.0
@@ -192,18 +192,15 @@ def _directional_envelope_stats(
     return env_mean, amplitude, used
 
 
-_MIRROR_DEPTH = 2
-
-
-def _mirrored_knots(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mirrored_knots(idx: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Knot times and the sample index each knot takes its values from.
 
-    The extrema at ``idx`` are extended ``_MIRROR_DEPTH`` deep past each
-    end by reflection about the first and last extremum; a mirrored knot
-    reuses the values of the extremum it reflects.
+    The extrema at ``idx`` are extended ``depth`` deep past each end by
+    reflection about the first and last extremum; a mirrored knot reuses
+    the values of the extremum it reflects.
     """
-    left = idx[1 : _MIRROR_DEPTH + 1][::-1]
-    right = idx[-_MIRROR_DEPTH - 1 : -1][::-1]
+    left = idx[1 : depth + 1][::-1]
+    right = idx[-depth - 1 : -1][::-1]
     times = np.concatenate([2 * idx[0] - left, idx, 2 * idx[-1] - right])
     return times.astype(np.float64), np.concatenate([left, idx, right])
 
@@ -237,14 +234,10 @@ def memd_decompose(x: MultichannelSignal, cfg: MemdConfig = MemdConfig()) -> Ali
             break
         h = data.copy()
         for _it in range(ecfg.max_sift_iters):
-            env_mean, amplitude, used = _directional_envelope_stats(h, directions)
+            env_mean, amplitude, used = _directional_envelope_stats(h, directions, ecfg.boundary)
             if used == 0:
                 break
-            sigma = np.linalg.norm(env_mean, axis=1) / np.maximum(amplitude, 1e-300)
-            if (
-                np.all(sigma < ecfg.theta2)
-                and np.mean(sigma < ecfg.theta1) >= 1.0 - ecfg.alpha_fraction
-            ):
+            if ecfg.sift_converged(np.linalg.norm(env_mean, axis=1), amplitude):
                 break
             h = h - env_mean
         modes.append(h)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
+from ._rng import uniforms
 from .core import (
     ContractViolation,
     Decomposition,
@@ -69,8 +70,7 @@ def _initial_centers(k: int, init_mode: str, seed: int = 0) -> np.ndarray:
     if init_mode == "uniform":
         return 0.5 * np.arange(1, k + 1) / (k + 1)
     if init_mode == "random":
-        rng = np.random.Generator(np.random.Philox(seed))
-        return np.sort(rng.random(k) * 0.5)
+        return np.sort(uniforms(k, seed) * 0.5)
     return np.zeros(k)
 
 

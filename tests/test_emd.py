@@ -8,7 +8,9 @@ from sigdecomp.emd import (
     envelope_mean,
     find_extrema,
     imf_property_holds,
+    mirrored_extrema_knots,
 )
+from sigdecomp._kernels import find_extrema_arrays
 from sigdecomp.metrics import match_components
 
 
@@ -56,6 +58,49 @@ class TestEnvelopeMean:
             envelope_mean(Signal(np.linspace(0, 1, 128), 16.0))
 
 
+# Hand-built signals whose extrema are symmetric peaks, so the refined knots
+# sit on whole samples.  Each starts led by a maximum and ends led by a
+# minimum; negating it swaps the families and covers the other leads.
+_REFLECT = [0.0, 1, 0, -1] * 3 + [0]  # maxima 1, 5, 9; minima 3, 7, 11
+_ANCHOR = [-2.0] + [0, 1, 0, -1] * 3 + [0, 2]  # endpoints overshoot the minima/maxima
+_REANCHOR = list(range(-10, 0)) + [0, 20, 0, -20] * 3 + [0] + list(range(1, 11))  # long ramps
+
+# (signal, depth, (t_max, v_max), (t_min, v_min)), written out by hand
+_KNOT_TABLE = {
+    # start: reflect about the maximum at 1; end: reflect about the minimum at 11
+    "reflect-1": (_REFLECT, 1, ([-3, 1, 5, 9, 13], [1] * 5), ([-1, 3, 7, 11, 15], [-1] * 5)),
+    "reflect-2": (_REFLECT, 2, ([-7, -3, 1, 5, 9, 13, 17], [1] * 7), ([-5, -1, 3, 7, 11, 15, 19], [-1] * 7)),
+    "reflect-3": (_REFLECT, 3, ([-7, -3, 1, 5, 9, 13, 17, 21], [1] * 8),
+                  ([-9, -5, -1, 3, 7, 11, 15, 19], [-1] * 8)),
+    # the endpoints (0, value -2) and (14, value 2) join the other family
+    "anchor-1": (_ANCHOR, 1, ([-2, 2, 6, 10, 14], [1, 1, 1, 1, 2]), ([0, 4, 8, 12, 16], [-2, -1, -1, -1, -1])),
+    "anchor-2": (_ANCHOR, 2, ([-6, -2, 2, 6, 10, 14, 18], [1, 1, 1, 1, 1, 2, 1]),
+                 ([-4, 0, 4, 8, 12, 16, 20], [-1, -2, -1, -1, -1, -1, -1])),
+    "anchor-3": (_ANCHOR, 3, ([-10, -6, -2, 2, 6, 10, 14, 18, 22], [1, 1, 1, 1, 1, 1, 2, 1, 1]),
+                 ([-8, -4, 0, 4, 8, 12, 16, 20, 24], [-1, -1, -2, -1, -1, -1, -1, -1, -1])),
+    # reflections about 11 and 21 fall short of the ends: mirror about 0 and 32
+    "reanchor-1": (_REANCHOR, 1, ([-11, 11, 15, 19, 45], [20] * 5), ([-13, 13, 17, 21, 43], [-20] * 5)),
+    "reanchor-2": (_REANCHOR, 2, ([-15, -11, 11, 15, 19, 45, 49], [20] * 7),
+                   ([-17, -13, 13, 17, 21, 43, 47], [-20] * 7)),
+    "reanchor-3": (_REANCHOR, 3, ([-19, -15, -11, 11, 15, 19, 45, 49, 53], [20] * 9),
+                   ([-21, -17, -13, 13, 17, 21, 43, 47, 51], [-20] * 9)),
+}
+
+
+class TestMirroredKnots:
+    @pytest.mark.parametrize("negate", [False, True], ids=["max-leads-start", "min-leads-start"])
+    @pytest.mark.parametrize("case", _KNOT_TABLE)
+    def test_knot_table(self, case, negate):
+        samples, depth, (t_max, v_max), (t_min, v_min) = _KNOT_TABLE[case]
+        x = np.array(samples, dtype=np.float64)
+        if negate:  # maxima become minima with negated values
+            x = -x
+            (t_max, v_max), (t_min, v_min) = (t_min, [-v for v in v_min]), (t_max, [-v for v in v_max])
+        got = mirrored_extrema_knots(x, *find_extrema_arrays(x), depth)
+        for actual, expected in zip(got, (t_max, v_max, t_min, v_min)):
+            assert np.array_equal(actual, np.array(expected, dtype=np.float64))
+
+
 class TestDecompose:
     def test_monotone_ramp_gives_no_modes(self):
         t = np.arange(512) / 256.0
@@ -98,6 +143,15 @@ class TestDecompose:
         assert d1.n_modes == d2.n_modes
         for a, b in zip(d1.modes, d2.modes):
             assert np.array_equal(a.samples, b.samples)
+
+    def test_stop_rule(self):
+        cfg = EmdConfig(theta1=0.1, theta2=0.5, alpha_fraction=0.25)
+        half_range = np.ones(8)
+        assert cfg.sift_converged(np.full(8, 0.05), half_range)
+        assert cfg.sift_converged(np.array([0.3, 0.3] + [0.0] * 6), half_range)  # 2/8 above theta1
+        assert not cfg.sift_converged(np.array([0.3, 0.3, 0.3] + [0.0] * 5), half_range)
+        assert not cfg.sift_converged(np.array([0.6] + [0.0] * 7), half_range)  # one above theta2
+        assert cfg.sift_converged(np.zeros(8), np.zeros(8))  # flat envelopes, flat mean
 
     def test_config_validation(self):
         with pytest.raises(ContractViolation):

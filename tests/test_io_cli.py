@@ -80,6 +80,13 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError, match="line 4"):
             read_csv_signal(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "1e400", "-inf"])
+    def test_non_finite_cell_names_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# sample_rate=10.0\na\n1.0\n{cell}\n2.0\n")
+        with pytest.raises(CsvFormatError, match="line 4: non-finite"):
+            read_csv_signal(path)
+
     def test_missing_rate_rejected(self, tmp_path):
         path = tmp_path / "norate.csv"
         path.write_text("a\n1.0\n2.0\n")
@@ -248,6 +255,48 @@ class TestCliContract:
         assert code == 2
         assert f"{method} has no parameter" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "1e400"])
+    def test_non_finite_cell_exit_four(self, tmp_path, capsys, cell):
+        rows = [str(v) for v in np.sin(np.arange(64.0))]
+        rows[10] = cell  # file line 13, after the rate and name lines
+        path = tmp_path / "bad.csv"
+        path.write_text("# sample_rate=64.0\nx\n" + "\n".join(rows) + "\n")
+        assert main("decompose", "--method", "vmd", "--input", path, "--outdir", tmp_path / "d") == 4
+        assert main("tf", "--input", path, "--out", tmp_path / "g.csv") == 4
+        assert capsys.readouterr().err.count("line 13: non-finite") == 2
+
+    @pytest.mark.parametrize("method", ["memd", "mvmd"])
+    def test_column_with_multichannel_method_exit_two(self, tmp_path, mv_csv, capsys, method):
+        code = main("decompose", "--method", method, "--column", "0", "--input", mv_csv, "--outdir", tmp_path / "d")
+        assert code == 2
+        assert "--column" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize(
+        "signal, flags",
+        [("s1", ("--fs", "1000")), ("s1", ("--duration", "2")), ("s2", ("--fs", "1000")),
+         ("s2", ("--duration", "2")), ("s1", ("--seed", "9")), ("mv", ("--seed", "9")),
+         ("s2", ("--gap-start", "1")), ("s2", ("--gap-end", "2")), ("s2", ("--no-gap",)),
+         ("mv", ("--gap-start", "1")), ("mv", ("--gap-end", "2")), ("mv", ("--no-gap",))],
+    )
+    def test_synth_flag_the_signal_ignores_exit_two(self, tmp_path, capsys, signal, flags):
+        assert main("synth", "--signal", signal, "--out", tmp_path / "x.csv", *flags) == 2
+        assert f"{flags[0]} applies to" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_synth_flags_for_their_signal(self, tmp_path):
+        def synth(name, *flags):
+            assert main("synth", "--out", tmp_path / name, *flags) == 0
+            return (tmp_path / name).read_bytes()
+
+        assert synth("s1.csv", "--signal", "s1") == synth("s1g.csv", "--signal", "s1", "--gap-start", "4", "--gap-end", "5")
+        assert synth("s1n.csv", "--signal", "s1", "--no-gap") != synth("s1h.csv", "--signal", "s1", "--gap-end", "4.5")
+        assert synth("s2.csv", "--signal", "s2") == synth("s20.csv", "--signal", "s2", "--seed", "0")
+        assert synth("s23.csv", "--signal", "s2", "--seed", "3") != synth("s2b.csv", "--signal", "s2")
+        synth("mv.csv", "--signal", "mv", "--fs", "128", "--duration", "0.5")
+        mv = read_csv_signal(tmp_path / "mv.csv")
+        assert (mv.sample_rate_hz, mv.n_samples) == (128.0, 64)
 
     def test_seed_recorded(self, tmp_path, s1_csv):
         assert main("decompose", "--method", "vmd", "--seed", "5", "--input", s1_csv, "--outdir", tmp_path / "d") == 0

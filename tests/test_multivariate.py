@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sigdecomp.core import ContractViolation, MultichannelSignal, Signal, l2_norm
+from sigdecomp.emd import EmdConfig
 from sigdecomp.metrics import alignment_score, qrf
 from sigdecomp.multivariate import (
     AlignedDecomposition,
@@ -106,6 +107,15 @@ class TestMemd:
         x = noisy_mv_signal(mv, 10.0, 0)
         d = memd_decompose(x, MemdConfig(M=64))
         assert not alignment_score(d, table, 1.0).passed
+
+    def test_mirror_depth_is_emd_boundary(self):
+        mv, _ = gen_mv_test(duration_s=0.5)
+        x = noisy_mv_signal(mv, 10.0, 0)
+        default = memd_decompose(x, MemdConfig(M=8))
+        shallow = memd_decompose(x, MemdConfig(M=8, emd=EmdConfig(boundary=1)))
+        assert shallow.reconstruction_error(x) < 1e-9 * np.linalg.norm(x.channels)
+        modes = [np.array([m.samples for m in d.channel_modes[0]]) for d in (default, shallow)]
+        assert not np.array_equal(*modes)  # unequal shapes count as unequal
 
     def test_requires_two_channels(self):
         x = MultichannelSignal(np.sin(np.arange(128))[None, :], 16.0)
