@@ -46,9 +46,10 @@ def read_csv_signal(
     MultichannelSignal.
 
     The sample rate comes from the ``# sample_rate=`` header line unless
-    overridden by the argument; missing both is an error.  Rows with
-    non-numeric or non-finite cells or the wrong column count are
-    rejected with their line number.
+    overridden by the argument; missing both is an error.  A header rate
+    that is not a positive finite number, and rows with non-numeric or
+    non-finite cells or the wrong column count, are rejected with their
+    line number.
     """
     path = Path(path)
     header_rate: float | None = None
@@ -67,6 +68,11 @@ def read_csv_signal(
                         header_rate = float(body.split("=", 1)[1])
                     except ValueError as exc:
                         raise CsvFormatError(f"line {lineno}: bad sample_rate header") from exc
+                    # checked even when the caller overrides the rate: the file is malformed
+                    if not (np.isfinite(header_rate) and header_rate > 0):
+                        raise CsvFormatError(
+                            f"line {lineno}: sample_rate header must be a positive finite number"
+                        )
                 continue
             cells = line.split(",")
             if names is None:

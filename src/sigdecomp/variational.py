@@ -234,21 +234,16 @@ class VncmdConfig:
             raise ContractViolation("alpha, mu and tol must be positive")
 
 
-def _envelope_solve(
-    residual: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray, weight: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve for quadrature envelopes (a, b) of one mode.
+def _smoothing_bands(n: int, weight: float) -> np.ndarray:
+    """``weight * D2^T D2`` for interleaved (a0, b0, a1, b1, ...) unknowns.
 
-    Minimizes ||r - a*cos - b*sin||^2 + weight*(||D2 a||^2 + ||D2 b||^2)
-    with D2 the second-difference operator.  Unknowns are interleaved
-    (a0, b0, a1, b1, ...) which makes the normal equations banded with
-    bandwidth 5; solved directly for determinism.
+    D2 is the second-difference operator on a track of ``n`` samples.
+    The layout is ``solve_banded((4, 4), ...)``'s: row ``4 - d`` holds
+    offset ``+d``.  Each track couples with itself at sample offsets
+    0, 1 and 2, which interleaving puts at offsets 0, 2 and 4; the lower
+    bands copy the upper ones because the matrix is symmetric.
     """
-    n = residual.size
     m = 2 * n
-    bands = np.zeros((11, m))  # 5 super-, main, 5 sub-diagonals
-
-    # D2^T D2 pentadiagonal stencil for a natural second-difference matrix
     main = np.full(n, 6.0)
     main[0] = main[-1] = 1.0
     main[1] = main[-2] = 5.0
@@ -256,37 +251,40 @@ def _envelope_solve(
     off1[0] = off1[-1] = -2.0
     off2 = np.full(n - 2, 1.0)
 
-    c2 = cos_t * cos_t
-    s2 = sin_t * sin_t
+    bands = np.zeros((9, m))
+    for d, stencil in ((0, main), (2, off1), (4, off2)):
+        bands[4 - d, d::2] = weight * stencil  # the a track
+        bands[4 - d, d + 1 :: 2] = weight * stencil  # the b track
+    for d in (2, 4):
+        bands[4 + d, : m - d] = bands[4 - d, d:]
+    return bands
+
+
+def _envelope_solve(
+    residual: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray, smoothing: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve for quadrature envelopes (a, b) of one mode.
+
+    Minimizes ||r - a*cos - b*sin||^2 + weight*(||D2 a||^2 + ||D2 b||^2)
+    with D2 the second-difference operator; ``smoothing`` holds the
+    weighted D2 part from :func:`_smoothing_bands`.  Unknowns are
+    interleaved (a0, b0, a1, b1, ...), so the normal equations have
+    bandwidth 4: the data term couples a_t with b_t (offsets 0 and +-1)
+    and the smoothing term each track with itself two samples away
+    (offsets 0, +-2 and +-4).  Solved directly for determinism.
+    """
+    bands = smoothing.copy()
+    bands[4, 0::2] += cos_t * cos_t
+    bands[4, 1::2] += sin_t * sin_t
     cs = cos_t * sin_t
+    bands[3, 1::2] = cs  # (a_t, b_t)
+    bands[5, 0::2] = cs  # (b_t, a_t)
 
-    # diagonal (offset 0): data term + smoothness main diagonal
-    bands[5, 0::2] = weight * main + c2
-    bands[5, 1::2] = weight * main + s2
-    # offset +-1: a(t)-b(t) coupling from the data term
-    bands[4, 1::2] = cs  # super-diagonal entries (a_t, b_t)
-    bands[6, 0:m - 1:2] = cs  # sub-diagonal mirror
-    # offset +-2: smoothness +-1 coupling within each track
-    bands[3, 2::2] = weight * off1
-    bands[3, 3::2] = weight * off1
-    bands[7, 0:m - 2:2] = weight * off1
-    bands[7, 1:m - 2:2] = weight * off1
-    # offset +-4: smoothness +-2 coupling
-    bands[1, 4::2] = weight * off2
-    bands[1, 5::2] = weight * off2
-    bands[9, 0:m - 4:2] = weight * off2
-    bands[9, 1:m - 4:2] = weight * off2
-
-    rhs = np.empty(m)
+    rhs = np.empty(2 * residual.size)
     rhs[0::2] = residual * cos_t
     rhs[1::2] = residual * sin_t
-    solution = solve_banded((5, 5), bands, rhs)
+    solution = solve_banded((4, 4), bands, rhs)
     return solution[0::2], solution[1::2]
-
-
-def _second_difference_energy(track: np.ndarray) -> float:
-    d2 = np.diff(track, n=2)
-    return float(np.sum(d2 * d2))
 
 
 def _moving_average(x: np.ndarray, width: int) -> np.ndarray:
@@ -324,109 +322,80 @@ def vncmd_decompose(
     ma_width = max(int(round(cfg.if_smooth_frac * n)), 1)
     k = cfg.K
     samples = x.samples
+    smoothing = _smoothing_bands(n, weight)
 
     if_tracks = np.tile(np.asarray(cfg.init_if_hz, dtype=float)[:, None], (1, n))
     a = np.zeros((k, n))
     b = np.zeros((k, n))
     modes = np.zeros((k, n))
-    cos_t = np.zeros((k, n))
-    sin_t = np.zeros((k, n))
 
-    def refresh_phase(i: int) -> None:
-        phase = 2.0 * np.pi * np.concatenate([[0.0], np.cumsum((if_tracks[i, 1:] + if_tracks[i, :-1]) / 2.0 * dt)])
-        cos_t[i] = np.cos(phase)
-        sin_t[i] = np.sin(phase)
+    def sweep() -> None:
+        """Refit every mode's envelopes on the current IF tracks, in place.
 
-    for i in range(k):
-        refresh_phase(i)
-
-    def penalized_cost() -> float:
-        data = samples - modes.sum(axis=0)
-        smooth = sum(
-            _second_difference_energy(a[i]) + _second_difference_energy(b[i])
-            for i in range(k)
-        )
-        return float(np.sum(data * data) + weight * smooth)
-
-    def solve_all_envelopes() -> None:
+        Gauss-Seidel order: each mode is fitted against the latest
+        versions of the others.
+        """
+        steps = (if_tracks[:, 1:] + if_tracks[:, :-1]) / 2.0 * dt  # trapezoid rule
+        phase = 2.0 * np.pi * np.concatenate([np.zeros((k, 1)), np.cumsum(steps, axis=1)], axis=1)
+        cos_t, sin_t = np.cos(phase), np.sin(phase)
         for i in range(k):
             others = modes.sum(axis=0) - modes[i]
-            a[i], b[i] = _envelope_solve(samples - others, cos_t[i], sin_t[i], weight)
+            a[i], b[i] = _envelope_solve(samples - others, cos_t[i], sin_t[i], smoothing)
             modes[i] = a[i] * cos_t[i] + b[i] * sin_t[i]
 
-    solve_all_envelopes()
+    sweep()
 
     trace: list[float] = []
     update_norm = np.inf
-    prev_update_norm = np.inf
     growth_run = 0
-    converged = False
-    iterations = 0
 
-    def build_result() -> tuple[Decomposition, ConvergenceReport]:
-        mode_signals = tuple(Signal(modes[i], fs) for i in range(k))
-        residual = Signal(samples - modes.sum(axis=0), fs)
-        decomp = Decomposition(
-            modes=mode_signals,
-            residual=residual,
-            if_tracks_hz=tuple(if_tracks[i].copy() for i in range(k)),
-        )
-        report = ConvergenceReport(
-            iterations=iterations,
-            final_update_norm=float(update_norm) if np.isfinite(update_norm) else 0.0,
-            converged=converged,
-            objective_trace=tuple(trace),
-        )
-        return decomp, report
-
-    for iteration in range(cfg.max_iters):
+    for _ in range(cfg.max_iters):
         modes_prev = modes.copy()
 
-        # demodulation-based frequency increment per mode
-        increments = np.zeros((k, n))
-        for i in range(k):
-            da = np.gradient(a[i], dt)
-            db = np.gradient(b[i], dt)
-            denom = a[i] ** 2 + b[i] ** 2
-            floor = 1e-10 * max(float(denom.max()), 1e-30)
-            raw = (b[i] * da - a[i] * db) / (2.0 * np.pi * np.maximum(denom, floor))
-            increments[i] = _moving_average(raw, ma_width)
+        # demodulation-based frequency increment of every mode
+        da = np.gradient(a, dt, axis=1)
+        db = np.gradient(b, dt, axis=1)
+        denom = a**2 + b**2
+        floor = 1e-10 * np.maximum(denom.max(axis=1, keepdims=True), 1e-30)
+        raw = (b * da - a * db) / (2.0 * np.pi * np.maximum(denom, floor))
+        increments = np.array([_moving_average(row, ma_width) for row in raw])
 
         if_tracks[:] = np.clip(if_tracks + cfg.mu * increments, 0.0, nyquist)
-        for i in range(k):
-            refresh_phase(i)
-        solve_all_envelopes()
-        cost = penalized_cost()
+        sweep()
 
-        diff = modes - modes_prev
-        update_norm = float(
-            sum(
-                np.sum(diff[i] ** 2) / (np.sum(modes_prev[i] ** 2) + 1e-30)
-                for i in range(k)
-            )
-        )
+        data = samples - modes.sum(axis=0)
+        d2a = np.diff(a, n=2, axis=1)
+        d2b = np.diff(b, n=2, axis=1)
+        # Python's sum adds the per-mode terms one at a time in mode order, here
+        # and in the update norm; np.sum regroups them from 8 modes on
+        smooth = sum(np.sum(d2a * d2a, axis=1) + np.sum(d2b * d2b, axis=1))
+        cost = float(np.sum(data * data) + weight * smooth)
         trace.append(cost)
-        iterations = iteration + 1
-
         if not np.isfinite(cost):
             raise NumericalFailure("VNCMD iteration produced non-finite cost")
 
-        if update_norm > prev_update_norm:
-            growth_run += 1
-        else:
-            growth_run = 0
-        prev_update_norm = update_norm
-
-        if growth_run >= 10:
-            decomp, report = build_result()
-            raise Diverged(
-                "VNCMD update norm grew for 10 consecutive iterations",
-                decomposition=decomp,
-                report=report,
-            )
-
-        if update_norm < cfg.tol:
-            converged = True
+        diff = modes - modes_prev
+        new_norm = float(sum(np.sum(diff**2, axis=1) / (np.sum(modes_prev**2, axis=1) + 1e-30)))
+        growth_run = growth_run + 1 if new_norm > update_norm else 0
+        update_norm = new_norm
+        if growth_run >= 10 or update_norm < cfg.tol:
             break
 
-    return build_result()
+    decomp = Decomposition(
+        modes=tuple(Signal(m, fs) for m in modes),
+        residual=Signal(samples - modes.sum(axis=0), fs),
+        if_tracks_hz=tuple(track.copy() for track in if_tracks),
+    )
+    report = ConvergenceReport(
+        iterations=len(trace),
+        final_update_norm=update_norm if np.isfinite(update_norm) else 0.0,
+        converged=update_norm < cfg.tol,
+        objective_trace=tuple(trace),
+    )
+    if growth_run >= 10:
+        raise Diverged(
+            "VNCMD update norm grew for 10 consecutive iterations",
+            decomposition=decomp,
+            report=report,
+        )
+    return decomp, report

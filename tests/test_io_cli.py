@@ -95,6 +95,17 @@ class TestCsvRoundTrip:
         # explicit rate rescues the file
         assert read_csv_signal(path, 5.0).sample_rate_hz == 5.0
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "0", "-5"])
+    def test_bad_sample_rate_header_names_line(self, tmp_path, capsys, rate):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# sample_rate={rate}\nx\n1.0\n2.0\n3.0\n4.0\n")
+        for override in (None, 5.0):
+            with pytest.raises(CsvFormatError, match="line 1: sample_rate"):
+                read_csv_signal(path, override)
+        assert main("tf", "--input", path, "--out", tmp_path / "g.csv") == 4
+        assert main("tf", "--input", path, "--fs", "5", "--out", tmp_path / "g.csv") == 4
+        assert capsys.readouterr().err.count("line 1: sample_rate") == 2
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

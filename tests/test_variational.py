@@ -7,6 +7,8 @@ from sigdecomp.synth import gen_s1
 from sigdecomp.variational import (
     VmdConfig,
     VncmdConfig,
+    _envelope_solve,
+    _smoothing_bands,
     vmd_decompose,
     vncmd_decompose,
 )
@@ -153,6 +155,26 @@ class TestVncmd:
             vncmd_decompose(x, cfg)
         assert excinfo.value.decomposition is not None
         assert excinfo.value.report is not None
+
+    @pytest.mark.parametrize("n", [12, 40])
+    @pytest.mark.parametrize("weight", [1.0, 1e3])
+    def test_envelope_solve_matches_dense_normal_equations(self, rng, n, weight):
+        phase = rng.uniform(0.0, 2.0 * np.pi, n)
+        cos_t, sin_t = np.cos(phase), np.sin(phase)
+        residual = rng.normal(size=n)
+        d2 = np.diff(np.eye(n), n=2, axis=0)  # second-difference operator
+        smooth = weight * d2.T @ d2
+        # interleaved unknowns (a0, b0, a1, b1, ...)
+        dense = np.zeros((2 * n, 2 * n))
+        dense[0::2, 0::2] = smooth + np.diag(cos_t * cos_t)
+        dense[1::2, 1::2] = smooth + np.diag(sin_t * sin_t)
+        dense[0::2, 1::2] = dense[1::2, 0::2] = np.diag(cos_t * sin_t)
+        rhs = np.ravel(np.column_stack([residual * cos_t, residual * sin_t]))
+        expected = np.linalg.solve(dense, rhs)
+
+        a, b = _envelope_solve(residual, cos_t, sin_t, _smoothing_bands(n, weight))
+        got = np.ravel(np.column_stack([a, b]))
+        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_init_validation(self):
         with pytest.raises(ContractViolation):
