@@ -28,7 +28,7 @@ from .multivariate import (
 from .spectral import TFGrid, hilbert_spectrum
 from .ssa import SsaConfig, ssa_decompose
 from .sst import RidgeConfig, SstConfig, sst_decompose
-from .synth import add_wgn, gen_mv_test, gen_s1, gen_s2, mv_component_bank
+from .synth import MV_EXPECTED_TABLE, add_wgn, gen_mv_test, gen_s1, gen_s2, mv_component_bank
 from .variational import VmdConfig, VncmdConfig, vmd_decompose, vncmd_decompose
 
 UNIVARIATE_METHODS = ("emd", "vmd", "vncmd", "sst", "ssa")
@@ -320,12 +320,9 @@ def mv_matched_total_qrf(d: AlignedDecomposition, duration_s: float, fs: float) 
     """Summed matched QRF of a bivariate-test decomposition against the
     nonzero per-channel sinusoid references."""
     bank = mv_component_bank(duration_s, fs)
-    refs_per_channel = [
-        [Signal(bank[2.0], fs), Signal(bank[50.0], fs)],
-        [Signal(bank[2.0], fs), Signal(bank[20.0], fs), Signal(bank[50.0], fs)],
-    ]
     total = 0.0
     for c in range(d.n_channels):
-        report = match_components(list(d.channel_modes[c]), refs_per_channel[c])
+        refs = [Signal(bank[row[c]], fs) for row in MV_EXPECTED_TABLE if row[c] is not None]
+        report = match_components(list(d.channel_modes[c]), refs)
         total += report.total_qrf_db
     return total

@@ -44,21 +44,18 @@ class TFGrid:
 def analytic_signal(x: Signal) -> np.ndarray:
     """Analytic extension of ``x`` via the frequency-domain construction.
 
-    Negative-frequency bins are zeroed and positive bins doubled (DC and
-    Nyquist untouched), so the real part of the result equals the input.
+    Only bins ``0 … n // 2`` of the spectrum are kept, since the analytic
+    signal has no negative frequencies: the positive bins are doubled and
+    DC and, for even ``n``, Nyquist are left as they are, so the real part
+    of the result equals the input.  The inverse FFT zero-fills the
+    negative half.
     """
     if len(x) < 4:
         raise ContractViolation("analytic signal needs at least 4 samples")
     n = len(x)
-    spectrum = np.fft.fft(x.samples)
-    weights = np.zeros(n)
-    weights[0] = 1.0
-    if n % 2 == 0:
-        weights[n // 2] = 1.0
-        weights[1 : n // 2] = 2.0
-    else:
-        weights[1 : (n + 1) // 2] = 2.0
-    return np.fft.ifft(spectrum * weights)
+    spectrum = np.fft.fft(x.samples)[: n // 2 + 1]
+    spectrum[1 : (n + 1) // 2] *= 2.0
+    return np.fft.ifft(spectrum, n)
 
 
 def ia_if(x: Signal) -> ModeModel:
@@ -86,6 +83,8 @@ def hilbert_spectrum(d: Decomposition, n_freq_bins: int, fmax_hz: float) -> TFGr
     """
     if n_freq_bins < 2:
         raise ContractViolation("need at least 2 frequency bins")
+    if not (np.isfinite(fmax_hz) and fmax_hz > 0.0):
+        raise ContractViolation("fmax_hz must be a positive finite number")
     nyquist = d.residual.sample_rate_hz / 2.0
     if fmax_hz > nyquist * (1.0 + 1e-12):
         raise ContractViolation("fmax_hz exceeds the Nyquist frequency")

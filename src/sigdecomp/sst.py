@@ -94,19 +94,22 @@ def cwt_morlet(x: Signal, cfg: SstConfig = SstConfig()) -> tuple[np.ndarray, np.
     Coefficient rows are ordered by ascending frequency (descending
     scale); each row is the inverse FFT of the spectrum multiplied by the
     scaled wavelet window, i.e. an L1-normalized transform where a unit
-    tone keeps scale-independent magnitude.
+    tone keeps scale-independent magnitude.  The wavelet is analytic, so
+    the window is built on bins ``0 … (n - 1) // 2`` only (0 Hz up to,
+    not including, Nyquist); the inverse FFT zero-fills the rest.
     """
     if len(x) < 64:
         raise ContractViolation("CWT needs at least 64 samples")
     freqs_hz = _scale_frequencies_hz(x, cfg)
     n = len(x)
-    xi = 2.0 * np.pi * np.fft.fftfreq(n, 1.0 / x.sample_rate_hz)  # rad/s
-    spectrum = np.fft.fft(x.samples)
+    n_pos = (n + 1) // 2
+    xi = 2.0 * np.pi * np.fft.fftfreq(n, 1.0 / x.sample_rate_hz)[:n_pos]  # rad/s
+    spectrum = np.fft.fft(x.samples)[:n_pos]
     scales = cfg.morlet_w0 / (2.0 * np.pi * freqs_hz)  # seconds
-    # psi_hat(s*xi) for xi > 0 only (analytic wavelet)
+    # psi_hat(s*xi), zero at 0 Hz
     arg = scales[:, None] * xi[None, :]
     window = np.where(arg > 0.0, np.pi**-0.25 * np.exp(-0.5 * (arg - cfg.morlet_w0) ** 2), 0.0)
-    coeffs = np.fft.ifft(spectrum[None, :] * np.conj(window), axis=1)
+    coeffs = np.fft.ifft(spectrum[None, :] * np.conj(window), n=n, axis=1)
     return coeffs, freqs_hz
 
 
@@ -117,10 +120,11 @@ class SqueezedGrid:
     ``values`` is (frequency x time); ``energy()`` gives the
     nonnegative density used for ridge extraction.  ``gamma_abs`` is the
     resolved absolute magnitude threshold, and ``log_step``/``admissibility``
-    carry the constants needed to invert the transform.
+    carry the constants needed to invert the transform; reconstructed
+    modes take the input's ``sample_rate_hz``.
     """
 
-    times_s: np.ndarray
+    sample_rate_hz: float
     freqs_hz: np.ndarray
     values: np.ndarray
     gamma_abs: float
@@ -169,7 +173,7 @@ def synchrosqueeze(
     dropped = float(np.abs(W[keep & ~in_range]).sum())
 
     return SqueezedGrid(
-        times_s=x.times(),
+        sample_rate_hz=x.sample_rate_hz,
         freqs_hz=freqs_hz.copy(),
         values=values,
         gamma_abs=gamma_abs,
@@ -240,7 +244,7 @@ def reconstruct_mode(S: SqueezedGrid, track: RidgeTrack, half_width: int) -> Sig
         hi = min(int(track.bins[t]) + half_width + 1, n_bins)
         band_sum[t] = S.values[lo:hi, t].sum()
     samples = (S.log_step / S.admissibility) * band_sum.real
-    fs = 1.0 / (S.times_s[1] - S.times_s[0])
+    fs = S.sample_rate_hz
     return Signal(samples, fs) if np.any(samples) else Signal(np.zeros(n_t), fs)
 
 

@@ -178,15 +178,16 @@ def gen_mv_test(
 ) -> tuple[MultichannelSignal, tuple[tuple[float | None, float | None], ...]]:
     """Bivariate alignment test signal and its expected mode table.
 
-    Channel 1 carries 2 Hz + 50 Hz sinusoids; channel 2 carries
-    2 Hz + 20 Hz + 50 Hz, all unit amplitude.
+    Each channel sums the unit sinusoids that ``MV_EXPECTED_TABLE`` puts
+    in it: 2 Hz + 50 Hz in channel 1, 2 Hz + 20 Hz + 50 Hz in channel 2.
     """
     if fs <= 100.0:
         raise ContractViolation("sample rate must exceed 100 Hz for the 50 Hz component")
     bank = mv_component_bank(duration_s, fs)
-    ch1 = bank[2.0] + bank[50.0]
-    ch2 = bank[2.0] + bank[20.0] + bank[50.0]
-    return MultichannelSignal(np.stack([ch1, ch2]), fs), MV_EXPECTED_TABLE
+    channels = [
+        sum(bank[row[c]] for row in MV_EXPECTED_TABLE if row[c] is not None) for c in range(2)
+    ]
+    return MultichannelSignal(np.stack(channels), fs), MV_EXPECTED_TABLE
 
 
 def add_wgn(x: Signal, snr_db: float, seed: int) -> Signal:

@@ -86,6 +86,12 @@ def _variational_modes(
     initial centers in cycles/sample.  Returns the modes ``(K, C, n)``
     and their centers (cycles/sample), both ascending in frequency, the
     residual ``(C, n)`` and the report.
+
+    The iteration keeps only the one-sided spectrum of the mirrored
+    input, bins ``0 … (t_len - 1) // 2``: the modes are analytic, so the
+    negative half stays zero, and the Nyquist bin, which is its own
+    mirror image, is left out too.  One inverse real FFT rebuilds the
+    real modes with the Nyquist bin at zero.
     """
     n_ch, n = channels.shape
     k = omega.size
@@ -98,18 +104,14 @@ def _variational_modes(
         axis=1,
     )
     t_len = mirrored.shape[1]
-    half = t_len // 2
-    freqs = (np.arange(t_len) - half) / t_len  # cycles/sample, 0 at index `half`
-
-    spectrum_plus = np.fft.fftshift(np.fft.fft(mirrored, axis=1), axes=1)
-    spectrum_plus[:, :half] = 0.0
+    n_bins = (t_len + 1) // 2  # 0 Hz up to, not including, Nyquist
+    freqs = np.arange(n_bins) / t_len  # cycles/sample
+    spectrum = np.fft.fft(mirrored, axis=1)[:, :n_bins]
 
     omega = omega.copy()
-    u = np.zeros((k, n_ch, t_len), dtype=complex)
+    u = np.zeros((k, n_ch, n_bins), dtype=complex)
     u_prev = np.zeros_like(u)
-    lam = np.zeros((n_ch, t_len), dtype=complex)
-    pos = slice(half, t_len)
-    pos_freqs = freqs[pos]
+    lam = np.zeros((n_ch, n_bins), dtype=complex)
     bin_width = 1.0 / t_len
     collision_run = np.zeros((k, k), dtype=int)
 
@@ -120,23 +122,23 @@ def _variational_modes(
 
     for iteration in range(cfg.max_iters):
         u_prev[:] = u
-        acc = u.sum(axis=0)  # (channels, t_len)
+        acc = u.sum(axis=0)  # (channels, n_bins)
         half_lam = lam / 2.0
         for i in range(k):
             acc -= u[i]
             np.divide(
-                spectrum_plus - acc + half_lam,
+                spectrum - acc + half_lam,
                 1.0 + 2.0 * cfg.alpha * (freqs - omega[i]) ** 2,
                 out=u[i],
             )
-            power = np.abs(u[i, :, pos]) ** 2
+            power = np.abs(u[i]) ** 2
             denom = power.sum()
             if denom > 0.0:
                 # one channel needs no pooling; skipping the reduction keeps VMD fast
                 pooled = power[0] if n_ch == 1 else power.sum(axis=0)
-                omega[i] = float((pooled @ pos_freqs) / denom)
+                omega[i] = float((pooled @ freqs) / denom)
             acc += u[i]
-        lam = lam + cfg.tau * (spectrum_plus - acc)
+        lam = lam + cfg.tau * (spectrum - acc)
 
         if not np.all(np.isfinite(u.view(np.float64))):
             raise NumericalFailure("variational iteration produced non-finite values")
@@ -166,17 +168,9 @@ def _variational_modes(
             converged = True
             break
 
-    # rebuild time-domain modes from the positive-frequency half spectra
     order = np.argsort(omega)
-    full = np.zeros((k, n_ch, t_len), dtype=complex)
-    full[..., half:] = u[order, :, half:]
-    m = t_len - half - 1  # positive bins above zero; odd lengths have no Nyquist bin
-    full[..., half - m : half] = np.conj(u[order, :, half + 1 :][..., ::-1])
-    if t_len % 2 == 0:
-        full[..., 0] = np.conj(full[..., -1])
-    series = np.real(np.fft.ifft(np.fft.ifftshift(full, axes=-1), axis=-1))
     lo = t_len // 4
-    modes = series[..., lo : lo + n]
+    modes = np.fft.irfft(u[order], n=t_len, axis=-1)[..., lo : lo + n]
 
     report = ConvergenceReport(
         iterations=iterations,

@@ -346,6 +346,13 @@ class TestCliContract:
         write_decomposition(Decomposition(modes=(mode,), residual=Signal(np.zeros(64), fs)), tmp_path / "d")
         assert main("tf", "--indir", tmp_path / "d", "--out", tmp_path / "g.csv") == 3
 
+    @pytest.mark.parametrize("fmax", ["0", "-5", "nan"])
+    def test_tf_bad_fmax_exit_two(self, tmp_path, fmax, capsys):
+        write_signals_csv(tmp_path / "c.csv", {"x": np.ones(64)}, 64.0)
+        assert main("tf", "--input", tmp_path / "c.csv", "--out", tmp_path / "g.csv", "--fmax", fmax) == 2
+        assert "fmax_hz" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
+
     def test_tf_on_multichannel_bundle_renders_channel_zero(self, tmp_path, mv_csv):
         assert main("decompose", "--method", "mvmd", "--input", mv_csv, "--outdir", tmp_path / "d") == 0
         assert main("tf", "--indir", tmp_path / "d", "--out", tmp_path / "g.csv", "--bins", "16") == 0

@@ -128,6 +128,13 @@ class TestHilbertSpectrum:
         total = float(np.sum(model.ia_track**2))
         assert grid.total_energy + grid.dropped_energy == pytest.approx(total, rel=1e-9)
 
+    @pytest.mark.parametrize("fmax_hz", [0.0, -5.0, float("nan")])
+    def test_fmax_must_be_positive_and_finite(self, fmax_hz):
+        s = tone(5.0, 1.0, 64.0)
+        d = Decomposition(modes=(s,), residual=scale(s, 0.0))
+        with pytest.raises(ContractViolation, match="fmax_hz"):
+            hilbert_spectrum(d, 16, fmax_hz)
+
     def test_grid_validation(self):
         with pytest.raises(ContractViolation):
             TFGrid(times_s=np.arange(3.0), freqs_hz=np.arange(4.0), energy=np.zeros((3, 4)))

@@ -123,6 +123,13 @@ class TestRidges:
         rec = reconstruct_mode(S, tr, 15)
         assert qrf(rec, tone50) >= 25.0
 
+    def test_modes_keep_the_input_sample_rate(self):
+        # 49 Hz is a rate that 1 / (t[1] - t[0]) does not give back exactly
+        x = add(tone(3.0, 4.0, 49.0), tone(12.0, 4.0, 49.0))
+        d = sst_decompose(x, SstConfig(K=2))
+        assert len(d.modes) == 2
+        assert all(m.sample_rate_hz == 49.0 for m in d.modes)
+
     def test_all_invalid_track_gives_zero(self, squeezed50):
         from sigdecomp.sst import RidgeTrack
 

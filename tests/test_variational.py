@@ -104,6 +104,24 @@ class TestVmd:
         with pytest.raises(ContractViolation):
             vmd_decompose(Signal(np.zeros(8) + np.arange(8), 8.0), VmdConfig(K=5))
 
+    @pytest.mark.parametrize("n", [1022, 512, 1021])
+    def test_unfiltered_mode_is_mirrored_input_without_nyquist(self, n):
+        # alpha ~ 0 and one step from zeros makes the mode the one-sided
+        # spectrum of the mirrored input itself, so the rebuilt mode must be
+        # that input minus its Nyquist component, which VMD leaves out
+        x = np.random.default_rng(3).normal(size=n)
+        cfg = VmdConfig(K=1, alpha=1e-12, tau=0.0, max_iters=1, init_mode="zeros")
+        d, _ = vmd_decompose(Signal(x, 100.0), cfg)
+        half_n = n // 2
+        m = np.concatenate([x[:half_n][::-1], x, x[n - half_n :][::-1]])
+        t_len = m.size
+        if t_len % 2 == 0:
+            alt = (-1.0) ** np.arange(t_len)
+            m = m - (alt @ m) * alt / t_len
+        lo = t_len // 4
+        err = np.max(np.abs(d.modes[0].samples - m[lo : lo + n]))
+        assert err < 1e-9 * np.max(np.abs(x))
+
 
 class TestVncmd:
     def test_tone_initialized_at_truth(self):
