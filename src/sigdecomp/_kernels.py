@@ -9,6 +9,7 @@ probes look them up.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 
 def find_extrema_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -26,25 +27,78 @@ def find_extrema_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx[kind > 0].astype(np.int64), idx[kind < 0].astype(np.int64)
 
 
-def natural_spline(xs: np.ndarray, ys: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Natural cubic spline through ``(xs, ys)`` evaluated at sorted ``q``.
+def natural_spline(
+    xs: np.ndarray, ys: np.ndarray, q: np.ndarray, starts: np.ndarray | None = None
+) -> np.ndarray:
+    """Natural cubic splines through ``(xs, ys)``, evaluated at sorted ``q``.
 
-    ``ys`` holds one value per knot, shape ``(k,)``, or one column per
-    channel, shape ``(k, C)``; the result is ``(len(q),)`` or
-    ``(len(q), C)``, and each column equals the spline of that column
-    alone.  Requires at least two strictly increasing knots; queries
-    outside the knot range use the end polynomials (linear for the
-    two-knot case).
+    ``xs`` concatenates the knot times of one or more independent blocks,
+    each strictly increasing with at least two knots; ``starts`` gives the
+    index at which each block begins (``None``: one block).  ``ys`` holds
+    one value per knot, shape ``(k,)``, or one column per channel, shape
+    ``(k, C)``.  One block returns ``(len(q),)`` or ``(len(q), C)``;
+    ``starts`` returns one such array per block, stacked on a new first
+    axis.  Each block and each column equals its spline fitted alone.
+    Queries outside a block's knots use its end polynomials (linear for a
+    two-knot block).
+
+    All blocks share one tridiagonal solve, one right-hand side per
+    channel, for the second derivatives m at the knots:
+    ``h[i-1] m[i-1] + 2 (h[i-1] + h[i]) m[i] + h[i] m[i+1] = 6 (slope[i]
+    - slope[i-1])`` at a knot inside a block, and ``m = 0`` with no
+    neighbours at a block end, which decouples the blocks.
     """
-    from scipy.interpolate import CubicSpline  # deferred: keeps package import light
-
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    if xs.shape[0] == 2:
-        slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
-        return ys[0] + slope * (q - xs[0])[(...,) + (None,) * (ys.ndim - 1)]
-    return CubicSpline(xs, ys, bc_type="natural")(q)
+    k = xs.shape[0]
+    firsts = np.zeros(1, dtype=np.int64) if starts is None else np.asarray(starts, dtype=np.int64)
+    lasts = np.append(firsts[1:], k) - 1
+    ends = np.concatenate([firsts, lasts])
+    values = ys.reshape(k, -1)  # (k, C)
+
+    h = np.diff(xs)
+    h[lasts[:-1]] = 1.0  # the step from one block to the next is no interval
+    slope = np.diff(values, axis=0) / h[:, None]
+    bands = np.empty((3, k))  # solve_banded((1, 1), ...) layout
+    bands[0, 1:] = h
+    bands[1, 1:-1] = 2.0 * (h[:-1] + h[1:])
+    bands[2, :-1] = h
+    rhs = np.empty_like(values)
+    rhs[1:-1] = 6.0 * (slope[1:] - slope[:-1])
+    bands[1, ends] = 1.0
+    bands[0, (ends + 1) % k] = 0.0  # slot 0 of the upper band is unused
+    bands[2, ends - 1] = 0.0  # and so is the last slot of the lower band
+    rhs[ends] = 0.0
+    m = solve_banded((1, 1), bands, rhs).T  # (C, k)
+
+    # each interval's cubic in powers of (q - its left knot), channel-major
+    # so that the evaluation below runs along long contiguous rows
+    coef = np.empty((4, m.shape[0], k - 1))
+    coef[0] = values[:-1].T
+    coef[1] = slope.T - h * (2.0 * m[:, :-1] + m[:, 1:]) / 6.0
+    coef[2] = m[:, :-1] / 2.0
+    coef[3] = (m[:, 1:] - m[:, :-1]) / (6.0 * h)
+
+    # a query's interval in a block is the block's first interval plus the
+    # number of the block's inner knots at or before the query; one search
+    # places every inner knot among the queries
+    n_blocks, n_q = firsts.size, q.size
+    inner = np.ones(k, dtype=bool)
+    inner[ends] = False
+    block = np.repeat(np.arange(n_blocks), lasts - firsts + 1)
+    slot = block[inner] * (n_q + 1) + np.searchsorted(q, xs[inner])
+    passed = np.bincount(slot, minlength=n_blocks * (n_q + 1)).reshape(n_blocks, n_q + 1)
+    j = (np.cumsum(passed[:, :-1], axis=1) + firsts[:, None]).ravel()
+
+    c = np.take(coef, j, axis=2)  # (4, C, n_blocks * n_q)
+    t = np.tile(q, n_blocks) - xs[j]
+    out = c[3] * t + c[2]
+    for power in (1, 0):
+        out *= t
+        out += c[power]
+    out = out.reshape((-1, n_blocks, n_q)).transpose(1, 2, 0).reshape((n_blocks, n_q) + ys.shape[1:])
+    return out[0] if starts is None else out
 
 
 def walk_ridge(

@@ -147,8 +147,9 @@ def _envelopes(samples: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]
 
     t_max, v_max, t_min, v_min = mirrored_extrema_knots(samples, max_idx, min_idx, depth)
     query = np.arange(samples.size, dtype=np.float64)
-    upper = natural_spline(t_max, v_max, query)
-    lower = natural_spline(t_min, v_min, query)
+    upper, lower = natural_spline(  # two blocks: the upper and the lower envelope
+        np.concatenate([t_max, t_min]), np.concatenate([v_max, v_min]), query, [0, t_max.size]
+    )
     return (upper + lower) / 2.0, (upper - lower) / 2.0
 
 

@@ -136,11 +136,12 @@ def write_decomposition(
     """Write one CSV per mode plus the residual and a JSON manifest.
 
     A multichannel decomposition writes one ``ch<c>`` column per channel
-    in every file.  The manifest records the method name, the fields of
-    ``config`` (one config or a name -> config mapping, flattened), the
-    channel count, center frequencies when present, and the
-    reconstruction error against ``original`` when supplied.  Returns the
-    manifest dict.
+    in every file.  A decomposition with instantaneous-frequency tracks
+    also writes ``if_tracks.csv``, one column per mode.  The manifest
+    records the method name, the fields of ``config`` (one config or a
+    name -> config mapping, flattened), the channel count, center
+    frequencies and the track file when present, and the reconstruction
+    error against ``original`` when supplied.  Returns the manifest dict.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -158,6 +159,9 @@ def write_decomposition(
         files.append(name)
     labels = names or ["residual"]
     write_signals_csv(outdir / "residual.csv", {c: ch.residual.samples for c, ch in zip(labels, channels)}, fs)
+    tracks = getattr(d, "if_tracks_hz", None)
+    if tracks:
+        write_signals_csv(outdir / "if_tracks.csv", {f[:-4]: t for f, t in zip(files, tracks)}, fs)
 
     manifest = {
         "method": method,
@@ -168,6 +172,7 @@ def write_decomposition(
         "mode_files": files,
         "residual_file": "residual.csv",
         "center_freqs_hz": list(d.center_freqs_hz) if d.center_freqs_hz else None,
+        "if_tracks_file": "if_tracks.csv" if tracks else None,
         "reconstruction_error": d.reconstruction_error(original) if original is not None else None,
     }
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
@@ -179,9 +184,9 @@ def read_decomposition(outdir: str | Path) -> tuple[Decomposition | AlignedDecom
     """Load a bundle written by :func:`write_decomposition`.
 
     Multicolumn files give an :class:`AlignedDecomposition`, one-column
-    files a :class:`Decomposition`.  A manifest without its file names,
-    or files that disagree in shape, rate or mode count, raise
-    :class:`CsvFormatError`.
+    files a :class:`Decomposition`, with its IF tracks when the bundle
+    has them.  A manifest without its file names, or files that disagree
+    in shape, rate or mode count, raise :class:`CsvFormatError`.
     """
     outdir = Path(outdir)
     path = outdir / "manifest.json"
@@ -196,9 +201,15 @@ def read_decomposition(outdir: str | Path) -> tuple[Decomposition | AlignedDecom
     if any(_samples(m).shape != shape for m in modes):
         raise CsvFormatError(f"{outdir}: mode files and residual differ in shape")
     centers = manifest.get("center_freqs_hz") or None
+    tracks = None
+    if manifest.get("if_tracks_file"):
+        tracks = np.atleast_2d(_samples(read_csv_signal(outdir / str(manifest["if_tracks_file"]))))
+        if tracks.shape != (len(modes), shape[-1]):
+            raise CsvFormatError(f"{outdir}: IF tracks and modes differ in shape")
+        tracks = tuple(tracks)
     try:
         if isinstance(residual, Signal):
-            d = Decomposition(modes=tuple(modes), residual=residual, center_freqs_hz=centers)
+            d = Decomposition(modes=tuple(modes), residual=residual, center_freqs_hz=centers, if_tracks_hz=tracks)
         else:
             d = AlignedDecomposition(
                 channel_modes=tuple(tuple(m.channel(c) for m in modes) for c in range(shape[0])),

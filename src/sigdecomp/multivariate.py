@@ -163,33 +163,59 @@ def hypersphere_directions(M: int, n_channels: int, seed: int = 0) -> np.ndarray
 # projection-based multivariate sifting
 # ---------------------------------------------------------------------------
 
+def _projection_extrema(projections: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Maxima and minima indices of every column of ``projections``.
+
+    One sign-change pass over all columns finds the extrema of columns
+    whose samples never repeat; a column with a zero difference goes to
+    :func:`find_extrema_arrays`, whose plateau-midpoint rule the pass lacks.
+    """
+    steps = np.diff(projections, axis=0)
+    rising = steps > 0
+    n_dirs = projections.shape[1]
+    families = []
+    for turn in (rising[:-1] & ~rising[1:], ~rising[:-1] & rising[1:]):
+        column, sample = np.nonzero(turn.T)  # column-major: each column's extrema in order
+        bounds = np.cumsum(np.bincount(column, minlength=n_dirs))[:-1]
+        families.append(np.split(sample + 1, bounds))
+    maxima, minima = families
+    for d in np.flatnonzero((steps == 0).any(axis=0)):
+        maxima[d], minima[d] = find_extrema_arrays(projections[:, d])
+    return maxima, minima
+
+
 def _directional_envelope_stats(
     data: np.ndarray, directions: np.ndarray, depth: int
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """Mean envelope (n, c) and mean amplitude (n,) over all directions
     with enough projection extrema, knots mirrored ``depth`` deep; also
-    returns how many directions were usable."""
+    returns how many directions were usable and whether any projection
+    still oscillates (three extrema or more).
+
+    Every usable direction's upper and lower envelope is one block of a
+    single :func:`natural_spline` call.
+    """
     n, n_ch = data.shape
-    query = np.arange(n, dtype=np.float64)
-    env_mean = np.zeros((n, n_ch))
-    amplitude = np.zeros(n)
-    used = 0
-    for direction in directions:
-        projection = data @ direction
-        max_idx, min_idx = find_extrema_arrays(projection)
-        if max_idx.size < 2 or min_idx.size < 2:
-            continue
-        t_max, k_max = _mirrored_knots(max_idx, depth)
-        t_min, k_min = _mirrored_knots(min_idx, depth)
-        upper = natural_spline(t_max, data[k_max], query)  # (n, channels)
-        lower = natural_spline(t_min, data[k_min], query)
-        env_mean += (upper + lower) / 2.0
-        amplitude += np.linalg.norm(upper - lower, axis=1) / 2.0
-        used += 1
-    if used:
-        env_mean /= used
-        amplitude /= used
-    return env_mean, amplitude, used
+    maxima, minima = _projection_extrema(data @ directions.T)
+    n_max = np.array([idx.size for idx in maxima])
+    n_min = np.array([idx.size for idx in minima])
+    oscillates = bool(np.any(n_max + n_min >= 3))
+    usable = np.flatnonzero((n_max >= 2) & (n_min >= 2))
+    used = usable.size
+    if used == 0:
+        return np.zeros((n, n_ch)), np.zeros(n), 0, oscillates
+    knots = [_mirrored_knots(family[d], depth) for family in (maxima, minima) for d in usable]
+    starts = np.cumsum([0] + [times.size for times, _ in knots[:-1]])
+    envelopes = natural_spline(  # (2 * used, n, channels): upper envelopes, then lower
+        np.concatenate([times for times, _ in knots]),
+        data[np.concatenate([source for _, source in knots])],
+        np.arange(n, dtype=np.float64),
+        starts,
+    )
+    upper, lower = envelopes[:used], envelopes[used:]
+    env_mean = np.sum(upper + lower, axis=0) / (2.0 * used)
+    amplitude = np.sum(np.linalg.norm(upper - lower, axis=2), axis=0) / (2.0 * used)
+    return env_mean, amplitude, used, oscillates
 
 
 def _mirrored_knots(idx: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -203,15 +229,6 @@ def _mirrored_knots(idx: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray
     right = idx[-depth - 1 : -1][::-1]
     times = np.concatenate([2 * idx[0] - left, idx, 2 * idx[-1] - right])
     return times.astype(np.float64), np.concatenate([left, idx, right])
-
-
-def _has_oscillation(data: np.ndarray, directions: np.ndarray) -> bool:
-    for direction in directions:
-        projection = data @ direction
-        max_idx, min_idx = find_extrema_arrays(projection)
-        if max_idx.size + min_idx.size >= 3:
-            return True
-    return False
 
 
 def memd_decompose(x: MultichannelSignal, cfg: MemdConfig = MemdConfig()) -> AlignedDecomposition:
@@ -230,11 +247,13 @@ def memd_decompose(x: MultichannelSignal, cfg: MemdConfig = MemdConfig()) -> Ali
 
     modes: list[np.ndarray] = []
     for _ in range(ecfg.max_imfs):
-        if not _has_oscillation(data, directions):
+        h = data
+        env_mean, amplitude, used, oscillates = _directional_envelope_stats(h, directions, ecfg.boundary)
+        if not oscillates:
             break
-        h = data.copy()
-        for _it in range(ecfg.max_sift_iters):
-            env_mean, amplitude, used = _directional_envelope_stats(h, directions, ecfg.boundary)
+        for it in range(ecfg.max_sift_iters):
+            if it:
+                env_mean, amplitude, used, _ = _directional_envelope_stats(h, directions, ecfg.boundary)
             if used == 0:
                 break
             if ecfg.sift_converged(np.linalg.norm(env_mean, axis=1), amplitude):

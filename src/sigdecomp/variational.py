@@ -31,8 +31,8 @@ def _check_variational_config(cfg, init_modes: tuple[str, ...]) -> None:
     """Shared ``__post_init__`` checks of the VMD and MVMD configs."""
     if cfg.K < 1:
         raise ContractViolation("K must be >= 1")
-    if cfg.alpha <= 0 or cfg.tol <= 0 or cfg.tau < 0:
-        raise ContractViolation("alpha/tol must be positive, tau nonnegative")
+    if not (0 < cfg.alpha < np.inf and 0 < cfg.tol < np.inf and 0 <= cfg.tau < np.inf):
+        raise ContractViolation("alpha/tol must be positive and finite, tau nonnegative and finite")
     if cfg.init_mode not in init_modes:
         raise ContractViolation(
             f"init_mode must be {', '.join(init_modes[:-1])} or {init_modes[-1]}"
@@ -222,10 +222,12 @@ class VncmdConfig:
     def __post_init__(self):
         if len(self.init_if_hz) != self.K:
             raise ContractViolation("need one initial frequency per mode")
+        if not np.all(np.isfinite(self.init_if_hz)):
+            raise ContractViolation("initial frequencies must be finite")
         if len(set(self.init_if_hz)) != self.K:
             raise ContractViolation("initial frequencies must be distinct")
-        if self.alpha <= 0 or self.mu <= 0 or self.tol <= 0:
-            raise ContractViolation("alpha, mu and tol must be positive")
+        if not (0 < self.alpha < np.inf and 0 < self.mu < np.inf and 0 < self.tol < np.inf):
+            raise ContractViolation("alpha, mu and tol must be positive and finite")
 
 
 def _smoothing_bands(n: int, weight: float) -> np.ndarray:

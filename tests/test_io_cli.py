@@ -17,7 +17,8 @@ from sigdecomp.io import (
 from sigdecomp.metrics import qrf
 from sigdecomp.multivariate import AlignedDecomposition, MvmdConfig, mvmd_decompose
 from sigdecomp.synth import gen_mv_test
-from sigdecomp.variational import VmdConfig, vmd_decompose
+from sigdecomp.sst import SstConfig, sst_decompose
+from sigdecomp.variational import VmdConfig, VncmdConfig, vmd_decompose, vncmd_decompose
 
 
 def run_cli(*args, cwd=None):
@@ -126,6 +127,36 @@ class TestDecompositionBundle:
         for orig, back in zip(d.modes, loaded.modes):
             assert qrf(back, orig) == 300.0  # bit-exact file round trip
 
+    @pytest.mark.parametrize("method", ["sst", "vncmd", "sst-one-mode", "vmd"])
+    def test_if_tracks_roundtrip(self, tmp_path, method):
+        fs = 256.0
+        t = np.arange(512) / fs
+        x = Signal(np.cos(2 * np.pi * 20 * t) + 0.5 * np.cos(2 * np.pi * 70 * t), fs)
+        if method == "sst":
+            d = sst_decompose(x, SstConfig(K=2))
+        elif method == "sst-one-mode":
+            d = sst_decompose(x, SstConfig(K=1))
+        elif method == "vncmd":
+            d, _ = vncmd_decompose(x, VncmdConfig(K=2, init_if_hz=(20.0, 70.0)))
+        else:
+            d, _ = vmd_decompose(x, VmdConfig(K=2))
+        write_decomposition(d, tmp_path / "d", method=method)
+        loaded, manifest = read_decomposition(tmp_path / "d")
+        if d.if_tracks_hz is None:
+            assert loaded.if_tracks_hz is None and manifest["if_tracks_file"] is None
+            return
+        assert len(loaded.if_tracks_hz) == d.n_modes
+        for orig, back in zip(d.if_tracks_hz, loaded.if_tracks_hz):
+            assert np.array_equal(orig, back)
+
+    def test_if_tracks_shape_mismatch_is_format_error(self, tmp_path):
+        fs = 256.0
+        x = Signal(np.cos(2 * np.pi * 20 * np.arange(256) / fs), fs)
+        write_decomposition(sst_decompose(x, SstConfig(K=1)), tmp_path)
+        write_signals_csv(tmp_path / "if_tracks.csv", {"a": np.ones(256), "b": np.ones(256)}, fs)
+        with pytest.raises(CsvFormatError, match="shape"):
+            read_decomposition(tmp_path)
+
     def test_residual_only_bundle(self, tmp_path):
         fs = 64.0
         x = Signal(np.linspace(0, 1, 64), fs)
@@ -208,6 +239,28 @@ class TestCliContract:
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "d" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--method", "vmd", "--alpha", "nan"),
+            ("--method", "vmd", "--alpha", "inf"),
+            ("--method", "vmd", "--tau", "inf"),
+            ("--method", "vmd", "--tau", "nan"),
+            ("--method", "mvmd", "--alpha", "nan"),
+            ("--method", "vncmd", "--init-if", "5", "--mu", "nan"),
+            ("--method", "vncmd", "--init-if", "5", "--mu", "inf"),
+            ("--method", "vncmd", "--init-if", "5", "--alpha", "inf"),
+            ("--method", "vncmd", "--init-if", "5,nan"),
+        ],
+    )
+    def test_non_finite_config_exit_two(self, tmp_path, capsys, flags):
+        t = np.arange(64.0)
+        write_signals_csv(tmp_path / "c.csv", {"a": np.sin(t), "b": np.cos(t / 3.0)}, 64.0)
+        code = main("decompose", *flags, "--input", tmp_path / "c.csv", "--outdir", tmp_path / "d")
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_mvmd_manifest_records_given_flags(self, tmp_path):
         mv = tmp_path / "mv.csv"

@@ -77,6 +77,44 @@ class TestSplineParity:
             assert np.array_equal(out[:, c], K.natural_spline(xs, ys[:, c], q))
 
 
+def random_knots(rng, n_knots, n_channels):
+    """Random values at ``n_knots`` uneven knots that span 0 ... 100."""
+    xs = np.cumsum(rng.uniform(0.5, 3.0, size=n_knots))
+    xs = 100.0 * (xs - xs[0]) / (xs[-1] - xs[0])
+    shape = (n_knots,) if n_channels is None else (n_knots, n_channels)
+    return xs, rng.normal(size=shape)
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestSplineBlocks:
+    """Each block of one call against scipy's natural spline of that block."""
+
+    @pytest.mark.parametrize("n_channels", [None, 3])
+    @pytest.mark.parametrize("n_knots", [2, 3, 40])
+    def test_one_block_matches_scipy(self, rng, n_knots, n_channels):
+        for _ in range(5):
+            xs, ys = random_knots(rng, n_knots, n_channels)
+            q = np.linspace(-5.0, 105.0, 301)  # both ends extrapolate
+            assert_close(K.natural_spline(xs, ys, q), CubicSpline(xs, ys, bc_type="natural")(q))
+
+    @pytest.mark.parametrize("n_channels", [None, 2])
+    def test_blocks_equal_separate_calls(self, rng, n_channels):
+        blocks = [random_knots(rng, n, n_channels) for n in (40, 2, 3, 17, 2, 40)]
+        q = np.arange(-5.0, 106.0)  # outside every block on both sides
+        starts = np.cumsum([0] + [xs.size for xs, _ in blocks[:-1]])
+        out = K.natural_spline(
+            np.concatenate([xs for xs, _ in blocks]), np.concatenate([ys for _, ys in blocks]), q, starts
+        )
+        assert out.shape == (len(blocks), q.size) + blocks[0][1].shape[1:]
+        for got, (xs, ys) in zip(out, blocks):
+            assert_close(got, K.natural_spline(xs, ys, q))
+            assert_close(got, CubicSpline(xs, ys, bc_type="natural")(q))
+
+
 class TestRidgeWalkParity:
     def test_paths_identical(self):
         # seed (2, 4); max_step 1, floor 0.5, patience 1

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+from sigdecomp._kernels import find_extrema_arrays
 from sigdecomp.core import ContractViolation, MultichannelSignal, Signal, l2_norm
 from sigdecomp.emd import EmdConfig
 from sigdecomp.metrics import alignment_score, qrf
@@ -8,6 +10,9 @@ from sigdecomp.multivariate import (
     AlignedDecomposition,
     MemdConfig,
     MvmdConfig,
+    _directional_envelope_stats,
+    _mirrored_knots,
+    _projection_extrema,
     hypersphere_directions,
     memd_decompose,
     mvmd_decompose,
@@ -123,6 +128,69 @@ class TestMemd:
             memd_decompose(x)
 
 
+def reference_envelope_stats(data, directions, depth):
+    """The per-direction loop: project, find extrema, fit each envelope
+    with scipy's natural spline, average over the usable directions."""
+    query = np.arange(data.shape[0], dtype=np.float64)
+    uppers, lowers, oscillates = [], [], False
+    for direction in directions:
+        max_idx, min_idx = find_extrema_arrays(data @ direction)
+        oscillates |= max_idx.size + min_idx.size >= 3
+        if max_idx.size < 2 or min_idx.size < 2:
+            continue
+        envelopes = []
+        for idx in (max_idx, min_idx):
+            times, sources = _mirrored_knots(idx, depth)
+            envelopes.append(CubicSpline(times, data[sources], bc_type="natural")(query))
+        uppers.append(envelopes[0])
+        lowers.append(envelopes[1])
+    upper, lower = np.array(uppers), np.array(lowers)
+    mean = np.mean(upper + lower, axis=0) / 2.0
+    amplitude = np.mean(np.linalg.norm(upper - lower, axis=2), axis=0) / 2.0
+    return mean, amplitude, len(uppers), oscillates
+
+
+def assert_stats_match(data, directions, depth):
+    mean, amplitude, used, oscillates = _directional_envelope_stats(data, directions, depth)
+    ref_mean, ref_amplitude, ref_used, ref_oscillates = reference_envelope_stats(data, directions, depth)
+    assert (used, oscillates) == (ref_used, ref_oscillates)
+    assert np.max(np.abs(mean - ref_mean)) <= 1e-12 * np.max(np.abs(ref_mean))
+    assert np.max(np.abs(amplitude - ref_amplitude)) <= 1e-12 * np.max(ref_amplitude)
+
+
+class TestEnvelopeStats:
+    """One batched pass over all directions against the per-direction loop."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("snr_db", [3.0, 10.0, 20.0])
+    def test_matches_per_direction_loop(self, snr_db, depth):
+        mv, _ = gen_mv_test()
+        data = noisy_mv_signal(mv, snr_db, 0).channels.T
+        assert_stats_match(data, hypersphere_directions(64, 2), depth)
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_plateaus_keep_the_midpoint_rule(self, depth):
+        # coarse steps repeat rows, so every projection has flat runs that
+        # the sign-change pass alone would misplace
+        t = np.arange(256) / 64.0
+        data = np.round(4.0 * np.stack([np.sin(2 * np.pi * t), np.cos(2 * np.pi * 1.5 * t)], axis=1)) / 4.0
+        directions = hypersphere_directions(16, 2)
+        projections = data @ directions.T
+        assert np.all(np.any(np.diff(projections, axis=0) == 0, axis=0))
+        maxima, minima = _projection_extrema(projections)
+        for d in range(16):
+            want_max, want_min = find_extrema_arrays(projections[:, d])
+            assert np.array_equal(maxima[d], want_max)
+            assert np.array_equal(minima[d], want_min)
+        assert_stats_match(data, directions, depth)
+
+    def test_no_usable_direction(self):
+        data = np.stack([np.linspace(0, 1, 64), np.linspace(1, 3, 64)], axis=1)
+        mean, amplitude, used, oscillates = _directional_envelope_stats(data, hypersphere_directions(8, 2), 2)
+        assert (used, oscillates) == (0, False)
+        assert not np.any(mean) and not np.any(amplitude)
+
+
 class TestMvmd:
     def test_centers_and_alignment_low_noise(self):
         mv, table = gen_mv_test()
@@ -145,7 +213,11 @@ class TestMvmd:
         # one frequency per mode, stored once for all channels
         assert len(d.center_freqs_hz) == d.n_modes
 
-    @pytest.mark.parametrize("bad", [{"alpha": -5.0}, {"alpha": 0.0}, {"tol": 0.0}, {"tau": -1.0}])
+    @pytest.mark.parametrize(
+        "bad",
+        [{"alpha": -5.0}, {"alpha": 0.0}, {"tol": 0.0}, {"tau": -1.0}]
+        + [{field: value} for field in ("alpha", "tol", "tau") for value in (np.nan, np.inf)],
+    )
     def test_config_checks_match_vmd(self, bad):
         with pytest.raises(ContractViolation):
             VmdConfig(**bad)

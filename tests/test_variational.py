@@ -194,6 +194,14 @@ class TestVncmd:
         got = np.ravel(np.column_stack([a, b]))
         assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["alpha", "mu", "tol", "init_if_hz"])
+    def test_non_finite_config_rejected(self, field, value):
+        fields = {"K": 2, "init_if_hz": (30.0, 50.0)}
+        fields[field] = (30.0, value) if field == "init_if_hz" else value
+        with pytest.raises(ContractViolation, match="finite"):
+            VncmdConfig(**fields)
+
     def test_init_validation(self):
         with pytest.raises(ContractViolation):
             VncmdConfig(K=2, init_if_hz=(30.0,))
