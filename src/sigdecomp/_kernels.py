@@ -12,19 +12,24 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 
-def find_extrema_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of strict local maxima and minima (plateau midpoint rule)."""
-    dy = np.diff(np.asarray(x, dtype=np.float64))
-    nz = np.flatnonzero(dy != 0)
-    if nz.size < 2:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    s = np.sign(dy[nz])
+def find_extrema_arrays(x: np.ndarray) -> tuple:
+    """Local maxima and minima (plateau midpoint rule) of a series ``(n,)``,
+    as ``(maxima, minima)`` indices, or of each column of ``(n, C)``, each
+    family as flat ``(indices, columns)`` column by column.  The columns'
+    steps lie end to end; a sign flip within one column is an extremum."""
+    x = np.asarray(x, dtype=np.float64)
+    width = max(x.shape[0] - 1, 1)  # steps per column
+    steps = np.diff(x, axis=0).T.ravel()
+    nz = np.flatnonzero(steps)
+    s = np.sign(steps[nz])
     flip = np.flatnonzero(s[:-1] != s[1:])
-    # plateau between change points collapses to its midpoint index
-    idx = (nz[flip] + 1 + nz[flip + 1]) // 2
-    kind = s[flip]
-    return idx[kind > 0].astype(np.int64), idx[kind < 0].astype(np.int64)
+    left, right = nz[flip], nz[flip + 1]  # the change points around each flip
+    column = left // width
+    idx = (left + 1 + right) // 2 - column * width  # a plateau's midpoint
+    kind = np.where(right // width == column, s[flip], 0.0)  # a flip across two columns is none
+    if x.ndim == 1:
+        return idx[kind > 0], idx[kind < 0]
+    return (idx[kind > 0], column[kind > 0]), (idx[kind < 0], column[kind < 0])
 
 
 def natural_spline(

@@ -168,7 +168,7 @@ class Decomposition:
         acc = original.samples - self.residual.samples
         for m in self.modes:
             acc = acc - m.samples
-        return float(np.sqrt(np.sum(acc * acc)))
+        return _scaled_norm(acc)
 
 
 @dataclass(frozen=True)
@@ -203,6 +203,14 @@ def _check_compatible(a: Signal, b: Signal) -> None:
         raise ContractViolation(
             f"sample-rate mismatch: {a.sample_rate_hz} vs {b.sample_rate_hz}"
         )
+
+
+def _scaled_norm(values) -> float:
+    """l2 norm of ``values``, summed over ``values / max|values|`` so that no square overflows."""
+    scale = float(np.max(np.abs(values), initial=0.0))
+    if not 0.0 < scale < np.inf:
+        return scale  # all zero, or not finite
+    return scale * float(np.sqrt(np.sum(np.square(np.asarray(values) / scale))))
 
 
 def l2_norm(s: Signal) -> float:

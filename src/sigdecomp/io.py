@@ -176,7 +176,7 @@ def write_decomposition(
         "reconstruction_error": d.reconstruction_error(original) if original is not None else None,
     }
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
+        json.dump(manifest, fh, indent=2, allow_nan=False)
     return manifest
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._kernels import find_extrema_arrays, natural_spline
 from ._rng import uniforms
-from .core import ContractViolation, Decomposition, MultichannelSignal, Signal
+from .core import ContractViolation, Decomposition, MultichannelSignal, Signal, _scaled_norm
 from .emd import EmdConfig
 from .variational import (
     ConvergenceReport,
@@ -93,7 +93,7 @@ class AlignedDecomposition:
         if original.n_channels != self.n_channels:
             raise ContractViolation("original does not match decomposition geometry")
         errors = [self.channel(c).reconstruction_error(original.channel(c)) for c in range(self.n_channels)]
-        return float(np.sqrt(np.sum(np.square(errors))))
+        return _scaled_norm(errors)
 
 
 # ---------------------------------------------------------------------------
@@ -163,27 +163,6 @@ def hypersphere_directions(M: int, n_channels: int, seed: int = 0) -> np.ndarray
 # projection-based multivariate sifting
 # ---------------------------------------------------------------------------
 
-def _projection_extrema(projections: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Maxima and minima indices of every column of ``projections``.
-
-    One sign-change pass over all columns finds the extrema of columns
-    whose samples never repeat; a column with a zero difference goes to
-    :func:`find_extrema_arrays`, whose plateau-midpoint rule the pass lacks.
-    """
-    steps = np.diff(projections, axis=0)
-    rising = steps > 0
-    n_dirs = projections.shape[1]
-    families = []
-    for turn in (rising[:-1] & ~rising[1:], ~rising[:-1] & rising[1:]):
-        column, sample = np.nonzero(turn.T)  # column-major: each column's extrema in order
-        bounds = np.cumsum(np.bincount(column, minlength=n_dirs))[:-1]
-        families.append(np.split(sample + 1, bounds))
-    maxima, minima = families
-    for d in np.flatnonzero((steps == 0).any(axis=0)):
-        maxima[d], minima[d] = find_extrema_arrays(projections[:, d])
-    return maxima, minima
-
-
 def _directional_envelope_stats(
     data: np.ndarray, directions: np.ndarray, depth: int
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
@@ -192,43 +171,53 @@ def _directional_envelope_stats(
     returns how many directions were usable and whether any projection
     still oscillates (three extrema or more).
 
-    Every usable direction's upper and lower envelope is one block of a
-    single :func:`natural_spline` call.
+    One extrema search covers every projection, one knot pass mirrors
+    every usable direction's maxima and minima, and each of those is one
+    block of a single :func:`natural_spline` call.
     """
     n, n_ch = data.shape
-    maxima, minima = _projection_extrema(data @ directions.T)
-    n_max = np.array([idx.size for idx in maxima])
-    n_min = np.array([idx.size for idx in minima])
+    (max_idx, max_dir), (min_idx, min_dir) = find_extrema_arrays(data @ directions.T)
+    n_max = np.bincount(max_dir, minlength=len(directions))
+    n_min = np.bincount(min_dir, minlength=len(directions))
     oscillates = bool(np.any(n_max + n_min >= 3))
-    usable = np.flatnonzero((n_max >= 2) & (n_min >= 2))
-    used = usable.size
+    usable = (n_max >= 2) & (n_min >= 2)
+    used = int(np.count_nonzero(usable))
     if used == 0:
         return np.zeros((n, n_ch)), np.zeros(n), 0, oscillates
-    knots = [_mirrored_knots(family[d], depth) for family in (maxima, minima) for d in usable]
-    starts = np.cumsum([0] + [times.size for times, _ in knots[:-1]])
-    envelopes = natural_spline(  # (2 * used, n, channels): upper envelopes, then lower
-        np.concatenate([times for times, _ in knots]),
-        data[np.concatenate([source for _, source in knots])],
-        np.arange(n, dtype=np.float64),
-        starts,
+    times, sources, starts = _mirrored_knots(  # upper envelopes' blocks, then lower
+        np.concatenate([max_idx[usable[max_dir]], min_idx[usable[min_dir]]]),
+        np.concatenate([n_max[usable], n_min[usable]]),
+        depth,
     )
-    upper, lower = envelopes[:used], envelopes[used:]
+    envelopes = natural_spline(times, data[sources], np.arange(n, dtype=np.float64), starts)
+    upper, lower = envelopes[:used], envelopes[used:]  # (used, n, channels) each
     env_mean = np.sum(upper + lower, axis=0) / (2.0 * used)
     amplitude = np.sum(np.linalg.norm(upper - lower, axis=2), axis=0) / (2.0 * used)
     return env_mean, amplitude, used, oscillates
 
 
-def _mirrored_knots(idx: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Knot times and the sample index each knot takes its values from.
+def _mirrored_knots(
+    idx: np.ndarray, counts: np.ndarray, depth: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Knot times, the sample index each knot takes its values from, and
+    where each block of knots starts.
 
-    The extrema at ``idx`` are extended ``depth`` deep past each end by
-    reflection about the first and last extremum; a mirrored knot reuses
-    the values of the extremum it reflects.
+    ``idx`` concatenates blocks of extrema, ``counts`` (each >= 2) long.
+    Each block is extended ``pad = min(depth, count - 1)`` extrema past
+    each end by reflection about its first and last extremum; a mirrored
+    knot reuses the values of the extremum it reflects.
     """
-    left = idx[1 : depth + 1][::-1]
-    right = idx[-depth - 1 : -1][::-1]
-    times = np.concatenate([2 * idx[0] - left, idx, 2 * idx[-1] - right])
-    return times.astype(np.float64), np.concatenate([left, idx, right])
+    pad = np.minimum(depth, counts - 1)
+    sizes = counts + 2 * pad
+    starts = np.cumsum(sizes) - sizes
+    block = np.repeat(np.arange(counts.size), sizes)
+    last = (counts - 1)[block]
+    # position in the block's extrema, -pad ... count - 1 + pad
+    virtual = np.arange(sizes.sum()) - (starts + pad)[block]
+    first = (np.cumsum(counts) - counts)[block]
+    sources = idx[first + last - np.abs(last - np.abs(virtual))]
+    anchors = idx[first + np.clip(virtual, 0, last)]  # inside the block, the knot itself
+    return (2 * anchors - sources).astype(np.float64), sources, starts
 
 
 def memd_decompose(x: MultichannelSignal, cfg: MemdConfig = MemdConfig()) -> AlignedDecomposition:

@@ -32,8 +32,8 @@ class SsaConfig:
             raise ContractViolation("embedding dimension must be >= 2")
         if self.K < 1:
             raise ContractViolation("K must be >= 1")
-        if self.epsilon <= 0:
-            raise ContractViolation("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ContractViolation("epsilon must be positive and finite")
 
     def resolved(self, n: int) -> tuple[int, int]:
         window = self.window_len if self.window_len is not None else min(n, 4 * self.L)

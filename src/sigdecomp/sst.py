@@ -31,8 +31,8 @@ class SstConfig:
     def __post_init__(self):
         if self.n_voices < 4:
             raise ContractViolation("need at least 4 voices per octave")
-        if self.gamma < 0:
-            raise ContractViolation("gamma must be nonnegative")
+        if not 0 <= self.gamma < np.inf:
+            raise ContractViolation("gamma must be nonnegative and finite")
         if self.K < 1:
             raise ContractViolation("K must be >= 1")
 
@@ -219,12 +219,7 @@ def extract_ridges(S: SqueezedGrid, rcfg: RidgeConfig, K: int) -> list[RidgeTrac
         )
         tracks.append(RidgeTrack(bins=bins, valid=valid))
         # suppress the claimed band, but only where the ridge was live
-        for t in range(n_t):
-            if not valid[t]:
-                continue
-            lo = max(int(bins[t]) - rcfg.start_band, 0)
-            hi = min(int(bins[t]) + rcfg.start_band + 1, n_bins)
-            energy[lo:hi, t] = 0.0
+        energy[(np.abs(np.arange(n_bins)[:, None] - bins) <= rcfg.start_band) & valid] = 0.0
     return tracks
 
 

@@ -335,8 +335,10 @@ def vncmd_decompose(
         phase = 2.0 * np.pi * np.concatenate([np.zeros((k, 1)), np.cumsum(steps, axis=1)], axis=1)
         cos_t, sin_t = np.cos(phase), np.sin(phase)
         for i in range(k):
-            others = modes.sum(axis=0) - modes[i]
-            a[i], b[i] = _envelope_solve(samples - others, cos_t[i], sin_t[i], smoothing)
+            residual = samples - (modes.sum(axis=0) - modes[i])
+            if not (np.all(np.isfinite(residual)) and np.all(np.isfinite(cos_t[i]))):
+                raise NumericalFailure("VNCMD sweep produced a non-finite mode or IF track")
+            a[i], b[i] = _envelope_solve(residual, cos_t[i], sin_t[i], smoothing)
             modes[i] = a[i] * cos_t[i] + b[i] * sin_t[i]
 
     sweep()

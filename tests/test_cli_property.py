@@ -2,8 +2,8 @@
 
 ``decompose`` must exit 0, 2, 3 or 4 without raising, and 2 when a flag
 sets a field none of the method's configs has.  A run that exits 0
-records exactly the configuration that ran and writes a bundle that
-reads back and that ``tf`` renders.
+records exactly the configuration that ran in a strict-JSON manifest and
+writes a bundle that reads back and that ``tf`` renders.
 """
 
 import contextlib
@@ -73,6 +73,11 @@ def run_cli(*argv) -> int:
         return cli.main([str(a) for a in argv])
 
 
+def not_json(name: str):
+    """``parse_constant`` hook: NaN and Infinity are not JSON."""
+    raise AssertionError(f"manifest holds {name}")
+
+
 def jsonable(configs: dict) -> dict:
     flat = {key: value for cfg in configs.values() for key, value in dataclasses.asdict(cfg).items()}
     return json.loads(json.dumps(flat))
@@ -105,7 +110,7 @@ def test_decompose_contract(method, csv, profile, data):
             assert code == 2
         if code != 0:
             return
-        manifest = json.loads((tmp / "d" / "manifest.json").read_text(encoding="utf-8"))
+        manifest = json.loads((tmp / "d" / "manifest.json").read_text(encoding="utf-8"), parse_constant=not_json)
         assert manifest["config"] == jsonable(effective_configs(method, profile, overrides=overrides))
         d, _ = read_decomposition(tmp / "d")
         assert d.n_modes == manifest["n_modes"]

@@ -46,6 +46,12 @@ def s1_csv(tmp_path):
     return path
 
 
+def huge_tones(n, period=3.0):
+    """Two tones near 1e300: finite, but their squares overflow."""
+    t = np.arange(float(n))
+    return 1e300 * np.sin(t / period) + 1e299 * np.sin(t / 1.3)
+
+
 def manifest_of(outdir):
     return json.loads((outdir / "manifest.json").read_text())
 
@@ -252,6 +258,10 @@ class TestCliContract:
             ("--method", "vncmd", "--init-if", "5", "--mu", "inf"),
             ("--method", "vncmd", "--init-if", "5", "--alpha", "inf"),
             ("--method", "vncmd", "--init-if", "5,nan"),
+            ("--method", "sst", "--gamma", "nan"),
+            ("--method", "sst", "--gamma", "inf"),
+            ("--method", "ssa", "--l", "8", "--epsilon", "nan"),
+            ("--method", "ssa", "--l", "8", "--epsilon", "inf"),
         ],
     )
     def test_non_finite_config_exit_two(self, tmp_path, capsys, flags):
@@ -392,6 +402,34 @@ class TestCliContract:
         code = main("decompose", "--method", "sst", "--input", tmp_path / "huge.csv", "--outdir", tmp_path / "d")
         assert code == 3
         assert "not finite" in capsys.readouterr().err
+
+    def test_vncmd_overflow_exit_three(self, tmp_path, capsys):
+        write_signals_csv(tmp_path / "huge.csv", {"x": huge_tones(96)}, 96.0)
+        code = main("decompose", "--method", "vncmd", "--init-if", "5",
+                    "--input", tmp_path / "huge.csv", "--outdir", tmp_path / "d")
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method, flags",
+        [("emd", ()), ("ssa", ("--l", "20")), ("memd", ("--m-directions", "8"))],
+    )
+    def test_huge_input_manifest_is_strict_json(self, tmp_path, method, flags):
+        # the residual error is near 1e284: its square overflows, its norm does not
+        columns = {"x": huge_tones(96)}
+        if method == "memd":
+            columns["y"] = huge_tones(96, 2.1)
+        write_signals_csv(tmp_path / "huge.csv", columns, 96.0)
+        code = main("decompose", "--method", method, *flags,
+                    "--input", tmp_path / "huge.csv", "--outdir", tmp_path / "d")
+        assert code == 0
+
+        def no_constants(name):
+            raise AssertionError(f"manifest holds {name}, which is not JSON")
+
+        text = (tmp_path / "d" / "manifest.json").read_text()
+        error = json.loads(text, parse_constant=no_constants)["reconstruction_error"]
+        assert 0.0 < error < np.inf
 
     def test_tf_overflow_exit_three(self, tmp_path):
         fs = 64.0

@@ -41,6 +41,61 @@ class TestExtremaParity:
             assert np.array_equal(mn, want_min)
 
 
+def assert_columns_match(x):
+    """The batched search equals one 1-D search per column, column by column."""
+    families = K.find_extrema_arrays(x)
+    for family, (idx, columns) in enumerate(families):
+        assert idx.dtype == columns.dtype == np.int64
+        assert np.all(np.diff(columns) >= 0)  # column by column
+        for c in range(x.shape[1]):
+            assert np.array_equal(idx[columns == c], K.find_extrema_arrays(x[:, c])[family])
+
+
+class TestExtremaBatch:
+    """One call on ``(n, C)`` against one call per column."""
+
+    @pytest.mark.parametrize("n_columns", [1, 3, 17])
+    def test_random_columns(self, rng, n_columns):
+        assert_columns_match(np.cumsum(rng.normal(size=(200, n_columns)), axis=0))
+
+    def test_plateaus_at_column_ends(self, rng):
+        # repeated samples at both ends of every column, and a plateau that
+        # is an extremum next to a column's first and last steps
+        x = np.round(np.cumsum(rng.normal(size=(60, 5)), axis=0))
+        x[:4] = x[4]
+        x[-3:] = x[-4]
+        x[:, 2] = [0, 1, 1, 1, 0] + [0] * 50 + [0, -1, -1, 0, 0]
+        assert_columns_match(x)
+        (idx, columns), (min_idx, min_columns) = K.find_extrema_arrays(x[:, [2]])
+        assert list(idx) == [2] and list(min_idx) == [56]  # even plateaus round down
+
+    def test_constant_and_single_extremum_columns(self):
+        t = np.linspace(0.0, 1.0, 50)
+        x = np.stack([np.full(50, 3.0), np.sin(np.pi * t), np.cos(6 * np.pi * t), -np.sin(np.pi * t)], axis=1)
+        assert_columns_match(x)
+        (idx, columns), (min_idx, min_columns) = K.find_extrema_arrays(x)
+        assert 0 not in columns and 0 not in min_columns  # the constant column has none
+        assert list(columns).count(1) == 1 and 1 not in min_columns  # one maximum, no minimum
+        assert list(min_columns).count(3) == 1 and 3 not in columns
+
+    def test_two_samples(self, rng):
+        x = rng.normal(size=(2, 4))
+        (idx, _), (min_idx, _) = K.find_extrema_arrays(x)
+        assert idx.size == min_idx.size == 0
+        assert_columns_match(x)
+
+    def test_flip_across_columns_is_no_extremum(self):
+        # column 0 ends rising and column 1 starts falling: laid end to end
+        # their steps flip sign, but neither column has an extremum there
+        x = np.array([[0.0, 5.0], [1.0, 4.0], [2.0, 3.0]])
+        (idx, columns), (min_idx, min_columns) = K.find_extrema_arrays(x)
+        assert idx.size == columns.size == min_idx.size == min_columns.size == 0
+        # flat joins too: column 0 ends on a plateau, column 1 starts on one
+        x = np.array([[0.0, 5.0], [1.0, 5.0], [1.0, 4.0], [1.0, 4.0]])
+        assert all(a.size == 0 for family in K.find_extrema_arrays(x) for a in family)
+        assert_columns_match(x)
+
+
 class TestSplineParity:
     def test_matches_scipy_natural(self, rng):
         xs = np.sort(rng.uniform(0, 100, size=12))

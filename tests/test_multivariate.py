@@ -12,7 +12,6 @@ from sigdecomp.multivariate import (
     MvmdConfig,
     _directional_envelope_stats,
     _mirrored_knots,
-    _projection_extrema,
     hypersphere_directions,
     memd_decompose,
     mvmd_decompose,
@@ -128,6 +127,16 @@ class TestMemd:
             memd_decompose(x)
 
 
+def mirror_block(idx, depth):
+    """One block's knot times and source samples: the extrema extended
+    ``depth`` deep past each end (fewer if the block is short) by
+    reflection about the first and last extremum."""
+    left = idx[1 : depth + 1][::-1]
+    right = idx[-depth - 1 : -1][::-1]
+    times = np.concatenate([2 * idx[0] - left, idx, 2 * idx[-1] - right])
+    return times.astype(np.float64), np.concatenate([left, idx, right])
+
+
 def reference_envelope_stats(data, directions, depth):
     """The per-direction loop: project, find extrema, fit each envelope
     with scipy's natural spline, average over the usable directions."""
@@ -140,7 +149,7 @@ def reference_envelope_stats(data, directions, depth):
             continue
         envelopes = []
         for idx in (max_idx, min_idx):
-            times, sources = _mirrored_knots(idx, depth)
+            times, sources = mirror_block(idx, depth)
             envelopes.append(CubicSpline(times, data[sources], bc_type="natural")(query))
         uppers.append(envelopes[0])
         lowers.append(envelopes[1])
@@ -170,19 +179,30 @@ class TestEnvelopeStats:
 
     @pytest.mark.parametrize("depth", [1, 3])
     def test_plateaus_keep_the_midpoint_rule(self, depth):
-        # coarse steps repeat rows, so every projection has flat runs that
-        # the sign-change pass alone would misplace
+        # coarse steps repeat rows, so every projection has flat runs; the
+        # batched search must place their extrema as one search per column does
         t = np.arange(256) / 64.0
         data = np.round(4.0 * np.stack([np.sin(2 * np.pi * t), np.cos(2 * np.pi * 1.5 * t)], axis=1)) / 4.0
         directions = hypersphere_directions(16, 2)
         projections = data @ directions.T
         assert np.all(np.any(np.diff(projections, axis=0) == 0, axis=0))
-        maxima, minima = _projection_extrema(projections)
+        (max_idx, max_dir), (min_idx, min_dir) = find_extrema_arrays(projections)
         for d in range(16):
             want_max, want_min = find_extrema_arrays(projections[:, d])
-            assert np.array_equal(maxima[d], want_max)
-            assert np.array_equal(minima[d], want_min)
+            assert np.array_equal(max_idx[max_dir == d], want_max)
+            assert np.array_equal(min_idx[min_dir == d], want_min)
         assert_stats_match(data, directions, depth)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 5])
+    def test_knot_pass_equals_per_block_rule(self, rng, depth):
+        counts = np.array([2, 3, 7, 2, 4, 30, 5])  # count 2 pads one knot per side at any depth
+        idx = np.concatenate([np.sort(rng.choice(1000, size=c, replace=False)) for c in counts])
+        times, sources, starts = _mirrored_knots(idx, counts, depth)
+        blocks = [mirror_block(block, depth) for block in np.split(idx, np.cumsum(counts)[:-1])]
+        assert np.array_equal(starts, np.cumsum([0] + [t.size for t, _ in blocks[:-1]]))
+        assert times.dtype == np.float64
+        assert np.array_equal(times, np.concatenate([t for t, _ in blocks]))
+        assert np.array_equal(sources, np.concatenate([s for _, s in blocks]))
 
     def test_no_usable_direction(self):
         data = np.stack([np.linspace(0, 1, 64), np.linspace(1, 3, 64)], axis=1)

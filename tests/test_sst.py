@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from sigdecomp._kernels import walk_ridge
 from sigdecomp.core import Signal, add
 from sigdecomp.metrics import match_components, qrf
 from sigdecomp.sst import (
+    RIDGE_FADE_REL,
+    RIDGE_PATIENCE_FRAMES,
     RidgeConfig,
     SstConfig,
     cwt_morlet,
@@ -138,6 +143,42 @@ class TestRidges:
         track = RidgeTrack(bins=np.zeros(n_t, dtype=np.int64), valid=np.zeros(n_t, dtype=bool))
         rec = reconstruct_mode(S, track, 10)
         assert np.all(rec.samples == 0)
+
+
+def reference_ridges(S, rcfg, K):
+    """Ridge extraction with the band suppressed frame by frame, in a loop."""
+    energy = S.energy()
+    floor0 = S.gamma_abs * S.gamma_abs
+    n_bins, n_t = energy.shape
+    tracks = []
+    for _ in range(K):
+        seed_f, seed_t = divmod(int(np.argmax(energy)), n_t)
+        if energy[seed_f, seed_t] <= floor0:
+            break
+        floor = max(floor0, RIDGE_FADE_REL * energy[seed_f, seed_t])
+        bins, valid = walk_ridge(energy, seed_f, seed_t, rcfg.max_step, floor, RIDGE_PATIENCE_FRAMES)
+        tracks.append((bins, valid))
+        for t in np.flatnonzero(valid):
+            lo = max(int(bins[t]) - rcfg.start_band, 0)
+            energy[lo : int(bins[t]) + rcfg.start_band + 1, t] = 0.0
+    return tracks
+
+
+class TestRidgeSuppression:
+    @pytest.mark.parametrize("rcfg", [RidgeConfig(), RidgeConfig(start_band=4, max_step=3)])
+    @pytest.mark.parametrize("signal", ["s1", "s2"])
+    def test_matches_per_frame_loop(self, signal, rcfg):
+        x, _ = gen_s1() if signal == "s1" else gen_s2()
+        cfg = SstConfig(K=4)
+        S = synchrosqueeze(*cwt_morlet(x, cfg), x, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # exhaustion may cut K short
+            tracks = extract_ridges(S, rcfg, cfg.K)
+        want = reference_ridges(S, rcfg, cfg.K)
+        assert len(tracks) == len(want)
+        for track, (bins, valid) in zip(tracks, want):
+            assert np.array_equal(track.bins, bins)
+            assert np.array_equal(track.valid, valid)
 
 
 class TestGapBehavior:
