@@ -51,7 +51,8 @@ def natural_spline(
     channel, for the second derivatives m at the knots:
     ``h[i-1] m[i-1] + 2 (h[i-1] + h[i]) m[i] + h[i] m[i+1] = 6 (slope[i]
     - slope[i-1])`` at a knot inside a block, and ``m = 0`` with no
-    neighbours at a block end, which decouples the blocks.
+    neighbours at a block end, which decouples the blocks.  Values that
+    overflow pass through as non-finite output, which callers check.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -75,7 +76,7 @@ def natural_spline(
     bands[0, (ends + 1) % k] = 0.0  # slot 0 of the upper band is unused
     bands[2, ends - 1] = 0.0  # and so is the last slot of the lower band
     rhs[ends] = 0.0
-    m = solve_banded((1, 1), bands, rhs).T  # (C, k)
+    m = solve_banded((1, 1), bands, rhs, check_finite=False).T  # (C, k)
 
     # each interval's cubic in powers of (q - its left knot), channel-major
     # so that the evaluation below runs along long contiguous rows

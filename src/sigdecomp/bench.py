@@ -190,7 +190,7 @@ class NoiseSuiteSpec:
 @dataclass(frozen=True)
 class SuiteResult:
     spec: NoiseSuiteSpec
-    mean_total_db: dict[float, float]
+    mean_total_db: dict[float, float | None]  # None where every realization failed
     std_total_db: dict[float, float]
     raw_totals_db: dict[float, tuple[float, ...]]
     failures: dict[float, int]
@@ -213,12 +213,13 @@ def run_noise_suite(spec: NoiseSuiteSpec) -> SuiteResult:
 
     Realization ``i`` uses noise seed ``base_seed + i`` at every SNR.
     Divergences and numerical failures are counted and excluded from the
-    mean/std; the standard deviation is the sample estimate (0 when fewer
-    than two successes).
+    mean/std; the mean is None when every realization failed, and the
+    standard deviation is the sample estimate (0 when fewer than two
+    successes).
     """
     x, refs = generate_signal(spec.signal)
     overrides = dict(spec.overrides) if spec.overrides else None
-    means: dict[float, float] = {}
+    means: dict[float, float | None] = {}
     stds: dict[float, float] = {}
     raws: dict[float, tuple[float, ...]] = {}
     fails: dict[float, int] = {}
@@ -238,7 +239,7 @@ def run_noise_suite(spec: NoiseSuiteSpec) -> SuiteResult:
                 continue
             elapsed.append(time.perf_counter() - tic)
             totals.append(match_or_empty(list(d.modes), refs).total_qrf_db)
-        means[snr] = float(np.mean(totals)) if totals else float("nan")
+        means[snr] = float(np.mean(totals)) if totals else None
         stds[snr] = float(np.std(totals, ddof=1)) if len(totals) > 1 else 0.0
         raws[snr] = tuple(totals)
         fails[snr] = n_failed

@@ -217,7 +217,10 @@ def _cmd_bench(args) -> int:
         }
         if args.out:
             lines = ["snr_db,mean_db,std_db,failures"]
-            lines += [f"{r['snr_db']},{r['mean_db']},{r['std_db']},{r['failures']}" for r in result.to_rows()]
+            lines += [
+                f"{r['snr_db']},{'' if r['mean_db'] is None else r['mean_db']},{r['std_db']},{r['failures']}"
+                for r in result.to_rows()
+            ]
             Path(args.out).with_suffix(".csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
         if not args.param or not args.values:
@@ -253,7 +256,7 @@ def _cmd_align(args) -> int:
 
 def _emit_json(payload: dict, out: str | None) -> int:
     """Write ``payload`` to ``out``, or print it when no path is given."""
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if out:
         Path(out).write_text(text, encoding="utf-8")
         print(f"wrote {out}")

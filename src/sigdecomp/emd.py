@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import find_extrema_arrays, natural_spline
-from .core import ContractViolation, Decomposition, NotEnoughExtrema, Signal
+from .core import ContractViolation, Decomposition, NotEnoughExtrema, NumericalFailure, Signal
 
 _EPS = 1e-300
 
@@ -139,7 +139,8 @@ def _envelopes(samples: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]
     """Mean envelope and envelope half-range of a raw sample array.
 
     Raises :class:`NotEnoughExtrema` when fewer than two maxima or two
-    minima exist, which signals that the residual has been reached.
+    minima exist, which signals that the residual has been reached, and
+    :class:`NumericalFailure` when an envelope or their mean overflows.
     """
     max_idx, min_idx = find_extrema_arrays(samples)
     if max_idx.size < 2 or min_idx.size < 2:
@@ -150,7 +151,10 @@ def _envelopes(samples: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]
     upper, lower = natural_spline(  # two blocks: the upper and the lower envelope
         np.concatenate([t_max, t_min]), np.concatenate([v_max, v_min]), query, [0, t_max.size]
     )
-    return (upper + lower) / 2.0, (upper - lower) / 2.0
+    mean = (upper + lower) / 2.0  # not finite when either envelope is not
+    if not np.all(np.isfinite(mean)):
+        raise NumericalFailure("EMD envelope is not finite")
+    return mean, (upper - lower) / 2.0
 
 
 def envelope_mean(x: Signal, boundary: int = 2) -> Signal:

@@ -162,10 +162,12 @@ class AlignmentScore:
     row_to_mode: tuple[int, ...]  # -1 for unmatched expected rows
 
 
-def dominant_frequency_hz(samples: np.ndarray, fs: float) -> float:
-    """Frequency of the largest-magnitude FFT bin (DC included)."""
+def dominant_frequency_hz(samples: np.ndarray, fs: float) -> float | np.ndarray:
+    """Frequency of the largest-magnitude FFT bin (DC included) of a
+    series, or of each series along the last axis of a stack."""
     mag = np.abs(np.fft.rfft(samples))
-    return float(np.argmax(mag) * fs / samples.size)
+    peak = np.argmax(mag, axis=-1) * fs / samples.shape[-1]
+    return float(peak) if samples.ndim == 1 else peak
 
 
 def _band_energy(samples: np.ndarray, fs: float, f_hz: float, tol_hz: float) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._kernels import find_extrema_arrays, natural_spline
 from ._rng import uniforms
-from .core import ContractViolation, Decomposition, MultichannelSignal, Signal, _scaled_norm
+from .core import ContractViolation, Decomposition, MultichannelSignal, NumericalFailure, Signal, _scaled_norm
 from .emd import EmdConfig
 from .variational import (
     ConvergenceReport,
@@ -173,10 +173,15 @@ def _directional_envelope_stats(
 
     One extrema search covers every projection, one knot pass mirrors
     every usable direction's maxima and minima, and each of those is one
-    block of a single :func:`natural_spline` call.
+    block of a single :func:`natural_spline` call.  Raises
+    :class:`NumericalFailure` when a projection, an envelope or their mean
+    overflows.
     """
     n, n_ch = data.shape
-    (max_idx, max_dir), (min_idx, min_dir) = find_extrema_arrays(data @ directions.T)
+    projections = data @ directions.T
+    if not np.all(np.isfinite(projections)):
+        raise NumericalFailure("MEMD projection is not finite")
+    (max_idx, max_dir), (min_idx, min_dir) = find_extrema_arrays(projections)
     n_max = np.bincount(max_dir, minlength=len(directions))
     n_min = np.bincount(min_dir, minlength=len(directions))
     oscillates = bool(np.any(n_max + n_min >= 3))
@@ -193,6 +198,8 @@ def _directional_envelope_stats(
     upper, lower = envelopes[:used], envelopes[used:]  # (used, n, channels) each
     env_mean = np.sum(upper + lower, axis=0) / (2.0 * used)
     amplitude = np.sum(np.linalg.norm(upper - lower, axis=2), axis=0) / (2.0 * used)
+    if not np.all(np.isfinite(env_mean)):  # not finite when any envelope is not
+        raise NumericalFailure("MEMD envelope is not finite")
     return env_mean, amplitude, used, oscillates
 
 

@@ -1,11 +1,12 @@
 """Sliding singular spectrum analysis.
 
-Each analysis window is embedded into a Hankel trajectory matrix and
-decomposed by SVD.  Eigentriples surviving a relative singular-value
-threshold are diagonal-averaged back into window-length series, grouped
-into a requested number of classes by 1-D k-means on their dominant
-frequencies (deterministically seeded), and the per-class series are
-overlap-added across windows under a normalized Hann cross-fade.
+Each analysis window is embedded into a Hankel trajectory matrix X whose
+lag-covariance X Xᵀ is eigendecomposed.  Eigentriples whose singular
+value sqrt(lambda) clears a relative threshold are diagonal-averaged back
+into window-length series, all in one FFT convolution, grouped into a
+requested number of classes by 1-D k-means on their dominant frequencies
+(deterministically seeded), and the per-class series are overlap-added
+across windows under a normalized Hann cross-fade.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ class SsaConfig:
             raise ContractViolation("K must be >= 1")
         if not 0 < self.epsilon < np.inf:
             raise ContractViolation("epsilon must be positive and finite")
+        if self.window_len is not None and self.window_len < 2:
+            raise ContractViolation("window_len must be >= 2")
+        if self.hop is not None and self.hop < 1:
+            raise ContractViolation("hop must be >= 1")
 
     def resolved(self, n: int) -> tuple[int, int]:
         window = self.window_len if self.window_len is not None else min(n, 4 * self.L)
@@ -41,7 +46,7 @@ class SsaConfig:
         if self.L > window // 2:
             raise ContractViolation("need L <= window_len / 2")
         hop = self.hop if self.hop is not None else max(window // 4, 1)
-        return window, max(hop, 1)
+        return window, hop
 
 
 def embed(window: np.ndarray, L: int) -> np.ndarray:
@@ -54,19 +59,22 @@ def embed(window: np.ndarray, L: int) -> np.ndarray:
     return window[idx]
 
 
-def diagonal_average_rank1(sigma: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def diagonal_average_rank1(sigma: float | np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Hankelize sigma * outer(u, v) back into a series.
 
     Anti-diagonal sums of a rank-1 matrix are the full linear convolution
     of its factors, so this is a convolve divided by the per-diagonal
-    element counts.
+    element counts.  ``u`` (..., L) and ``v`` (..., K) may stack triples
+    along leading axes, with ``sigma`` a scalar or one value per triple;
+    every triple goes through one FFT convolution.
     """
-    L = u.size
-    cols = v.size
-    sums = sigma * np.convolve(u, v)
-    counts = np.minimum(np.minimum(np.arange(1, L + cols), L), cols)
-    counts = np.minimum(counts, L + cols - np.arange(1, L + cols))
-    return sums / counts
+    L = u.shape[-1]
+    cols = v.shape[-1]
+    n = L + cols - 1
+    sums = np.fft.irfft(np.fft.rfft(u, n) * np.fft.rfft(v, n), n)
+    counts = np.minimum(np.minimum(np.arange(1, n + 1), L), cols)
+    counts = np.minimum(counts, L + cols - np.arange(1, n + 1))
+    return np.asarray(sigma)[..., None] * sums / counts
 
 
 def _kmeans_1d(freqs: np.ndarray, energies: np.ndarray, k: int) -> np.ndarray:
@@ -99,22 +107,22 @@ def _kmeans_1d(freqs: np.ndarray, energies: np.ndarray, k: int) -> np.ndarray:
 
 def _window_classes(
     window: np.ndarray, fs: float, cfg: SsaConfig
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Decompose one window into K class series (ascending energy-weighted
     mean frequency) plus the discarded-triples remainder."""
-    traj = embed(window, cfg.L)
-    u, s, vt = np.linalg.svd(traj, full_matrices=False)
+    # scaled by an exact power of two so that X Xᵀ cannot overflow
+    exponent = np.frexp(np.max(np.abs(window)))[1]
+    traj = embed(np.ldexp(window, -exponent), cfg.L)
+    lam, u = np.linalg.eigh(traj @ traj.T)
+    lam, u = lam[::-1], u[:, ::-1]
+    s = np.sqrt(np.maximum(lam, 0.0))
     keep = s > cfg.epsilon * s[0]
-    series = []
-    freqs = []
-    energies = []
-    for i in np.flatnonzero(keep):
-        comp = diagonal_average_rank1(s[i], u[:, i], vt[i])
-        series.append(comp)
-        freqs.append(dominant_frequency_hz(comp, fs))
-        energies.append(s[i] ** 2)
-    freqs = np.asarray(freqs)
-    energies = np.asarray(energies)
+    u = u[:, keep].T
+    # a kept triple sigma u vᵀ is u (uᵀ X): no division by sigma
+    series = diagonal_average_rank1(1.0, u, u @ traj)
+    freqs = dominant_frequency_hz(series, fs)
+    series = np.ldexp(series, exponent)
+    energies = lam[keep]
 
     k_eff = min(cfg.K, len(series))
     if k_eff < cfg.K:
@@ -124,22 +132,12 @@ def _window_classes(
             stacklevel=2,
         )
     labels = _kmeans_1d(freqs, energies, k_eff) if k_eff > 0 else np.zeros(0, dtype=int)
-
-    classes = []
-    class_freq = []
-    for j in range(k_eff):
-        members = np.flatnonzero(labels == j)
-        total = np.zeros_like(window)
-        for i in members:
-            total += series[i]
-        classes.append(total)
-        w = energies[members]
-        class_freq.append(float(np.sum(freqs[members] * w) / np.sum(w)) if members.size else np.inf)
-
-    order = np.argsort(class_freq)
-    classes = [classes[j] for j in order]
-    remainder = window - np.sum(classes, axis=0) if classes else window.copy()
-    return classes, remainder
+    member = labels == np.arange(k_eff)[:, None]  # (classes, kept triples)
+    weight = member @ energies
+    class_freq = np.full(k_eff, np.inf)  # an empty class sorts last
+    np.divide(member @ (freqs * energies), weight, out=class_freq, where=weight > 0)
+    classes = (member @ series)[np.argsort(class_freq)]
+    return classes, window - classes.sum(axis=0)
 
 
 def _window_weights(length: int) -> np.ndarray:
@@ -172,8 +170,7 @@ def ssa_decompose(x: Signal, cfg: SsaConfig = SsaConfig()) -> Decomposition:
         segment = x.samples[start : start + window_len]
         classes, remainder = _window_classes(segment, x.sample_rate_hz, cfg)
         sl = slice(start, start + window_len)
-        for j, series in enumerate(classes):
-            acc[j, sl] += weights * series
+        acc[: len(classes), sl] += weights * classes
         acc_res[sl] += weights * remainder
         norm[sl] += weights
 

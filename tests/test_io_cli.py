@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from sigdecomp import cli
-from sigdecomp.core import Decomposition, MultichannelSignal, Signal
+from sigdecomp import bench, cli
+from sigdecomp.core import Decomposition, MultichannelSignal, NumericalFailure, Signal
 from sigdecomp.io import (
     CsvFormatError,
     read_csv_signal,
@@ -410,6 +410,18 @@ class TestCliContract:
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["emd", "memd"])
+    def test_envelope_overflow_exit_three(self, tmp_path, method, capsys):
+        # finite samples whose spline envelopes (or their mean) overflow
+        t = np.arange(96.0)
+        columns = {"x": 1.5e308 * np.sin(2.5 * t)}
+        if method == "memd":
+            columns = {"x": 1.5e308 * np.sin(t), "y": 1.5e308 * np.cos(t)}
+        write_signals_csv(tmp_path / "huge.csv", columns, 96.0)
+        code = main("decompose", "--method", method, "--input", tmp_path / "huge.csv", "--outdir", tmp_path / "d")
+        assert code == 3
+        assert "not finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "method, flags",
         [("emd", ()), ("ssa", ("--l", "20")), ("memd", ("--m-directions", "8"))],
@@ -467,6 +479,23 @@ class TestCliContract:
         elapsed = json.loads(out.read_text())["elapsed_s"]
         assert sorted(elapsed) == ["10.0", "20.0"]
         assert all(len(v) == 2 and min(v) > 0 for v in elapsed.values())
+
+    def test_noise_suite_all_failed_is_strict_json(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalFailure("forced")
+
+        monkeypatch.setattr(bench, "decompose", fail)
+        out = tmp_path / "noise.json"
+        code = main("bench", "--suite", "noise", "--method", "vmd", "--signal", "s2",
+                    "--n", "2", "--snr-grid", "12", "--out", out)
+        assert code == 0
+
+        def no_constants(name):
+            raise AssertionError(f"noise suite JSON holds {name}")
+
+        row = json.loads(out.read_text(), parse_constant=no_constants)["rows"][0]
+        assert row["mean_db"] is None and row["failures"] == 2
+        assert out.with_suffix(".csv").read_text().splitlines()[1] == "12.0,,0.0,2"
 
     def test_io_failure_exit_four(self, tmp_path):
         r = run_cli("decompose", "--method", "vmd", "--input", str(tmp_path / "missing.csv"))

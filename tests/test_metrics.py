@@ -10,6 +10,7 @@ from sigdecomp.metrics import (
     QRF_SATURATION_DB,
     QrfReport,
     _max_weight_matching,
+    dominant_frequency_hz,
     match_components,
     qrf,
 )
@@ -165,3 +166,16 @@ class TestTotals:
     def test_injectivity_enforced(self):
         with pytest.raises(ContractViolation):
             QrfReport(assignment=((0, 0), (1, 0)), per_mode_qrf_db=(1.0, 2.0), total_qrf_db=3.0)
+
+
+class TestDominantFrequency:
+    def test_series_gives_a_float(self):
+        f = dominant_frequency_hz(tone(5.0, 1.0, 64.0).samples, 64.0)
+        assert isinstance(f, float) and f == 5.0
+
+    def test_stack_equals_each_series(self, rng):
+        stack = rng.normal(size=(2, 3, 50))
+        peaks = dominant_frequency_hz(stack, 100.0)
+        assert peaks.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert peaks[idx] == dominant_frequency_hz(stack[idx], 100.0)

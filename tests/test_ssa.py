@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigdecomp import bench
 from sigdecomp.core import ContractViolation, Signal, l2_norm
 from sigdecomp.metrics import match_components
 from sigdecomp.ssa import (
@@ -12,7 +13,18 @@ from sigdecomp.ssa import (
     embed,
     ssa_decompose,
 )
-from sigdecomp.synth import gen_s1
+from sigdecomp.synth import add_wgn, gen_s1
+
+# mode count and total QRF (dB) of the bench recipes, from the former
+# per-window trajectory SVD; noise seed 0
+RECIPE_FIGURES = {
+    ("s1", None): (3, 56.335163),
+    ("s1", 12.0): (3, 22.696541),
+    ("s1", 3.0): (3, 13.391945),
+    ("s2", None): (2, 1.823958),
+    ("s2", 12.0): (2, 0.466405),
+    ("s2", 3.0): (2, -1.776335),
+}
 
 
 def tone(freq_hz, duration_s, fs, amp=1.0):
@@ -58,10 +70,11 @@ class TestDiagonalAveraging:
         x = rng.normal(size=300)
         traj = embed(x, 40)
         u, s, vt = np.linalg.svd(traj, full_matrices=False)
-        total = np.zeros_like(x)
-        for i in range(s.size):
-            total += diagonal_average_rank1(s[i], u[:, i], vt[i])
-        assert np.linalg.norm(total - x) < 1e-9 * np.linalg.norm(x)
+        singles = np.array([diagonal_average_rank1(s[i], u[:, i], vt[i]) for i in range(s.size)])
+        stacked = diagonal_average_rank1(s, u.T, vt)  # every triple in one call
+        assert np.allclose(stacked, singles, rtol=0.0, atol=1e-12 * np.max(np.abs(x)))
+        for series in (singles, stacked):
+            assert np.linalg.norm(series.sum(axis=0) - x) < 1e-9 * np.linalg.norm(x)
 
 
 class TestWindowWeights:
@@ -113,6 +126,16 @@ class TestDecompose:
             totals[L] = match_components(list(d.modes), refs).total_qrf_db
         assert max(totals.values()) - min(totals.values()) > 3.0
 
+    @pytest.mark.parametrize("signal, snr", list(RECIPE_FIGURES))
+    def test_recipe_figures(self, signal, snr):
+        x, refs = bench.generate_signal(signal)
+        if snr is not None:
+            x = add_wgn(x, snr, 0)
+        d = bench.decompose("ssa", x, signal, noisy=snr is not None)
+        n_modes, total_db = RECIPE_FIGURES[signal, snr]
+        assert len(d.modes) == n_modes
+        assert bench.match_or_empty(list(d.modes), refs).total_qrf_db == pytest.approx(total_db, abs=1e-6)
+
     def test_fewer_eigentriples_warns(self):
         s = tone(5.0, 2.0, 64.0)  # a single tone has ~2 meaningful triples
         with pytest.warns(RuntimeWarning):
@@ -123,5 +146,8 @@ class TestDecompose:
             SsaConfig(L=1)
         with pytest.raises(ContractViolation):
             SsaConfig(epsilon=0.0)
+        for bad in ({"hop": 0}, {"hop": -3}, {"window_len": 1}):
+            with pytest.raises(ContractViolation):
+                SsaConfig(**bad)
         with pytest.raises(ContractViolation):
             ssa_decompose(tone(5.0, 1.0, 64.0), SsaConfig(L=40, window_len=64))
