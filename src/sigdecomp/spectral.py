@@ -100,7 +100,7 @@ def hilbert_spectrum(d: Decomposition, n_freq_bins: int, fmax_hz: float) -> TFGr
         inside = (f >= 0.0) & (f <= fmax_hz)
         dropped += float(ia2[~inside].sum())
         bins = np.rint(f[inside] / fmax_hz * (n_freq_bins - 1)).astype(np.int64)
-        np.add.at(energy, (bins, np.flatnonzero(inside)), ia2[inside])
+        energy[bins, np.flatnonzero(inside)] += ia2[inside]  # one deposit per frame
     if not np.all(np.isfinite(energy)):
         raise NumericalFailure("time-frequency energy overflows")
     return TFGrid(times_s=times, freqs_hz=freqs, energy=energy, dropped_energy=dropped)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, Decomposition, Signal
+from .core import ContractViolation, Decomposition, NumericalFailure, Signal
 from .metrics import dominant_frequency_hz
 
 
@@ -154,7 +154,8 @@ def ssa_decompose(x: Signal, cfg: SsaConfig = SsaConfig()) -> Decomposition:
     series are blended with a normalized Hann cross-fade (the weights form
     a partition of unity).  Classes are index-aligned across windows by
     their frequency ordering.  The residual carries the eigentriples
-    dropped by the epsilon threshold.
+    dropped by the epsilon threshold.  Raises :class:`NumericalFailure`
+    when the overlap-added classes overflow.
     """
     n = len(x)
     window_len, hop = cfg.resolved(n)
@@ -176,6 +177,8 @@ def ssa_decompose(x: Signal, cfg: SsaConfig = SsaConfig()) -> Decomposition:
 
     acc /= norm[None, :]
     acc_res /= norm
+    if not (np.all(np.isfinite(acc)) and np.all(np.isfinite(acc_res))):
+        raise NumericalFailure("overlap-added SSA classes are not finite")
 
     modes = tuple(Signal(acc[j], x.sample_rate_hz) for j in range(cfg.K) if np.any(acc[j]))
     return Decomposition(modes=modes, residual=Signal(acc_res, x.sample_rate_hz))

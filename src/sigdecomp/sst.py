@@ -1,12 +1,12 @@
 """Wavelet synchrosqueezing: CWT, phase-transform reassignment, greedy
 penalized ridge extraction, and per-ridge mode reconstruction.
 
-The continuous wavelet transform uses an analytic Morlet wavelet over
-log-spaced scales.  Squeezing reassigns each retained coefficient to the
-frequency bin indicated by the local phase derivative, which sharpens
-ridges enough for a greedy tracker to follow each component; summing the
-squeezed coefficients in a band around a ridge and scaling by the
-wavelet's admissibility constant recovers that component in time.
+An analytic Morlet CWT over log-spaced scales is squeezed by adding each
+kept coefficient to the bin of its phase derivative (``np.bincount`` on
+the real and imaginary parts).  One band rule names the cells around a
+ridge: extraction zeroes them before seeking the next ridge, and
+reconstruction sums their real parts per frame in one bincount and
+scales by the wavelet's admissibility constant; no step loops over frames.
 """
 
 from __future__ import annotations
@@ -149,28 +149,36 @@ def synchrosqueeze(
     if W.shape != (freqs_hz.size, len(x)):
         raise ContractViolation("coefficient matrix must be (n_scales, n_samples)")
     n_bins, n_t = W.shape
-    gamma_abs = cfg.gamma * float(np.abs(W).max(initial=0.0))
 
     # per-cell instantaneous frequency: one-sample finite difference of the
     # coefficient phase (the discrete form of Im(dW/dt / W) / 2pi), which
     # stays unbiased on tones and alias-free below Nyquist
+    phase = W[:, 1:] * np.conj(W[:, :-1])
     omega = np.empty(W.shape)
-    step = np.angle(W[:, 1:] * np.conj(W[:, :-1])) * (x.sample_rate_hz / (2.0 * np.pi))
-    omega[:, :-1] = step
-    omega[:, -1] = step[:, -1]
+    np.arctan2(phase.imag, phase.real, out=omega[:, :-1])  # np.angle
+    del phase
+    omega[:, :-1] *= x.sample_rate_hz / (2.0 * np.pi)
+    omega[:, -1] = omega[:, -2]
 
-    keep = np.abs(W) > gamma_abs
+    magnitude = np.abs(W)
+    gamma_abs = cfg.gamma * float(magnitude.max(initial=0.0))
+    keep = magnitude > gamma_abs
 
     log_step = np.log(2.0) / cfg.n_voices
-    values = np.zeros_like(W)
-    positive = keep & (omega > 0.0)
-    bins = np.full(W.shape, -1, dtype=np.int64)
-    bins[positive] = np.rint(np.log(omega[positive] / freqs_hz[0]) / log_step).astype(np.int64)
-    in_range = positive & (bins >= 0) & (bins < n_bins)
+    cells = np.flatnonzero(keep & (omega > 0.0))
+    bins = np.rint(np.log(omega.ravel()[cells] / freqs_hz[0]) / log_step).astype(np.int64)
+    del omega
+    inside = (bins >= 0) & (bins < n_bins)
+    cells = cells[inside]
+    flat = bins[inside] * n_t + cells % n_t
+    keep.ravel()[cells] = False  # what stays kept falls outside the grid
+    dropped = float(magnitude[keep].sum())
+    del magnitude, keep, bins
 
-    rows, cols = np.nonzero(in_range)
-    np.add.at(values, (bins[rows, cols], cols), W[rows, cols])
-    dropped = float(np.abs(W[keep & ~in_range]).sum())
+    # each cell adds up its contributions in row-major input order
+    values = np.empty(W.shape, dtype=complex)
+    values.real = np.bincount(flat, W.ravel().real[cells], W.size).reshape(W.shape)
+    values.imag = np.bincount(flat, W.ravel().imag[cells], W.size).reshape(W.shape)
 
     return SqueezedGrid(
         sample_rate_hz=x.sample_rate_hz,
@@ -201,7 +209,7 @@ def extract_ridges(S: SqueezedGrid, rcfg: RidgeConfig, K: int) -> list[RidgeTrac
     gamma_floor = S.gamma_abs * S.gamma_abs  # inf, not OverflowError, on overflow
     if not (np.isfinite(gamma_floor) and np.all(np.isfinite(energy))):
         raise NumericalFailure("squeezed energy is not finite")
-    n_bins, n_t = energy.shape
+    n_t = energy.shape[1]
     tracks: list[RidgeTrack] = []
     for _ in range(K):
         seed_flat = int(np.argmax(energy))
@@ -218,29 +226,30 @@ def extract_ridges(S: SqueezedGrid, rcfg: RidgeConfig, K: int) -> list[RidgeTrac
             energy, seed_f, seed_t, rcfg.max_step, floor, RIDGE_PATIENCE_FRAMES
         )
         tracks.append(RidgeTrack(bins=bins, valid=valid))
-        # suppress the claimed band, but only where the ridge was live
-        energy[(np.abs(np.arange(n_bins)[:, None] - bins) <= rcfg.start_band) & valid] = 0.0
+        energy[_band(tracks[-1], energy.shape, rcfg.start_band)] = 0.0
     return tracks
+
+
+def _band(track: RidgeTrack, shape: tuple[int, int], half_width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(bins, frames)`` of the cells within ``half_width`` bins of a ridge, valid frames only."""
+    if track.bins.shape != shape[1:]:
+        raise ContractViolation("ridge track must give one bin per frame of the grid")
+    frames = np.flatnonzero(track.valid)
+    bins = track.bins[frames, None] + np.arange(-half_width, half_width + 1)
+    inside = (bins >= 0) & (bins < shape[0])
+    return bins[inside], frames[np.nonzero(inside)[0]]
 
 
 def reconstruct_mode(S: SqueezedGrid, track: RidgeTrack, half_width: int) -> Signal:
     """Invert the squeezed transform over a band around one ridge.
 
-    Sums complex squeezed values within ``half_width`` bins of the track
-    per valid frame and rescales by the wavelet admissibility constant;
-    invalid frames contribute zero.
+    Sums the real squeezed values within ``half_width`` bins of the track
+    (one bin per frame of the grid) per valid frame and rescales by the
+    wavelet admissibility constant; invalid frames contribute zero.
     """
-    n_bins, n_t = S.values.shape
-    band_sum = np.zeros(n_t, dtype=complex)
-    for t in range(n_t):
-        if not track.valid[t]:
-            continue
-        lo = max(int(track.bins[t]) - half_width, 0)
-        hi = min(int(track.bins[t]) + half_width + 1, n_bins)
-        band_sum[t] = S.values[lo:hi, t].sum()
-    samples = (S.log_step / S.admissibility) * band_sum.real
-    fs = S.sample_rate_hz
-    return Signal(samples, fs) if np.any(samples) else Signal(np.zeros(n_t), fs)
+    bins, frames = _band(track, S.values.shape, half_width)
+    band_sum = np.bincount(frames, S.values.real[bins, frames], S.values.shape[1])
+    return Signal((S.log_step / S.admissibility) * band_sum, S.sample_rate_hz)
 
 
 def sst_decompose(
@@ -252,18 +261,12 @@ def sst_decompose(
     the input minus the mode sum.  IF tracks report the ridge-bin
     frequency per frame.
     """
-    W, freqs = cwt_morlet(x, cfg)
-    S = synchrosqueeze(W, freqs, x, cfg)
-    tracks = extract_ridges(S, rcfg, cfg.K)
-    modes = [reconstruct_mode(S, tr, rcfg.start_band) for tr in tracks]
-    if_tracks = [freqs[tr.bins] for tr in tracks]
-
-    order = np.argsort([float(np.mean(track)) for track in if_tracks]) if modes else []
-    modes = [modes[i] for i in order]
-    if_tracks = [if_tracks[i] for i in order]
-    residual = x.samples - (np.sum([m.samples for m in modes], axis=0) if modes else 0.0)
+    S = synchrosqueeze(*cwt_morlet(x, cfg), x, cfg)
+    tracks = sorted(extract_ridges(S, rcfg, cfg.K), key=lambda tr: np.mean(S.freqs_hz[tr.bins]))
+    modes = tuple(reconstruct_mode(S, tr, rcfg.start_band) for tr in tracks)
+    residual = x.samples - np.sum([m.samples for m in modes], axis=0)
     return Decomposition(
-        modes=tuple(modes),
+        modes=modes,
         residual=Signal(residual, x.sample_rate_hz),
-        if_tracks_hz=tuple(if_tracks),
+        if_tracks_hz=tuple(S.freqs_hz[tr.bins] for tr in tracks),
     )

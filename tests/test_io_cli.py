@@ -422,6 +422,16 @@ class TestCliContract:
         assert code == 3
         assert "not finite" in capsys.readouterr().err
 
+    def test_ssa_overflow_exit_three(self, tmp_path, capsys):
+        # finite samples whose overlap-added classes overflow
+        t = np.arange(2000.0)
+        columns = {"x": 1.5e308 * np.sin(t / 3) + 1.5e307 * np.sin(t / 1.3)}
+        write_signals_csv(tmp_path / "huge.csv", columns, 100.0)
+        code = main("decompose", "--method", "ssa", "--l", "20",
+                    "--input", tmp_path / "huge.csv", "--outdir", tmp_path / "d")
+        assert code == 3
+        assert "not finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "method, flags",
         [("emd", ()), ("ssa", ("--l", "20")), ("memd", ("--m-directions", "8"))],

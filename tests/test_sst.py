@@ -3,13 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
+from sigdecomp import bench
 from sigdecomp._kernels import walk_ridge
-from sigdecomp.core import Signal, add
+from sigdecomp.core import ContractViolation, Signal, add
 from sigdecomp.metrics import match_components, qrf
 from sigdecomp.sst import (
     RIDGE_FADE_REL,
     RIDGE_PATIENCE_FRAMES,
     RidgeConfig,
+    RidgeTrack,
     SstConfig,
     cwt_morlet,
     extract_ridges,
@@ -17,7 +19,18 @@ from sigdecomp.sst import (
     sst_decompose,
     synchrosqueeze,
 )
-from sigdecomp.synth import gen_s1, gen_s2
+from sigdecomp.synth import add_wgn, gen_s1, gen_s2
+
+# mode count and total QRF (dB) of the bench recipes, from the former
+# per-frame band loop and np.add.at squeeze; noise seed 0
+RECIPE_FIGURES = {
+    ("s1", None): (4, 30.996984),
+    ("s1", 12.0): (4, 35.805085),
+    ("s1", 3.0): (4, 3.054223),
+    ("s2", None): (2, 14.956903),
+    ("s2", 12.0): (2, 12.299192),
+    ("s2", 3.0): (2, 8.727351),
+}
 
 
 def tone(freq_hz, duration_s, fs, amp=1.0):
@@ -136,13 +149,92 @@ class TestRidges:
         assert all(m.sample_rate_hz == 49.0 for m in d.modes)
 
     def test_all_invalid_track_gives_zero(self, squeezed50):
-        from sigdecomp.sst import RidgeTrack
-
         _, _, S = squeezed50
         n_t = S.values.shape[1]
         track = RidgeTrack(bins=np.zeros(n_t, dtype=np.int64), valid=np.zeros(n_t, dtype=bool))
         rec = reconstruct_mode(S, track, 10)
         assert np.all(rec.samples == 0)
+
+    @pytest.mark.parametrize("n_frames", [1000, 1100])
+    def test_track_length_must_match_the_grid(self, squeezed50, n_frames):
+        _, _, S = squeezed50
+        assert S.values.shape[1] == 1024
+        track = RidgeTrack(bins=np.full(n_frames, 40), valid=np.ones(n_frames, dtype=bool))
+        with pytest.raises(ContractViolation):
+            reconstruct_mode(S, track, 10)
+
+    @pytest.mark.parametrize("signal, snr", list(RECIPE_FIGURES))
+    def test_recipe_figures(self, signal, snr):
+        x, refs = bench.generate_signal(signal)
+        if snr is not None:
+            x = add_wgn(x, snr, 0)
+        d = bench.decompose("sst", x, signal, noisy=snr is not None)
+        n_modes, total_db = RECIPE_FIGURES[signal, snr]
+        assert len(d.modes) == n_modes
+        assert bench.match_or_empty(list(d.modes), refs).total_qrf_db == pytest.approx(total_db, abs=1e-6)
+
+
+def reference_squeeze(W, freqs_hz, x, cfg):
+    """The squeeze with a full-grid bin array and an ``np.add.at`` scatter;
+    returns (values, dropped_mass)."""
+    n_bins = W.shape[0]
+    gamma_abs = cfg.gamma * float(np.abs(W).max(initial=0.0))
+    omega = np.empty(W.shape)
+    step = np.angle(W[:, 1:] * np.conj(W[:, :-1])) * (x.sample_rate_hz / (2.0 * np.pi))
+    omega[:, :-1] = step
+    omega[:, -1] = step[:, -1]
+    keep = np.abs(W) > gamma_abs
+    log_step = np.log(2.0) / cfg.n_voices
+    values = np.zeros_like(W)
+    positive = keep & (omega > 0.0)
+    bins = np.full(W.shape, -1, dtype=np.int64)
+    bins[positive] = np.rint(np.log(omega[positive] / freqs_hz[0]) / log_step).astype(np.int64)
+    in_range = positive & (bins >= 0) & (bins < n_bins)
+    rows, cols = np.nonzero(in_range)
+    np.add.at(values, (bins[rows, cols], cols), W[rows, cols])
+    return values, float(np.abs(W[keep & ~in_range]).sum())
+
+
+def reference_mode(S, track, half_width):
+    """Mode reconstruction with the band summed frame by frame, in a loop."""
+    n_bins, n_t = S.values.shape
+    band_sum = np.zeros(n_t, dtype=complex)
+    for t in np.flatnonzero(track.valid):
+        lo = max(int(track.bins[t]) - half_width, 0)
+        band_sum[t] = S.values[lo : int(track.bins[t]) + half_width + 1, t].sum()
+    return (S.log_step / S.admissibility) * band_sum.real
+
+
+class TestWholeArrayForms:
+    @pytest.mark.parametrize("case", ["s1", "s2", "s2@3dB", "tone50@gamma0.5"])
+    def test_squeeze_matches_add_at_scatter(self, case, tone50):
+        if case.startswith("tone50"):
+            x, cfg = tone50, SstConfig(K=1, gamma=0.5)
+        else:
+            x, _ = gen_s1() if case == "s1" else gen_s2()
+            x = add_wgn(x, 3.0, 0) if case.endswith("3dB") else x
+            cfg = SstConfig(K=2, n_voices=64)
+        W, freqs = cwt_morlet(x, cfg)
+        S = synchrosqueeze(W, freqs, x, cfg)
+        values, dropped = reference_squeeze(W, freqs, x, cfg)
+        assert np.array_equal(S.values, values)
+        assert S.dropped_mass == dropped
+
+    @pytest.mark.parametrize("half_width", [4, 15])
+    def test_modes_match_per_frame_loop(self, half_width):
+        x, _ = gen_s1()
+        cfg = SstConfig(K=4, n_voices=64)
+        S = synchrosqueeze(*cwt_morlet(x, cfg), x, cfg)
+        n_bins, n_t = S.values.shape
+        tracks = extract_ridges(S, RidgeConfig(15, 8), cfg.K)
+        live = np.arange(n_t) % 7 != 3  # some invalid frames
+        tracks += [
+            RidgeTrack(bins=np.full(n_t, edge), valid=live) for edge in (0, 1, n_bins - 2, n_bins - 1)
+        ]
+        for track in tracks:
+            want = reference_mode(S, track, half_width)
+            got = reconstruct_mode(S, track, half_width).samples
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def reference_ridges(S, rcfg, K):
