@@ -185,6 +185,8 @@ class NoiseSuiteSpec:
             raise ValueError("need at least 2 realizations")
         if not self.snr_grid_db:
             raise ValueError("SNR grid must be nonempty")
+        if len(set(self.snr_grid_db)) != len(self.snr_grid_db):
+            raise ValueError("SNR levels must be distinct")
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", default=None, help="JSON output path (CSV written alongside for noise)")
     p_bench.add_argument("--n", type=int, default=50, help="noise realizations")
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--snr-grid", type=str, default=None, help="comma-separated SNR values in dB")
+    p_bench.add_argument(
+        "--snr-grid", type=_float_tuple, default=bench.DEFAULT_SNR_GRID_DB, help="comma-separated SNR values in dB"
+    )
     p_bench.add_argument("--param", type=str, default=None, help="sweep: parameter name")
     p_bench.add_argument("--values", type=str, default=None, help="sweep: comma-separated values")
 
@@ -202,8 +204,9 @@ def _cmd_bench(args) -> int:
             "report": report.to_dict(),
         }
     elif args.suite == "noise":
-        grid = _float_tuple(args.snr_grid) if args.snr_grid else bench.DEFAULT_SNR_GRID_DB
-        spec = bench.NoiseSuiteSpec(args.method, args.signal, grid, n_realizations=args.n, base_seed=args.seed)
+        spec = bench.NoiseSuiteSpec(
+            args.method, args.signal, args.snr_grid, n_realizations=args.n, base_seed=args.seed
+        )
         result = bench.run_noise_suite(spec)
         payload = {
             "suite": "noise",

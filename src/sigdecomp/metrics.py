@@ -12,25 +12,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, Signal, l2_norm, subtract
+from .core import ContractViolation, Signal, _check_compatible
 
 #: sentinel for an exact reconstruction (and overall cap)
 QRF_SATURATION_DB = 300.0
 
 
-def qrf(est: Signal, ref: Signal) -> float:
-    """Quality-of-reconstruction factor of ``est`` against ``ref`` in dB.
+def _qrf_table(est: list[Signal], refs: list[Signal]) -> np.ndarray:
+    """QRF in dB of every mode in ``est`` against every reference, as an
+    ``(E, R)`` table.
 
-    Saturates at +300 dB; raises if the reference is identically zero
-    (the norm ratio is undefined there).
+    Saturates at +300 dB; raises if the series differ in length or rate,
+    if a reference is identically zero (the norm ratio is undefined
+    there) or if a difference ``ref - est`` is not finite.
     """
-    ref_norm = l2_norm(ref)
-    if ref_norm == 0.0:
+    for s in (*est, *refs):
+        _check_compatible(refs[0], s)
+    r = np.array([s.samples for s in refs])
+    err_norm = np.empty((len(est), len(refs)))
+    err = np.empty_like(r)  # one (R, n) buffer for every mode, so memory does not grow with E
+    for i, mode in enumerate(est):
+        with np.errstate(over="ignore"):  # an overflowing difference is rejected just below
+            np.subtract(r, mode.samples, out=err)
+        if not np.all(np.isfinite(err)):
+            raise ContractViolation("reference minus estimate must be finite")
+        np.multiply(err, err, out=err)
+        err_norm[i] = np.sqrt(np.sum(err, axis=-1))
+    ref_norm = np.sqrt(np.sum(r * r, axis=-1))
+    if np.any(ref_norm == 0.0):
         raise ContractViolation("QRF is undefined for a zero reference")
-    err_norm = l2_norm(subtract(ref, est))
-    if err_norm == 0.0:
-        return QRF_SATURATION_DB
-    return float(min(20.0 * np.log10(ref_norm / err_norm), QRF_SATURATION_DB))
+    with np.errstate(divide="ignore"):  # an exact match reads +inf, then saturates
+        return np.minimum(20.0 * np.log10(ref_norm / err_norm), QRF_SATURATION_DB)
+
+
+def qrf(est: Signal, ref: Signal) -> float:
+    """Quality-of-reconstruction factor of ``est`` against ``ref`` in dB."""
+    return float(_qrf_table([est], [ref])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -122,11 +139,7 @@ def match_components(est: list[Signal], refs: list[Signal]) -> QrfReport:
     if not est or not refs:
         raise ContractViolation("both mode lists must be nonempty")
     n_e, n_r = len(est), len(refs)
-    table = np.empty((n_e, n_r))
-    for i, e in enumerate(est):
-        for j, r in enumerate(refs):
-            table[i, j] = qrf(e, r)
-
+    table = _qrf_table(est, refs)
     pairs = _max_weight_matching(table)
     pairs.sort(key=lambda p: p[1])
     per_mode = tuple(float(table[i, j]) for i, j in pairs)
@@ -170,21 +183,18 @@ def dominant_frequency_hz(samples: np.ndarray, fs: float) -> float | np.ndarray:
     return float(peak) if samples.ndim == 1 else peak
 
 
-def _band_energy(samples: np.ndarray, fs: float, f_hz: float, tol_hz: float) -> float:
-    spectrum = np.abs(np.fft.rfft(samples)) ** 2
-    freqs = np.fft.rfftfreq(samples.size, 1.0 / fs)
-    return float(spectrum[(freqs >= f_hz - tol_hz) & (freqs <= f_hz + tol_hz)].sum())
+def _band_energy(power: np.ndarray, freqs: np.ndarray, f_hz: float, tol_hz: float) -> np.ndarray:
+    """Summed ``power`` of the bins within ``tol_hz`` of ``f_hz``, along the
+    last axis; the band is one slice because ``freqs`` ascends."""
+    lo = np.searchsorted(freqs, f_hz - tol_hz, "left")
+    hi = np.searchsorted(freqs, f_hz + tol_hz, "right")
+    return power[..., lo:hi].sum(axis=-1)
 
 
 #: minimum share of a channel-mode's (interior) energy that must sit at the
 #: expected frequency: a mode whose band share falls below this is mixing
 #: other content in and no longer counts as an aligned narrow-band mode
 ALIGNMENT_PURITY_MIN = 0.905
-
-
-def _interior(samples: np.ndarray) -> np.ndarray:
-    trim = samples.size // 10
-    return samples[trim : samples.size - trim] if trim else samples
 
 
 def alignment_score(
@@ -207,7 +217,7 @@ def alignment_score(
     energy (a noise-swollen broadband mode is not an aligned component).
     Every absent cell must stay under 10% of the mode's strongest channel
     energy.  The table passes when all rows are served by distinct mode
-    indices.
+    indices, each row taking the first free mode that serves it.
     """
     n_channels = decomposition.n_channels
     n_modes = decomposition.n_modes
@@ -216,59 +226,41 @@ def alignment_score(
             raise ContractViolation("expected table width must equal channel count")
 
     fs = decomposition.sample_rate_hz
-    freqs = []
-    energies = []
-    for k in range(n_modes):
-        row_f = []
-        row_e = []
-        for c in range(n_channels):
-            samples = decomposition.channel_modes[c][k].samples
-            row_f.append(dominant_frequency_hz(samples, fs))
-            row_e.append(float(np.sum(samples**2)))
-        freqs.append(tuple(row_f))
-        energies.append(row_e)
+    n = len(decomposition.residuals[0])
+    trim = n // 10  # the interior drops a tenth at each end
+    stack = np.reshape(
+        [[m.samples for m in modes] for modes in decomposition.channel_modes], (n_channels, n_modes, n)
+    )
+    magnitude = np.abs(np.fft.rfft(stack))
+    power = magnitude**2
+    interior = np.abs(np.fft.rfft(stack[..., trim : n - trim])) ** 2
+    freqs = np.fft.rfftfreq(n, 1.0 / fs)
+    interior_freqs = np.fft.rfftfreq(n - 2 * trim, 1.0 / fs)
+    peaks = np.argmax(magnitude, axis=-1) * fs / n  # (channels, modes), as dominant_frequency_hz
+    energies = np.sum(stack**2, axis=-1)
+    peak_energy = energies.max(axis=0)
+    total = interior.sum(axis=-1)
+    total = np.where(total > 0.0, total, np.inf)  # a zero interior fails purity as 0 / inf, with no warning
 
-    def holder_of(c: int, f_hz: float) -> int:
-        """Mode index carrying the most energy at f_hz in channel c."""
-        shares = [
-            _band_energy(decomposition.channel_modes[c][k].samples, fs, f_hz, tol_hz)
-            for k in range(n_modes)
-        ]
-        return int(np.argmax(shares)) if shares else -1
-
-    def row_matches(mode_idx: int, row: tuple[float | None, ...]) -> bool:
-        peak_energy = max(energies[mode_idx])
-        if peak_energy == 0.0:
-            return False
-        for c, want in enumerate(row):
-            if want is None:
-                if energies[mode_idx][c] >= 0.10 * peak_energy:
-                    return False
-            else:
-                if abs(freqs[mode_idx][c] - want) > tol_hz:
-                    return False
-                if holder_of(c, want) != mode_idx:
-                    return False
-                seg = _interior(decomposition.channel_modes[c][mode_idx].samples)
-                total = float(np.sum(np.abs(np.fft.rfft(seg)) ** 2))
-                if total == 0.0 or _band_energy(seg, fs, want, tol_hz) / total < ALIGNMENT_PURITY_MIN:
-                    return False
-        return True
-
-    used: set[int] = set()
+    used = np.zeros(n_modes, dtype=bool)
     row_to_mode = []
     for row in expected:
-        hit = -1
-        for k in range(n_modes):
-            if k not in used and row_matches(k, row):
-                hit = k
-                break
-        if hit >= 0:
-            used.add(hit)
-        row_to_mode.append(hit)
+        ok = (peak_energy > 0.0) & ~used
+        for c, want in enumerate(row):
+            if want is None:
+                ok &= energies[c] < 0.10 * peak_energy
+                continue
+            ok &= np.abs(peaks[c] - want) <= tol_hz
+            if n_modes:  # np.argmax of no modes raises
+                ok &= np.arange(n_modes) == np.argmax(_band_energy(power[c], freqs, want, tol_hz))
+            share = _band_energy(interior[c], interior_freqs, want, tol_hz)
+            ok &= share / total[c] >= ALIGNMENT_PURITY_MIN
+        free = np.flatnonzero(ok)
+        row_to_mode.append(int(free[0]) if free.size else -1)
+        used[free[:1]] = True  # the first free mode that serves the row, if any
 
     return AlignmentScore(
-        dominant_freqs_hz=tuple(freqs),
+        dominant_freqs_hz=tuple(tuple(float(f) for f in mode) for mode in peaks.T),
         passed=all(k >= 0 for k in row_to_mode),
         tolerance_hz=tol_hz,
         row_to_mode=tuple(row_to_mode),

@@ -21,7 +21,9 @@ import numpy as np
 
 from ._kernels import find_extrema_arrays, natural_spline
 from ._rng import uniforms
-from .core import ContractViolation, Decomposition, MultichannelSignal, NumericalFailure, Signal, _scaled_norm
+from .core import (
+    ContractViolation, Decomposition, MultichannelSignal, NumericalFailure, Signal, _scaled_norm, rates_equal
+)
 from .emd import EmdConfig
 from .variational import (
     ConvergenceReport,
@@ -71,10 +73,14 @@ class AlignedDecomposition:
         counts = {len(modes) for modes in self.channel_modes}
         if len(counts) > 1 or len(self.residuals) != len(self.channel_modes):
             raise ContractViolation("every channel needs the same mode count and one residual")
+        if not self.residuals or len({len(r) for r in self.residuals}) > 1 or not all(
+            rates_equal(r.sample_rate_hz, self.sample_rate_hz) for r in self.residuals
+        ):
+            raise ContractViolation("need at least one channel, all of one length and at the decomposition's rate")
         if self.center_freqs_hz is not None:
             object.__setattr__(self, "center_freqs_hz", tuple(float(f) for f in self.center_freqs_hz))
         for c in range(self.n_channels):
-            self.channel(c)  # one length and rate per channel, one center per mode
+            self.channel(c)  # the modes share their residual's length and rate, one center per mode
 
     @property
     def n_channels(self) -> int:
@@ -82,7 +88,7 @@ class AlignedDecomposition:
 
     @property
     def n_modes(self) -> int:
-        return len(self.channel_modes[0]) if self.channel_modes else 0
+        return len(self.channel_modes[0])
 
     def channel(self, c: int) -> Decomposition:
         """The modes and residual of channel ``c`` as a one-channel decomposition."""

@@ -104,6 +104,8 @@ class TestNoiseSuite:
             NoiseSuiteSpec(method="vmd", signal="s1", n_realizations=1)
         with pytest.raises(ValueError):
             NoiseSuiteSpec(method="vmd", signal="s1", snr_grid_db=())
+        with pytest.raises(ValueError):
+            NoiseSuiteSpec(method="vmd", signal="s1", snr_grid_db=(12.0, 3.0, 12.0))
 
 
 class TestParamSweep:

@@ -481,6 +481,13 @@ class TestCliContract:
         assert main("tf", "--indir", tmp_path / "d", "--out", tmp_path / "g.csv") == 4
         assert "manifest.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["", ",", "12,", "12,abc", "12,12"])
+    def test_noise_suite_bad_snr_grid_exit_two(self, tmp_path, grid):
+        out = tmp_path / "noise.json"
+        code = main("bench", "--suite", "noise", "--method", "vmd", "--signal", "s2",
+                    "--n", "2", "--snr-grid", grid, "--out", out)
+        assert code == 2 and not out.exists()
+
     def test_noise_suite_json_has_elapsed(self, tmp_path):
         out = tmp_path / "noise.json"
         code = main("bench", "--suite", "noise", "--method", "vmd", "--signal", "s2",

@@ -1,19 +1,26 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigdecomp.core import ContractViolation, Signal, add, scale
+from sigdecomp import bench, metrics
+from sigdecomp.core import ContractViolation, Diverged, Signal, add, l2_norm, scale, subtract
 from sigdecomp.metrics import (
+    ALIGNMENT_PURITY_MIN,
     QRF_SATURATION_DB,
+    AlignmentScore,
     QrfReport,
     _max_weight_matching,
+    alignment_score,
     dominant_frequency_hz,
     match_components,
     qrf,
 )
+from sigdecomp.multivariate import AlignedDecomposition, MemdConfig, memd_decompose, mvmd_decompose
+from sigdecomp.synth import add_wgn, gen_mv_test, mv_component_bank
 
 
 def tone(freq_hz, duration_s, fs, amp=1.0):
@@ -179,3 +186,212 @@ class TestDominantFrequency:
         assert peaks.shape == (2, 3)
         for idx in np.ndindex(2, 3):
             assert peaks[idx] == dominant_frequency_hz(stack[idx], 100.0)
+
+
+# ---------------------------------------------------------------------------
+# the whole-array scorers against their former one-pair / one-mode forms
+# ---------------------------------------------------------------------------
+
+def reference_qrf_table(est, refs):
+    """The QRF table filled pair by pair, each error series built as a Signal."""
+
+    def one(e, r):
+        ref_norm = l2_norm(r)
+        if ref_norm == 0.0:
+            raise ContractViolation("QRF is undefined for a zero reference")
+        err_norm = l2_norm(subtract(r, e))
+        if err_norm == 0.0:
+            return QRF_SATURATION_DB
+        return float(min(20.0 * np.log10(ref_norm / err_norm), QRF_SATURATION_DB))
+
+    return np.array([[one(e, r) for r in refs] for e in est])
+
+
+def reference_match(est, refs, monkeypatch):
+    """``match_components`` with its table filled by the per-pair form."""
+    with monkeypatch.context() as m:
+        m.setattr(metrics, "_qrf_table", reference_qrf_table)
+        return match_components(est, refs)
+
+
+def _reference_band_energy(samples, fs, f_hz, tol_hz):
+    spectrum = np.abs(np.fft.rfft(samples)) ** 2
+    freqs = np.fft.rfftfreq(samples.size, 1.0 / fs)
+    return float(spectrum[(freqs >= f_hz - tol_hz) & (freqs <= f_hz + tol_hz)].sum())
+
+
+def _reference_interior(samples):
+    trim = samples.size // 10
+    return samples[trim : samples.size - trim] if trim else samples
+
+
+def reference_alignment_score(decomposition, expected, tol_hz=1.0):
+    """The alignment scorer mode by mode, re-taking each spectrum per test."""
+    n_channels, n_modes = decomposition.n_channels, decomposition.n_modes
+    fs = decomposition.sample_rate_hz
+    freqs, energies = [], []
+    for k in range(n_modes):
+        series = [decomposition.channel_modes[c][k].samples for c in range(n_channels)]
+        freqs.append(tuple(dominant_frequency_hz(s, fs) for s in series))
+        energies.append([float(np.sum(s**2)) for s in series])
+
+    def holder_of(c, f_hz):
+        shares = [
+            _reference_band_energy(decomposition.channel_modes[c][k].samples, fs, f_hz, tol_hz)
+            for k in range(n_modes)
+        ]
+        return int(np.argmax(shares)) if shares else -1
+
+    def row_matches(mode_idx, row):
+        peak_energy = max(energies[mode_idx])
+        if peak_energy == 0.0:
+            return False
+        for c, want in enumerate(row):
+            if want is None:
+                if energies[mode_idx][c] >= 0.10 * peak_energy:
+                    return False
+            else:
+                if abs(freqs[mode_idx][c] - want) > tol_hz:
+                    return False
+                if holder_of(c, want) != mode_idx:
+                    return False
+                seg = _reference_interior(decomposition.channel_modes[c][mode_idx].samples)
+                total = float(np.sum(np.abs(np.fft.rfft(seg)) ** 2))
+                if total == 0.0 or _reference_band_energy(seg, fs, want, tol_hz) / total < ALIGNMENT_PURITY_MIN:
+                    return False
+        return True
+
+    used, row_to_mode = set(), []
+    for row in expected:
+        hit = next((k for k in range(n_modes) if k not in used and row_matches(k, row)), -1)
+        if hit >= 0:
+            used.add(hit)
+        row_to_mode.append(hit)
+    return AlignmentScore(tuple(freqs), all(k >= 0 for k in row_to_mode), tol_hz, tuple(row_to_mode))
+
+
+def aligned(channel_modes, fs):
+    n = len(channel_modes[0][0]) if channel_modes[0] else 64
+    zero = Signal(np.zeros(n), fs)
+    return AlignedDecomposition(
+        channel_modes=tuple(tuple(Signal(m, fs) for m in modes) for modes in channel_modes),
+        residuals=(zero,) * len(channel_modes),
+        sample_rate_hz=fs,
+    )
+
+
+RECIPE_CASES = [
+    (method, "s2", snr)
+    for method in ("emd", "vmd", "vncmd", "sst", "ssa")
+    for snr in (None, 3.0)
+] + [("vmd", "s1", None), ("ssa", "s1", 12.0)]
+
+
+class TestWholeArrayScoring:
+    @pytest.mark.parametrize("method,signal_id,snr", RECIPE_CASES)
+    def test_recipe_match_equals_per_pair(self, method, signal_id, snr, monkeypatch):
+        x, refs = bench.generate_signal(signal_id)
+        if snr is not None:
+            x = add_wgn(x, snr, 1)
+        try:
+            d = bench.decompose(method, x, signal_id, noisy=snr is not None)
+        except Diverged:
+            pytest.skip("the recipe diverges on this realization")
+        modes = list(d.modes)
+        assert np.array_equal(metrics._qrf_table(modes, refs), reference_qrf_table(modes, refs))
+        assert match_components(modes, refs) == reference_match(modes, refs, monkeypatch)
+
+    def test_random_tables_equal_per_pair(self, rng, monkeypatch):
+        for trial in range(60):
+            n_e, n_r, n = (int(v) for v in rng.integers((1, 1, 2), (7, 7, 90)))
+            fs = float(rng.choice([1.0, 64.0, 1000.0]))
+            refs = [Signal(rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3), fs) for _ in range(n_r)]
+            est = [Signal(rng.normal(size=n), fs) for _ in range(n_e)]
+            if trial % 3 == 0:  # exact matches saturate
+                est[int(rng.integers(n_e))] = refs[int(rng.integers(n_r))]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = metrics._qrf_table(est, refs)
+            assert table.shape == (n_e, n_r)
+            assert np.array_equal(table, reference_qrf_table(est, refs))
+            assert match_components(est, refs) == reference_match(est, refs, monkeypatch)
+
+    def test_exact_match_saturates_without_warning(self):
+        s = tone(5.0, 1.0, 64.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert qrf(s, s) == QRF_SATURATION_DB
+            assert match_components([s, scale(s, 0.5)], [s]).per_mode_qrf_db == (QRF_SATURATION_DB,)
+
+    @pytest.mark.parametrize(
+        "other",
+        [tone(5.0, 2.0, 64.0), tone(5.0, 0.5, 128.0), Signal(tone(5.0, 1.0, 64.0).samples, 65.0)],
+        ids=["length", "rate", "rate-off-by-one-hz"],
+    )
+    def test_mismatched_series_rejected(self, other):
+        s = tone(5.0, 1.0, 64.0)
+        for est, refs in (([other], [s]), ([s], [other]), ([s, other], [s]), ([s], [s, other])):
+            with pytest.raises(ContractViolation):
+                match_components(est, refs)
+        with pytest.raises(ContractViolation):
+            qrf(other, s)
+
+    def test_non_finite_error_rejected(self):
+        big = Signal(np.full(8, 1.5e308), 8.0)
+        with pytest.raises(ContractViolation):
+            qrf(scale(big, -1.0), big)
+
+    def test_zero_reference_in_a_table_rejected(self):
+        s = tone(5.0, 1.0, 64.0)
+        with pytest.raises(ContractViolation):
+            match_components([s], [s, scale(s, 0.0)])
+
+    @pytest.mark.parametrize("snr", [3.0, 10.0, 20.0, 40.0])
+    @pytest.mark.parametrize("method", ["memd", "mvmd", "vmd-channelwise"])
+    def test_alignment_equals_per_mode(self, method, snr):
+        mv, table = gen_mv_test()
+        x = bench.noisy_mv_signal(mv, snr, 0)
+        if method == "memd":
+            d = memd_decompose(x, MemdConfig(M=8))
+        elif method == "mvmd":
+            d, _ = mvmd_decompose(x, bench.default_configs("mvmd", "mv")["cfg"])
+        else:
+            d = bench.vmd_channelwise(x, K=3)
+        assert alignment_score(d, table, 1.0) == reference_alignment_score(d, table, 1.0)
+
+    def test_ideal_and_swapped_equal_per_mode(self):
+        _, table = gen_mv_test()
+        fs = 256.0
+        bank = mv_component_bank(2.0, fs)
+        ch1 = (bank[2.0], 1e-9 * bank[2.0], bank[50.0])
+        ideal = aligned((ch1, (bank[2.0], bank[20.0], bank[50.0])), fs)
+        swapped = aligned((ch1, (bank[2.0], bank[50.0], bank[20.0])), fs)
+        scores = [alignment_score(d, table, 1.0) for d in (ideal, swapped)]
+        assert scores == [reference_alignment_score(d, table, 1.0) for d in (ideal, swapped)]
+        assert [score.passed for score in scores] == [True, False]
+
+    def test_alignment_of_hand_built_tables(self, rng):
+        fs = 64.0
+        t = np.arange(128) / fs
+        low, high = np.sin(2 * np.pi * 4.0 * t), np.sin(2 * np.pi * 12.0 * t)
+        cases = [
+            aligned(((low, high), (low, 1e-9 * high)), fs),  # passes
+            aligned(((high, low), (low, high)), fs),  # split across indices
+            aligned(((low, np.zeros(128)), (low, np.zeros(128))), fs),  # an all-zero mode
+            aligned(((low + rng.normal(size=128), high), (low, high)), fs),  # impure
+        ]
+        tables = [((4.0, 4.0), (12.0, None)), ((12.0, 12.0),), ((None, None),), ()]
+        outcomes = set()
+        for d in cases:
+            for expected in tables:
+                score = alignment_score(d, expected, 1.0)
+                assert score == reference_alignment_score(d, expected, 1.0)
+                outcomes.add(score.passed)
+        assert outcomes == {True, False}
+
+    def test_zero_modes_match_no_row(self):
+        d = aligned(((), ()), 64.0)
+        score = alignment_score(d, ((4.0, None), (None, 12.0)), 1.0)
+        assert score == reference_alignment_score(d, ((4.0, None), (None, 12.0)), 1.0)
+        assert score.row_to_mode == (-1, -1) and not score.passed
+        assert score.dominant_freqs_hz == ()

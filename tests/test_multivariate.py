@@ -283,6 +283,23 @@ class TestMvmd:
                 sample_rate_hz=fs,
             )
 
+    @pytest.mark.parametrize(
+        "channels,fs",
+        [
+            ((), 100.0),  # no channel
+            ((Signal(np.ones(100), 100.0), Signal(np.ones(200), 200.0)), 50.0),  # lengths and rates differ
+            ((Signal(np.ones(100), 100.0), Signal(np.ones(200), 100.0)), 100.0),  # lengths differ
+            ((Signal(np.ones(100), 100.0), Signal(np.ones(100), 200.0)), 100.0),  # rates differ
+            ((Signal(np.ones(100), 100.0),), 50.0),  # one channel off the stated rate
+        ],
+        ids=["none", "length-and-rate", "length", "rate", "stated-rate"],
+    )
+    def test_channels_of_one_length_and_rate_required(self, channels, fs):
+        with pytest.raises(ContractViolation):
+            AlignedDecomposition(
+                channel_modes=tuple((r,) for r in channels), residuals=channels, sample_rate_hz=fs
+            )
+
 
 class TestChannelwiseBaseline:
     def test_independent_vmd_misaligns(self):
