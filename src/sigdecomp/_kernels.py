@@ -1,6 +1,6 @@
 """Hot numeric kernels: extrema search, natural cubic splines, ridge walking.
 
-Each kernel has one vectorized numpy/scipy implementation.  Callers import
+Each kernel has one vectorized numpy/LAPACK implementation.  Callers import
 the public names (``find_extrema_arrays``, ``natural_spline``,
 ``walk_ridge``) into their own modules, which is where the benchmark's
 probes look them up.
@@ -9,7 +9,9 @@ probes look them up.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
+
+from .core import NumericalFailure
 
 
 def find_extrema_arrays(x: np.ndarray) -> tuple:
@@ -47,12 +49,14 @@ def natural_spline(
     Queries outside a block's knots use its end polynomials (linear for a
     two-knot block).
 
-    All blocks share one tridiagonal solve, one right-hand side per
+    All blocks share one tridiagonal solve (LAPACK ``dgtsv``, the routine
+    and result of ``solve_banded((1, 1), ...)``), one right-hand side per
     channel, for the second derivatives m at the knots:
     ``h[i-1] m[i-1] + 2 (h[i-1] + h[i]) m[i] + h[i] m[i+1] = 6 (slope[i]
     - slope[i-1])`` at a knot inside a block, and ``m = 0`` with no
     neighbours at a block end, which decouples the blocks.  Values that
-    overflow pass through as non-finite output, which callers check.
+    overflow pass through as non-finite output, which callers check; a
+    singular system raises :class:`NumericalFailure`.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -70,13 +74,19 @@ def natural_spline(
     bands[0, 1:] = h
     bands[1, 1:-1] = 2.0 * (h[:-1] + h[1:])
     bands[2, :-1] = h
-    rhs = np.empty_like(values)
+    rhs = np.empty_like(values, order="F")  # dgtsv's layout, passed without a copy
     rhs[1:-1] = 6.0 * (slope[1:] - slope[:-1])
     bands[1, ends] = 1.0
     bands[0, (ends + 1) % k] = 0.0  # slot 0 of the upper band is unused
     bands[2, ends - 1] = 0.0  # and so is the last slot of the lower band
     rhs[ends] = 0.0
-    m = solve_banded((1, 1), bands, rhs, check_finite=False).T  # (C, k)
+    *_, m, info = dgtsv(
+        bands[2, :-1], bands[1], bands[0, 1:], rhs,
+        overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+    )
+    if info > 0:
+        raise NumericalFailure("natural-spline system is singular")
+    m = m.T  # (C, k)
 
     # each interval's cubic in powers of (q - its left knot), channel-major
     # so that the evaluation below runs along long contiguous rows

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from ._rng import uniforms
 from .core import (
@@ -31,6 +31,8 @@ def _check_variational_config(cfg, init_modes: tuple[str, ...]) -> None:
     """Shared ``__post_init__`` checks of the VMD and MVMD configs."""
     if cfg.K < 1:
         raise ContractViolation("K must be >= 1")
+    if cfg.max_iters < 1:
+        raise ContractViolation("max_iters must be >= 1")
     if not (0 < cfg.alpha < np.inf and 0 < cfg.tol < np.inf and 0 <= cfg.tau < np.inf):
         raise ContractViolation("alpha/tol must be positive and finite, tau nonnegative and finite")
     if cfg.init_mode not in init_modes:
@@ -228,16 +230,24 @@ class VncmdConfig:
             raise ContractViolation("initial frequencies must be distinct")
         if not (0 < self.alpha < np.inf and 0 < self.mu < np.inf and 0 < self.tol < np.inf):
             raise ContractViolation("alpha, mu and tol must be positive and finite")
+        if self.max_iters < 1:
+            raise ContractViolation("max_iters must be >= 1")
+        if not 0.0 <= self.if_smooth_frac <= 1.0:
+            raise ContractViolation("if_smooth_frac must be finite and within [0, 1]")
 
 
 def _smoothing_bands(n: int, weight: float) -> np.ndarray:
     """``weight * D2^T D2`` for interleaved (a0, b0, a1, b1, ...) unknowns.
 
     D2 is the second-difference operator on a track of ``n`` samples.
-    The layout is ``solve_banded((4, 4), ...)``'s: row ``4 - d`` holds
-    offset ``+d``.  Each track couples with itself at sample offsets
-    0, 1 and 2, which interleaving puts at offsets 0, 2 and 4; the lower
-    bands copy the upper ones because the matrix is symmetric.
+    The layout is LAPACK ``dgbsv``'s for four sub- and four
+    superdiagonals: 13 rows, rows 0-3 left zero as room for the LU
+    fill-in, row ``8 - d`` holding offset ``+d``, and Fortran order, so
+    that the array reaches LAPACK without a copy.  Rows 4-12 are
+    ``solve_banded((4, 4), ...)``'s layout.  Each track couples with
+    itself at sample offsets 0, 1 and 2, which interleaving puts at
+    offsets 0, 2 and 4; the lower bands copy the upper ones because the
+    matrix is symmetric.
     """
     m = 2 * n
     main = np.full(n, 6.0)
@@ -247,13 +257,26 @@ def _smoothing_bands(n: int, weight: float) -> np.ndarray:
     off1[0] = off1[-1] = -2.0
     off2 = np.full(n - 2, 1.0)
 
-    bands = np.zeros((9, m))
+    bands = np.zeros((13, m), order="F")
     for d, stencil in ((0, main), (2, off1), (4, off2)):
-        bands[4 - d, d::2] = weight * stencil  # the a track
-        bands[4 - d, d + 1 :: 2] = weight * stencil  # the b track
+        bands[8 - d, d::2] = weight * stencil  # the a track
+        bands[8 - d, d + 1 :: 2] = weight * stencil  # the b track
     for d in (2, 4):
-        bands[4 + d, : m - d] = bands[4 - d, d:]
+        bands[8 + d, : m - d] = bands[8 - d, d:]
     return bands
+
+
+def solve_banded(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the bandwidth-4 system in ``dgbsv`` layout, both arguments
+    overwritten; the routine and the result are those of
+    ``scipy.linalg.solve_banded((4, 4), bands[4:], rhs)``, without its
+    argument copies and finiteness scan.  A singular system raises
+    :class:`NumericalFailure`.  This is VNCMD's one solve call site,
+    which the benchmark's probe wraps by this name."""
+    _, _, solution, info = dgbsv(4, 4, bands, rhs, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise NumericalFailure("VNCMD envelope system is singular")
+    return solution
 
 
 def _envelope_solve(
@@ -263,23 +286,24 @@ def _envelope_solve(
 
     Minimizes ||r - a*cos - b*sin||^2 + weight*(||D2 a||^2 + ||D2 b||^2)
     with D2 the second-difference operator; ``smoothing`` holds the
-    weighted D2 part from :func:`_smoothing_bands`.  Unknowns are
-    interleaved (a0, b0, a1, b1, ...), so the normal equations have
-    bandwidth 4: the data term couples a_t with b_t (offsets 0 and +-1)
-    and the smoothing term each track with itself two samples away
-    (offsets 0, +-2 and +-4).  Solved directly for determinism.
+    weighted D2 part in the ``dgbsv`` layout of :func:`_smoothing_bands`.
+    Unknowns are interleaved (a0, b0, a1, b1, ...), so the normal
+    equations have bandwidth 4: the data term couples a_t with b_t
+    (offsets 0 and +-1, rows 8, 7 and 9) and the smoothing term each
+    track with itself two samples away (offsets 0, +-2 and +-4).  Solved
+    directly for determinism, on a copy of ``smoothing``.
     """
-    bands = smoothing.copy()
-    bands[4, 0::2] += cos_t * cos_t
-    bands[4, 1::2] += sin_t * sin_t
+    bands = smoothing.copy(order="F")
+    bands[8, 0::2] += cos_t * cos_t
+    bands[8, 1::2] += sin_t * sin_t
     cs = cos_t * sin_t
-    bands[3, 1::2] = cs  # (a_t, b_t)
-    bands[5, 0::2] = cs  # (b_t, a_t)
+    bands[7, 1::2] = cs  # (a_t, b_t)
+    bands[9, 0::2] = cs  # (b_t, a_t)
 
     rhs = np.empty(2 * residual.size)
     rhs[0::2] = residual * cos_t
     rhs[1::2] = residual * sin_t
-    solution = solve_banded((4, 4), bands, rhs)
+    solution = solve_banded(bands, rhs)
     return solution[0::2], solution[1::2]
 
 
@@ -318,7 +342,12 @@ def vncmd_decompose(
     ma_width = max(int(round(cfg.if_smooth_frac * n)), 1)
     k = cfg.K
     samples = x.samples
-    smoothing = _smoothing_bands(n, weight)
+    with np.errstate(over="ignore"):  # reported just below
+        smoothing = _smoothing_bands(n, weight)
+    if not np.all(np.isfinite(smoothing)):
+        raise ContractViolation(
+            f"alpha={cfg.alpha!r} is too small: the smoothing bands (weight 1/alpha) are not finite"
+        )
 
     if_tracks = np.tile(np.asarray(cfg.init_if_hz, dtype=float)[:, None], (1, n))
     a = np.zeros((k, n))

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sigdecomp import variational
 from sigdecomp.bench import (
     NoiseSuiteSpec,
     decompose,
@@ -18,6 +19,7 @@ from sigdecomp.bench import (
 )
 from sigdecomp.core import Signal
 from sigdecomp.multivariate import MemdConfig, MvmdConfig
+from sigdecomp.variational import VncmdConfig
 
 
 class TestRecipes:
@@ -147,3 +149,21 @@ class TestProbeContract:
         ]
         assert missing == []
         assert hasattr(importlib.import_module("sigdecomp._accel"), "NUMBA_ENABLED")
+
+    def test_vncmd_solve_probe_counts_every_solve(self, monkeypatch):
+        # perfbench counts VNCMD's envelope solves at this attribute: a solve
+        # that bypassed it would make the layer's counters read zero
+        calls = []
+        solve = variational.solve_banded
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(variational, "solve_banded", counted)
+        t = np.arange(256) / 64.0
+        x = Signal(np.cos(2 * np.pi * 5.0 * t) + 0.5 * np.cos(2 * np.pi * 14.0 * t), 64.0)
+        cfg = VncmdConfig(K=2, init_if_hz=(5.0, 14.0))
+        _, report = variational.vncmd_decompose(x, cfg)
+        assert report.iterations > 0
+        assert len(calls) == cfg.K * (report.iterations + 1)  # one sweep before the iterations

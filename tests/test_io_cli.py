@@ -272,6 +272,15 @@ class TestCliContract:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("alpha", ["1e-320", "1e-308"])
+    def test_vncmd_overflowing_smoothing_weight_exit_two(self, tmp_path, capsys, alpha):
+        write_signals_csv(tmp_path / "c.csv", {"x": np.sin(np.arange(64.0))}, 64.0)
+        code = main("decompose", "--method", "vncmd", "--init-if", "5", "--alpha", alpha,
+                    "--input", tmp_path / "c.csv", "--outdir", tmp_path / "d")
+        assert code == 2
+        assert f"alpha={float(alpha)!r} is too small" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_mvmd_manifest_records_given_flags(self, tmp_path):
         mv = tmp_path / "mv.csv"
         assert run_cli("synth", "--signal", "mv", "--duration", "0.25", "--out", str(mv)).returncode == 0

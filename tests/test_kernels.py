@@ -1,12 +1,18 @@
 """Behavior checks for the numeric kernels against independent oracles:
-a strict-extrema comparison, scipy's natural ``CubicSpline`` and a
-hand-walked ridge."""
+a strict-extrema comparison, scipy's natural ``CubicSpline`` and
+``solve_banded``, and a hand-walked ridge."""
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from sigdecomp import _kernels as K
+from sigdecomp import bench
+from sigdecomp.core import NumericalFailure
+from sigdecomp.emd import emd_decompose
+from sigdecomp.multivariate import MemdConfig, memd_decompose
+from sigdecomp.synth import gen_mv_test
 
 
 class TestExtremaParity:
@@ -168,6 +174,53 @@ class TestSplineBlocks:
         for got, (xs, ys) in zip(out, blocks):
             assert_close(got, K.natural_spline(xs, ys, q))
             assert_close(got, CubicSpline(xs, ys, bc_type="natural")(q))
+
+
+def scipy_dgtsv(dl, d, du, b, **overwrite):
+    """The reference solve: ``solve_banded((1, 1), ...)`` behind ``dgtsv``'s signature."""
+    bands = np.zeros((3, d.size))
+    bands[0, 1:], bands[1], bands[2, :-1] = du, d, dl
+    return dl, d, du, solve_banded((1, 1), bands, b), 0
+
+
+class TestSplineSolve:
+    """The kernel's ``dgtsv`` call against scipy's wrapper around the same routine."""
+
+    @pytest.mark.parametrize("n_channels", [None, 3])
+    def test_blocks_bit_identical(self, rng, monkeypatch, n_channels):
+        blocks = [random_knots(rng, n, n_channels) for n in (40, 2, 3, 17, 512)]
+        args = (
+            np.concatenate([xs for xs, _ in blocks]),
+            np.concatenate([ys for _, ys in blocks]),
+            np.arange(-5.0, 106.0, 0.25),
+            np.cumsum([0] + [xs.size for xs, _ in blocks[:-1]]),
+        )
+        got = K.natural_spline(*args)
+        monkeypatch.setattr(K, "dgtsv", scipy_dgtsv)
+        assert np.array_equal(got, K.natural_spline(*args))
+
+    @pytest.mark.parametrize("method", ["emd_s1", "emd_s2", "memd"])
+    def test_recipes_bit_identical(self, monkeypatch, method):
+        def modes():
+            if method == "memd":
+                mv, _ = gen_mv_test()
+                d = memd_decompose(bench.noisy_mv_signal(mv, 10.0, 0), MemdConfig(M=8))
+                return [m.samples for ms in d.channel_modes for m in ms]
+            x, _ = bench.generate_signal(method[-2:])
+            return [m.samples for m in emd_decompose(x).modes]
+
+        got = modes()
+        monkeypatch.setattr(K, "dgtsv", scipy_dgtsv)
+        want = modes()
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_singular_system_is_numerical_failure(self):
+        # a repeated knot is outside the contract; its zero-width interval
+        # makes the system singular, which is reported, not solved
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure, match="singular"):
+                K.natural_spline(np.zeros(3), np.zeros(3), np.zeros(1))
 
 
 class TestRidgeWalkParity:

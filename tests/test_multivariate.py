@@ -236,7 +236,8 @@ class TestMvmd:
     @pytest.mark.parametrize(
         "bad",
         [{"alpha": -5.0}, {"alpha": 0.0}, {"tol": 0.0}, {"tau": -1.0}]
-        + [{field: value} for field in ("alpha", "tol", "tau") for value in (np.nan, np.inf)],
+        + [{field: value} for field in ("alpha", "tol", "tau") for value in (np.nan, np.inf)]
+        + [{"max_iters": 0}],
     )
     def test_config_checks_match_vmd(self, bad):
         with pytest.raises(ContractViolation):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
-from sigdecomp.core import ContractViolation, Diverged, Signal, l2_norm
+from sigdecomp import bench, variational
+from sigdecomp.core import ContractViolation, Diverged, NumericalFailure, Signal, l2_norm
 from sigdecomp.metrics import match_components, qrf
 from sigdecomp.synth import gen_s1
 from sigdecomp.variational import (
@@ -17,6 +19,28 @@ from sigdecomp.variational import (
 def tone(freq_hz, duration_s, fs, amp=1.0):
     t = np.arange(int(duration_s * fs)) / fs
     return Signal(amp * np.cos(2 * np.pi * freq_hz * t), fs)
+
+
+def scipy_solve_banded(bands, rhs):
+    """The reference solve: scipy's wrapper on the 9 rows below the LU fill-in."""
+    return solve_banded((4, 4), bands[4:], rhs)
+
+
+def vncmd_outputs(x, cfg):
+    """Every array a VNCMD run gives, read through ``Diverged`` when it raises."""
+    try:
+        d, report = vncmd_decompose(x, cfg)
+        diverged = False
+    except Diverged as exc:
+        d, report, diverged = exc.decomposition, exc.report, True
+    arrays = [m.samples for m in d.modes] + [d.residual.samples] + list(d.if_tracks_hz)
+    return diverged, arrays + [np.asarray(report.objective_trace)]
+
+
+# a run that raises Diverged, so its partial state is what gets compared
+DIVERGING_S1 = VncmdConfig(
+    K=3, init_if_hz=(30.0, 50.0, 85.0), alpha=1e-3, mu=0.2, max_iters=150, if_smooth_frac=0.01,
+)
 
 
 class TestVmd:
@@ -165,12 +189,8 @@ class TestVncmd:
 
     def test_divergence_raises_with_partial_state(self):
         x, _ = gen_s1()
-        cfg = VncmdConfig(
-            K=3, init_if_hz=(30.0, 50.0, 85.0), alpha=1e-3, mu=0.2, max_iters=150,
-            if_smooth_frac=0.01,
-        )
         with pytest.raises(Diverged) as excinfo:
-            vncmd_decompose(x, cfg)
+            vncmd_decompose(x, DIVERGING_S1)
         assert excinfo.value.decomposition is not None
         assert excinfo.value.report is not None
 
@@ -194,13 +214,60 @@ class TestVncmd:
         got = np.ravel(np.column_stack([a, b]))
         assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("n", [12, 40, 512])
+    def test_envelope_solve_bit_identical_to_scipy(self, rng, monkeypatch, n):
+        phase = rng.uniform(0.0, 2.0 * np.pi, n)
+        residual = rng.normal(size=n)
+        for weight in (1.0, 1e3, 2e5):
+            args = (residual, np.cos(phase), np.sin(phase), _smoothing_bands(n, weight))
+            got = _envelope_solve(*args)
+            with monkeypatch.context() as m:
+                m.setattr(variational, "solve_banded", scipy_solve_banded)
+                want = _envelope_solve(*args)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("case", ["clean_s2", "diverging_s1"])
+    def test_decomposition_bit_identical_to_scipy_solve(self, monkeypatch, case):
+        if case == "clean_s2":
+            x, _ = bench.generate_signal("s2")
+            cfg = bench.default_configs("vncmd", "s2")["cfg"]
+        else:
+            x, _ = gen_s1()
+            cfg = DIVERGING_S1
+        diverged, got = vncmd_outputs(x, cfg)
+        monkeypatch.setattr(variational, "solve_banded", scipy_solve_banded)
+        want_diverged, want = vncmd_outputs(x, cfg)
+        assert diverged == want_diverged == (case == "diverging_s1")
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_singular_envelope_system_is_numerical_failure(self):
+        n = 16
+        with pytest.raises(NumericalFailure, match="singular"):
+            _envelope_solve(np.zeros(n), np.zeros(n), np.zeros(n), _smoothing_bands(n, 0.0))
+
+    @pytest.mark.parametrize("alpha", [1e-320, 1e-308])
+    def test_overflowing_smoothing_weight_rejected(self, alpha):
+        cfg = VncmdConfig(K=1, init_if_hz=(30.0,), alpha=alpha)
+        with pytest.raises(ContractViolation, match="alpha"):
+            vncmd_decompose(tone(30.0, 1.0, 256.0), cfg)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("field", ["alpha", "mu", "tol", "init_if_hz"])
+    @pytest.mark.parametrize("field", ["alpha", "mu", "tol", "init_if_hz", "if_smooth_frac"])
     def test_non_finite_config_rejected(self, field, value):
         fields = {"K": 2, "init_if_hz": (30.0, 50.0)}
         fields[field] = (30.0, value) if field == "init_if_hz" else value
         with pytest.raises(ContractViolation, match="finite"):
             VncmdConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [({"max_iters": 0}, "max_iters"), ({"if_smooth_frac": -0.1}, "if_smooth_frac"),
+         ({"if_smooth_frac": 1.5}, "if_smooth_frac")],
+    )
+    def test_out_of_range_config_rejected(self, bad, message):
+        with pytest.raises(ContractViolation, match=message):
+            VncmdConfig(K=2, init_if_hz=(30.0, 50.0), **bad)
 
     def test_init_validation(self):
         with pytest.raises(ContractViolation):
