@@ -21,7 +21,8 @@ def find_extrema_arrays(x: np.ndarray) -> tuple:
     steps lie end to end; a sign flip within one column is an extremum."""
     x = np.asarray(x, dtype=np.float64)
     width = max(x.shape[0] - 1, 1)  # steps per column
-    steps = np.diff(x, axis=0).T.ravel()
+    with np.errstate(over="ignore"):  # an overflowing step is +-inf, and only its sign is used
+        steps = np.diff(x, axis=0).T.ravel()
     nz = np.flatnonzero(steps)
     s = np.sign(steps[nz])
     flip = np.flatnonzero(s[:-1] != s[1:])
@@ -69,13 +70,14 @@ def natural_spline(
 
     h = np.diff(xs)
     h[lasts[:-1]] = 1.0  # the step from one block to the next is no interval
-    slope = np.diff(values, axis=0) / h[:, None]
     bands = np.empty((3, k))  # solve_banded((1, 1), ...) layout
     bands[0, 1:] = h
     bands[1, 1:-1] = 2.0 * (h[:-1] + h[1:])
     bands[2, :-1] = h
     rhs = np.empty_like(values, order="F")  # dgtsv's layout, passed without a copy
-    rhs[1:-1] = 6.0 * (slope[1:] - slope[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves a whole block non-finite
+        slope = np.diff(values, axis=0) / h[:, None]
+        rhs[1:-1] = 6.0 * (slope[1:] - slope[:-1])
     bands[1, ends] = 1.0
     bands[0, (ends + 1) % k] = 0.0  # slot 0 of the upper band is unused
     bands[2, ends - 1] = 0.0  # and so is the last slot of the lower band

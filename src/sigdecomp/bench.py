@@ -125,11 +125,9 @@ def _field_names(cfg) -> set[str]:
     return {f.name for f in dataclasses.fields(cfg)}
 
 
-def decompose(
-    method: str, x: Signal, signal_id: str, noisy: bool = False, overrides: dict[str, Any] | None = None
-):
-    """Run one univariate method with its per-signal recipe."""
-    configs = effective_configs(method, signal_id, noisy, overrides)
+def decompose(method: str, x: Signal | MultichannelSignal, configs: dict[str, Any]):
+    """Decompose ``x`` with ``configs``, as :func:`effective_configs` returns them:
+    the one caller of the seven methods, and the one that drops a report."""
     if method == "emd":
         return emd_decompose(x, configs["cfg"])
     if method == "vmd":
@@ -140,6 +138,10 @@ def decompose(
         return sst_decompose(x, configs["cfg"], configs["ridge"])
     if method == "ssa":
         return ssa_decompose(x, configs["cfg"])
+    if method == "memd":
+        return memd_decompose(x, configs["cfg"])
+    if method == "mvmd":
+        return mvmd_decompose(x, configs["cfg"])[0]
     raise ValueError(f"unknown method: {method}")
 
 
@@ -165,7 +167,7 @@ def run_accuracy(
     """Decompose the clean signal, match modes to the generator references,
     and render the time-frequency energy grid of the decomposition."""
     x, refs = generate_signal(signal_id)
-    d = decompose(method, x, signal_id, noisy=False, overrides=overrides)
+    d = decompose(method, x, effective_configs(method, signal_id, overrides=overrides))
     report = match_or_empty(list(d.modes), refs)
     grid = hilbert_spectrum(d, n_freq_bins, x.sample_rate_hz / 2.0)
     return report, grid
@@ -220,7 +222,7 @@ def run_noise_suite(spec: NoiseSuiteSpec) -> SuiteResult:
     successes).
     """
     x, refs = generate_signal(spec.signal)
-    overrides = dict(spec.overrides) if spec.overrides else None
+    configs = effective_configs(spec.method, spec.signal, noisy=True, overrides=dict(spec.overrides))
     means: dict[float, float | None] = {}
     stds: dict[float, float] = {}
     raws: dict[float, tuple[float, ...]] = {}
@@ -234,7 +236,7 @@ def run_noise_suite(spec: NoiseSuiteSpec) -> SuiteResult:
             noisy_x = add_wgn(x, snr, spec.base_seed + i)
             tic = time.perf_counter()
             try:
-                d = decompose(spec.method, noisy_x, spec.signal, noisy=True, overrides=overrides)
+                d = decompose(spec.method, noisy_x, configs)
             except (Diverged, NumericalFailure):
                 n_failed += 1
                 elapsed.append(time.perf_counter() - tic)
@@ -292,10 +294,11 @@ def noisy_mv_signal(
 def vmd_channelwise(mv: MultichannelSignal, K: int, alpha: float = 500.0) -> AlignedDecomposition:
     """Independent per-channel variational decomposition, index-aligned
     only by each channel's own ascending center frequencies."""
+    configs = {"cfg": VmdConfig(K=K, alpha=alpha, tau=0.0)}
     per = []
     residuals = []
     for c in range(mv.n_channels):
-        d, _ = vmd_decompose(mv.channel(c), VmdConfig(K=K, alpha=alpha, tau=0.0))
+        d = decompose("vmd", mv.channel(c), configs)
         per.append(tuple(d.modes))
         residuals.append(d.residual)
     return AlignedDecomposition(
@@ -306,16 +309,14 @@ def vmd_channelwise(mv: MultichannelSignal, K: int, alpha: float = 500.0) -> Ali
 def run_alignment_suite(method: str, snr_db: float, base_seed: int = 0) -> AlignmentScore:
     """Generate the bivariate test signal, add per-channel noise, decompose
     with the requested method, and score against the expected table."""
+    if method not in ALIGNMENT_METHODS:
+        raise ValueError(f"unknown alignment method: {method}")
     mv, table = gen_mv_test()
     noisy = noisy_mv_signal(mv, snr_db, base_seed)
-    if method == "memd":
-        d = memd_decompose(noisy, default_configs(method, "mv")["cfg"])
-    elif method == "mvmd":
-        d, _ = mvmd_decompose(noisy, default_configs(method, "mv")["cfg"])
-    elif method == "vmd-channelwise":
+    if method == "vmd-channelwise":
         d = vmd_channelwise(noisy, K=3)
     else:
-        raise ValueError(f"unknown alignment method: {method}")
+        d = decompose(method, noisy, default_configs(method, "mv"))
     return alignment_score(d, table, tol_hz=1.0)
 
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import bench, io as sdio
 from .core import ContractViolation, Decomposition, Diverged, MultichannelSignal, NumericalFailure, Signal
-from .multivariate import AlignedDecomposition, memd_decompose, mvmd_decompose
+from .multivariate import AlignedDecomposition
+from .multivariate import memd_decompose, mvmd_decompose  # noqa: F401 -- perfbench's ENTRY_SITES probe them here
 from .spectral import hilbert_spectrum
 from .synth import DEFAULT_GAP, GapSpec, S2Config, gen_mv_test, gen_s1, gen_s2
 
@@ -148,24 +149,19 @@ def _collect_overrides(args) -> dict:
 def _cmd_decompose(args) -> int:
     if args.column is not None and args.method in bench.MULTICHANNEL_METHODS:
         raise ContractViolation(f"--column applies to univariate methods only, not {args.method}")
-    overrides = _collect_overrides(args)
-    configs = bench.effective_configs(args.method, args.signal_profile, overrides=overrides)
+    configs = bench.effective_configs(args.method, args.signal_profile, overrides=_collect_overrides(args))
     loaded = sdio.read_csv_signal(args.input, args.fs)
     if args.method in bench.MULTICHANNEL_METHODS:
         if isinstance(loaded, Signal):
             raise ContractViolation("multivariate methods need a multicolumn input")
         x = loaded
-        if args.method == "memd":
-            d = memd_decompose(x, configs["cfg"])
-        else:
-            d, _ = mvmd_decompose(x, configs["cfg"])
     else:
         column = args.column or 0
         n_columns = loaded.n_channels if isinstance(loaded, MultichannelSignal) else 1
         if not 0 <= column < n_columns:
             raise ContractViolation(f"--column {column} is out of range for {n_columns} column(s)")
         x = loaded.channel(column) if n_columns > 1 else loaded
-        d = bench.decompose(args.method, x, args.signal_profile, noisy=False, overrides=overrides)
+    d = bench.decompose(args.method, x, configs)
     sdio.write_decomposition(d, args.outdir, method=args.method, config=configs, original=x)
     print(f"wrote {d.n_modes} modes to {args.outdir}")
     return EXIT_OK

@@ -36,6 +36,8 @@ class EmdConfig:
             raise ContractViolation("alpha_fraction must lie in (0, 1)")
         if self.boundary < 1:
             raise ContractViolation("boundary depth must be >= 1")
+        if self.max_sift_iters < 1 or self.max_imfs < 1:
+            raise ContractViolation("max_sift_iters and max_imfs must be >= 1")
 
     def sift_converged(self, mean_size: np.ndarray, half_range: np.ndarray) -> bool:
         """Two-threshold stop test on sigma = mean size / envelope half-range:
@@ -69,7 +71,10 @@ def refine_extrema(samples: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np
     inner = (idx > 0) & (idx < samples.size - 1)
     ii = idx[inner]
     y0, y1, y2 = samples[ii - 1], samples[ii], samples[ii + 1]
-    curvature = y0 - 2.0 * y1 + y2
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        curvature = y0 - 2.0 * y1 + y2
+    if not np.all(np.isfinite(curvature)):
+        raise NumericalFailure("EMD extremum curvature is not finite")
     safe = np.abs(curvature) > 1e-300
     shift = np.zeros(ii.size)
     shift[safe] = np.clip(0.5 * (y0 - y2)[safe] / curvature[safe], -0.5, 0.5)

@@ -95,12 +95,13 @@ def hilbert_spectrum(d: Decomposition, n_freq_bins: int, fmax_hz: float) -> TFGr
     dropped = 0.0
     for mode in d.modes:
         model = ia_if(mode)
-        ia2 = model.ia_track**2
         f = model.if_track_hz
         inside = (f >= 0.0) & (f <= fmax_hz)
-        dropped += float(ia2[~inside].sum())
         bins = np.rint(f[inside] / fmax_hz * (n_freq_bins - 1)).astype(np.int64)
-        energy[bins, np.flatnonzero(inside)] += ia2[inside]  # one deposit per frame
-    if not np.all(np.isfinite(energy)):
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            ia2 = model.ia_track**2
+            dropped += float(ia2[~inside].sum())
+            energy[bins, np.flatnonzero(inside)] += ia2[inside]  # one deposit per frame
+    if not (np.all(np.isfinite(energy)) and np.isfinite(dropped)):
         raise NumericalFailure("time-frequency energy overflows")
     return TFGrid(times_s=times, freqs_hz=freqs, energy=energy, dropped_energy=dropped)

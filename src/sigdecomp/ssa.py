@@ -171,8 +171,9 @@ def ssa_decompose(x: Signal, cfg: SsaConfig = SsaConfig()) -> Decomposition:
         segment = x.samples[start : start + window_len]
         classes, remainder = _window_classes(segment, x.sample_rate_hz, cfg)
         sl = slice(start, start + window_len)
-        acc[: len(classes), sl] += weights * classes
-        acc_res[sl] += weights * remainder
+        with np.errstate(over="ignore", invalid="ignore"):  # reported after the loop
+            acc[: len(classes), sl] += weights * classes
+            acc_res[sl] += weights * remainder
         norm[sl] += weights
 
     acc /= norm[None, :]

@@ -31,6 +31,8 @@ class SstConfig:
     def __post_init__(self):
         if self.n_voices < 4:
             raise ContractViolation("need at least 4 voices per octave")
+        if not 0 < self.morlet_w0 < np.inf:
+            raise ContractViolation("morlet_w0 must be positive and finite")
         if not 0 <= self.gamma < np.inf:
             raise ContractViolation("gamma must be nonnegative and finite")
         if self.K < 1:
@@ -153,15 +155,19 @@ def synchrosqueeze(
     # per-cell instantaneous frequency: one-sample finite difference of the
     # coefficient phase (the discrete form of Im(dW/dt / W) / 2pi), which
     # stays unbiased on tones and alias-free below Nyquist
-    phase = W[:, 1:] * np.conj(W[:, :-1])
-    omega = np.empty(W.shape)
-    np.arctan2(phase.imag, phase.real, out=omega[:, :-1])  # np.angle
+    with np.errstate(over="ignore", invalid="ignore"):  # only if |W|^2 overflows, reported below
+        phase = W[:, 1:] * np.conj(W[:, :-1])
+        omega = np.empty(W.shape)
+        np.arctan2(phase.imag, phase.real, out=omega[:, :-1])  # np.angle
     del phase
     omega[:, :-1] *= x.sample_rate_hz / (2.0 * np.pi)
     omega[:, -1] = omega[:, -2]
 
     magnitude = np.abs(W)
-    gamma_abs = cfg.gamma * float(magnitude.max(initial=0.0))
+    peak = float(magnitude.max(initial=0.0))
+    if not np.isfinite(peak * peak):
+        raise NumericalFailure("wavelet energy is not finite")
+    gamma_abs = cfg.gamma * peak
     keep = magnitude > gamma_abs
 
     log_step = np.log(2.0) / cfg.n_voices
@@ -205,7 +211,8 @@ def extract_ridges(S: SqueezedGrid, rcfg: RidgeConfig, K: int) -> list[RidgeTrac
     """
     if K < 1:
         raise ContractViolation("K must be >= 1")
-    energy = S.energy()
+    with np.errstate(over="ignore"):  # reported just below
+        energy = S.energy()
     gamma_floor = S.gamma_abs * S.gamma_abs  # inf, not OverflowError, on overflow
     if not (np.isfinite(gamma_floor) and np.all(np.isfinite(energy))):
         raise NumericalFailure("squeezed energy is not finite")

@@ -222,6 +222,8 @@ class VncmdConfig:
     if_smooth_frac: float = 0.01  # moving-average width for IF increments, as fraction of N
 
     def __post_init__(self):
+        if self.K < 1:
+            raise ContractViolation("K must be >= 1")
         if len(self.init_if_hz) != self.K:
             raise ContractViolation("need one initial frequency per mode")
         if not np.all(np.isfinite(self.init_if_hz)):
@@ -382,10 +384,15 @@ def vncmd_decompose(
         # demodulation-based frequency increment of every mode
         da = np.gradient(a, dt, axis=1)
         db = np.gradient(b, dt, axis=1)
-        denom = a**2 + b**2
-        floor = 1e-10 * np.maximum(denom.max(axis=1, keepdims=True), 1e-30)
-        raw = (b * da - a * db) / (2.0 * np.pi * np.maximum(denom, floor))
-        increments = np.array([_moving_average(row, ma_width) for row in raw])
+        # the envelope power is checked; an infinite increment clips like any
+        # huge one, and a NaN one fails the sweep's IF check
+        with np.errstate(over="ignore", invalid="ignore"):
+            denom = a**2 + b**2
+            floor = 1e-10 * np.maximum(denom.max(axis=1, keepdims=True), 1e-30)
+            if not np.all(np.isfinite(floor)):
+                raise NumericalFailure("VNCMD iteration produced non-finite envelope power")
+            raw = (b * da - a * db) / (2.0 * np.pi * np.maximum(denom, floor))
+            increments = np.array([_moving_average(row, ma_width) for row in raw])
 
         if_tracks[:] = np.clip(if_tracks + cfg.mu * increments, 0.0, nyquist)
         sweep()

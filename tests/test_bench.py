@@ -1,25 +1,37 @@
+import dataclasses
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sigdecomp import variational
+from sigdecomp import bench, cli, io as sdio, variational
 from sigdecomp.bench import (
     NoiseSuiteSpec,
     decompose,
     default_configs,
+    effective_configs,
     match_or_empty,
     run_accuracy,
     run_alignment_suite,
     run_noise_suite,
     run_param_sweep,
 )
-from sigdecomp.core import Signal
-from sigdecomp.multivariate import MemdConfig, MvmdConfig
-from sigdecomp.variational import VncmdConfig
+from sigdecomp.core import Decomposition, MultichannelSignal, Signal
+from sigdecomp.emd import EmdConfig, emd_decompose
+from sigdecomp.multivariate import (
+    AlignedDecomposition,
+    MemdConfig,
+    MvmdConfig,
+    memd_decompose,
+    mvmd_decompose,
+)
+from sigdecomp.ssa import SsaConfig, ssa_decompose
+from sigdecomp.sst import RidgeConfig, SstConfig, sst_decompose
+from sigdecomp.variational import VmdConfig, VncmdConfig, vmd_decompose, vncmd_decompose
 
 
 class TestRecipes:
@@ -60,7 +72,7 @@ class TestAccuracy:
     def test_modeless_decomposition_scores_zero(self):
         t = np.arange(512) / 256.0
         ramp = Signal(t, 256.0)
-        d = decompose("emd", ramp, "s1")
+        d = decompose("emd", ramp, effective_configs("emd", "s1"))
         report = match_or_empty(list(d.modes), [Signal(np.sin(2 * np.pi * t), 256.0)])
         assert len(report.assignment) == 0
         assert report.total_qrf_db == 0.0
@@ -69,6 +81,86 @@ class TestAccuracy:
         report, grid = run_accuracy("vmd", "s2")
         assert grid.energy.shape[0] == 256
         assert grid.total_energy > 0
+
+
+#: method -> (configs for a short two-tone input, the method called directly)
+RUN_PATH_CASES = {
+    "emd": ({"cfg": EmdConfig(max_imfs=1)}, lambda x, c: emd_decompose(x, c["cfg"])),
+    "vmd": ({"cfg": VmdConfig(K=2, alpha=500.0)}, lambda x, c: vmd_decompose(x, c["cfg"])[0]),
+    "vncmd": (
+        {"cfg": VncmdConfig(K=2, init_if_hz=(5.0, 20.0))},
+        lambda x, c: vncmd_decompose(x, c["cfg"])[0],
+    ),
+    "sst": (
+        {"cfg": SstConfig(K=2), "ridge": RidgeConfig()},
+        lambda x, c: sst_decompose(x, c["cfg"], c["ridge"]),
+    ),
+    "ssa": ({"cfg": SsaConfig(L=20, K=2)}, lambda x, c: ssa_decompose(x, c["cfg"])),
+    "memd": ({"cfg": MemdConfig(M=4)}, lambda x, c: memd_decompose(x, c["cfg"])),
+    "mvmd": ({"cfg": MvmdConfig(K=2)}, lambda x, c: mvmd_decompose(x, c["cfg"])[0]),
+}
+
+
+def two_tones(method):
+    t = np.arange(256) / 128.0
+    x = np.cos(2 * np.pi * 5.0 * t) + 0.5 * np.cos(2 * np.pi * 20.0 * t)
+    if method in bench.MULTICHANNEL_METHODS:
+        return MultichannelSignal(np.stack([x, 0.8 * x + 0.1 * np.sin(2 * np.pi * 20.0 * t)]), 128.0)
+    return Signal(x, 128.0)
+
+
+def arrays_of(d):
+    if isinstance(d, AlignedDecomposition):
+        arrays = [m.samples for modes in d.channel_modes for m in modes] + [r.samples for r in d.residuals]
+    else:
+        arrays = [m.samples for m in d.modes] + [d.residual.samples] + list(d.if_tracks_hz or ())
+    return arrays + [np.asarray(d.center_freqs_hz or ())]
+
+
+class TestRunPath:
+    @pytest.mark.parametrize("method", list(RUN_PATH_CASES))
+    def test_equals_the_method_called_directly(self, method):
+        configs, direct = RUN_PATH_CASES[method]
+        x = two_tones(method)
+        d = decompose(method, x, configs)
+        assert isinstance(d, (Decomposition, AlignedDecomposition))
+        expected = arrays_of(direct(x, configs))
+        got = arrays_of(d)
+        assert len(got) == len(expected) > 2
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    def test_unknown_method_rejected(self, monkeypatch):
+        # the caller hands the configs over: decompose looks up no recipe
+        monkeypatch.setattr(bench, "default_configs", None)
+        with pytest.raises(ValueError, match="unknown method"):
+            decompose("wavelets", two_tones("emd"), {"cfg": EmdConfig()})
+
+    @pytest.mark.parametrize("method, flags", [("memd", ("--m-directions", "4")), ("mvmd", ("--k", "2"))])
+    def test_cli_decompose_runs_through_bench(self, tmp_path, monkeypatch, method, flags):
+        csv = tmp_path / "mv.csv"
+        assert cli.main(["synth", "--signal", "mv", "--duration", "0.25", "--out", str(csv)]) == 0
+        runs, written = [], []
+        run, write = bench.decompose, sdio.write_decomposition
+
+        def spy_run(name, x, configs):
+            runs.append((name, configs))
+            return run(name, x, configs)
+
+        def spy_write(d, outdir, **kwargs):
+            written.append(kwargs["config"])
+            return write(d, outdir, **kwargs)
+
+        monkeypatch.setattr(bench, "decompose", spy_run)
+        monkeypatch.setattr(sdio, "write_decomposition", spy_write)
+        argv = ["decompose", "--method", method, *flags, "--input", str(csv), "--outdir", str(tmp_path / "d")]
+        assert cli.main(argv) == 0
+        assert [name for name, _ in runs] == [method]
+        configs = runs[0][1]
+        assert len(written) == 1 and written[0] is configs
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        fields = {k: v for cfg in configs.values() for k, v in dataclasses.asdict(cfg).items()}
+        assert manifest["config"] == fields
+        assert fields["M" if method == "memd" else "K"] == int(flags[1])
 
 
 class TestNoiseSuite:

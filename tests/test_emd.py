@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sigdecomp.core import ContractViolation, NotEnoughExtrema, Signal, l2_norm
+from sigdecomp.core import ContractViolation, NotEnoughExtrema, NumericalFailure, Signal, l2_norm
 from sigdecomp.emd import (
     EmdConfig,
     emd_decompose,
@@ -56,6 +56,13 @@ class TestEnvelopeMean:
     def test_ramp_raises(self):
         with pytest.raises(NotEnoughExtrema):
             envelope_mean(Signal(np.linspace(0, 1, 128), 16.0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_curvature_is_numerical_failure(self):
+        # finite samples whose second difference at an extremum overflows
+        s = Signal(1.5e308 * np.sin(2.5 * np.arange(96.0)), 96.0)
+        with pytest.raises(NumericalFailure, match="curvature"):
+            envelope_mean(s)
 
 
 # Hand-built signals whose extrema are symmetric peaks, so the refined knots
@@ -158,6 +165,9 @@ class TestDecompose:
             EmdConfig(theta1=0.6, theta2=0.5)
         with pytest.raises(ContractViolation):
             EmdConfig(alpha_fraction=0.0)
+        for cap in ("max_sift_iters", "max_imfs"):  # MEMD sifts under the same caps
+            with pytest.raises(ContractViolation, match=cap):
+                EmdConfig(**{cap: 0})
 
 
 class TestImfProperties:

@@ -406,12 +406,14 @@ class TestCliContract:
         assert code == 2
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sst_overflow_exit_three(self, tmp_path, capsys):
         write_signals_csv(tmp_path / "huge.csv", {"x": np.sin(np.arange(256.0)) * 1e300}, 256.0)
         code = main("decompose", "--method", "sst", "--input", tmp_path / "huge.csv", "--outdir", tmp_path / "d")
         assert code == 3
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_vncmd_overflow_exit_three(self, tmp_path, capsys):
         write_signals_csv(tmp_path / "huge.csv", {"x": huge_tones(96)}, 96.0)
         code = main("decompose", "--method", "vncmd", "--init-if", "5",
@@ -419,6 +421,7 @@ class TestCliContract:
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("method", ["emd", "memd"])
     def test_envelope_overflow_exit_three(self, tmp_path, method, capsys):
         # finite samples whose spline envelopes (or their mean) overflow
@@ -431,6 +434,7 @@ class TestCliContract:
         assert code == 3
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_ssa_overflow_exit_three(self, tmp_path, capsys):
         # finite samples whose overlap-added classes overflow
         t = np.arange(2000.0)
@@ -462,6 +466,7 @@ class TestCliContract:
         error = json.loads(text, parse_constant=no_constants)["reconstruction_error"]
         assert 0.0 < error < np.inf
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tf_overflow_exit_three(self, tmp_path):
         fs = 64.0
         mode = Signal(np.sin(np.arange(64.0)) * 1e300, fs)

@@ -294,7 +294,7 @@ class TestWholeArrayScoring:
         if snr is not None:
             x = add_wgn(x, snr, 1)
         try:
-            d = bench.decompose(method, x, signal_id, noisy=snr is not None)
+            d = bench.decompose(method, x, bench.effective_configs(method, signal_id, noisy=snr is not None))
         except Diverged:
             pytest.skip("the recipe diverges on this realization")
         modes = list(d.modes)

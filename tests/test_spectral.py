@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sigdecomp.core import ContractViolation, Decomposition, Signal, scale
+from sigdecomp.core import ContractViolation, Decomposition, NumericalFailure, Signal, scale
 from sigdecomp.spectral import TFGrid, analytic_signal, hilbert_spectrum, ia_if
 from sigdecomp.synth import gen_s1, s1_if_laws
 
@@ -127,6 +127,13 @@ class TestHilbertSpectrum:
         model = ia_if(s)
         total = float(np.sum(model.ia_track**2))
         assert grid.total_energy + grid.dropped_energy == pytest.approx(total, rel=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_dropped_energy_raises(self):
+        s = scale(tone(50.0, 1.0, 512.0), 1e300)  # its squared amplitude overflows
+        d = Decomposition(modes=(s,), residual=scale(s, 0.0))
+        with pytest.raises(NumericalFailure, match="overflows"):
+            hilbert_spectrum(d, 64, 30.0)  # 50 Hz falls outside the grid
 
     @pytest.mark.parametrize("fmax_hz", [0.0, -5.0, float("nan")])
     def test_fmax_must_be_positive_and_finite(self, fmax_hz):

@@ -131,7 +131,7 @@ class TestDecompose:
         x, refs = bench.generate_signal(signal)
         if snr is not None:
             x = add_wgn(x, snr, 0)
-        d = bench.decompose("ssa", x, signal, noisy=snr is not None)
+        d = bench.decompose("ssa", x, bench.effective_configs("ssa", signal, noisy=snr is not None))
         n_modes, total_db = RECIPE_FIGURES[signal, snr]
         assert len(d.modes) == n_modes
         assert bench.match_or_empty(list(d.modes), refs).total_qrf_db == pytest.approx(total_db, abs=1e-6)

@@ -5,7 +5,7 @@ import pytest
 
 from sigdecomp import bench
 from sigdecomp._kernels import walk_ridge
-from sigdecomp.core import ContractViolation, Signal, add
+from sigdecomp.core import ContractViolation, NumericalFailure, Signal, add
 from sigdecomp.metrics import match_components, qrf
 from sigdecomp.sst import (
     RIDGE_FADE_REL,
@@ -73,6 +73,11 @@ class TestCwt:
         ref = np.max(np.abs(Wa + Wb))
         assert np.max(np.abs(Wab - (Wa + Wb))) < 1e-9 * ref
 
+    @pytest.mark.parametrize("w0", [0.0, -6.0, np.nan, np.inf])
+    def test_config_validation(self, w0):
+        with pytest.raises(ContractViolation, match="morlet_w0"):
+            SstConfig(morlet_w0=w0)
+
 
 class TestSynchrosqueeze:
     def test_tone_energy_concentration(self, squeezed50):
@@ -82,6 +87,14 @@ class TestSynchrosqueeze:
         interior = slice(100, -100)
         near = energy[max(idx - 1, 0) : idx + 2, interior].sum()
         assert near / energy[:, interior].sum() >= 0.80
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("amp, message", [(5e153, "squeezed energy"), (1e155, "wavelet energy")])
+    def test_overflowing_energy_is_numerical_failure(self, amp, message):
+        # the squeezed energy overflows first; from 1.34e154 on, |W|^2 and
+        # with it the squeeze's phase products can overflow too
+        with pytest.raises(NumericalFailure, match=message):
+            sst_decompose(tone(30.0, 2.0, 256.0, amp=amp), SstConfig(K=1))
 
     def test_thresholded_cells_contribute_nothing(self, tone50):
         cfg = SstConfig(K=1, gamma=0.5)  # very aggressive threshold
@@ -168,7 +181,7 @@ class TestRidges:
         x, refs = bench.generate_signal(signal)
         if snr is not None:
             x = add_wgn(x, snr, 0)
-        d = bench.decompose("sst", x, signal, noisy=snr is not None)
+        d = bench.decompose("sst", x, bench.effective_configs("sst", signal, noisy=snr is not None))
         n_modes, total_db = RECIPE_FIGURES[signal, snr]
         assert len(d.modes) == n_modes
         assert bench.match_or_empty(list(d.modes), refs).total_qrf_db == pytest.approx(total_db, abs=1e-6)

@@ -252,6 +252,14 @@ class TestVncmd:
         with pytest.raises(ContractViolation, match="alpha"):
             vncmd_decompose(tone(30.0, 1.0, 256.0), cfg)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_envelope_power_is_numerical_failure(self):
+        # a^2 + b^2 overflows while the rest stays finite; the run used to
+        # stop after one iteration as converged, with numpy's warnings only
+        cfg = VncmdConfig(K=1, init_if_hz=(30.0,))
+        with pytest.raises(NumericalFailure, match="envelope power"):
+            vncmd_decompose(tone(30.0, 1.0, 256.0, amp=1e155), cfg)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["alpha", "mu", "tol", "init_if_hz", "if_smooth_frac"])
     def test_non_finite_config_rejected(self, field, value):
@@ -263,11 +271,11 @@ class TestVncmd:
     @pytest.mark.parametrize(
         "bad, message",
         [({"max_iters": 0}, "max_iters"), ({"if_smooth_frac": -0.1}, "if_smooth_frac"),
-         ({"if_smooth_frac": 1.5}, "if_smooth_frac")],
+         ({"if_smooth_frac": 1.5}, "if_smooth_frac"), ({"K": 0, "init_if_hz": ()}, "K")],
     )
     def test_out_of_range_config_rejected(self, bad, message):
         with pytest.raises(ContractViolation, match=message):
-            VncmdConfig(K=2, init_if_hz=(30.0, 50.0), **bad)
+            VncmdConfig(**{"K": 2, "init_if_hz": (30.0, 50.0), **bad})
 
     def test_init_validation(self):
         with pytest.raises(ContractViolation):
