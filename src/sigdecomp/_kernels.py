@@ -9,9 +9,16 @@ probes look them up.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .core import NumericalFailure
+
+
+def dgtsv(*args, **kwargs):
+    """LAPACK ``dgtsv`` from scipy, imported on the first call so that a
+    run without a spline envelope never loads ``scipy.linalg``."""
+    from scipy.linalg.lapack import dgtsv
+
+    return dgtsv(*args, **kwargs)
 
 
 def find_extrema_arrays(x: np.ndarray) -> tuple:

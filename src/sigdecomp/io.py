@@ -10,6 +10,7 @@ multichannel signal.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
@@ -227,8 +228,21 @@ def _samples(sig: Signal | MultichannelSignal) -> np.ndarray:
 
 
 def write_tfgrid_csv(path: str | Path, grid: TFGrid) -> None:
-    """T-F grid as CSV: first row the frequencies, first column the times."""
+    """T-F grid as CSV: first row the frequencies, first column the times.
+
+    Every cell reads ``repr(float(v))``.  A Hilbert spectrum holds at most
+    one value per mode and frame, so each row starts as ``"0.0"`` cells and
+    only the others are formatted: the nonzero ones and ``-0.0``, whose
+    text is ``"-0.0"``.
+    """
+    energy = grid.energy
+    n_f, n_t = energy.shape
+    times, bins = np.nonzero(((energy != 0.0) | np.signbit(energy)).T)  # row by row
+    cells_of = zip(bins.tolist(), [repr(v) for v in energy[bins, times].tolist()])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("time_s," + ",".join(repr(float(f)) for f in grid.freqs_hz) + "\n")
-        for j, t in enumerate(grid.times_s):
-            fh.write(repr(float(t)) + "," + ",".join(repr(float(v)) for v in grid.energy[:, j]) + "\n")
+        for t, count in zip(grid.times_s, np.bincount(times, minlength=n_t).tolist()):
+            cells = ["0.0"] * n_f
+            for i, text in itertools.islice(cells_of, count):
+                cells[i] = text
+            fh.write(repr(float(t)) + "," + ",".join(cells) + "\n")

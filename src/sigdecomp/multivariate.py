@@ -203,10 +203,29 @@ def _directional_envelope_stats(
     envelopes = natural_spline(times, data[sources], np.arange(n, dtype=np.float64), starts)
     upper, lower = envelopes[:used], envelopes[used:]  # (used, n, channels) each
     env_mean = np.sum(upper + lower, axis=0) / (2.0 * used)
-    amplitude = np.sum(np.linalg.norm(upper - lower, axis=2), axis=0) / (2.0 * used)
     if not np.all(np.isfinite(env_mean)):  # not finite when any envelope is not
         raise NumericalFailure("MEMD envelope is not finite")
+    with np.errstate(over="ignore"):  # reported just below
+        amplitude = np.sum(_norm(upper - lower, axis=2), axis=0) / (2.0 * used)
+    if not np.all(np.isfinite(amplitude)):
+        raise NumericalFailure("MEMD envelope amplitude is not finite")
     return env_mean, amplitude, used, oscillates
+
+
+def _norm(x: np.ndarray, axis: int) -> np.ndarray:
+    """``np.linalg.norm(x, axis=axis)``.  Where a sum of squares overflows,
+    the norms are recomputed on ``x`` scaled by the one power of two that
+    brings its largest magnitude into [0.5, 1), and scaled back.  That
+    scaling is exact, so an input that does not overflow keeps its bits
+    and a norm that fits in float64 comes back finite (the scaled 2-norm
+    of Higham 2002, §27)."""
+    with np.errstate(over="ignore"):  # redone below when not finite
+        norm = np.linalg.norm(x, axis=axis)
+    if np.all(np.isfinite(norm)):
+        return norm
+    exp = int(np.frexp(np.max(np.abs(x)))[1])
+    with np.errstate(over="ignore"):  # a norm past float64's range is inf
+        return np.ldexp(np.linalg.norm(np.ldexp(x, -exp), axis=axis), exp)
 
 
 def _mirrored_knots(
@@ -258,7 +277,7 @@ def memd_decompose(x: MultichannelSignal, cfg: MemdConfig = MemdConfig()) -> Ali
                 env_mean, amplitude, used, _ = _directional_envelope_stats(h, directions, ecfg.boundary)
             if used == 0:
                 break
-            if ecfg.sift_converged(np.linalg.norm(env_mean, axis=1), amplitude):
+            if ecfg.sift_converged(_norm(env_mean, axis=1), amplitude):
                 break
             h = h - env_mean
         modes.append(h)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
 from ._rng import uniforms
 from .core import (
@@ -74,6 +73,35 @@ def _initial_centers(k: int, init_mode: str, seed: int = 0) -> np.ndarray:
     if init_mode == "random":
         return np.sort(uniforms(k, seed) * 0.5)
     return np.zeros(k)
+
+
+def _update_norm(modes: np.ndarray, prev: np.ndarray, power) -> float:
+    """Relative update of a sweep: the sum over modes of ``power(mode -
+    prev) / (power(prev) + 1e-30)``, ``power`` giving each mode's sum of
+    squares.  Where a sum or the result overflows, it is recomputed on
+    both arrays scaled by the one power of two that brings their largest
+    magnitude into [0.5, 1).  That scaling is exact, so a sweep that does
+    not overflow keeps its bits, and an overflowing one never reads as a
+    zero update (the scaled 2-norm of Higham 2002, §27)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # redone below when not finite
+        denom = power(prev) + 1e-30
+        norm = float(sum(power(modes - prev) / denom))
+    if np.isfinite(norm) and np.all(np.isfinite(denom)):
+        return norm
+    peak = max(np.max(np.abs(a.view(np.float64))) for a in (modes, prev))
+    scale = 2.0 ** -int(np.frexp(peak)[1])
+    modes, prev = modes * scale, prev * scale
+    return float(sum(power(modes - prev) / (power(prev) + 1e-30)))
+
+
+def _spectral_power(u: np.ndarray) -> np.ndarray:
+    """Sum of squared magnitudes of each mode's spectra, ``(K, C, bins)``."""
+    return np.array([np.vdot(mode, mode).real for mode in u])
+
+
+def _power(modes: np.ndarray) -> np.ndarray:
+    """Sum of squares of each mode, ``(K, n)``."""
+    return np.sum(modes**2, axis=1)
 
 
 def _variational_modes(
@@ -157,13 +185,7 @@ def _variational_modes(
                 else:
                     collision_run[i, j] = 0
 
-        diff = u - u_prev
-        update_norm = float(
-            sum(
-                np.vdot(diff[i], diff[i]).real / (np.vdot(u_prev[i], u_prev[i]).real + 1e-30)
-                for i in range(k)
-            )
-        )
+        update_norm = _update_norm(u, u_prev, _spectral_power)
         trace.append(update_norm)
         iterations = iteration + 1
         if update_norm < cfg.tol:
@@ -274,7 +296,10 @@ def solve_banded(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ``scipy.linalg.solve_banded((4, 4), bands[4:], rhs)``, without its
     argument copies and finiteness scan.  A singular system raises
     :class:`NumericalFailure`.  This is VNCMD's one solve call site,
-    which the benchmark's probe wraps by this name."""
+    which the benchmark's probe wraps by this name.  scipy is imported
+    on the first call, so that a run without VNCMD never loads it."""
+    from scipy.linalg.lapack import dgbsv
+
     _, _, solution, info = dgbsv(4, 4, bands, rhs, overwrite_ab=1, overwrite_b=1)
     if info > 0:
         raise NumericalFailure("VNCMD envelope system is singular")
@@ -384,13 +409,15 @@ def vncmd_decompose(
         # demodulation-based frequency increment of every mode
         da = np.gradient(a, dt, axis=1)
         db = np.gradient(b, dt, axis=1)
-        # the envelope power is checked; an infinite increment clips like any
-        # huge one, and a NaN one fails the sweep's IF check
+        # the envelope power is checked, up to the increment's 2 pi factor (an
+        # infinite denominator would read as a zero increment); an infinite
+        # increment clips like any huge one, and a NaN one fails the sweep's IF check
         with np.errstate(over="ignore", invalid="ignore"):
             denom = a**2 + b**2
-            floor = 1e-10 * np.maximum(denom.max(axis=1, keepdims=True), 1e-30)
-            if not np.all(np.isfinite(floor)):
+            peak = denom.max(axis=1, keepdims=True)
+            if not np.all(np.isfinite(2.0 * np.pi * peak)):
                 raise NumericalFailure("VNCMD iteration produced non-finite envelope power")
+            floor = 1e-10 * np.maximum(peak, 1e-30)
             raw = (b * da - a * db) / (2.0 * np.pi * np.maximum(denom, floor))
             increments = np.array([_moving_average(row, ma_width) for row in raw])
 
@@ -408,8 +435,7 @@ def vncmd_decompose(
         if not np.isfinite(cost):
             raise NumericalFailure("VNCMD iteration produced non-finite cost")
 
-        diff = modes - modes_prev
-        new_norm = float(sum(np.sum(diff**2, axis=1) / (np.sum(modes_prev**2, axis=1) + 1e-30)))
+        new_norm = _update_norm(modes, modes_prev, _power)
         growth_run = growth_run + 1 if new_norm > update_norm else 0
         update_norm = new_norm
         if growth_run >= 10 or update_norm < cfg.tol:

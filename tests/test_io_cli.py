@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sigdecomp import bench, cli
+from sigdecomp import io as sdio
 from sigdecomp.core import Decomposition, MultichannelSignal, NumericalFailure, Signal
 from sigdecomp.io import (
     CsvFormatError,
@@ -16,6 +19,7 @@ from sigdecomp.io import (
 )
 from sigdecomp.metrics import qrf
 from sigdecomp.multivariate import AlignedDecomposition, MvmdConfig, mvmd_decompose
+from sigdecomp.spectral import TFGrid, hilbert_spectrum
 from sigdecomp.synth import gen_mv_test
 from sigdecomp.sst import SstConfig, sst_decompose
 from sigdecomp.variational import VmdConfig, VncmdConfig, vmd_decompose, vncmd_decompose
@@ -210,6 +214,125 @@ class TestDecompositionBundle:
         write_signals_csv(tmp_path / "mode_02.csv", {"ch1": d.channel_modes[0][1].samples}, x.sample_rate_hz)
         with pytest.raises(CsvFormatError, match="shape"):
             read_decomposition(tmp_path)
+
+
+def dense_tfgrid_csv(path, grid):
+    """The reference writer: ``repr`` on every cell."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("time_s," + ",".join(repr(float(f)) for f in grid.freqs_hz) + "\n")
+        for j, t in enumerate(grid.times_s):
+            fh.write(repr(float(t)) + "," + ",".join(repr(float(v)) for v in grid.energy[:, j]) + "\n")
+
+
+def sparse_energy(rng, shape, density=0.05):
+    return np.where(rng.random(shape) < density, rng.exponential(size=shape), 0.0)
+
+
+def tf_grids(rng):
+    """Grids named by what they cover, each one ``(n_freqs, n_times)``."""
+    signed_zeros = sparse_energy(rng, (16, 40))
+    signed_zeros[rng.random(signed_zeros.shape) < 0.1] = -0.0
+    subnormals = sparse_energy(rng, (8, 30))
+    subnormals[:, ::3] *= 5e-324 / subnormals.max()  # 0, 5e-324 or a few times that
+    subnormals[0, 1] = np.nextafter(2.2250738585072014e-308, 0.0)
+    empty_columns = sparse_energy(rng, (12, 25), density=0.3)
+    empty_columns[:, [0, 7, 8, 24]] = 0.0
+    return {
+        "signed_zeros": signed_zeros,
+        "subnormals": subnormals,
+        "empty_columns": empty_columns,
+        "all_zero": np.zeros((5, 6)),
+        "dense": rng.random((17, 23)) * 10.0 ** rng.integers(-300, 300, size=(17, 23)),
+        "one_by_one": np.array([[0.1]]),
+        "one_by_one_negative_zero": np.array([[-0.0]]),
+        "two_rows": sparse_energy(rng, (2, 50), density=0.5),
+    }
+
+
+class TestTfGridCsv:
+    """The T-F grid writer against the dense loop that formats every cell."""
+
+    @pytest.mark.parametrize("name", list(tf_grids(np.random.default_rng(0))))
+    def test_matches_dense_writer(self, tmp_path, rng, name):
+        energy = tf_grids(rng)[name]
+        n_f, n_t = energy.shape
+        grid = TFGrid(np.arange(n_t) / 7.0, np.linspace(0.0, 50.0, n_f), energy)
+        sdio.write_tfgrid_csv(tmp_path / "grid.csv", grid)
+        dense_tfgrid_csv(tmp_path / "dense.csv", grid)
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+    def test_cli_grid_formats_only_nonzero_cells(self, tmp_path, s1_csv, monkeypatch):
+        # the cli_roundtrip chain: vmd on s1, then a 256-bin grid
+        assert main("decompose", "--method", "vmd", "--input", s1_csv, "--outdir", tmp_path / "vmd") == 0
+        d, _ = read_decomposition(tmp_path / "vmd")
+        grid = hilbert_spectrum(d, 256, d.residual.sample_rate_hz / 2.0)
+        calls = []
+
+        def counted_repr(value):
+            calls.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(sdio, "repr", counted_repr, raising=False)
+        assert main("tf", "--indir", tmp_path / "vmd", "--out", tmp_path / "grid.csv", "--bins", 256) == 0
+        monkeypatch.undo()
+        dense_tfgrid_csv(tmp_path / "dense.csv", grid)
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+        n_f, n_t = grid.energy.shape
+        assert len(calls) == n_f + n_t + np.count_nonzero(grid.energy) < n_f * n_t / 50
+
+
+#: runs each argv list (JSON) through ``cli.main`` in a fresh interpreter
+#: and prints, after the import and after each command, the exit code and
+#: whether ``scipy.linalg`` is loaded
+SCIPY_PROBE = """
+import json, sys
+from sigdecomp import cli
+states = [[None, "scipy.linalg" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    states.append([cli.main(argv), "scipy.linalg" in sys.modules])
+print(json.dumps(states))
+"""
+
+
+def scipy_states(cwd, commands):
+    """``[exit code, scipy.linalg loaded]`` after the import and each command."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    paths = [package_root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    r = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, cwd=cwd, env=env,
+    )
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+class TestScipyOnFirstSolve:
+    """scipy is loaded by the first banded solve, not by the import."""
+
+    def test_only_banded_solves_load_scipy(self, tmp_path):
+        decompose = ["decompose", "--signal-profile", "s2", "--input", "s2.csv", "--method"]
+        commands = [
+            ["synth", "--signal", "s2", "--out", "s2.csv"],
+            ["synth", "--signal", "mv", "--duration", "0.25", "--out", "mv.csv"],
+            [*decompose, "vmd", "--outdir", "vmd"],
+            [*decompose, "sst", "--outdir", "sst"],
+            [*decompose, "ssa", "--outdir", "ssa"],
+            ["decompose", "--method", "mvmd", "--input", "mv.csv", "--outdir", "mvmd"],
+            ["tf", "--indir", "vmd", "--out", "grid.csv"],
+            ["tf", "--input", "s2.csv", "--out", "self.csv"],
+            [*decompose, "emd", "--outdir", "emd"],  # the spline kernel's dgtsv
+        ]
+        states = scipy_states(tmp_path, commands)
+        assert [code for code, _ in states[1:]] == [0] * len(commands)
+        assert [loaded for _, loaded in states] == [False] * len(commands) + [True]
+
+    def test_vncmd_loads_scipy(self, tmp_path):  # its envelope solve's dgbsv
+        commands = [
+            ["synth", "--signal", "s2", "--out", "s2.csv"],
+            ["decompose", "--method", "vncmd", "--signal-profile", "s2", "--input", "s2.csv", "--outdir", "d"],
+        ]
+        assert scipy_states(tmp_path, commands) == [[None, False], [0, False], [0, True]]
 
 
 class TestCliContract:

@@ -121,6 +121,21 @@ class TestMemd:
         modes = [np.array([m.samples for m in d.channel_modes[0]]) for d in (default, shallow)]
         assert not np.array_equal(*modes)  # unequal shapes count as unequal
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_norms_keep_the_sift(self):
+        # near 1e300 the norms of the mean envelope and of the envelope
+        # spread overflow as plain sums of squares; sigma read NaN and every
+        # sift ran to its cap.  A power-of-two scale must scale the modes exactly.
+        mv, _ = gen_mv_test(duration_s=0.5)
+        x = noisy_mv_signal(mv, 10.0, 0)
+        exp = 996
+        assert np.max(np.abs(np.ldexp(x.channels, exp))) > 1e300
+        base = memd_decompose(x, MemdConfig(M=8))
+        huge = memd_decompose(MultichannelSignal(np.ldexp(x.channels, exp), x.sample_rate_hz), MemdConfig(M=8))
+        for modes, base_modes in zip(huge.channel_modes, base.channel_modes):
+            assert len(modes) == len(base_modes)
+            assert all(np.array_equal(np.ldexp(m.samples, -exp), m0.samples) for m, m0 in zip(modes, base_modes))
+
     def test_requires_two_channels(self):
         x = MultichannelSignal(np.sin(np.arange(128))[None, :], 16.0)
         with pytest.raises(ContractViolation):

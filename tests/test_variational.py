@@ -146,6 +146,41 @@ class TestVmd:
         err = np.max(np.abs(d.modes[0].samples - m[lo : lo + n]))
         assert err < 1e-9 * np.max(np.abs(x))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("exp", [480, 500])
+    def test_overflowing_update_norm_keeps_the_run(self, exp):
+        # the plain update norm overflows from about 2**480 on; scaling the
+        # input by a power of two must scale the modes exactly and leave the
+        # iteration count and the centers as they were
+        fs = 256.0
+        t = np.arange(512) / fs
+        x = np.cos(2 * np.pi * 20 * t) + 0.5 * np.cos(2 * np.pi * 60 * t)
+        base, base_report = vmd_decompose(Signal(x, fs), VmdConfig(K=2))
+        huge, report = vmd_decompose(Signal(np.ldexp(x, exp), fs), VmdConfig(K=2))
+        assert report.iterations == base_report.iterations and report.converged
+        assert huge.center_freqs_hz == base.center_freqs_hz
+        for m, m0 in zip(huge.modes, base.modes):
+            assert np.array_equal(np.ldexp(m.samples, -exp), m0.samples)
+
+
+class TestUpdateNorm:
+    """A sweep's relative update does not depend on the scale of the
+    modes, so it must not change where their sums of squares overflow."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("spectra", [False, True])
+    def test_overflowing_sums_keep_the_value(self, rng, spectra):
+        prev, power = rng.normal(size=(3, 128)), variational._power
+        if spectra:  # VMD's (K, C, bins) complex spectra
+            prev = (prev + 1j * rng.normal(size=(3, 128))).reshape(3, 2, 64)
+            power = variational._spectral_power
+        modes = 1.5 * prev
+        want = variational._update_norm(modes, prev, power)
+        assert want == pytest.approx(0.75, rel=1e-12)  # 0.25 per mode
+        for exp in (520, 1000):  # the sums of squares overflow, then the squares themselves
+            scale = 2.0**exp
+            assert variational._update_norm(modes * scale, prev * scale, power) == want
+
 
 class TestVncmd:
     def test_tone_initialized_at_truth(self):
@@ -259,6 +294,31 @@ class TestVncmd:
         cfg = VncmdConfig(K=1, init_if_hz=(30.0,))
         with pytest.raises(NumericalFailure, match="envelope power"):
             vncmd_decompose(tone(30.0, 1.0, 256.0, amp=1e155), cfg)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_increment_denominator_is_numerical_failure(self):
+        # a^2 + b^2 fits but 2 pi (a^2 + b^2) does not; the increment read
+        # as zero and the run stopped after one iteration as converged, its
+        # IF left at 29.9 Hz
+        with pytest.raises(NumericalFailure, match="envelope power"):
+            vncmd_decompose(tone(30.0, 1.0, 256.0, amp=1e154), VncmdConfig(K=1, init_if_hz=(29.9,)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_update_norm_keeps_the_run(self):
+        # at 2**508 (about 1e153) the envelope power fits but the modes'
+        # sums of squares overflow, which read as a zero update: the run
+        # stopped after one iteration as converged
+        fs = 256.0
+        t = np.arange(2560) / fs
+        x = np.cos(2 * np.pi * 30 * t) + 0.5 * np.cos(2 * np.pi * 60 * t + 3 * np.sin(t))
+        cfg = VncmdConfig(K=2, init_if_hz=(28.0, 62.0))
+        base, base_report = vncmd_decompose(Signal(x, fs), cfg)
+        huge, report = vncmd_decompose(Signal(np.ldexp(x, 508), fs), cfg)
+        assert report.iterations == base_report.iterations > 1
+        assert report.final_update_norm == pytest.approx(base_report.final_update_norm, rel=1e-12)
+        for m, m0 in zip(huge.modes, base.modes):
+            assert np.array_equal(np.ldexp(m.samples, -508), m0.samples)
+        assert all(np.array_equal(f, f0) for f, f0 in zip(huge.if_tracks_hz, base.if_tracks_hz))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["alpha", "mu", "tol", "init_if_hz", "if_smooth_frac"])
