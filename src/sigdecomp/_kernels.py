@@ -36,10 +36,12 @@ def find_extrema_arrays(x: np.ndarray) -> tuple:
     left, right = nz[flip], nz[flip + 1]  # the change points around each flip
     column = left // width
     idx = (left + 1 + right) // 2 - column * width  # a plateau's midpoint
-    kind = np.where(right // width == column, s[flip], 0.0)  # a flip across two columns is none
+    same = right // width == column  # a flip across two columns is none
+    up = s[flip]  # +1 before a maximum, -1 before a minimum
+    families = np.flatnonzero(same & (up > 0)), np.flatnonzero(same & (up < 0))
     if x.ndim == 1:
-        return idx[kind > 0], idx[kind < 0]
-    return (idx[kind > 0], column[kind > 0]), (idx[kind < 0], column[kind < 0])
+        return tuple(idx[f] for f in families)
+    return tuple((idx[f], column[f]) for f in families)
 
 
 def natural_spline(
@@ -105,24 +107,22 @@ def natural_spline(
     coef[2] = m[:, :-1] / 2.0
     coef[3] = (m[:, 1:] - m[:, :-1]) / (6.0 * h)
 
-    # a query's interval in a block is the block's first interval plus the
-    # number of the block's inner knots at or before the query; one search
-    # places every inner knot among the queries
+    # the sorted queries of one interval are consecutive: an interval's run
+    # starts at the first query at or after its left knot (a block's ends
+    # extend to every query), and its cubic is repeated over that run
     n_blocks, n_q = firsts.size, q.size
-    inner = np.ones(k, dtype=bool)
-    inner[ends] = False
-    block = np.repeat(np.arange(n_blocks), lasts - firsts + 1)
-    slot = block[inner] * (n_q + 1) + np.searchsorted(q, xs[inner])
-    passed = np.bincount(slot, minlength=n_blocks * (n_q + 1)).reshape(n_blocks, n_q + 1)
-    j = (np.cumsum(passed[:, :-1], axis=1) + firsts[:, None]).ravel()
-
-    c = np.take(coef, j, axis=2)  # (4, C, n_blocks * n_q)
-    t = np.tile(q, n_blocks) - xs[j]
+    pos = np.searchsorted(q, xs)
+    pos[firsts], pos[lasts] = 0, n_q
+    widths = np.diff(pos)
+    widths[lasts[:-1]] = 0  # the step from one block to the next is no interval
+    c = np.repeat(coef, widths, axis=2)  # (4, C, n_blocks * n_q)
+    t = np.tile(q, n_blocks) - np.repeat(xs[:-1], widths)
     out = c[3] * t + c[2]
     for power in (1, 0):
         out *= t
         out += c[power]
-    out = out.reshape((-1, n_blocks, n_q)).transpose(1, 2, 0).reshape((n_blocks, n_q) + ys.shape[1:])
+    out = out.reshape((c.shape[1], n_blocks, n_q)).transpose(1, 2, 0)  # C is known when q is empty
+    out = out.reshape((n_blocks, n_q) + ys.shape[1:])
     return out[0] if starts is None else out
 
 

@@ -150,47 +150,54 @@ def _variational_modes(
     converged = False
     iterations = 0
 
-    for iteration in range(cfg.max_iters):
-        u_prev[:] = u
-        acc = u.sum(axis=0)  # (channels, n_bins)
-        half_lam = lam / 2.0
-        for i in range(k):
-            acc -= u[i]
-            np.divide(
-                spectrum - acc + half_lam,
-                1.0 + 2.0 * cfg.alpha * (freqs - omega[i]) ** 2,
-                out=u[i],
-            )
-            power = np.abs(u[i]) ** 2
-            denom = power.sum()
-            if denom > 0.0:
-                # one channel needs no pooling; skipping the reduction keeps VMD fast
-                pooled = power[0] if n_ch == 1 else power.sum(axis=0)
-                omega[i] = float((pooled @ freqs) / denom)
-            acc += u[i]
-        lam = lam + cfg.tau * (spectrum - acc)
+    # an overflow in the sweep leaves u non-finite, which is reported, or a
+    # mode's power sum, which is redone on scaled spectra
+    with np.errstate(over="ignore"):
+        for iteration in range(cfg.max_iters):
+            u_prev[:] = u
+            acc = u.sum(axis=0)  # (channels, n_bins)
+            half_lam = lam / 2.0
+            for i in range(k):
+                acc -= u[i]
+                np.divide(
+                    spectrum - acc + half_lam,
+                    1.0 + 2.0 * cfg.alpha * (freqs - omega[i]) ** 2,
+                    out=u[i],
+                )
+                power = np.abs(u[i]) ** 2
+                denom = power.sum()
+                if not np.isfinite(denom):  # omega does not depend on scale
+                    scale = 2.0 ** -int(np.frexp(np.max(np.abs(u[i])))[1])
+                    power = np.abs(u[i] * scale) ** 2
+                    denom = power.sum()
+                if denom > 0.0:
+                    # one channel needs no pooling; skipping the reduction keeps VMD fast
+                    pooled = power[0] if n_ch == 1 else power.sum(axis=0)
+                    omega[i] = float((pooled @ freqs) / denom)
+                acc += u[i]
+            lam = lam + cfg.tau * (spectrum - acc)
 
-        if not np.all(np.isfinite(u.view(np.float64))):
-            raise NumericalFailure("variational iteration produced non-finite values")
+            if not np.all(np.isfinite(u.view(np.float64))):
+                raise NumericalFailure("variational iteration produced non-finite values")
 
-        # keep center frequencies from locking onto one another
-        for i in range(k):
-            for j in range(i + 1, k):
-                if abs(omega[i] - omega[j]) < bin_width:
-                    collision_run[i, j] += 1
-                    if collision_run[i, j] >= 5:
-                        later = j if omega[j] >= omega[i] else i
-                        omega[later] += 2.0 * bin_width
+            # keep center frequencies from locking onto one another
+            for i in range(k):
+                for j in range(i + 1, k):
+                    if abs(omega[i] - omega[j]) < bin_width:
+                        collision_run[i, j] += 1
+                        if collision_run[i, j] >= 5:
+                            later = j if omega[j] >= omega[i] else i
+                            omega[later] += 2.0 * bin_width
+                            collision_run[i, j] = 0
+                    else:
                         collision_run[i, j] = 0
-                else:
-                    collision_run[i, j] = 0
 
-        update_norm = _update_norm(u, u_prev, _spectral_power)
-        trace.append(update_norm)
-        iterations = iteration + 1
-        if update_norm < cfg.tol:
-            converged = True
-            break
+            update_norm = _update_norm(u, u_prev, _spectral_power)
+            trace.append(update_norm)
+            iterations = iteration + 1
+            if update_norm < cfg.tol:
+                converged = True
+                break
 
     order = np.argsort(omega)
     lo = t_len // 4

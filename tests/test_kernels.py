@@ -8,7 +8,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from sigdecomp import _kernels as K
-from sigdecomp import bench
+from sigdecomp import bench, multivariate
 from sigdecomp.core import NumericalFailure
 from sigdecomp.emd import emd_decompose
 from sigdecomp.multivariate import MemdConfig, memd_decompose
@@ -102,6 +102,70 @@ class TestExtremaBatch:
         assert_columns_match(x)
 
 
+def where_extrema(x):
+    """The reference selection: a ``np.where`` kind per flip, then four masks."""
+    x = np.asarray(x, dtype=np.float64)
+    width = max(x.shape[0] - 1, 1)
+    steps = np.diff(x, axis=0).T.ravel()
+    nz = np.flatnonzero(steps)
+    s = np.sign(steps[nz])
+    flip = np.flatnonzero(s[:-1] != s[1:])
+    left, right = nz[flip], nz[flip + 1]
+    column = left // width
+    idx = (left + 1 + right) // 2 - column * width
+    kind = np.where(right // width == column, s[flip], 0.0)
+    if x.ndim == 1:
+        return idx[kind > 0], idx[kind < 0]
+    return (idx[kind > 0], column[kind > 0]), (idx[kind < 0], column[kind < 0])
+
+
+def assert_same_arrays(got, want):
+    """The same nesting of tuples, and arrays of the same dtype, shape and bytes."""
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_arrays(g, w)
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def plateaus_at_column_ends(rng):
+    x = np.round(np.cumsum(rng.normal(size=(60, 5)), axis=0))
+    x[:4] = x[4]
+    x[-3:] = x[-4]
+    x[:, 2] = [0, 1, 1, 1, 0] + [0] * 50 + [0, -1, -1, 0, 0]
+    return x
+
+
+EXTREMA_CASES = {
+    "plateaus-at-column-ends": plateaus_at_column_ends,
+    "flips-across-columns": lambda rng: np.array([[0.0, 5.0, 5.0], [1.0, 4.0, 5.0], [2.0, 3.0, 4.0]]),
+    "flat-joins": lambda rng: np.array([[0.0, 5.0], [1.0, 5.0], [1.0, 4.0], [1.0, 4.0]]),
+    "constant-columns": lambda rng: np.stack(
+        [np.full(50, 3.0), np.sin(np.linspace(0.0, 9.0, 50)), np.zeros(50), np.full(50, -1.0)], axis=1
+    ),
+    "random-columns": lambda rng: np.cumsum(rng.normal(size=(200, 17)), axis=0),
+    "two-samples": lambda rng: rng.normal(size=(2, 4)),
+    # a NaN step's sign is NaN: the flips around it are neither maximum nor minimum
+    "not-a-number": lambda rng: np.array(
+        [[0.0, 1.0, np.nan, 1.0, 0.0, -1.0, 0.0], [3.0, np.nan, 2.0, 1.0, 2.0, 1.0, 2.0]]
+    ).T,
+}
+
+
+class TestExtremaSelection:
+    """The kernel's two index sets against the reference selection: the
+    same values and dtypes for a batch of columns and for each column."""
+
+    @pytest.mark.parametrize("case", EXTREMA_CASES)
+    def test_equals_reference(self, rng, case):
+        x = EXTREMA_CASES[case](rng)
+        assert_same_arrays(K.find_extrema_arrays(x), where_extrema(x))
+        for c in range(x.shape[1]):
+            assert_same_arrays(K.find_extrema_arrays(x[:, c]), where_extrema(x[:, c]))
+
+
 class TestSplineParity:
     def test_matches_scipy_natural(self, rng):
         xs = np.sort(rng.uniform(0, 100, size=12))
@@ -176,6 +240,94 @@ class TestSplineBlocks:
             assert_close(got, CubicSpline(xs, ys, bc_type="natural")(q))
 
 
+def gather_spline(xs, ys, q, starts=None):
+    """The reference evaluation: each query's interval from one search of
+    the inner knots among the queries, a bincount and a cumsum, then one
+    gather of the interval's cubic; the coefficients as in the kernel."""
+    xs, ys, q = (np.asarray(a, dtype=np.float64) for a in (xs, ys, q))
+    k = xs.shape[0]
+    firsts = np.zeros(1, dtype=np.int64) if starts is None else np.asarray(starts, dtype=np.int64)
+    lasts = np.append(firsts[1:], k) - 1
+    ends = np.concatenate([firsts, lasts])
+    values = ys.reshape(k, -1)
+    h = np.diff(xs)
+    h[lasts[:-1]] = 1.0
+    bands = np.empty((3, k))
+    bands[0, 1:] = h
+    bands[1, 1:-1] = 2.0 * (h[:-1] + h[1:])
+    bands[2, :-1] = h
+    rhs = np.empty_like(values, order="F")
+    slope = np.diff(values, axis=0) / h[:, None]
+    rhs[1:-1] = 6.0 * (slope[1:] - slope[:-1])
+    bands[1, ends] = 1.0
+    bands[0, (ends + 1) % k] = 0.0
+    bands[2, ends - 1] = 0.0
+    rhs[ends] = 0.0
+    *_, m, _ = K.dgtsv(bands[2, :-1], bands[1], bands[0, 1:], rhs)
+    m = m.T
+    coef = np.empty((4, m.shape[0], k - 1))
+    coef[0] = values[:-1].T
+    coef[1] = slope.T - h * (2.0 * m[:, :-1] + m[:, 1:]) / 6.0
+    coef[2] = m[:, :-1] / 2.0
+    coef[3] = (m[:, 1:] - m[:, :-1]) / (6.0 * h)
+
+    n_blocks, n_q = firsts.size, q.size
+    inner = np.ones(k, dtype=bool)
+    inner[ends] = False
+    block = np.repeat(np.arange(n_blocks), lasts - firsts + 1)
+    slot = block[inner] * (n_q + 1) + np.searchsorted(q, xs[inner])
+    passed = np.bincount(slot, minlength=n_blocks * (n_q + 1)).reshape(n_blocks, n_q + 1)
+    j = (np.cumsum(passed[:, :-1], axis=1) + firsts[:, None]).ravel()
+    c = np.take(coef, j, axis=2)
+    t = np.tile(q, n_blocks) - xs[j]
+    out = c[3] * t + c[2]
+    for power in (1, 0):
+        out *= t
+        out += c[power]
+    out = out.reshape((c.shape[1], n_blocks, n_q)).transpose(1, 2, 0).reshape((n_blocks, n_q) + ys.shape[1:])
+    return out[0] if starts is None else out
+
+
+# blocks as knot counts (random knots over 0 ... 100) or explicit knot
+# times, and the queries; a single block goes without ``starts``
+SPLINE_CASES = {
+    "two-knot-blocks": ([2, 2, 2], np.arange(-5.0, 106.0)),
+    "inner-knots-beyond-queries": ([[0.0, 200.0, 300.0, 400.0], 17], np.linspace(-5.0, 100.0, 64)),
+    "queries-left": ([40, 3, 2], np.linspace(-50.0, -1.0, 30)),
+    "queries-right": ([40, 3, 2], np.linspace(101.0, 150.0, 30)),
+    "queries-on-knots": ([[0.0, 1.0, 2.0, 5.0, 6.0], [2.0, 3.0]], np.repeat(np.arange(-2.0, 9.0), 2)),
+    "single-query": ([40, 2, 17], np.array([37.5])),
+    "empty-queries": ([40, 2, 17], np.empty(0)),
+    "many-blocks": ([40, 2, 3, 17, 2, 512], np.arange(-5.0, 106.0, 0.25)),
+    "one-block": ([40], np.linspace(-5.0, 105.0, 301)),
+    "one-block-inner-knots-beyond-queries": ([[0.0, 200.0, 300.0]], np.arange(10.0)),
+}
+
+
+class TestSplineEvaluation:
+    """The kernel's runs of queries per interval against the reference gather."""
+
+    @pytest.mark.parametrize("n_channels", [None, 1, 3])
+    @pytest.mark.parametrize("case", SPLINE_CASES)
+    def test_bytes_equal_reference(self, rng, case, n_channels):
+        blocks, q = SPLINE_CASES[case]
+        xs = [np.asarray(b) if isinstance(b, list) else random_knots(rng, b, None)[0] for b in blocks]
+        channels = () if n_channels is None else (n_channels,)
+        ys = [rng.normal(size=(x.size,) + channels) for x in xs]
+        starts = None if len(xs) == 1 else np.cumsum([0] + [x.size for x in xs[:-1]])
+        args = (np.concatenate(xs), np.concatenate(ys), q, starts)
+        assert_same_arrays(K.natural_spline(*args), gather_spline(*args))
+
+    def test_random_blocks_bytes_equal_reference(self, rng):
+        for _ in range(20):
+            blocks = [random_knots(rng, n, 2) for n in rng.integers(2, 30, size=rng.integers(1, 8))]
+            q = np.sort(np.round(rng.uniform(-10.0, 110.0, size=rng.integers(0, 300))))  # ties and knots
+            starts = np.cumsum([0] + [xs.size for xs, _ in blocks[:-1]])
+            xs, ys = (np.concatenate(parts) for parts in zip(*blocks))
+            args = (xs, ys, q, starts)
+            assert_same_arrays(K.natural_spline(*args), gather_spline(*args))
+
+
 def scipy_dgtsv(dl, d, du, b, **overwrite):
     """The reference solve: ``solve_banded((1, 1), ...)`` behind ``dgtsv``'s signature."""
     bands = np.zeros((3, d.size))
@@ -211,6 +363,21 @@ class TestSplineSolve:
 
         got = modes()
         monkeypatch.setattr(K, "dgtsv", scipy_dgtsv)
+        want = modes()
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_multichannel_workload_bit_identical(self, monkeypatch):
+        # memd as the multichannel benchmark runs it (M=64, 10 dB, base
+        # seed 0) against the reference spline evaluation and extrema selection
+        def modes():
+            mv, _ = gen_mv_test()
+            d = memd_decompose(bench.noisy_mv_signal(mv, 10.0, 0), MemdConfig(M=64))
+            return [m.samples for ms in d.channel_modes for m in ms]
+
+        got = modes()
+        monkeypatch.setattr(multivariate, "natural_spline", gather_spline)
+        monkeypatch.setattr(multivariate, "find_extrema_arrays", where_extrema)
         want = modes()
         assert len(got) == len(want)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))

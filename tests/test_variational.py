@@ -3,8 +3,9 @@ import pytest
 from scipy.linalg import solve_banded
 
 from sigdecomp import bench, variational
-from sigdecomp.core import ContractViolation, Diverged, NumericalFailure, Signal, l2_norm
+from sigdecomp.core import ContractViolation, Diverged, MultichannelSignal, NumericalFailure, Signal, l2_norm
 from sigdecomp.metrics import match_components, qrf
+from sigdecomp.multivariate import MvmdConfig, mvmd_decompose
 from sigdecomp.synth import gen_s1
 from sigdecomp.variational import (
     VmdConfig,
@@ -161,6 +162,32 @@ class TestVmd:
         assert huge.center_freqs_hz == base.center_freqs_hz
         for m, m0 in zip(huge.modes, base.modes):
             assert np.array_equal(np.ldexp(m.samples, -exp), m0.samples)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["vmd", "mvmd"])
+    def test_overflowing_center_power_keeps_the_run(self, method):
+        # at 2**505 a mode's squared spectrum overflows, which used to end
+        # the run as a NumericalFailure; its center is a ratio that does
+        # not depend on scale, so the modes scale exactly
+        fs, exp = 512.0, 505
+        t = np.arange(512) / fs
+        x = np.sin(2 * np.pi * 20 * t) + 0.5 * np.sin(2 * np.pi * 60 * t)
+
+        def modes(scale):
+            if method == "vmd":
+                d, report = vmd_decompose(Signal(np.ldexp(x, scale), fs), VmdConfig(K=2))
+                return [m.samples for m in d.modes], d.center_freqs_hz, report
+            channels = np.ldexp(np.stack([x, 0.5 * x[::-1]]), scale)
+            d, report = mvmd_decompose(MultichannelSignal(channels, fs), MvmdConfig(K=2))
+            return [m.samples for ms in d.channel_modes for m in ms], d.center_freqs_hz, report
+
+        base, base_centers, base_report = modes(0)
+        huge, centers, report = modes(exp)
+        assert report.iterations == base_report.iterations
+        assert centers == base_centers
+        assert len(huge) == len(base)
+        for m, m0 in zip(huge, base):
+            assert np.array_equal(m, np.ldexp(m0, exp))
 
 
 class TestUpdateNorm:
