@@ -4,7 +4,10 @@ Signal CSV layout: a first line ``# sample_rate=<hz>``, a header row of
 column names, then one row per sample.  Values are written with repr
 round-trip precision (17 significant digits), so write/read cycles are
 bit-exact.  One column reads back as a single signal, several as a
-multichannel signal.
+multichannel signal.  The writer refuses non-finite cells and a rate that
+is not a positive finite number, as the reader does.  The reader skips a
+UTF-8 byte-order mark and parses cells with numpy's float parser: Python's
+float syntax without ``_`` separators or non-ASCII digits.
 """
 
 from __future__ import annotations
@@ -28,16 +31,23 @@ class CsvFormatError(ValueError):
 def write_signals_csv(
     path: str | Path, columns: dict[str, np.ndarray], sample_rate_hz: float
 ) -> None:
-    """Write named equal-length sample columns with a sample-rate header."""
+    """Write named equal-length sample columns with a sample-rate header;
+    a column or rate the reader would reject raises before the file opens."""
     names = list(columns)
     arrays = [np.asarray(columns[n], dtype=np.float64) for n in names]
     if len({a.size for a in arrays}) != 1:
         raise ContractViolation("all columns must have equal length")
+    rate = float(sample_rate_hz)
+    if not (np.isfinite(rate) and rate > 0):
+        raise ContractViolation(f"sample_rate_hz must be a positive finite number, not {rate!r}")
+    bad = [n for n, a in zip(names, arrays) if not np.isfinite(a).all()]
+    if bad:
+        raise ContractViolation(f"column {bad[0]!r} has a non-finite cell")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# sample_rate={float(sample_rate_hz)!r}\n")
+        fh.write("# sample_rate=" + repr(rate) + "\n")
         fh.write(",".join(names) + "\n")
-        for row in zip(*arrays):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in zip(*[a.tolist() for a in arrays]):
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def read_csv_signal(
@@ -55,9 +65,9 @@ def read_csv_signal(
     path = Path(path)
     header_rate: float | None = None
     names: list[str] | None = None
-    rows: list[list[float]] = []
-    linenos: list[int] = []  # file line of each row
-    with open(path, "r", encoding="utf-8") as fh:
+    lines: list[str] = []
+    linenos: list[int] = []  # file line of each data line
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -75,26 +85,30 @@ def read_csv_signal(
                             f"line {lineno}: sample_rate header must be a positive finite number"
                         )
                 continue
-            cells = line.split(",")
             if names is None:
+                cells = line.split(",")
                 try:
                     [float(c) for c in cells]
                 except ValueError:
                     names = [c.strip() for c in cells]
                     continue
                 names = [f"col{i}" for i in range(len(cells))]
-            if len(cells) != len(names):
-                raise CsvFormatError(
-                    f"line {lineno}: expected {len(names)} cells, found {len(cells)}"
-                )
+            lines.append(line)
+            linenos.append(lineno)
+    if not lines:
+        raise CsvFormatError(f"{path}: no data rows")
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != len(names):
+        for line, lineno in zip(lines, linenos):  # name the first bad line
+            if (found := line.count(",") + 1) != len(names):
+                raise CsvFormatError(f"line {lineno}: expected {len(names)} cells, found {found}")
             try:
-                rows.append([float(c) for c in cells])
+                np.loadtxt([line], delimiter=",", comments=None, dtype=np.float64)
             except ValueError as exc:
                 raise CsvFormatError(f"line {lineno}: non-numeric cell") from exc
-            linenos.append(lineno)
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=np.float64)
     non_finite = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if non_finite.size:
         raise CsvFormatError(f"line {linenos[non_finite[0]]}: non-finite cell")
@@ -231,18 +245,21 @@ def write_tfgrid_csv(path: str | Path, grid: TFGrid) -> None:
     """T-F grid as CSV: first row the frequencies, first column the times.
 
     Every cell reads ``repr(float(v))``.  A Hilbert spectrum holds at most
-    one value per mode and frame, so each row starts as ``"0.0"`` cells and
-    only the others are formatted: the nonzero ones and ``-0.0``, whose
-    text is ``"-0.0"``.
+    one value per mode and frame, so each row is one shared row of
+    ``"0.0"`` cells with only the others spliced in: the nonzero ones and
+    ``-0.0``, whose text is ``"-0.0"``.
     """
     energy = grid.energy
     n_f, n_t = energy.shape
+    zeros = ",".join(["0.0"] * n_f)
     times, bins = np.nonzero(((energy != 0.0) | np.signbit(energy)).T)  # row by row
     cells_of = zip(bins.tolist(), [repr(v) for v in energy[bins, times].tolist()])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("time_s," + ",".join(repr(float(f)) for f in grid.freqs_hz) + "\n")
-        for t, count in zip(grid.times_s, np.bincount(times, minlength=n_t).tolist()):
-            cells = ["0.0"] * n_f
+        fh.write("time_s," + ",".join(map(repr, grid.freqs_hz.tolist())) + "\n")
+        for t, count in zip(grid.times_s.tolist(), np.bincount(times, minlength=n_t).tolist()):
+            parts, start = [repr(t), ","], 0
             for i, text in itertools.islice(cells_of, count):
-                cells[i] = text
-            fh.write(repr(float(t)) + "," + ",".join(cells) + "\n")
+                parts += (zeros[start : 4 * i], text)
+                start = 4 * i + 3  # past the "0.0" it replaces
+            parts += (zeros[start:], "\n")
+            fh.write("".join(parts))

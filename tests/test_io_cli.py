@@ -2,14 +2,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sigdecomp import bench, cli
 from sigdecomp import io as sdio
-from sigdecomp.core import Decomposition, MultichannelSignal, NumericalFailure, Signal
+from sigdecomp.core import ContractViolation, Decomposition, MultichannelSignal, NumericalFailure, Signal
 from sigdecomp.io import (
     CsvFormatError,
     read_csv_signal,
@@ -122,6 +126,143 @@ class TestCsvRoundTrip:
         path.write_text("")
         with pytest.raises(CsvFormatError):
             read_csv_signal(path)
+
+
+def reference_signals_csv(path, columns, sample_rate_hz):
+    """The reference writer: ``repr(float(v))`` on every numpy cell."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in columns.values()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# sample_rate={float(sample_rate_hz)!r}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*arrays):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def edge_column(rng, n=64):
+    """Normal samples with ``-0.0``, ``0.0``, subnormals and ``±1.7e308`` mixed in."""
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    specials = [-0.0, 0.0, 5e-324, -5e-324, np.nextafter(2.2250738585072014e-308, 0.0), 1.7e308, -1.7e308]
+    x[rng.choice(n, size=len(specials), replace=False)] = specials
+    return x
+
+
+@st.composite
+def finite_columns(draw):
+    n_cols, n_rows = draw(st.integers(1, 3)), draw(st.integers(2, 40))
+    cells = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    return [draw(hnp.arrays(np.float64, n_rows, elements=cells)) for _ in range(n_cols)]
+
+
+class TestSignalCsvWriter:
+    """The signal writer against the loop that formats numpy scalars."""
+
+    @pytest.mark.parametrize("n_cols", [1, 2, 3])
+    def test_matches_reference_writer(self, tmp_path, rng, n_cols):
+        columns = {f"c{i}": edge_column(rng) for i in range(n_cols)}
+        write_signals_csv(tmp_path / "new.csv", columns, 256.0)
+        reference_signals_csv(tmp_path / "ref.csv", columns, 256.0)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(columns=finite_columns())
+    def test_round_trip_is_bit_exact(self, columns):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.csv"
+            write_signals_csv(path, {f"c{i}": a for i, a in enumerate(columns)}, 100.0)
+            loaded = read_csv_signal(path)
+        back = np.atleast_2d(loaded.samples if isinstance(loaded, Signal) else loaded.channels)
+        assert np.array_equal(back.view(np.int64), np.array(columns).view(np.int64))  # -0.0 too
+
+    def test_one_repr_per_cell_and_rate(self, tmp_path, rng, monkeypatch):
+        calls = []
+
+        def counted_repr(value):
+            calls.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(sdio, "repr", counted_repr, raising=False)
+        write_signals_csv(tmp_path / "x.csv", {"a": rng.normal(size=50), "b": rng.normal(size=50)}, 10.0)
+        assert len(calls) == 2 * 50 + 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_rejected_before_open(self, tmp_path, bad):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ContractViolation, match="column 'y'"):
+            write_signals_csv(path, {"x": [1.0, 2.0, 3.0], "y": [1.0, bad, 2.0]}, 10.0)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -10.0])
+    def test_bad_rate_rejected_before_open(self, tmp_path, rate):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ContractViolation, match="sample_rate_hz"):
+            write_signals_csv(path, {"x": [1.0, 2.0, 3.0]}, rate)
+        assert not path.exists()
+
+
+class TestSignalCsvReader:
+    """Error contract and layout cases of the signal reader."""
+
+    def read_text(self, tmp_path, text, rate=None, encoding="utf-8"):
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.encode(encoding))
+        return read_csv_signal(path, rate)
+
+    def test_crlf_line_endings(self, tmp_path):
+        x = self.read_text(tmp_path, "# sample_rate=10.0\r\na,b\r\n1.0,2.0\r\n3.0,4.0\r\n")
+        assert x.sample_rate_hz == 10.0 and x.channels.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+
+    def test_blank_and_comment_lines_mid_file(self, tmp_path):
+        text = "# sample_rate=10.0\na\n1.0\n\n# note\n2.0\n   \n3.0\n"
+        assert self.read_text(tmp_path, text).samples.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(CsvFormatError, match="line 7: non-numeric cell"):
+            self.read_text(tmp_path, "# sample_rate=10.0\na\n1.0\n\n# note\n2.0\nfoo\n")
+        with pytest.raises(CsvFormatError, match="line 6: expected 1 cells, found 2"):
+            self.read_text(tmp_path, "# sample_rate=10.0\na\n1.0\n\n# note\n2.0,3.0\n4.0\n")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("1.0,", "expected 1 cells, found 2"), ("1.0,,", "expected 1 cells, found 3")],
+    )
+    def test_trailing_comma(self, tmp_path, row, message):
+        with pytest.raises(CsvFormatError, match=f"line 4: {message}"):
+            self.read_text(tmp_path, f"# sample_rate=10.0\na\n1.0\n{row}\n2.0\n")
+
+    @pytest.mark.parametrize("row", ["1.0,,2.0", ",1.0,2.0", "1.0,2.0,", "1.0, ,2.0"])
+    def test_empty_cell(self, tmp_path, row):
+        with pytest.raises(CsvFormatError, match="line 4: non-numeric cell"):
+            self.read_text(tmp_path, f"# sample_rate=10.0\na,b,c\n1.0,2.0,3.0\n{row}\n")
+
+    def test_header_only_file(self, tmp_path):
+        with pytest.raises(CsvFormatError, match="no data rows"):
+            self.read_text(tmp_path, "# sample_rate=10.0\na,b\n")
+
+    def test_every_row_short_of_the_names(self, tmp_path):
+        with pytest.raises(CsvFormatError, match="line 3: expected 2 cells, found 1"):
+            self.read_text(tmp_path, "# sample_rate=10.0\na,b\n1.0\n2.0\n")
+
+    def test_numeric_first_row_is_data(self, tmp_path):
+        x = self.read_text(tmp_path, "1.0,2.0\n3.0,4.0\n5.0,6.0\n", rate=5.0)
+        assert x.channels.tolist() == [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]]
+        with pytest.raises(CsvFormatError, match="line 2: expected 2 cells, found 3"):
+            self.read_text(tmp_path, "1.0,2.0\n3.0,4.0,5.0\n", rate=5.0)
+
+    def test_byte_order_mark_before_data(self, tmp_path):
+        x = self.read_text(tmp_path, "1.0\n2.0\n3.0\n4.0\n", rate=10.0, encoding="utf-8-sig")
+        assert x.samples.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    def test_byte_order_mark_before_rate_header(self, tmp_path):
+        x = self.read_text(tmp_path, "# sample_rate=10.0\na,b\n1.0,2.0\n3.0,4.0\n", encoding="utf-8-sig")
+        assert x.sample_rate_hz == 10.0 and x.channels.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+
+    @pytest.mark.parametrize("cell", ["1_0", "١", "1.0٢"])
+    def test_number_syntax_is_numpys(self, tmp_path, cell):
+        # Python's float() reads these (1_0 as 10.0); numpy's parser does not
+        with pytest.raises(CsvFormatError, match="line 4: non-numeric cell"):
+            self.read_text(tmp_path, f"# sample_rate=10.0\na\n1.0\n{cell}\n2.0\n")
+
+    @pytest.mark.parametrize("cell", [" 2.0", "+2.0", "2.", ".2e1", "2E0", "20e-1"])
+    def test_number_forms_read(self, tmp_path, cell):
+        assert self.read_text(tmp_path, f"# sample_rate=10.0\na,b\n1.0,{cell}\n3.0,4.0\n").channels[1, 0] == 2.0
 
 
 class TestDecompositionBundle:
