@@ -8,6 +8,8 @@ probes look them up.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .core import NumericalFailure
@@ -44,18 +46,45 @@ def find_extrema_arrays(x: np.ndarray) -> tuple:
     return tuple((idx[f], column[f]) for f in families)
 
 
+class CubicPieces(NamedTuple):
+    """The fitted cubics of :func:`natural_spline`, evaluated by ranges of blocks."""
+
+    coef: np.ndarray  # (4, C, k - 1): each interval's cubic in powers of (q - its left knot)
+    left: np.ndarray  # (k - 1,) each interval's left knot
+    widths: np.ndarray  # (k - 1,) each interval's run of queries
+    bounds: np.ndarray  # each block's first knot, then k
+    q: np.ndarray  # the sorted queries
+    shape: tuple  # one knot's value shape, () or (C,)
+
+    def values(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Blocks ``lo`` ... ``hi - 1`` (default: all) at the queries, stacked,
+        ``(hi - lo, len(q)) + shape``: that slice of every block's values.
+        One Horner pass, each cubic repeated over its run, channel-major."""
+        hi = self.bounds.size - 1 if hi is None else hi
+        a, b = self.bounds[lo], self.bounds[hi]  # their intervals; a step to the next block runs no query
+        widths = self.widths[a:b]
+        c = np.repeat(self.coef[:, :, a:b], widths, axis=2)  # (4, C, (hi - lo) * n_q)
+        t = np.tile(self.q, hi - lo) - np.repeat(self.left[a:b], widths)
+        out = c[3] * t + c[2]
+        for power in (1, 0):
+            out *= t
+            out += c[power]
+        out = out.reshape((c.shape[1], hi - lo, self.q.size)).transpose(1, 2, 0)  # C is known when q is empty
+        return out.reshape((hi - lo, self.q.size) + self.shape)
+
+
 def natural_spline(
     xs: np.ndarray, ys: np.ndarray, q: np.ndarray, starts: np.ndarray | None = None
-) -> np.ndarray:
-    """Natural cubic splines through ``(xs, ys)``, evaluated at sorted ``q``.
+) -> CubicPieces:
+    """Natural cubic splines through ``(xs, ys)``, fitted for evaluation at
+    sorted ``q`` by :meth:`CubicPieces.values`.
 
     ``xs`` concatenates the knot times of one or more independent blocks,
     each strictly increasing with at least two knots; ``starts`` gives the
     index at which each block begins (``None``: one block).  ``ys`` holds
     one value per knot, shape ``(k,)``, or one column per channel, shape
-    ``(k, C)``.  One block returns ``(len(q),)`` or ``(len(q), C)``;
-    ``starts`` returns one such array per block, stacked on a new first
-    axis.  Each block and each column equals its spline fitted alone.
+    ``(k, C)``; a block's values are ``(len(q),)`` or ``(len(q), C)``.
+    Each block and each column equals its spline fitted alone.
     Queries outside a block's knots use its end polynomials (linear for a
     two-knot block).
 
@@ -100,7 +129,6 @@ def natural_spline(
     m = m.T  # (C, k)
 
     # each interval's cubic in powers of (q - its left knot), channel-major
-    # so that the evaluation below runs along long contiguous rows
     coef = np.empty((4, m.shape[0], k - 1))
     coef[0] = values[:-1].T
     coef[1] = slope.T - h * (2.0 * m[:, :-1] + m[:, 1:]) / 6.0
@@ -109,21 +137,12 @@ def natural_spline(
 
     # the sorted queries of one interval are consecutive: an interval's run
     # starts at the first query at or after its left knot (a block's ends
-    # extend to every query), and its cubic is repeated over that run
-    n_blocks, n_q = firsts.size, q.size
+    # extend to every query)
     pos = np.searchsorted(q, xs)
-    pos[firsts], pos[lasts] = 0, n_q
+    pos[firsts], pos[lasts] = 0, q.size
     widths = np.diff(pos)
     widths[lasts[:-1]] = 0  # the step from one block to the next is no interval
-    c = np.repeat(coef, widths, axis=2)  # (4, C, n_blocks * n_q)
-    t = np.tile(q, n_blocks) - np.repeat(xs[:-1], widths)
-    out = c[3] * t + c[2]
-    for power in (1, 0):
-        out *= t
-        out += c[power]
-    out = out.reshape((c.shape[1], n_blocks, n_q)).transpose(1, 2, 0)  # C is known when q is empty
-    out = out.reshape((n_blocks, n_q) + ys.shape[1:])
-    return out[0] if starts is None else out
+    return CubicPieces(coef, xs[:-1], widths, np.append(firsts, k), q, ys.shape[1:])
 
 
 def walk_ridge(

@@ -155,7 +155,7 @@ def _envelopes(samples: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]
     query = np.arange(samples.size, dtype=np.float64)
     upper, lower = natural_spline(  # two blocks: the upper and the lower envelope
         np.concatenate([t_max, t_min]), np.concatenate([v_max, v_min]), query, [0, t_max.size]
-    )
+    ).values()
     mean = (upper + lower) / 2.0  # not finite when either envelope is not
     if not np.all(np.isfinite(mean)):
         raise NumericalFailure("EMD envelope is not finite")

@@ -169,19 +169,22 @@ def hypersphere_directions(M: int, n_channels: int, seed: int = 0) -> np.ndarray
 # projection-based multivariate sifting
 # ---------------------------------------------------------------------------
 
+_GROUP = 32  # directions evaluated at a time, which bounds the envelopes held at once
+
+
 def _directional_envelope_stats(
     data: np.ndarray, directions: np.ndarray, depth: int
-) -> tuple[np.ndarray, np.ndarray, int, bool]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Mean envelope (n, c) and mean amplitude (n,) over all directions
     with enough projection extrema, knots mirrored ``depth`` deep; also
-    returns how many directions were usable and whether any projection
-    still oscillates (three extrema or more).
+    returns how many directions were usable.
 
     One extrema search covers every projection, one knot pass mirrors
     every usable direction's maxima and minima, and each of those is one
-    block of a single :func:`natural_spline` call.  Raises
-    :class:`NumericalFailure` when a projection, an envelope or their mean
-    overflows.
+    block of a single :func:`natural_spline` fit.  The envelopes are
+    evaluated ``_GROUP`` directions at a time and summed direction by
+    direction.  Raises :class:`NumericalFailure` when a projection, an
+    envelope or their mean overflows.
     """
     n, n_ch = data.shape
     projections = data @ directions.T
@@ -190,26 +193,36 @@ def _directional_envelope_stats(
     (max_idx, max_dir), (min_idx, min_dir) = find_extrema_arrays(projections)
     n_max = np.bincount(max_dir, minlength=len(directions))
     n_min = np.bincount(min_dir, minlength=len(directions))
-    oscillates = bool(np.any(n_max + n_min >= 3))
     usable = (n_max >= 2) & (n_min >= 2)
     used = int(np.count_nonzero(usable))
     if used == 0:
-        return np.zeros((n, n_ch)), np.zeros(n), 0, oscillates
+        return np.zeros((n, n_ch)), np.zeros(n), 0
     times, sources, starts = _mirrored_knots(  # upper envelopes' blocks, then lower
         np.concatenate([max_idx[usable[max_dir]], min_idx[usable[min_dir]]]),
         np.concatenate([n_max[usable], n_min[usable]]),
         depth,
     )
-    envelopes = natural_spline(times, data[sources], np.arange(n, dtype=np.float64), starts)
-    upper, lower = envelopes[:used], envelopes[used:]  # (used, n, channels) each
-    env_mean = np.sum(upper + lower, axis=0) / (2.0 * used)
+    pieces = natural_spline(times, data[sources], np.arange(n, dtype=np.float64), starts)
+    env_sum = amp_sum = None
+    for lo in range(0, used, _GROUP):
+        hi = min(lo + _GROUP, used)
+        upper, lower = pieces.values(lo, hi), pieces.values(used + lo, used + hi)  # (hi - lo, n, channels)
+        env_sum = _fold(env_sum, upper + lower)
+        with np.errstate(over="ignore"):  # reported just below
+            amp_sum = _fold(amp_sum, _norm(upper - lower, axis=2))
+    env_mean = env_sum / (2.0 * used)
     if not np.all(np.isfinite(env_mean)):  # not finite when any envelope is not
         raise NumericalFailure("MEMD envelope is not finite")
-    with np.errstate(over="ignore"):  # reported just below
-        amplitude = np.sum(_norm(upper - lower, axis=2), axis=0) / (2.0 * used)
+    amplitude = amp_sum / (2.0 * used)
     if not np.all(np.isfinite(amplitude)):
         raise NumericalFailure("MEMD envelope amplitude is not finite")
-    return env_mean, amplitude, used, oscillates
+    return env_mean, amplitude, used
+
+
+def _fold(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+    """``total`` (``None``: nothing yet) plus each of ``rows`` in turn,
+    as one reduce with the total as its first row."""
+    return np.add.reduce(rows if total is None else np.concatenate([total[None], rows]))
 
 
 def _norm(x: np.ndarray, axis: int) -> np.ndarray:
@@ -257,8 +270,9 @@ def memd_decompose(x: MultichannelSignal, cfg: MemdConfig = MemdConfig()) -> Ali
 
     Stopping reuses the two-threshold rule with the Euclidean norm of the
     multivariate mean envelope standing in for |mean|.  Extraction ends
-    when no projection oscillates anymore or ``max_imfs`` is reached; the
-    remainder becomes the per-channel residual.
+    when a mode's first sift finds no direction with two maxima and two
+    minima, as EMD ends when its first sift finds too few extrema, or when
+    ``max_imfs`` is reached; the remainder becomes the per-channel residual.
     """
     if x.n_channels < 2:
         raise ContractViolation("multivariate sifting needs at least 2 channels")
@@ -269,17 +283,13 @@ def memd_decompose(x: MultichannelSignal, cfg: MemdConfig = MemdConfig()) -> Ali
     modes: list[np.ndarray] = []
     for _ in range(ecfg.max_imfs):
         h = data
-        env_mean, amplitude, used, oscillates = _directional_envelope_stats(h, directions, ecfg.boundary)
-        if not oscillates:
-            break
         for it in range(ecfg.max_sift_iters):
-            if it:
-                env_mean, amplitude, used, _ = _directional_envelope_stats(h, directions, ecfg.boundary)
-            if used == 0:
-                break
-            if ecfg.sift_converged(_norm(env_mean, axis=1), amplitude):
+            env_mean, amplitude, used = _directional_envelope_stats(h, directions, ecfg.boundary)
+            if used == 0 or ecfg.sift_converged(_norm(env_mean, axis=1), amplitude):
                 break
             h = h - env_mean
+        if used == 0 and it == 0:  # nothing to sift: the remainder stays the residual
+            break
         modes.append(h)
         data = data - h
 

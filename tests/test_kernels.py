@@ -2,6 +2,8 @@
 a strict-extrema comparison, scipy's natural ``CubicSpline`` and
 ``solve_banded``, and a hand-walked ridge."""
 
+import functools
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -13,6 +15,7 @@ from sigdecomp.core import NumericalFailure
 from sigdecomp.emd import emd_decompose
 from sigdecomp.multivariate import MemdConfig, memd_decompose
 from sigdecomp.synth import gen_mv_test
+from test_multivariate import stacked_envelope_stats
 
 
 class TestExtremaParity:
@@ -166,13 +169,20 @@ class TestExtremaSelection:
             assert_same_arrays(K.find_extrema_arrays(x[:, c]), where_extrema(x[:, c]))
 
 
+def spline(xs, ys, q, starts=None):
+    """The kernel's fit evaluated at every block: one block's values, or
+    every block's stacked on a new first axis when ``starts`` is given."""
+    out = K.natural_spline(xs, ys, q, starts).values()
+    return out[0] if starts is None else out
+
+
 class TestSplineParity:
     def test_matches_scipy_natural(self, rng):
         xs = np.sort(rng.uniform(0, 100, size=12))
         xs += np.arange(12) * 1e-3  # ensure strict increase
         ys = rng.normal(size=12)
         q = np.linspace(xs[0], xs[-1], 200)
-        mine = K.natural_spline(xs, ys, q)
+        mine = spline(xs, ys, q)
         ref = CubicSpline(xs, ys, bc_type="natural")(q)
         assert np.max(np.abs(mine - ref)) < 1e-9 * max(np.max(np.abs(ref)), 1.0)
 
@@ -180,14 +190,14 @@ class TestSplineParity:
         xs = np.array([0.0, 2.0])
         ys = np.array([1.0, 5.0])
         q = np.array([-1.0, 0.5, 3.0])
-        out = K.natural_spline(xs, ys, q)
+        out = spline(xs, ys, q)
         assert np.allclose(out, [-1.0, 2.0, 7.0])
 
     def test_extrapolation_matches_scipy(self, rng):
         xs = np.arange(10.0)
         ys = rng.normal(size=10)
         q = np.array([-2.0, -0.5, 9.5, 11.0])
-        mine = K.natural_spline(xs, ys, q)
+        mine = spline(xs, ys, q)
         ref = CubicSpline(xs, ys, bc_type="natural")(q)
         assert np.allclose(mine, ref, atol=1e-9)
 
@@ -196,10 +206,10 @@ class TestSplineParity:
         xs = np.cumsum(rng.uniform(0.5, 3.0, size=n_knots))
         ys = rng.normal(size=(n_knots, 3))
         q = np.linspace(xs[0] - 2.0, xs[-1] + 2.0, 50)  # includes extrapolation
-        out = K.natural_spline(xs, ys, q)
+        out = spline(xs, ys, q)
         assert out.shape == (q.size, 3)
         for c in range(3):
-            assert np.array_equal(out[:, c], K.natural_spline(xs, ys[:, c], q))
+            assert np.array_equal(out[:, c], spline(xs, ys[:, c], q))
 
 
 def random_knots(rng, n_knots, n_channels):
@@ -224,19 +234,19 @@ class TestSplineBlocks:
         for _ in range(5):
             xs, ys = random_knots(rng, n_knots, n_channels)
             q = np.linspace(-5.0, 105.0, 301)  # both ends extrapolate
-            assert_close(K.natural_spline(xs, ys, q), CubicSpline(xs, ys, bc_type="natural")(q))
+            assert_close(spline(xs, ys, q), CubicSpline(xs, ys, bc_type="natural")(q))
 
     @pytest.mark.parametrize("n_channels", [None, 2])
     def test_blocks_equal_separate_calls(self, rng, n_channels):
         blocks = [random_knots(rng, n, n_channels) for n in (40, 2, 3, 17, 2, 40)]
         q = np.arange(-5.0, 106.0)  # outside every block on both sides
         starts = np.cumsum([0] + [xs.size for xs, _ in blocks[:-1]])
-        out = K.natural_spline(
+        out = spline(
             np.concatenate([xs for xs, _ in blocks]), np.concatenate([ys for _, ys in blocks]), q, starts
         )
         assert out.shape == (len(blocks), q.size) + blocks[0][1].shape[1:]
         for got, (xs, ys) in zip(out, blocks):
-            assert_close(got, K.natural_spline(xs, ys, q))
+            assert_close(got, spline(xs, ys, q))
             assert_close(got, CubicSpline(xs, ys, bc_type="natural")(q))
 
 
@@ -304,19 +314,35 @@ SPLINE_CASES = {
 }
 
 
+def spline_case(rng, case, n_channels):
+    """The kernel's arguments for one ``SPLINE_CASES`` entry, with random
+    values of shape ``(k,)`` (``n_channels`` None) or ``(k, n_channels)``."""
+    blocks, q = SPLINE_CASES[case]
+    xs = [np.asarray(b) if isinstance(b, list) else random_knots(rng, b, None)[0] for b in blocks]
+    channels = () if n_channels is None else (n_channels,)
+    ys = [rng.normal(size=(x.size,) + channels) for x in xs]
+    starts = None if len(xs) == 1 else np.cumsum([0] + [x.size for x in xs[:-1]])
+    return np.concatenate(xs), np.concatenate(ys), q, starts
+
+
 class TestSplineEvaluation:
     """The kernel's runs of queries per interval against the reference gather."""
 
     @pytest.mark.parametrize("n_channels", [None, 1, 3])
     @pytest.mark.parametrize("case", SPLINE_CASES)
     def test_bytes_equal_reference(self, rng, case, n_channels):
-        blocks, q = SPLINE_CASES[case]
-        xs = [np.asarray(b) if isinstance(b, list) else random_knots(rng, b, None)[0] for b in blocks]
-        channels = () if n_channels is None else (n_channels,)
-        ys = [rng.normal(size=(x.size,) + channels) for x in xs]
-        starts = None if len(xs) == 1 else np.cumsum([0] + [x.size for x in xs[:-1]])
-        args = (np.concatenate(xs), np.concatenate(ys), q, starts)
-        assert_same_arrays(K.natural_spline(*args), gather_spline(*args))
+        args = spline_case(rng, case, n_channels)
+        assert_same_arrays(spline(*args), gather_spline(*args))
+
+    @pytest.mark.parametrize("n_channels", [None, 1, 3])
+    @pytest.mark.parametrize("case", SPLINE_CASES)
+    def test_block_ranges_equal_slices(self, rng, case, n_channels):
+        # every range of blocks, empty ones included, against one evaluation of all
+        pieces = K.natural_spline(*spline_case(rng, case, n_channels))
+        full = pieces.values()
+        for lo in range(full.shape[0] + 1):
+            for hi in range(lo, full.shape[0] + 1):
+                assert_same_arrays(pieces.values(lo, hi), full[lo:hi])
 
     def test_random_blocks_bytes_equal_reference(self, rng):
         for _ in range(20):
@@ -325,7 +351,7 @@ class TestSplineEvaluation:
             starts = np.cumsum([0] + [xs.size for xs, _ in blocks[:-1]])
             xs, ys = (np.concatenate(parts) for parts in zip(*blocks))
             args = (xs, ys, q, starts)
-            assert_same_arrays(K.natural_spline(*args), gather_spline(*args))
+            assert_same_arrays(spline(*args), gather_spline(*args))
 
 
 def scipy_dgtsv(dl, d, du, b, **overwrite):
@@ -347,9 +373,9 @@ class TestSplineSolve:
             np.arange(-5.0, 106.0, 0.25),
             np.cumsum([0] + [xs.size for xs, _ in blocks[:-1]]),
         )
-        got = K.natural_spline(*args)
+        got = spline(*args)
         monkeypatch.setattr(K, "dgtsv", scipy_dgtsv)
-        assert np.array_equal(got, K.natural_spline(*args))
+        assert np.array_equal(got, spline(*args))
 
     @pytest.mark.parametrize("method", ["emd_s1", "emd_s2", "memd"])
     def test_recipes_bit_identical(self, monkeypatch, method):
@@ -369,15 +395,19 @@ class TestSplineSolve:
 
     def test_multichannel_workload_bit_identical(self, monkeypatch):
         # memd as the multichannel benchmark runs it (M=64, 10 dB, base
-        # seed 0) against the reference spline evaluation and extrema selection
+        # seed 0) against every envelope stacked and summed at once, from
+        # the reference spline evaluation and extrema selection
         def modes():
             mv, _ = gen_mv_test()
             d = memd_decompose(bench.noisy_mv_signal(mv, 10.0, 0), MemdConfig(M=64))
             return [m.samples for ms in d.channel_modes for m in ms]
 
         got = modes()
-        monkeypatch.setattr(multivariate, "natural_spline", gather_spline)
-        monkeypatch.setattr(multivariate, "find_extrema_arrays", where_extrema)
+        monkeypatch.setattr(
+            multivariate,
+            "_directional_envelope_stats",
+            functools.partial(stacked_envelope_stats, spline=gather_spline, extrema=where_extrema),
+        )
         want = modes()
         assert len(got) == len(want)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -432,5 +462,5 @@ class TestDispatch:
         x = np.sin(np.arange(100) / 3.0)
         mx, mn = K.find_extrema_arrays(x)
         assert mx.size > 0 and mn.size > 0
-        out = K.natural_spline(np.arange(5.0), np.ones(5), np.linspace(0, 4, 9))
+        out = spline(np.arange(5.0), np.ones(5), np.linspace(0, 4, 9))
         assert np.allclose(out, 1.0)

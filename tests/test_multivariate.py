@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from sigdecomp._kernels import find_extrema_arrays
+from sigdecomp._kernels import find_extrema_arrays, natural_spline
 from sigdecomp.core import ContractViolation, MultichannelSignal, Signal, l2_norm
-from sigdecomp.emd import EmdConfig
+from sigdecomp.emd import EmdConfig, emd_decompose
 from sigdecomp.metrics import alignment_score, qrf
 from sigdecomp.multivariate import (
     AlignedDecomposition,
@@ -12,6 +14,7 @@ from sigdecomp.multivariate import (
     MvmdConfig,
     _directional_envelope_stats,
     _mirrored_knots,
+    _norm,
     hypersphere_directions,
     memd_decompose,
     mvmd_decompose,
@@ -136,6 +139,26 @@ class TestMemd:
             assert len(modes) == len(base_modes)
             assert all(np.array_equal(np.ldexp(m.samples, -exp), m0.samples) for m, m0 in zip(modes, base_modes))
 
+    def test_clean_mv_keeps_its_residual(self):
+        # the README's memd line: the last remainder oscillates, but no
+        # direction has two maxima and two minima; it stays the residual
+        # instead of becoming a mode that leaves a zero residual
+        x, _ = gen_mv_test()
+        d = memd_decompose(x, MemdConfig(M=16))
+        assert d.n_modes == 4
+        residual = np.stack([r.samples for r in d.residuals], axis=1)
+        assert np.all(np.any(residual != 0.0, axis=0))
+        assert _directional_envelope_stats(residual, hypersphere_directions(16, 2), 2)[2] == 0
+
+    def test_too_few_extrema_everywhere_is_all_residual(self):
+        # 1.25 cycles: some projections oscillate, none has two maxima and
+        # two minima; as EMD on one channel, no mode is extracted
+        phase = 2 * np.pi * 1.25 * np.arange(200) / 200
+        x = MultichannelSignal(np.stack([np.sin(phase), np.cos(phase)]), 200.0)
+        d = memd_decompose(x, MemdConfig(M=16))
+        assert d.n_modes == 0 and len(emd_decompose(x.channel(0)).modes) == 0
+        assert all(np.array_equal(r.samples, c) for r, c in zip(d.residuals, x.channels))
+
     def test_requires_two_channels(self):
         x = MultichannelSignal(np.sin(np.arange(128))[None, :], 16.0)
         with pytest.raises(ContractViolation):
@@ -156,10 +179,9 @@ def reference_envelope_stats(data, directions, depth):
     """The per-direction loop: project, find extrema, fit each envelope
     with scipy's natural spline, average over the usable directions."""
     query = np.arange(data.shape[0], dtype=np.float64)
-    uppers, lowers, oscillates = [], [], False
+    uppers, lowers = [], []
     for direction in directions:
         max_idx, min_idx = find_extrema_arrays(data @ direction)
-        oscillates |= max_idx.size + min_idx.size >= 3
         if max_idx.size < 2 or min_idx.size < 2:
             continue
         envelopes = []
@@ -171,15 +193,53 @@ def reference_envelope_stats(data, directions, depth):
     upper, lower = np.array(uppers), np.array(lowers)
     mean = np.mean(upper + lower, axis=0) / 2.0
     amplitude = np.mean(np.linalg.norm(upper - lower, axis=2), axis=0) / 2.0
-    return mean, amplitude, len(uppers), oscillates
+    return mean, amplitude, len(uppers)
 
 
 def assert_stats_match(data, directions, depth):
-    mean, amplitude, used, oscillates = _directional_envelope_stats(data, directions, depth)
-    ref_mean, ref_amplitude, ref_used, ref_oscillates = reference_envelope_stats(data, directions, depth)
-    assert (used, oscillates) == (ref_used, ref_oscillates)
+    mean, amplitude, used = _directional_envelope_stats(data, directions, depth)
+    ref_mean, ref_amplitude, ref_used = reference_envelope_stats(data, directions, depth)
+    assert used == ref_used
     assert np.max(np.abs(mean - ref_mean)) <= 1e-12 * np.max(np.abs(ref_mean))
     assert np.max(np.abs(amplitude - ref_amplitude)) <= 1e-12 * np.max(ref_amplitude)
+
+
+def stacked_envelope_stats(
+    data, directions, depth, spline=lambda *args: natural_spline(*args).values(), extrema=find_extrema_arrays
+):
+    """The stats with every envelope evaluated at once into one stack,
+    then summed over it: ``spline`` returns the blocks stacked, ``extrema``
+    selects the extrema of every projection."""
+    n, n_ch = data.shape
+    projections = data @ directions.T
+    (max_idx, max_dir), (min_idx, min_dir) = extrema(projections)
+    n_max = np.bincount(max_dir, minlength=len(directions))
+    n_min = np.bincount(min_dir, minlength=len(directions))
+    usable = (n_max >= 2) & (n_min >= 2)
+    used = int(np.count_nonzero(usable))
+    if used == 0:
+        return np.zeros((n, n_ch)), np.zeros(n), 0
+    times, sources, starts = _mirrored_knots(
+        np.concatenate([max_idx[usable[max_dir]], min_idx[usable[min_dir]]]),
+        np.concatenate([n_max[usable], n_min[usable]]),
+        depth,
+    )
+    envelopes = spline(times, data[sources], np.arange(n, dtype=np.float64), starts)
+    upper, lower = envelopes[:used], envelopes[used:]
+    env_mean = np.sum(upper + lower, axis=0) / (2.0 * used)
+    with np.errstate(over="ignore"):
+        amplitude = np.sum(_norm(upper - lower, axis=2), axis=0) / (2.0 * used)
+    return env_mean, amplitude, used
+
+
+def noisy_channels(n_channels, snr_db):
+    """The 2 s bivariate test signal with up to two more channels of its
+    sinusoids, each with its own noise, as an ``(n, n_channels)`` array."""
+    mv, _ = gen_mv_test()
+    bank = mv_component_bank(2.0, mv.sample_rate_hz)
+    extra = [bank[2.0] + bank[20.0], bank[20.0] + bank[50.0]]
+    channels = np.vstack([mv.channels, *extra[: n_channels - 2]])
+    return noisy_mv_signal(MultichannelSignal(channels, mv.sample_rate_hz), snr_db, 0).channels.T
 
 
 class TestEnvelopeStats:
@@ -221,9 +281,38 @@ class TestEnvelopeStats:
 
     def test_no_usable_direction(self):
         data = np.stack([np.linspace(0, 1, 64), np.linspace(1, 3, 64)], axis=1)
-        mean, amplitude, used, oscillates = _directional_envelope_stats(data, hypersphere_directions(8, 2), 2)
-        assert (used, oscillates) == (0, False)
+        mean, amplitude, used = _directional_envelope_stats(data, hypersphere_directions(8, 2), 2)
+        assert used == 0
         assert not np.any(mean) and not np.any(amplitude)
+
+    @pytest.mark.parametrize("exp", [0, 996])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("n_channels", [2, 3, 4])
+    @pytest.mark.parametrize("M", [2, 8, 31, 32, 33, 64, 100])
+    def test_groups_bit_identical_to_one_stack(self, M, n_channels, depth, exp):
+        # groups of directions summed in turn against one stack summed at
+        # once; 2**996 makes the envelopes' norms overflow as plain sums of squares
+        data = np.ldexp(noisy_channels(n_channels, 10.0), exp)
+        directions = hypersphere_directions(M, n_channels)
+        got = _directional_envelope_stats(data, directions, depth)
+        want = stacked_envelope_stats(data, directions, depth)
+        assert got[2] == want[2] > 0
+        for g, w in zip(got[:2], want[:2]):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_working_set(self):
+        # one stats call as the multichannel benchmark makes it (10 dB, M=64):
+        # every envelope stacked at once peaked at 8.55 MiB
+        data = noisy_channels(2, 10.0)
+        directions = hypersphere_directions(64, 2)
+        _directional_envelope_stats(data, directions, 2)  # the first spline loads LAPACK
+        tracemalloc.start()
+        try:
+            _directional_envelope_stats(data, directions, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestMvmd:
