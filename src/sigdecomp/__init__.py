@@ -35,7 +35,6 @@ from .multivariate import (
 from .spectral import TFGrid, analytic_signal, hilbert_spectrum, ia_if
 from .ssa import SsaConfig, embed, ssa_decompose
 from .sst import (
-    RidgeConfig,
     RidgeTrack,
     SstConfig,
     cwt_morlet,
@@ -95,7 +94,6 @@ __all__ = [
     "SsaConfig",
     "embed",
     "ssa_decompose",
-    "RidgeConfig",
     "RidgeTrack",
     "SstConfig",
     "cwt_morlet",

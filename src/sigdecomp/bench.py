@@ -27,7 +27,7 @@ from .multivariate import (
 )
 from .spectral import TFGrid, hilbert_spectrum
 from .ssa import SsaConfig, ssa_decompose
-from .sst import RidgeConfig, SstConfig, sst_decompose
+from .sst import SstConfig, sst_decompose
 from .synth import MV_EXPECTED_TABLE, add_wgn, gen_mv_test, gen_s1, gen_s2, mv_component_bank
 from .variational import VmdConfig, VncmdConfig, vmd_decompose, vncmd_decompose
 
@@ -48,7 +48,7 @@ def generate_signal(signal_id: str) -> tuple[Signal, list[Signal]]:
     raise ValueError(f"unknown signal id: {signal_id}")
 
 
-def default_configs(method: str, signal_id: str, noisy: bool = False) -> dict[str, Any]:
+def default_config(method: str, signal_id: str, noisy: bool = False):
     """Tuned per-signal configuration for a method.
 
     ``noisy`` switches the variational reconstruction slack off
@@ -58,90 +58,80 @@ def default_configs(method: str, signal_id: str, noisy: bool = False) -> dict[st
     """
     tau = 0.0 if noisy else 0.5
     if method == "emd":
-        return {"cfg": EmdConfig()}
+        return EmdConfig()
     if method == "vmd":
         k = 3 if signal_id == "s1" else 2
-        return {"cfg": VmdConfig(K=k, alpha=500.0, tau=tau)}
+        return VmdConfig(K=k, alpha=500.0, tau=tau)
     if method == "vncmd":
         if signal_id == "s1":
-            return {
-                "cfg": VncmdConfig(
-                    K=3,
-                    init_if_hz=(30.0, 50.0, 85.0),
-                    alpha=5e-6,
-                    mu=0.4,
-                    max_iters=120,
-                    if_smooth_frac=0.01,
-                )
-            }
-        return {
-            "cfg": VncmdConfig(
-                K=2,
-                init_if_hz=(90.0, 174.0),
-                alpha=1e-5,
-                mu=0.5,
+            return VncmdConfig(
+                K=3,
+                init_if_hz=(30.0, 50.0, 85.0),
+                alpha=5e-6,
+                mu=0.4,
                 max_iters=120,
                 if_smooth_frac=0.01,
             )
-        }
+        return VncmdConfig(
+            K=2,
+            init_if_hz=(90.0, 174.0),
+            alpha=1e-5,
+            mu=0.5,
+            max_iters=120,
+            if_smooth_frac=0.01,
+        )
     if method == "sst":
         if signal_id == "s1":
-            return {"cfg": SstConfig(K=4, n_voices=64), "ridge": RidgeConfig(15, 8)}
-        return {"cfg": SstConfig(K=2, n_voices=64), "ridge": RidgeConfig(15, 15)}
+            return SstConfig(K=4, n_voices=64, start_band=15, max_step=8)
+        return SstConfig(K=2, n_voices=64, start_band=15, max_step=15)
     if method == "ssa":
         if signal_id == "s1":
-            return {"cfg": SsaConfig(L=110, K=3, window_len=880, hop=220)}
-        return {"cfg": SsaConfig(L=110, K=2)}
+            return SsaConfig(L=110, K=3, window_len=880, hop=220)
+        return SsaConfig(L=110, K=2)
     if method == "memd":
-        return {"cfg": MemdConfig(M=64)}
+        return MemdConfig(M=64)
     if method == "mvmd":
-        return {"cfg": MvmdConfig(K=3, alpha=500.0, tau=0.0)}
+        return MvmdConfig(K=3, alpha=500.0, tau=0.0)
     raise ValueError(f"unknown method: {method}")
 
 
-def effective_configs(
+def effective_config(
     method: str, signal_id: str, noisy: bool = False, overrides: dict[str, Any] | None = None
-) -> dict[str, Any]:
-    """The recipe's configs with ``overrides`` applied: the configs a run uses.
+):
+    """The recipe with ``overrides`` applied: the config a run uses.
 
-    Each override goes to the first config that has a field of that name;
-    every config is rebuilt once with all of its overrides, so fields that
-    are checked together (``K`` and ``init_if_hz``) change together.
+    All overrides are applied in one rebuild, so fields that are checked
+    together (``K`` and ``init_if_hz``) change together.
     """
-    configs = default_configs(method, signal_id, noisy)
-    grouped: dict[str, dict[str, Any]] = {}
-    for key, value in (overrides or {}).items():
-        name = next((name for name, cfg in configs.items() if key in _field_names(cfg)), None)
-        if name is None:
-            raise ValueError(f"{method} has no parameter {key!r}")
-        grouped.setdefault(name, {})[key] = value
-    return {
-        name: dataclasses.replace(cfg, **grouped[name]) if name in grouped else cfg
-        for name, cfg in configs.items()
-    }
+    cfg = default_config(method, signal_id, noisy)
+    overrides = overrides or {}
+    missing = [key for key in overrides if key not in _field_names(cfg)]
+    if missing:
+        raise ValueError(f"{method} has no parameter {missing[0]!r}")
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _field_names(cfg) -> set[str]:
     return {f.name for f in dataclasses.fields(cfg)}
 
 
-def decompose(method: str, x: Signal | MultichannelSignal, configs: dict[str, Any]):
-    """Decompose ``x`` with ``configs``, as :func:`effective_configs` returns them:
+def decompose(method: str, x: Signal | MultichannelSignal, cfg):
+    """Decompose ``x`` with ``cfg``, as :func:`effective_config` returns it:
     the one caller of the seven methods, and the one that drops a report."""
     if method == "emd":
-        return emd_decompose(x, configs["cfg"])
+        return emd_decompose(x, cfg)
     if method == "vmd":
-        return vmd_decompose(x, configs["cfg"])[0]
+        return vmd_decompose(x, cfg)[0]
     if method == "vncmd":
-        return vncmd_decompose(x, configs["cfg"])[0]
+        return vncmd_decompose(x, cfg)[0]
     if method == "sst":
-        return sst_decompose(x, configs["cfg"], configs["ridge"])
+        return sst_decompose(x, cfg)
     if method == "ssa":
-        return ssa_decompose(x, configs["cfg"])
+        return ssa_decompose(x, cfg)
     if method == "memd":
-        return memd_decompose(x, configs["cfg"])
+        return memd_decompose(x, cfg)
     if method == "mvmd":
-        return mvmd_decompose(x, configs["cfg"])[0]
+        return mvmd_decompose(x, cfg)[0]
     raise ValueError(f"unknown method: {method}")
 
 
@@ -167,7 +157,7 @@ def run_accuracy(
     """Decompose the clean signal, match modes to the generator references,
     and render the time-frequency energy grid of the decomposition."""
     x, refs = generate_signal(signal_id)
-    d = decompose(method, x, effective_configs(method, signal_id, overrides=overrides))
+    d = decompose(method, x, effective_config(method, signal_id, overrides=overrides))
     report = match_or_empty(list(d.modes), refs)
     grid = hilbert_spectrum(d, n_freq_bins, x.sample_rate_hz / 2.0)
     return report, grid
@@ -222,7 +212,7 @@ def run_noise_suite(spec: NoiseSuiteSpec) -> SuiteResult:
     successes).
     """
     x, refs = generate_signal(spec.signal)
-    configs = effective_configs(spec.method, spec.signal, noisy=True, overrides=dict(spec.overrides))
+    cfg = effective_config(spec.method, spec.signal, noisy=True, overrides=dict(spec.overrides))
     means: dict[float, float | None] = {}
     stds: dict[float, float] = {}
     raws: dict[float, tuple[float, ...]] = {}
@@ -236,7 +226,7 @@ def run_noise_suite(spec: NoiseSuiteSpec) -> SuiteResult:
             noisy_x = add_wgn(x, snr, spec.base_seed + i)
             tic = time.perf_counter()
             try:
-                d = decompose(spec.method, noisy_x, configs)
+                d = decompose(spec.method, noisy_x, cfg)
             except (Diverged, NumericalFailure):
                 n_failed += 1
                 elapsed.append(time.perf_counter() - tic)
@@ -264,7 +254,7 @@ def run_param_sweep(
     """One clean accuracy run per parameter value, other fields at the
     recipe defaults.  The parameter must exist in the method's config;
     invalid values are recorded per row, not raised."""
-    if not any(param in _field_names(cfg) for cfg in default_configs(method, signal_id).values()):
+    if param not in _field_names(default_config(method, signal_id)):
         raise ValueError(f"parameter {param!r} not found in {method}'s configuration")
     rows: list[dict[str, Any]] = []
     for value in values:
@@ -294,11 +284,11 @@ def noisy_mv_signal(
 def vmd_channelwise(mv: MultichannelSignal, K: int, alpha: float = 500.0) -> AlignedDecomposition:
     """Independent per-channel variational decomposition, index-aligned
     only by each channel's own ascending center frequencies."""
-    configs = {"cfg": VmdConfig(K=K, alpha=alpha, tau=0.0)}
+    cfg = VmdConfig(K=K, alpha=alpha, tau=0.0)
     per = []
     residuals = []
     for c in range(mv.n_channels):
-        d = decompose("vmd", mv.channel(c), configs)
+        d = decompose("vmd", mv.channel(c), cfg)
         per.append(tuple(d.modes))
         residuals.append(d.residual)
     return AlignedDecomposition(
@@ -316,7 +306,7 @@ def run_alignment_suite(method: str, snr_db: float, base_seed: int = 0) -> Align
     if method == "vmd-channelwise":
         d = vmd_channelwise(noisy, K=3)
     else:
-        d = decompose(method, noisy, default_configs(method, "mv"))
+        d = decompose(method, noisy, default_config(method, "mv"))
     return alignment_score(d, table, tol_hz=1.0)
 
 

@@ -37,7 +37,7 @@ def _float_tuple(text: str) -> tuple[float, ...]:
 
 
 #: decompose flag -> (config field it sets, value type, help); a flag the
-#: method's configs lack is a usage error
+#: method's config lacks is a usage error
 _DECOMPOSE_FLAGS = {
     "--k": ("K", int, None),
     "--alpha": ("alpha", float, None),
@@ -149,7 +149,7 @@ def _collect_overrides(args) -> dict:
 def _cmd_decompose(args) -> int:
     if args.column is not None and args.method in bench.MULTICHANNEL_METHODS:
         raise ContractViolation(f"--column applies to univariate methods only, not {args.method}")
-    configs = bench.effective_configs(args.method, args.signal_profile, overrides=_collect_overrides(args))
+    cfg = bench.effective_config(args.method, args.signal_profile, overrides=_collect_overrides(args))
     loaded = sdio.read_csv_signal(args.input, args.fs)
     if args.method in bench.MULTICHANNEL_METHODS:
         if isinstance(loaded, Signal):
@@ -161,8 +161,8 @@ def _cmd_decompose(args) -> int:
         if not 0 <= column < n_columns:
             raise ContractViolation(f"--column {column} is out of range for {n_columns} column(s)")
         x = loaded.channel(column) if n_columns > 1 else loaded
-    d = bench.decompose(args.method, x, configs)
-    sdio.write_decomposition(d, args.outdir, method=args.method, config=configs, original=x)
+    d = bench.decompose(args.method, x, cfg)
+    sdio.write_decomposition(d, args.outdir, method=args.method, config=cfg, original=x)
     print(f"wrote {d.n_modes} modes to {args.outdir}")
     return EXIT_OK
 

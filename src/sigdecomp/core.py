@@ -150,9 +150,11 @@ class Decomposition:
                 raise ContractViolation("one center frequency per mode required")
             object.__setattr__(self, "center_freqs_hz", cf)
         if self.if_tracks_hz is not None:
-            tracks = tuple(np.asarray(t, dtype=np.float64) for t in self.if_tracks_hz)
+            tracks = tuple(_freeze(t) for t in self.if_tracks_hz)
             if len(tracks) != len(modes):
                 raise ContractViolation("one IF track per mode required")
+            if any(t.shape != self.residual.samples.shape for t in tracks):
+                raise ContractViolation("an IF track needs one value per sample")
             object.__setattr__(self, "if_tracks_hz", tracks)
 
     @property

@@ -132,15 +132,6 @@ def _config_to_jsonable(obj) -> object:
     return obj
 
 
-def _config_fields(config) -> dict | None:
-    """One flat JSON object of the fields of a config or of a mapping of
-    configs (as :func:`~sigdecomp.bench.effective_configs` returns)."""
-    if config is None:
-        return None
-    configs = config.values() if isinstance(config, dict) else (config,)
-    return {key: value for cfg in configs for key, value in _config_to_jsonable(cfg).items()}
-
-
 def write_decomposition(
     d: Decomposition | AlignedDecomposition,
     outdir: str | Path,
@@ -153,10 +144,10 @@ def write_decomposition(
     A multichannel decomposition writes one ``ch<c>`` column per channel
     in every file.  A decomposition with instantaneous-frequency tracks
     also writes ``if_tracks.csv``, one column per mode.  The manifest
-    records the method name, the fields of ``config`` (one config or a
-    name -> config mapping, flattened), the channel count, center
-    frequencies and the track file when present, and the reconstruction
-    error against ``original`` when supplied.  Returns the manifest dict.
+    records the method name, the fields of ``config``, the channel count,
+    center frequencies and the track file when present, and the
+    reconstruction error against ``original`` when supplied.  Returns the
+    manifest dict.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -180,7 +171,7 @@ def write_decomposition(
 
     manifest = {
         "method": method,
-        "config": _config_fields(config),
+        "config": _config_to_jsonable(config),
         "sample_rate_hz": fs,
         "n_modes": d.n_modes,
         "n_channels": len(channels),

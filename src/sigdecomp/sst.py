@@ -27,6 +27,8 @@ class SstConfig:
     morlet_w0: float = 6.0  # wavelet center frequency, rad
     gamma: float = 1e-6  # magnitude threshold, relative to max |W|
     K: int = 1  # ridges to extract
+    start_band: int = 15  # bins zeroed around an extracted ridge
+    max_step: int = 15  # max bin change per frame while tracking
 
     def __post_init__(self):
         if self.n_voices < 4:
@@ -37,14 +39,6 @@ class SstConfig:
             raise ContractViolation("gamma must be nonnegative and finite")
         if self.K < 1:
             raise ContractViolation("K must be >= 1")
-
-
-@dataclass(frozen=True)
-class RidgeConfig:
-    start_band: int = 15  # bins zeroed around an extracted ridge
-    max_step: int = 15  # max bin change per frame while tracking
-
-    def __post_init__(self):
         if self.start_band < 1 or self.max_step < 1:
             raise ContractViolation("start_band and max_step must be >= 1")
 
@@ -197,17 +191,17 @@ def synchrosqueeze(
     )
 
 
-def extract_ridges(S: SqueezedGrid, rcfg: RidgeConfig, K: int) -> list[RidgeTrack]:
+def extract_ridges(S: SqueezedGrid, cfg: SstConfig, K: int) -> list[RidgeTrack]:
     """Greedy energy-ridge tracking, strongest ridge first.
 
     Each ridge seeds at the global maximum of the remaining energy and
-    extends both ways, moving at most ``max_step`` bins per frame; frames
-    whose best in-window energy falls below the squeeze threshold, or 40 dB
-    below the ridge's seed energy, are flagged invalid.  A band of
-    ``start_band`` bins around an extracted ridge is zeroed before the
-    next one is sought.  Returns fewer than ``K`` tracks (with a warning)
-    when the energy is exhausted; raises :class:`NumericalFailure` when
-    the energy overflows.
+    extends both ways, moving at most ``cfg.max_step`` bins per frame;
+    frames whose best in-window energy falls below the squeeze threshold,
+    or 40 dB below the ridge's seed energy, are flagged invalid.  A band of
+    ``cfg.start_band`` bins around an extracted ridge is zeroed before the
+    next one is sought.  Seeks ``K`` ridges (not ``cfg.K``); returns fewer
+    tracks (with a warning) when the energy is exhausted; raises
+    :class:`NumericalFailure` when the energy overflows.
     """
     if K < 1:
         raise ContractViolation("K must be >= 1")
@@ -230,10 +224,10 @@ def extract_ridges(S: SqueezedGrid, rcfg: RidgeConfig, K: int) -> list[RidgeTrac
             break
         floor = max(gamma_floor, RIDGE_FADE_REL * energy[seed_f, seed_t])
         bins, valid = walk_ridge(
-            energy, seed_f, seed_t, rcfg.max_step, floor, RIDGE_PATIENCE_FRAMES
+            energy, seed_f, seed_t, cfg.max_step, floor, RIDGE_PATIENCE_FRAMES
         )
         tracks.append(RidgeTrack(bins=bins, valid=valid))
-        energy[_band(tracks[-1], energy.shape, rcfg.start_band)] = 0.0
+        energy[_band(tracks[-1], energy.shape, cfg.start_band)] = 0.0
     return tracks
 
 
@@ -259,9 +253,7 @@ def reconstruct_mode(S: SqueezedGrid, track: RidgeTrack, half_width: int) -> Sig
     return Signal((S.log_step / S.admissibility) * band_sum, S.sample_rate_hz)
 
 
-def sst_decompose(
-    x: Signal, cfg: SstConfig, rcfg: RidgeConfig = RidgeConfig()
-) -> Decomposition:
+def sst_decompose(x: Signal, cfg: SstConfig) -> Decomposition:
     """Full pipeline: CWT, squeeze, extract ``cfg.K`` ridges, reconstruct.
 
     Modes are ordered by ascending mean ridge frequency; the residual is
@@ -269,8 +261,8 @@ def sst_decompose(
     frequency per frame.
     """
     S = synchrosqueeze(*cwt_morlet(x, cfg), x, cfg)
-    tracks = sorted(extract_ridges(S, rcfg, cfg.K), key=lambda tr: np.mean(S.freqs_hz[tr.bins]))
-    modes = tuple(reconstruct_mode(S, tr, rcfg.start_band) for tr in tracks)
+    tracks = sorted(extract_ridges(S, cfg, cfg.K), key=lambda tr: np.mean(S.freqs_hz[tr.bins]))
+    modes = tuple(reconstruct_mode(S, tr, cfg.start_band) for tr in tracks)
     residual = x.samples - np.sum([m.samples for m in modes], axis=0)
     return Decomposition(
         modes=modes,

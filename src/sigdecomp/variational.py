@@ -451,7 +451,7 @@ def vncmd_decompose(
     decomp = Decomposition(
         modes=tuple(Signal(m, fs) for m in modes),
         residual=Signal(samples - modes.sum(axis=0), fs),
-        if_tracks_hz=tuple(track.copy() for track in if_tracks),
+        if_tracks_hz=tuple(if_tracks),
     )
     report = ConvergenceReport(
         iterations=len(trace),

@@ -12,8 +12,8 @@ from sigdecomp import bench, cli, io as sdio, variational
 from sigdecomp.bench import (
     NoiseSuiteSpec,
     decompose,
-    default_configs,
-    effective_configs,
+    default_config,
+    effective_config,
     match_or_empty,
     run_accuracy,
     run_alignment_suite,
@@ -30,7 +30,7 @@ from sigdecomp.multivariate import (
     mvmd_decompose,
 )
 from sigdecomp.ssa import SsaConfig, ssa_decompose
-from sigdecomp.sst import RidgeConfig, SstConfig, sst_decompose
+from sigdecomp.sst import SstConfig, sst_decompose
 from sigdecomp.variational import VmdConfig, VncmdConfig, vmd_decompose, vncmd_decompose
 
 
@@ -38,20 +38,20 @@ class TestRecipes:
     def test_every_method_has_both_signal_recipes(self):
         for method in ("emd", "vmd", "vncmd", "sst", "ssa"):
             for sig in ("s1", "s2"):
-                cfgs = default_configs(method, sig)
-                assert "cfg" in cfgs
+                cfg = default_config(method, sig)
+                assert dataclasses.is_dataclass(cfg)
 
     def test_multichannel_recipes_are_the_class_defaults(self):
-        assert default_configs("memd", "mv") == {"cfg": MemdConfig()}
-        assert default_configs("mvmd", "mv") == {"cfg": MvmdConfig()}
+        assert default_config("memd", "mv") == MemdConfig()
+        assert default_config("mvmd", "mv") == MvmdConfig()
 
     def test_noisy_flag_zeroes_tau(self):
-        assert default_configs("vmd", "s1", noisy=True)["cfg"].tau == 0.0
-        assert default_configs("vmd", "s1", noisy=False)["cfg"].tau == 0.5
+        assert default_config("vmd", "s1", noisy=True).tau == 0.0
+        assert default_config("vmd", "s1", noisy=False).tau == 0.5
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            default_configs("wavelets", "s1")
+            default_config("wavelets", "s1")
 
     def test_override_unknown_param_rejected(self):
         with pytest.raises(ValueError):
@@ -72,7 +72,7 @@ class TestAccuracy:
     def test_modeless_decomposition_scores_zero(self):
         t = np.arange(512) / 256.0
         ramp = Signal(t, 256.0)
-        d = decompose("emd", ramp, effective_configs("emd", "s1"))
+        d = decompose("emd", ramp, effective_config("emd", "s1"))
         report = match_or_empty(list(d.modes), [Signal(np.sin(2 * np.pi * t), 256.0)])
         assert len(report.assignment) == 0
         assert report.total_qrf_db == 0.0
@@ -83,21 +83,15 @@ class TestAccuracy:
         assert grid.total_energy > 0
 
 
-#: method -> (configs for a short two-tone input, the method called directly)
+#: method -> (config for a short two-tone input, the method called directly)
 RUN_PATH_CASES = {
-    "emd": ({"cfg": EmdConfig(max_imfs=1)}, lambda x, c: emd_decompose(x, c["cfg"])),
-    "vmd": ({"cfg": VmdConfig(K=2, alpha=500.0)}, lambda x, c: vmd_decompose(x, c["cfg"])[0]),
-    "vncmd": (
-        {"cfg": VncmdConfig(K=2, init_if_hz=(5.0, 20.0))},
-        lambda x, c: vncmd_decompose(x, c["cfg"])[0],
-    ),
-    "sst": (
-        {"cfg": SstConfig(K=2), "ridge": RidgeConfig()},
-        lambda x, c: sst_decompose(x, c["cfg"], c["ridge"]),
-    ),
-    "ssa": ({"cfg": SsaConfig(L=20, K=2)}, lambda x, c: ssa_decompose(x, c["cfg"])),
-    "memd": ({"cfg": MemdConfig(M=4)}, lambda x, c: memd_decompose(x, c["cfg"])),
-    "mvmd": ({"cfg": MvmdConfig(K=2)}, lambda x, c: mvmd_decompose(x, c["cfg"])[0]),
+    "emd": (EmdConfig(max_imfs=1), emd_decompose),
+    "vmd": (VmdConfig(K=2, alpha=500.0), lambda x, c: vmd_decompose(x, c)[0]),
+    "vncmd": (VncmdConfig(K=2, init_if_hz=(5.0, 20.0)), lambda x, c: vncmd_decompose(x, c)[0]),
+    "sst": (SstConfig(K=2), sst_decompose),
+    "ssa": (SsaConfig(L=20, K=2), ssa_decompose),
+    "memd": (MemdConfig(M=4), memd_decompose),
+    "mvmd": (MvmdConfig(K=2), lambda x, c: mvmd_decompose(x, c)[0]),
 }
 
 
@@ -120,31 +114,34 @@ def arrays_of(d):
 class TestRunPath:
     @pytest.mark.parametrize("method", list(RUN_PATH_CASES))
     def test_equals_the_method_called_directly(self, method):
-        configs, direct = RUN_PATH_CASES[method]
+        cfg, direct = RUN_PATH_CASES[method]
         x = two_tones(method)
-        d = decompose(method, x, configs)
+        d = decompose(method, x, cfg)
         assert isinstance(d, (Decomposition, AlignedDecomposition))
-        expected = arrays_of(direct(x, configs))
+        expected = arrays_of(direct(x, cfg))
         got = arrays_of(d)
         assert len(got) == len(expected) > 2
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
     def test_unknown_method_rejected(self, monkeypatch):
-        # the caller hands the configs over: decompose looks up no recipe
-        monkeypatch.setattr(bench, "default_configs", None)
+        # the caller hands the config over: decompose looks up no recipe
+        monkeypatch.setattr(bench, "default_config", None)
         with pytest.raises(ValueError, match="unknown method"):
-            decompose("wavelets", two_tones("emd"), {"cfg": EmdConfig()})
+            decompose("wavelets", two_tones("emd"), EmdConfig())
 
-    @pytest.mark.parametrize("method, flags", [("memd", ("--m-directions", "4")), ("mvmd", ("--k", "2"))])
+    @pytest.mark.parametrize(
+        "method, flags",
+        [("memd", ("--m-directions", "4")), ("mvmd", ("--k", "2")), ("sst", ("--max-step", "5"))],
+    )
     def test_cli_decompose_runs_through_bench(self, tmp_path, monkeypatch, method, flags):
         csv = tmp_path / "mv.csv"
         assert cli.main(["synth", "--signal", "mv", "--duration", "0.25", "--out", str(csv)]) == 0
         runs, written = [], []
         run, write = bench.decompose, sdio.write_decomposition
 
-        def spy_run(name, x, configs):
-            runs.append((name, configs))
-            return run(name, x, configs)
+        def spy_run(name, x, cfg):
+            runs.append((name, cfg))
+            return run(name, x, cfg)
 
         def spy_write(d, outdir, **kwargs):
             written.append(kwargs["config"])
@@ -155,12 +152,15 @@ class TestRunPath:
         argv = ["decompose", "--method", method, *flags, "--input", str(csv), "--outdir", str(tmp_path / "d")]
         assert cli.main(argv) == 0
         assert [name for name, _ in runs] == [method]
-        configs = runs[0][1]
-        assert len(written) == 1 and written[0] is configs
+        cfg = runs[0][1]
+        assert len(written) == 1 and written[0] is cfg
         manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
-        fields = {k: v for cfg in configs.values() for k, v in dataclasses.asdict(cfg).items()}
+        fields = dataclasses.asdict(cfg)
         assert manifest["config"] == fields
-        assert fields["M" if method == "memd" else "K"] == int(flags[1])
+        assert list(manifest["config"]) == [f.name for f in dataclasses.fields(cfg)]
+        assert fields[{"memd": "M", "mvmd": "K", "sst": "max_step"}[method]] == int(flags[1])
+        if method == "sst":
+            assert list(manifest["config"]) == ["n_voices", "morlet_w0", "gamma", "K", "start_band", "max_step"]
 
 
 class TestNoiseSuite:

@@ -132,6 +132,21 @@ class TestDecomposition:
         with pytest.raises(ContractViolation):
             Decomposition(modes=(a,), residual=b)
 
+    def test_if_tracks_frozen_copies(self):
+        s = tone(4.0, 1.0, 32.0)
+        track = np.full(len(s), 4.0)
+        d = Decomposition(modes=(s,), residual=scale(s, 0.0), if_tracks_hz=(track,))
+        assert d.if_tracks_hz[0] is not track
+        with pytest.raises(ValueError):
+            d.if_tracks_hz[0][0] = 5.0
+        track[0] = 5.0
+        assert d.if_tracks_hz[0][0] == 4.0
+
+    def test_if_track_length_checked(self):
+        s = tone(4.0, 1.0, 32.0)
+        with pytest.raises(ContractViolation):
+            Decomposition(modes=(s,), residual=s, if_tracks_hz=(np.full(len(s) - 1, 4.0),))
+
 
 class TestModeModel:
     def test_negative_amplitude_rejected(self):

@@ -294,7 +294,7 @@ class TestWholeArrayScoring:
         if snr is not None:
             x = add_wgn(x, snr, 1)
         try:
-            d = bench.decompose(method, x, bench.effective_configs(method, signal_id, noisy=snr is not None))
+            d = bench.decompose(method, x, bench.effective_config(method, signal_id, noisy=snr is not None))
         except Diverged:
             pytest.skip("the recipe diverges on this realization")
         modes = list(d.modes)
@@ -354,7 +354,7 @@ class TestWholeArrayScoring:
         if method == "memd":
             d = memd_decompose(x, MemdConfig(M=8))
         elif method == "mvmd":
-            d, _ = mvmd_decompose(x, bench.default_configs("mvmd", "mv")["cfg"])
+            d, _ = mvmd_decompose(x, bench.default_config("mvmd", "mv"))
         else:
             d = bench.vmd_channelwise(x, K=3)
         assert alignment_score(d, table, 1.0) == reference_alignment_score(d, table, 1.0)

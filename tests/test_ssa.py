@@ -131,7 +131,7 @@ class TestDecompose:
         x, refs = bench.generate_signal(signal)
         if snr is not None:
             x = add_wgn(x, snr, 0)
-        d = bench.decompose("ssa", x, bench.effective_configs("ssa", signal, noisy=snr is not None))
+        d = bench.decompose("ssa", x, bench.effective_config("ssa", signal, noisy=snr is not None))
         n_modes, total_db = RECIPE_FIGURES[signal, snr]
         assert len(d.modes) == n_modes
         assert bench.match_or_empty(list(d.modes), refs).total_qrf_db == pytest.approx(total_db, abs=1e-6)
@@ -151,3 +151,6 @@ class TestDecompose:
                 SsaConfig(**bad)
         with pytest.raises(ContractViolation):
             ssa_decompose(tone(5.0, 1.0, 64.0), SsaConfig(L=40, window_len=64))
+        # a hop longer than the window leaves samples that no window covers
+        with pytest.raises(ContractViolation, match="hop"):
+            ssa_decompose(tone(5.0, 1.0, 1024.0), SsaConfig(L=20, K=2, window_len=80, hop=200))

@@ -10,7 +10,6 @@ from sigdecomp.metrics import match_components, qrf
 from sigdecomp.sst import (
     RIDGE_FADE_REL,
     RIDGE_PATIENCE_FRAMES,
-    RidgeConfig,
     RidgeTrack,
     SstConfig,
     cwt_morlet,
@@ -78,6 +77,11 @@ class TestCwt:
         with pytest.raises(ContractViolation, match="morlet_w0"):
             SstConfig(morlet_w0=w0)
 
+    @pytest.mark.parametrize("ridge", [{"start_band": 0}, {"max_step": 0}, {"max_step": -3}])
+    def test_ridge_fields_validated(self, ridge):
+        with pytest.raises(ContractViolation, match="start_band and max_step"):
+            SstConfig(**ridge)
+
 
 class TestSynchrosqueeze:
     def test_tone_energy_concentration(self, squeezed50):
@@ -130,7 +134,7 @@ class TestSynchrosqueeze:
 class TestRidges:
     def test_single_tone_flat_track(self, squeezed50):
         _, freqs, S = squeezed50
-        tracks = extract_ridges(S, RidgeConfig(15, 15), 1)
+        tracks = extract_ridges(S, SstConfig(start_band=15, max_step=15), 1)
         tr = tracks[0]
         idx = np.argmin(np.abs(freqs - 50.0))
         interior = slice(100, -100)
@@ -139,18 +143,18 @@ class TestRidges:
     def test_step_constraint_holds(self, squeezed50):
         _, _, S = squeezed50
         for max_step in (3, 15):
-            tr = extract_ridges(S, RidgeConfig(15, max_step), 1)[0]
+            tr = extract_ridges(S, SstConfig(start_band=15, max_step=max_step), 1)[0]
             assert np.max(np.abs(np.diff(tr.bins))) <= max_step
 
     def test_exhaustion_warns_and_returns_fewer(self, squeezed50):
         _, _, S = squeezed50
         with pytest.warns(RuntimeWarning):
-            tracks = extract_ridges(S, RidgeConfig(30, 15), 40)
+            tracks = extract_ridges(S, SstConfig(start_band=30, max_step=15), 40)
         assert len(tracks) < 40
 
     def test_reconstruct_tone(self, tone50, squeezed50):
         _, _, S = squeezed50
-        tr = extract_ridges(S, RidgeConfig(15, 15), 1)[0]
+        tr = extract_ridges(S, SstConfig(start_band=15, max_step=15), 1)[0]
         rec = reconstruct_mode(S, tr, 15)
         assert qrf(rec, tone50) >= 25.0
 
@@ -181,7 +185,7 @@ class TestRidges:
         x, refs = bench.generate_signal(signal)
         if snr is not None:
             x = add_wgn(x, snr, 0)
-        d = bench.decompose("sst", x, bench.effective_configs("sst", signal, noisy=snr is not None))
+        d = bench.decompose("sst", x, bench.effective_config("sst", signal, noisy=snr is not None))
         n_modes, total_db = RECIPE_FIGURES[signal, snr]
         assert len(d.modes) == n_modes
         assert bench.match_or_empty(list(d.modes), refs).total_qrf_db == pytest.approx(total_db, abs=1e-6)
@@ -236,10 +240,10 @@ class TestWholeArrayForms:
     @pytest.mark.parametrize("half_width", [4, 15])
     def test_modes_match_per_frame_loop(self, half_width):
         x, _ = gen_s1()
-        cfg = SstConfig(K=4, n_voices=64)
+        cfg = SstConfig(K=4, n_voices=64, start_band=15, max_step=8)
         S = synchrosqueeze(*cwt_morlet(x, cfg), x, cfg)
         n_bins, n_t = S.values.shape
-        tracks = extract_ridges(S, RidgeConfig(15, 8), cfg.K)
+        tracks = extract_ridges(S, cfg, cfg.K)
         live = np.arange(n_t) % 7 != 3  # some invalid frames
         tracks += [
             RidgeTrack(bins=np.full(n_t, edge), valid=live) for edge in (0, 1, n_bins - 2, n_bins - 1)
@@ -250,7 +254,7 @@ class TestWholeArrayForms:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def reference_ridges(S, rcfg, K):
+def reference_ridges(S, cfg, K):
     """Ridge extraction with the band suppressed frame by frame, in a loop."""
     energy = S.energy()
     floor0 = S.gamma_abs * S.gamma_abs
@@ -261,25 +265,25 @@ def reference_ridges(S, rcfg, K):
         if energy[seed_f, seed_t] <= floor0:
             break
         floor = max(floor0, RIDGE_FADE_REL * energy[seed_f, seed_t])
-        bins, valid = walk_ridge(energy, seed_f, seed_t, rcfg.max_step, floor, RIDGE_PATIENCE_FRAMES)
+        bins, valid = walk_ridge(energy, seed_f, seed_t, cfg.max_step, floor, RIDGE_PATIENCE_FRAMES)
         tracks.append((bins, valid))
         for t in np.flatnonzero(valid):
-            lo = max(int(bins[t]) - rcfg.start_band, 0)
-            energy[lo : int(bins[t]) + rcfg.start_band + 1, t] = 0.0
+            lo = max(int(bins[t]) - cfg.start_band, 0)
+            energy[lo : int(bins[t]) + cfg.start_band + 1, t] = 0.0
     return tracks
 
 
 class TestRidgeSuppression:
-    @pytest.mark.parametrize("rcfg", [RidgeConfig(), RidgeConfig(start_band=4, max_step=3)])
+    @pytest.mark.parametrize("rcfg", [{}, {"start_band": 4, "max_step": 3}])  # SstConfig's ridge fields
     @pytest.mark.parametrize("signal", ["s1", "s2"])
     def test_matches_per_frame_loop(self, signal, rcfg):
         x, _ = gen_s1() if signal == "s1" else gen_s2()
-        cfg = SstConfig(K=4)
+        cfg = SstConfig(K=4, **rcfg)
         S = synchrosqueeze(*cwt_morlet(x, cfg), x, cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # exhaustion may cut K short
-            tracks = extract_ridges(S, rcfg, cfg.K)
-        want = reference_ridges(S, rcfg, cfg.K)
+            tracks = extract_ridges(S, cfg, cfg.K)
+        want = reference_ridges(S, cfg, cfg.K)
         assert len(tracks) == len(want)
         for track, (bins, valid) in zip(tracks, want):
             assert np.array_equal(track.bins, bins)
@@ -289,7 +293,7 @@ class TestRidgeSuppression:
 class TestGapBehavior:
     def test_k3_third_track_fails_across_gap(self):
         x, refs = gen_s1()
-        d = sst_decompose(x, SstConfig(K=3, n_voices=64), RidgeConfig(15, 8))
+        d = sst_decompose(x, SstConfig(K=3, n_voices=64, start_band=15, max_step=8))
         report = match_components(list(d.modes), refs)
         c3 = report.qrf_for_ref(2)
         c1 = report.qrf_for_ref(0)
@@ -300,9 +304,9 @@ class TestGapBehavior:
         cfg = SstConfig(K=4, n_voices=64)
         W, freqs = cwt_morlet(x, cfg)
         S = synchrosqueeze(W, freqs, x, cfg)
-        tracks = extract_ridges(S, RidgeConfig(15, 8), 4)
+        tracks = extract_ridges(S, SstConfig(start_band=15, max_step=8), 4)
         recs = [reconstruct_mode(S, tr, 15) for tr in tracks]
-        d3 = sst_decompose(x, SstConfig(K=3, n_voices=64), RidgeConfig(15, 8))
+        d3 = sst_decompose(x, SstConfig(K=3, n_voices=64, start_band=15, max_step=8))
         single = match_components(list(d3.modes), refs).qrf_for_ref(2)
         best_union = max(
             qrf(add(recs[i], recs[j]), refs[2])
@@ -319,7 +323,7 @@ class TestWideBand:
 
         x, refs = gen_s2()
         sst_rep = match_components(
-            list(sst_decompose(x, SstConfig(K=2, n_voices=64), RidgeConfig(15, 15)).modes), refs
+            list(sst_decompose(x, SstConfig(K=2, n_voices=64, start_band=15, max_step=15)).modes), refs
         )
         emd_rep = match_components(list(emd_decompose(x).modes), refs)
         vmd_rep = match_components(list(vmd_decompose(x, VmdConfig(K=2, alpha=500, tau=0.5))[0].modes), refs)
@@ -331,9 +335,9 @@ class TestWideBand:
         x, refs = gen_s2()
         totals = []
         for band in (5, 15, 30):
-            d = sst_decompose(x, SstConfig(K=2, n_voices=64), RidgeConfig(band, 15))
+            d = sst_decompose(x, SstConfig(K=2, n_voices=64, start_band=band, max_step=15))
             totals.append(match_components(list(d.modes), refs).total_qrf_db)
         for band in (5, 15, 30):
-            d = sst_decompose(x, SstConfig(K=2, n_voices=64), RidgeConfig(15, band))
+            d = sst_decompose(x, SstConfig(K=2, n_voices=64, start_band=15, max_step=band))
             totals.append(match_components(list(d.modes), refs).total_qrf_db)
         assert max(totals) - min(totals) < 3.0

@@ -292,7 +292,7 @@ class TestVncmd:
     def test_decomposition_bit_identical_to_scipy_solve(self, monkeypatch, case):
         if case == "clean_s2":
             x, _ = bench.generate_signal("s2")
-            cfg = bench.default_configs("vncmd", "s2")["cfg"]
+            cfg = bench.default_config("vncmd", "s2")
         else:
             x, _ = gen_s1()
             cfg = DIVERGING_S1
