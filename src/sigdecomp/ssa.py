@@ -46,7 +46,7 @@ class SsaConfig:
         if self.L > window // 2:
             raise ContractViolation("need L <= window_len / 2")
         hop = self.hop if self.hop is not None else max(window // 4, 1)
-        if hop > window and window < n:  # one window spanning the whole signal needs no hop
+        if hop > window and n > 2 * window:
             raise ContractViolation("need hop <= window_len, or samples go uncovered")
         return window, hop
 

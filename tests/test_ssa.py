@@ -154,3 +154,6 @@ class TestDecompose:
         # a hop longer than the window leaves samples that no window covers
         with pytest.raises(ContractViolation, match="hop"):
             ssa_decompose(tone(5.0, 1.0, 1024.0), SsaConfig(L=20, K=2, window_len=80, hop=200))
+        # but windows at 0 and at n - window_len still cover 100 samples
+        d = ssa_decompose(tone(5.0, 1.0, 100.0), SsaConfig(L=20, K=2, window_len=80, hop=90))
+        assert np.all(np.isfinite(d.residual.samples))
