@@ -170,7 +170,6 @@ class NoiseSuiteSpec:
     snr_grid_db: tuple[float, ...] = DEFAULT_SNR_GRID_DB
     n_realizations: int = 50
     base_seed: int = 0
-    overrides: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self):
         if self.n_realizations < 2:
@@ -212,7 +211,7 @@ def run_noise_suite(spec: NoiseSuiteSpec) -> SuiteResult:
     successes).
     """
     x, refs = generate_signal(spec.signal)
-    cfg = effective_config(spec.method, spec.signal, noisy=True, overrides=dict(spec.overrides))
+    cfg = effective_config(spec.method, spec.signal, noisy=True)
     means: dict[float, float | None] = {}
     stds: dict[float, float] = {}
     raws: dict[float, tuple[float, ...]] = {}

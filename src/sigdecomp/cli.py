@@ -197,7 +197,7 @@ def _cmd_bench(args) -> int:
             "method": args.method,
             "signal": args.signal,
             "elapsed_s": time.perf_counter() - tic,
-            "report": report.to_dict(),
+            "report": sdio.to_jsonable(report),
         }
     elif args.suite == "noise":
         spec = bench.NoiseSuiteSpec(

@@ -120,11 +120,12 @@ def read_csv_signal(
     return MultichannelSignal(data.T, rate)
 
 
-def _config_to_jsonable(obj) -> object:
+def to_jsonable(obj) -> object:
+    """A dataclass (a config or a report) as JSON-ready dicts, lists and scalars."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _config_to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, (tuple, list)):
-        return [_config_to_jsonable(v) for v in obj]
+        return [to_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
@@ -171,7 +172,7 @@ def write_decomposition(
 
     manifest = {
         "method": method,
-        "config": _config_to_jsonable(config),
+        "config": to_jsonable(config),
         "sample_rate_hz": fs,
         "n_modes": d.n_modes,
         "n_channels": len(channels),

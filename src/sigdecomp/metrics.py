@@ -79,15 +79,6 @@ class QrfReport:
                 return value
         return None
 
-    def to_dict(self) -> dict:
-        return {
-            "assignment": [list(pair) for pair in self.assignment],
-            "per_mode_qrf_db": list(self.per_mode_qrf_db),
-            "total_qrf_db": self.total_qrf_db,
-            "unmatched_est": list(self.unmatched_est),
-            "unmatched_ref": list(self.unmatched_ref),
-        }
-
 
 def _max_weight_matching(table: np.ndarray) -> list[tuple[int, int]]:
     """Exact maximum-total assignment of the smaller side of ``table``.
@@ -231,6 +222,8 @@ def alignment_score(
     stack = np.reshape(
         [[m.samples for m in modes] for modes in decomposition.channel_modes], (n_channels, n_modes, n)
     )
+    # peak into [0.5, 1) by a power of two, so no square over- or underflows; each test is a ratio or argmax
+    stack = np.ldexp(stack, -np.frexp(np.max(np.abs(stack), initial=0.0))[1])
     magnitude = np.abs(np.fft.rfft(stack))
     power = magnitude**2
     interior = np.abs(np.fft.rfft(stack[..., trim : n - trim])) ** 2

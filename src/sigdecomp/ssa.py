@@ -11,7 +11,6 @@ across windows under a normalized Hann cross-fade.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,8 +109,8 @@ def _kmeans_1d(freqs: np.ndarray, energies: np.ndarray, k: int) -> np.ndarray:
 def _window_classes(
     window: np.ndarray, fs: float, cfg: SsaConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decompose one window into K class series (ascending energy-weighted
-    mean frequency) plus the discarded-triples remainder."""
+    """Decompose one window into at most K class series (ascending energy-
+    weighted mean frequency) plus the discarded-triples remainder."""
     # scaled by an exact power of two so that X Xᵀ cannot overflow
     exponent = np.frexp(np.max(np.abs(window)))[1]
     traj = embed(np.ldexp(window, -exponent), cfg.L)
@@ -127,12 +126,6 @@ def _window_classes(
     energies = lam[keep]
 
     k_eff = min(cfg.K, len(series))
-    if k_eff < cfg.K:
-        warnings.warn(
-            f"only {len(series)} eigentriples survive epsilon; returning {k_eff} classes",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     labels = _kmeans_1d(freqs, energies, k_eff) if k_eff > 0 else np.zeros(0, dtype=int)
     member = labels == np.arange(k_eff)[:, None]  # (classes, kept triples)
     weight = member @ energies
@@ -150,7 +143,7 @@ def _window_weights(length: int) -> np.ndarray:
 
 
 def ssa_decompose(x: Signal, cfg: SsaConfig = SsaConfig()) -> Decomposition:
-    """Sliding-window SSA into ``cfg.K`` classes.
+    """Sliding-window SSA into at most ``cfg.K`` classes.
 
     Windows of ``window_len`` samples advance by ``hop``; per-window class
     series are blended with a normalized Hann cross-fade (the weights form

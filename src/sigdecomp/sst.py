@@ -11,7 +11,6 @@ scales by the wavelet's admissibility constant; no step loops over frames.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -200,8 +199,8 @@ def extract_ridges(S: SqueezedGrid, cfg: SstConfig, K: int) -> list[RidgeTrack]:
     or 40 dB below the ridge's seed energy, are flagged invalid.  A band of
     ``cfg.start_band`` bins around an extracted ridge is zeroed before the
     next one is sought.  Seeks ``K`` ridges (not ``cfg.K``); returns fewer
-    tracks (with a warning) when the energy is exhausted; raises
-    :class:`NumericalFailure` when the energy overflows.
+    tracks when the energy is exhausted; raises :class:`NumericalFailure`
+    when the energy overflows.
     """
     if K < 1:
         raise ContractViolation("K must be >= 1")
@@ -216,11 +215,6 @@ def extract_ridges(S: SqueezedGrid, cfg: SstConfig, K: int) -> list[RidgeTrack]:
         seed_flat = int(np.argmax(energy))
         seed_f, seed_t = divmod(seed_flat, n_t)
         if energy[seed_f, seed_t] <= gamma_floor:
-            warnings.warn(
-                f"ridge extraction exhausted after {len(tracks)} of {K} ridges",
-                RuntimeWarning,
-                stacklevel=2,
-            )
             break
         floor = max(gamma_floor, RIDGE_FADE_REL * energy[seed_f, seed_t])
         bins, valid = walk_ridge(

@@ -75,23 +75,29 @@ def _initial_centers(k: int, init_mode: str, seed: int = 0) -> np.ndarray:
     return np.zeros(k)
 
 
+_TINY = np.finfo(np.float64).tiny  # floors a denominator without setting a scale
+
+
 def _update_norm(modes: np.ndarray, prev: np.ndarray, power) -> float:
     """Relative update of a sweep: the sum over modes of ``power(mode -
-    prev) / (power(prev) + 1e-30)``, ``power`` giving each mode's sum of
-    squares.  Where a sum or the result overflows, it is recomputed on
-    both arrays scaled by the one power of two that brings their largest
-    magnitude into [0.5, 1).  That scaling is exact, so a sweep that does
-    not overflow keeps its bits, and an overflowing one never reads as a
-    zero update (the scaled 2-norm of Higham 2002, §27)."""
+    prev) / (power(prev) + _TINY)``, ``power`` giving each mode's sum of
+    squares.  Where a sum or the result overflows, or a previous power is
+    below 2**-900 (too small for its ratio to keep precision), it is
+    recomputed on both arrays scaled by the one power of two that brings
+    their largest magnitude into [0.5, 1).  That scaling is exact, so a
+    sweep at an ordinary scale keeps its bits, and the value does not
+    depend on scale: an overflowing update never reads as zero, nor a tiny
+    one as convergence (the scaled 2-norm of Higham 2002, §27)."""
     with np.errstate(over="ignore", invalid="ignore"):  # redone below when not finite
-        denom = power(prev) + 1e-30
+        denom = power(prev) + _TINY
         norm = float(sum(power(modes - prev) / denom))
-    if np.isfinite(norm) and np.all(np.isfinite(denom)):
+    if np.isfinite(norm) and all(2.0**-900 <= d < np.inf for d in denom):  # NaN fails too
         return norm
     peak = max(np.max(np.abs(a.view(np.float64))) for a in (modes, prev))
     scale = 2.0 ** -int(np.frexp(peak)[1])
     modes, prev = modes * scale, prev * scale
-    return float(sum(power(modes - prev) / (power(prev) + 1e-30)))
+    with np.errstate(over="ignore"):  # a zero previous power gives inf, or nearly
+        return float(sum(power(modes - prev) / (power(prev) + _TINY)))
 
 
 def _spectral_power(u: np.ndarray) -> np.ndarray:
@@ -338,6 +344,8 @@ def _envelope_solve(
     rhs[0::2] = residual * cos_t
     rhs[1::2] = residual * sin_t
     solution = solve_banded(bands, rhs)
+    if not np.all(np.isfinite(solution)):
+        raise NumericalFailure("VNCMD envelope solve produced non-finite envelopes")
     return solution[0::2], solution[1::2]
 
 
@@ -424,7 +432,7 @@ def vncmd_decompose(
             peak = denom.max(axis=1, keepdims=True)
             if not np.all(np.isfinite(2.0 * np.pi * peak)):
                 raise NumericalFailure("VNCMD iteration produced non-finite envelope power")
-            floor = 1e-10 * np.maximum(peak, 1e-30)
+            floor = 1e-10 * np.maximum(peak, _TINY)
             raw = (b * da - a * db) / (2.0 * np.pi * np.maximum(denom, floor))
             increments = np.array([_moving_average(row, ma_width) for row in raw])
 

@@ -671,6 +671,29 @@ class TestCliContract:
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "method, rows, flags", [("sst", 96, ()), ("ssa", 16, ("--k", "2", "--l", "8", "--signal-profile", "s2"))]
+    )
+    def test_fewer_modes_found_exit_zero(self, tmp_path, capsys, method, rows, flags):
+        # a constant input holds fewer ridges or eigentriples than K; the run
+        # says so through its mode count alone, with nothing on stderr
+        write_signals_csv(tmp_path / "c.csv", {"x": np.full(rows, 0.5)}, 100.0)
+        code = main("decompose", "--method", method, *flags, "--input", tmp_path / "c.csv", "--outdir", tmp_path / "d")
+        assert code == 0
+        manifest = manifest_of(tmp_path / "d")
+        assert manifest["n_modes"] < manifest["config"]["K"]
+        assert "Warning" not in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_vncmd_infinite_envelopes_exit_three(self, tmp_path, s1_csv, capsys):
+        # at a smoothing weight of 1e-200 the envelope solve blows up to inf and NaN
+        code = main("decompose", "--method", "vncmd", "--init-if", "30,50,85", "--alpha", "1e200",
+                    "--input", s1_csv, "--outdir", tmp_path / "d")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "non-finite envelopes" in err and "Warning" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sst_overflow_exit_three(self, tmp_path, capsys):
         write_signals_csv(tmp_path / "huge.csv", {"x": np.sin(np.arange(256.0)) * 1e300}, 256.0)
         code = main("decompose", "--method", "sst", "--input", tmp_path / "huge.csv", "--outdir", tmp_path / "d")

@@ -359,6 +359,18 @@ class TestWholeArrayScoring:
             d = bench.vmd_channelwise(x, K=3)
         assert alignment_score(d, table, 1.0) == reference_alignment_score(d, table, 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_alignment_does_not_depend_on_scale(self):
+        # every test is a ratio or an argmax, so the score must not change
+        # where the modes' squares overflow (2**505) or underflow (2**-600)
+        mv, table = gen_mv_test()
+        d, _ = mvmd_decompose(bench.noisy_mv_signal(mv, 10.0, 0), bench.default_config("mvmd", "mv"))
+        base = alignment_score(d, table, 1.0)
+        assert base.passed
+        for exp in (505, -600):
+            modes = tuple(tuple(np.ldexp(m.samples, exp) for m in ms) for ms in d.channel_modes)
+            assert alignment_score(aligned(modes, d.sample_rate_hz), table, 1.0) == base
+
     def test_ideal_and_swapped_equal_per_mode(self):
         _, table = gen_mv_test()
         fs = 256.0

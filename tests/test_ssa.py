@@ -136,10 +136,10 @@ class TestDecompose:
         assert len(d.modes) == n_modes
         assert bench.match_or_empty(list(d.modes), refs).total_qrf_db == pytest.approx(total_db, abs=1e-6)
 
-    def test_fewer_eigentriples_warns(self):
+    def test_fewer_eigentriples_fewer_modes(self):
         s = tone(5.0, 2.0, 64.0)  # a single tone has ~2 meaningful triples
-        with pytest.warns(RuntimeWarning):
-            ssa_decompose(s, SsaConfig(L=12, K=11, epsilon=1e-3))
+        d = ssa_decompose(s, SsaConfig(L=12, K=11, epsilon=1e-3))  # the suite errors on any RuntimeWarning
+        assert len(d.modes) < 11
 
     def test_config_validation(self):
         with pytest.raises(ContractViolation):

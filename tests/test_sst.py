@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -146,10 +144,9 @@ class TestRidges:
             tr = extract_ridges(S, SstConfig(start_band=15, max_step=max_step), 1)[0]
             assert np.max(np.abs(np.diff(tr.bins))) <= max_step
 
-    def test_exhaustion_warns_and_returns_fewer(self, squeezed50):
+    def test_exhaustion_returns_fewer(self, squeezed50):
         _, _, S = squeezed50
-        with pytest.warns(RuntimeWarning):
-            tracks = extract_ridges(S, SstConfig(start_band=30, max_step=15), 40)
+        tracks = extract_ridges(S, SstConfig(start_band=30, max_step=15), 40)  # the suite errors on any RuntimeWarning
         assert len(tracks) < 40
 
     def test_reconstruct_tone(self, tone50, squeezed50):
@@ -280,9 +277,7 @@ class TestRidgeSuppression:
         x, _ = gen_s1() if signal == "s1" else gen_s2()
         cfg = SstConfig(K=4, **rcfg)
         S = synchrosqueeze(*cwt_morlet(x, cfg), x, cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # exhaustion may cut K short
-            tracks = extract_ridges(S, cfg, cfg.K)
+        tracks = extract_ridges(S, cfg, cfg.K)
         want = reference_ridges(S, cfg, cfg.K)
         assert len(tracks) == len(want)
         for track, (bins, valid) in zip(tracks, want):

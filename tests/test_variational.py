@@ -148,19 +148,20 @@ class TestVmd:
         assert err < 1e-9 * np.max(np.abs(x))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("exp", [480, 500])
+    @pytest.mark.parametrize("exp", [480, 500, -70, -160])
     def test_overflowing_update_norm_keeps_the_run(self, exp):
-        # the plain update norm overflows from about 2**480 on; scaling the
-        # input by a power of two must scale the modes exactly and leave the
-        # iteration count and the centers as they were
+        # the plain update norm overflows from about 2**480 on, and an
+        # absolute floor on its denominators swamped it at small scales;
+        # scaling the input by a power of two must scale the modes exactly
+        # and leave the iteration count and the centers as they were
         fs = 256.0
         t = np.arange(512) / fs
         x = np.cos(2 * np.pi * 20 * t) + 0.5 * np.cos(2 * np.pi * 60 * t)
         base, base_report = vmd_decompose(Signal(x, fs), VmdConfig(K=2))
-        huge, report = vmd_decompose(Signal(np.ldexp(x, exp), fs), VmdConfig(K=2))
+        scaled, report = vmd_decompose(Signal(np.ldexp(x, exp), fs), VmdConfig(K=2))
         assert report.iterations == base_report.iterations and report.converged
-        assert huge.center_freqs_hz == base.center_freqs_hz
-        for m, m0 in zip(huge.modes, base.modes):
+        assert scaled.center_freqs_hz == base.center_freqs_hz
+        for m, m0 in zip(scaled.modes, base.modes):
             assert np.array_equal(np.ldexp(m.samples, -exp), m0.samples)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -168,8 +169,8 @@ class TestVmd:
     def test_overflowing_center_power_keeps_the_run(self, method):
         # at 2**505 a mode's squared spectrum overflows, which used to end
         # the run as a NumericalFailure; its center is a ratio that does
-        # not depend on scale, so the modes scale exactly
-        fs, exp = 512.0, 505
+        # not depend on scale, so the modes scale exactly, at 2**-70 too
+        fs = 512.0
         t = np.arange(512) / fs
         x = np.sin(2 * np.pi * 20 * t) + 0.5 * np.sin(2 * np.pi * 60 * t)
 
@@ -182,12 +183,13 @@ class TestVmd:
             return [m.samples for ms in d.channel_modes for m in ms], d.center_freqs_hz, report
 
         base, base_centers, base_report = modes(0)
-        huge, centers, report = modes(exp)
-        assert report.iterations == base_report.iterations
-        assert centers == base_centers
-        assert len(huge) == len(base)
-        for m, m0 in zip(huge, base):
-            assert np.array_equal(m, np.ldexp(m0, exp))
+        for exp in (505, -70):
+            scaled, centers, report = modes(exp)
+            assert report.iterations == base_report.iterations
+            assert centers == base_centers
+            assert len(scaled) == len(base)
+            for m, m0 in zip(scaled, base):
+                assert np.array_equal(m, np.ldexp(m0, exp))
 
 
 class TestUpdateNorm:
@@ -204,7 +206,9 @@ class TestUpdateNorm:
         modes = 1.5 * prev
         want = variational._update_norm(modes, prev, power)
         assert want == pytest.approx(0.75, rel=1e-12)  # 0.25 per mode
-        for exp in (520, 1000):  # the sums of squares overflow, then the squares themselves
+        # the sums of squares overflow, then the squares themselves; or the
+        # sums fall below 2**-900, then the squares underflow
+        for exp in (520, 1000, -70, -160, -520, -1000):
             scale = 2.0**exp
             assert variational._update_norm(modes * scale, prev * scale, power) == want
 
@@ -334,18 +338,20 @@ class TestVncmd:
     def test_overflowing_update_norm_keeps_the_run(self):
         # at 2**508 (about 1e153) the envelope power fits but the modes'
         # sums of squares overflow, which read as a zero update: the run
-        # stopped after one iteration as converged
+        # stopped after one iteration as converged; at 2**-70 absolute
+        # floors on the update and the increment did the same
         fs = 256.0
         t = np.arange(2560) / fs
         x = np.cos(2 * np.pi * 30 * t) + 0.5 * np.cos(2 * np.pi * 60 * t + 3 * np.sin(t))
         cfg = VncmdConfig(K=2, init_if_hz=(28.0, 62.0))
         base, base_report = vncmd_decompose(Signal(x, fs), cfg)
-        huge, report = vncmd_decompose(Signal(np.ldexp(x, 508), fs), cfg)
-        assert report.iterations == base_report.iterations > 1
-        assert report.final_update_norm == pytest.approx(base_report.final_update_norm, rel=1e-12)
-        for m, m0 in zip(huge.modes, base.modes):
-            assert np.array_equal(np.ldexp(m.samples, -508), m0.samples)
-        assert all(np.array_equal(f, f0) for f, f0 in zip(huge.if_tracks_hz, base.if_tracks_hz))
+        for exp in (508, -70):
+            scaled, report = vncmd_decompose(Signal(np.ldexp(x, exp), fs), cfg)
+            assert report.iterations == base_report.iterations > 1
+            assert report.final_update_norm == pytest.approx(base_report.final_update_norm, rel=1e-12)
+            for m, m0 in zip(scaled.modes, base.modes):
+                assert np.array_equal(np.ldexp(m.samples, -exp), m0.samples)
+            assert all(np.array_equal(f, f0) for f, f0 in zip(scaled.if_tracks_hz, base.if_tracks_hz))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["alpha", "mu", "tol", "init_if_hz", "if_smooth_frac"])
