@@ -93,9 +93,9 @@ def _update_norm(modes: np.ndarray, prev: np.ndarray, power) -> float:
         norm = float(sum(power(modes - prev) / denom))
     if np.isfinite(norm) and all(2.0**-900 <= d < np.inf for d in denom):  # NaN fails too
         return norm
-    peak = max(np.max(np.abs(a.view(np.float64))) for a in (modes, prev))
-    scale = 2.0 ** -int(np.frexp(peak)[1])
-    modes, prev = modes * scale, prev * scale
+    # ldexp, since 2.0**-exp overflows for a subnormal peak; views let it scale complex spectra
+    exp = np.frexp(max(np.max(np.abs(a.view(np.float64))) for a in (modes, prev)))[1]
+    modes, prev = (np.ldexp(a.view(np.float64), -exp).view(a.dtype) for a in (modes, prev))
     with np.errstate(over="ignore"):  # a zero previous power gives inf, or nearly
         return float(sum(power(modes - prev) / (power(prev) + _TINY)))
 

@@ -694,6 +694,16 @@ class TestCliContract:
         assert "non-finite envelopes" in err and "Warning" not in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "amplitude, flags", [(1e-310, ("--method", "vncmd", "--init-if", "10,30")), (1e-320, ("--method", "vmd"))]
+    )
+    def test_subnormal_input_exit_zero(self, tmp_path, capsys, amplitude, flags):
+        # the stop rule's scaling must reach a subnormal peak without overflowing
+        write_signals_csv(tmp_path / "t.csv", {"x": amplitude * np.sin(0.7 * np.arange(256.0))}, 256.0)
+        assert main("decompose", *flags, "--input", tmp_path / "t.csv", "--outdir", tmp_path / "d") == 0
+        assert "Warning" not in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sst_overflow_exit_three(self, tmp_path, capsys):
         write_signals_csv(tmp_path / "huge.csv", {"x": np.sin(np.arange(256.0)) * 1e300}, 256.0)
         code = main("decompose", "--method", "sst", "--input", tmp_path / "huge.csv", "--outdir", tmp_path / "d")
