@@ -94,8 +94,8 @@ def natural_spline(
     ``h[i-1] m[i-1] + 2 (h[i-1] + h[i]) m[i] + h[i] m[i+1] = 6 (slope[i]
     - slope[i-1])`` at a knot inside a block, and ``m = 0`` with no
     neighbours at a block end, which decouples the blocks.  Values that
-    overflow pass through as non-finite output, which callers check; a
-    singular system raises :class:`NumericalFailure`.
+    overflow pass through as non-finite output, which EMD's envelope pass
+    reports; a singular system raises :class:`NumericalFailure`.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)

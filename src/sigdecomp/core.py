@@ -13,6 +13,7 @@ are logs of norm ratios and shed precision fast in float32.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -162,15 +163,15 @@ class Decomposition:
         return len(self.modes)
 
     def reconstruction_error(self, original: Signal) -> float:
-        """l2 norm of (original - sum of modes - residual)."""
+        """l2 norm of (original - sum of modes - residual), summed at unit
+        peak so that no partial difference overflows."""
         if len(original) != len(self.residual) or not rates_equal(
             original.sample_rate_hz, self.residual.sample_rate_hz
         ):
             raise ContractViolation("original does not match decomposition geometry")
-        acc = original.samples - self.residual.samples
-        for m in self.modes:
-            acc = acc - m.samples
-        return _scaled_norm(acc)
+        parts, exp = _unit_scaled(np.stack([original.samples, self.residual.samples, *(m.samples for m in self.modes)]))
+        with np.errstate(over="ignore"):  # an error past float64's range is inf
+            return float(np.ldexp(_scaled_norm(reduce(np.subtract, parts)), exp))
 
 
 @dataclass(frozen=True)
@@ -213,6 +214,26 @@ def _scaled_norm(values) -> float:
     if not 0.0 < scale < np.inf:
         return scale  # all zero, or not finite
     return scale * float(np.sqrt(np.sum(np.square(np.asarray(values) / scale))))
+
+
+def _unit_scaled(samples: np.ndarray) -> tuple[np.ndarray, int]:
+    """``samples`` times the power of two that brings their peak magnitude
+    into [0.5, 1), and the exponent that scales them back (0 for all zeros).
+    Every method decomposes its input at this unit peak, so no kernel sees
+    the input's scale, and only exponents change: an input at an ordinary
+    scale keeps its bits (the scaled norms of Higham 2002, §27, applied once)."""
+    exp = int(np.frexp(np.max(np.abs(samples), initial=0.0))[1])
+    return np.ldexp(samples, -exp), exp
+
+
+def _scaled_back(values, exp: int) -> np.ndarray:
+    """``values`` times ``2**exp``: a method's output at its input's scale.
+    Raises :class:`NumericalFailure` where that is past float64's range."""
+    with np.errstate(over="ignore"):  # reported just below
+        out = np.ldexp(values, exp)
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailure("an output is not finite at the input's scale")
+    return out
 
 
 def l2_norm(s: Signal) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import find_extrema_arrays, natural_spline
-from .core import ContractViolation, Decomposition, NotEnoughExtrema, NumericalFailure, Signal
+from .core import ContractViolation, Decomposition, NotEnoughExtrema, NumericalFailure, Signal, _scaled_back, _unit_scaled
 
 _EPS = 1e-300
 
@@ -194,20 +194,22 @@ def emd_decompose(x: Signal, cfg: EmdConfig = EmdConfig()) -> Decomposition:
 
     Purely subtractive, so the input equals the sum of modes plus
     residual to rounding.  Degenerate inputs (no extrema) yield zero
-    modes with the input as residual.
+    modes with the input as residual.  Sifts at unit peak.
     """
-    residue = x.samples.copy()
-    modes: list[Signal] = []
+    samples, exp = _unit_scaled(x.samples)
+    residue = samples
+    modes: list[np.ndarray] = []
     for _ in range(cfg.max_imfs):
         try:
             imf = _sift(residue, cfg)
         except NotEnoughExtrema:
             break
-        modes.append(Signal(imf, x.sample_rate_hz))
+        modes.append(imf)
         residue = residue - imf
-        if np.max(np.abs(residue)) < 1e-12 * max(np.max(np.abs(x.samples)), _EPS):
+        if np.max(np.abs(residue)) < 1e-12 * max(np.max(np.abs(samples)), _EPS):
             break
-    return Decomposition(modes=tuple(modes), residual=Signal(residue, x.sample_rate_hz))
+    fs = x.sample_rate_hz
+    return Decomposition(tuple(Signal(_scaled_back(m, exp), fs) for m in modes), Signal(_scaled_back(residue, exp), fs))
 
 
 def count_zero_crossings(samples: np.ndarray) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, Signal, _check_compatible
+from .core import ContractViolation, Signal, _check_compatible, _unit_scaled
 
 #: sentinel for an exact reconstruction (and overall cap)
 QRF_SATURATION_DB = 300.0
@@ -222,8 +222,8 @@ def alignment_score(
     stack = np.reshape(
         [[m.samples for m in modes] for modes in decomposition.channel_modes], (n_channels, n_modes, n)
     )
-    # peak into [0.5, 1) by a power of two, so no square over- or underflows; each test is a ratio or argmax
-    stack = np.ldexp(stack, -np.frexp(np.max(np.abs(stack), initial=0.0))[1])
+    # at unit peak no square over- or underflows; each test is a ratio or argmax
+    stack = _unit_scaled(stack)[0]
     magnitude = np.abs(np.fft.rfft(stack))
     power = magnitude**2
     interior = np.abs(np.fft.rfft(stack[..., trim : n - trim])) ** 2

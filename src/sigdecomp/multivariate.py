@@ -22,7 +22,7 @@ import numpy as np
 from ._kernels import find_extrema_arrays, natural_spline
 from ._rng import uniforms
 from .core import (
-    ContractViolation, Decomposition, MultichannelSignal, NumericalFailure, Signal, _scaled_norm, rates_equal
+    ContractViolation, Decomposition, MultichannelSignal, Signal, _scaled_back, _scaled_norm, _unit_scaled, rates_equal
 )
 from .emd import EmdConfig
 from .variational import (
@@ -183,14 +183,10 @@ def _directional_envelope_stats(
     every usable direction's maxima and minima, and each of those is one
     block of a single :func:`natural_spline` fit.  The envelopes are
     evaluated ``_GROUP`` directions at a time and summed direction by
-    direction.  Raises :class:`NumericalFailure` when a projection, an
-    envelope or their mean overflows.
+    direction.
     """
     n, n_ch = data.shape
-    projections = data @ directions.T
-    if not np.all(np.isfinite(projections)):
-        raise NumericalFailure("MEMD projection is not finite")
-    (max_idx, max_dir), (min_idx, min_dir) = find_extrema_arrays(projections)
+    (max_idx, max_dir), (min_idx, min_dir) = find_extrema_arrays(data @ directions.T)
     n_max = np.bincount(max_dir, minlength=len(directions))
     n_min = np.bincount(min_dir, minlength=len(directions))
     usable = (n_max >= 2) & (n_min >= 2)
@@ -208,37 +204,14 @@ def _directional_envelope_stats(
         hi = min(lo + _GROUP, used)
         upper, lower = pieces.values(lo, hi), pieces.values(used + lo, used + hi)  # (hi - lo, n, channels)
         env_sum = _fold(env_sum, upper + lower)
-        with np.errstate(over="ignore"):  # reported just below
-            amp_sum = _fold(amp_sum, _norm(upper - lower, axis=2))
-    env_mean = env_sum / (2.0 * used)
-    if not np.all(np.isfinite(env_mean)):  # not finite when any envelope is not
-        raise NumericalFailure("MEMD envelope is not finite")
-    amplitude = amp_sum / (2.0 * used)
-    if not np.all(np.isfinite(amplitude)):
-        raise NumericalFailure("MEMD envelope amplitude is not finite")
-    return env_mean, amplitude, used
+        amp_sum = _fold(amp_sum, np.linalg.norm(upper - lower, axis=2))
+    return env_sum / (2.0 * used), amp_sum / (2.0 * used), used
 
 
 def _fold(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
     """``total`` (``None``: nothing yet) plus each of ``rows`` in turn,
     as one reduce with the total as its first row."""
     return np.add.reduce(rows if total is None else np.concatenate([total[None], rows]))
-
-
-def _norm(x: np.ndarray, axis: int) -> np.ndarray:
-    """``np.linalg.norm(x, axis=axis)``.  Where a sum of squares overflows,
-    the norms are recomputed on ``x`` scaled by the one power of two that
-    brings its largest magnitude into [0.5, 1), and scaled back.  That
-    scaling is exact, so an input that does not overflow keeps its bits
-    and a norm that fits in float64 comes back finite (the scaled 2-norm
-    of Higham 2002, §27)."""
-    with np.errstate(over="ignore"):  # redone below when not finite
-        norm = np.linalg.norm(x, axis=axis)
-    if np.all(np.isfinite(norm)):
-        return norm
-    exp = int(np.frexp(np.max(np.abs(x)))[1])
-    with np.errstate(over="ignore"):  # a norm past float64's range is inf
-        return np.ldexp(np.linalg.norm(np.ldexp(x, -exp), axis=axis), exp)
 
 
 def _mirrored_knots(
@@ -273,11 +246,13 @@ def memd_decompose(x: MultichannelSignal, cfg: MemdConfig = MemdConfig()) -> Ali
     when a mode's first sift finds no direction with two maxima and two
     minima, as EMD ends when its first sift finds too few extrema, or when
     ``max_imfs`` is reached; the remainder becomes the per-channel residual.
+    Sifts at unit peak.
     """
     if x.n_channels < 2:
         raise ContractViolation("multivariate sifting needs at least 2 channels")
     directions = hypersphere_directions(cfg.M, x.n_channels, cfg.seed)
-    data = x.channels.T.copy()  # (n, channels)
+    channels, exp = _unit_scaled(x.channels)
+    data = channels.T.copy()  # (n, channels)
     ecfg = cfg.emd
 
     modes: list[np.ndarray] = []
@@ -285,7 +260,7 @@ def memd_decompose(x: MultichannelSignal, cfg: MemdConfig = MemdConfig()) -> Ali
         h = data
         for it in range(ecfg.max_sift_iters):
             env_mean, amplitude, used = _directional_envelope_stats(h, directions, ecfg.boundary)
-            if used == 0 or ecfg.sift_converged(_norm(env_mean, axis=1), amplitude):
+            if used == 0 or ecfg.sift_converged(np.linalg.norm(env_mean, axis=1), amplitude):
                 break
             h = h - env_mean
         if used == 0 and it == 0:  # nothing to sift: the remainder stays the residual
@@ -294,6 +269,7 @@ def memd_decompose(x: MultichannelSignal, cfg: MemdConfig = MemdConfig()) -> Ali
         data = data - h
 
     fs = x.sample_rate_hz
+    modes, data = [_scaled_back(m, exp) for m in modes], _scaled_back(data, exp)
     channel_modes = tuple(
         tuple(Signal(m[:, c], fs) for m in modes) for c in range(x.n_channels)
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, Decomposition, NumericalFailure, Signal
+from .core import ContractViolation, Decomposition, Signal, _scaled_back, _unit_scaled
 from .metrics import dominant_frequency_hz
 
 
@@ -111,9 +111,9 @@ def _window_classes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decompose one window into at most K class series (ascending energy-
     weighted mean frequency) plus the discarded-triples remainder."""
-    # scaled by an exact power of two so that X Xᵀ cannot overflow
-    exponent = np.frexp(np.max(np.abs(window)))[1]
-    traj = embed(np.ldexp(window, -exponent), cfg.L)
+    # at its own unit peak, which keeps a quiet window accurate
+    scaled, exponent = _unit_scaled(window)
+    traj = embed(scaled, cfg.L)
     lam, u = np.linalg.eigh(traj @ traj.T)
     lam, u = lam[::-1], u[:, ::-1]
     s = np.sqrt(np.maximum(lam, 0.0))
@@ -149,9 +149,9 @@ def ssa_decompose(x: Signal, cfg: SsaConfig = SsaConfig()) -> Decomposition:
     series are blended with a normalized Hann cross-fade (the weights form
     a partition of unity).  Classes are index-aligned across windows by
     their frequency ordering.  The residual carries the eigentriples
-    dropped by the epsilon threshold.  Raises :class:`NumericalFailure`
-    when the overlap-added classes overflow.
+    dropped by the epsilon threshold.  It runs at unit peak.
     """
+    samples, exp = _unit_scaled(x.samples)
     n = len(x)
     window_len, hop = cfg.resolved(n)
     starts = list(range(0, n - window_len + 1, hop))
@@ -163,18 +163,14 @@ def ssa_decompose(x: Signal, cfg: SsaConfig = SsaConfig()) -> Decomposition:
     acc_res = np.zeros(n)
     norm = np.zeros(n)
     for start in starts:
-        segment = x.samples[start : start + window_len]
-        classes, remainder = _window_classes(segment, x.sample_rate_hz, cfg)
+        classes, remainder = _window_classes(samples[start : start + window_len], x.sample_rate_hz, cfg)
         sl = slice(start, start + window_len)
-        with np.errstate(over="ignore", invalid="ignore"):  # reported after the loop
-            acc[: len(classes), sl] += weights * classes
-            acc_res[sl] += weights * remainder
+        acc[: len(classes), sl] += weights * classes
+        acc_res[sl] += weights * remainder
         norm[sl] += weights
 
     acc /= norm[None, :]
     acc_res /= norm
-    if not (np.all(np.isfinite(acc)) and np.all(np.isfinite(acc_res))):
-        raise NumericalFailure("overlap-added SSA classes are not finite")
-
-    modes = tuple(Signal(acc[j], x.sample_rate_hz) for j in range(cfg.K) if np.any(acc[j]))
-    return Decomposition(modes=modes, residual=Signal(acc_res, x.sample_rate_hz))
+    fs = x.sample_rate_hz
+    modes = tuple(Signal(_scaled_back(acc[j], exp), fs) for j in range(cfg.K) if np.any(acc[j]))
+    return Decomposition(modes=modes, residual=Signal(_scaled_back(acc_res, exp), fs))

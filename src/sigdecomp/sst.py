@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import walk_ridge
-from .core import ContractViolation, Decomposition, NumericalFailure, Signal
+from .core import ContractViolation, Decomposition, NumericalFailure, Signal, _scaled_back, _unit_scaled
 
 
 @dataclass(frozen=True)
@@ -252,14 +252,16 @@ def sst_decompose(x: Signal, cfg: SstConfig) -> Decomposition:
 
     Modes are ordered by ascending mean ridge frequency; the residual is
     the input minus the mode sum.  IF tracks report the ridge-bin
-    frequency per frame.
+    frequency per frame.  It runs at unit peak.
     """
-    S = synchrosqueeze(*cwt_morlet(x, cfg), x, cfg)
+    samples, exp = _unit_scaled(x.samples)
+    unit = Signal(samples, x.sample_rate_hz)
+    S = synchrosqueeze(*cwt_morlet(unit, cfg), unit, cfg)
     tracks = sorted(extract_ridges(S, cfg, cfg.K), key=lambda tr: np.mean(S.freqs_hz[tr.bins]))
-    modes = tuple(reconstruct_mode(S, tr, cfg.start_band) for tr in tracks)
-    residual = x.samples - np.sum([m.samples for m in modes], axis=0)
+    modes = [reconstruct_mode(S, tr, cfg.start_band).samples for tr in tracks]
+    residual = samples - np.sum(modes, axis=0)
     return Decomposition(
-        modes=modes,
-        residual=Signal(residual, x.sample_rate_hz),
+        modes=tuple(Signal(_scaled_back(m, exp), x.sample_rate_hz) for m in modes),
+        residual=Signal(_scaled_back(residual, exp), x.sample_rate_hz),
         if_tracks_hz=tuple(S.freqs_hz[tr.bins] for tr in tracks),
     )

@@ -23,6 +23,8 @@ from .core import (
     Diverged,
     NumericalFailure,
     Signal,
+    _scaled_back,
+    _unit_scaled,
 )
 
 
@@ -81,22 +83,9 @@ _TINY = np.finfo(np.float64).tiny  # floors a denominator without setting a scal
 def _update_norm(modes: np.ndarray, prev: np.ndarray, power) -> float:
     """Relative update of a sweep: the sum over modes of ``power(mode -
     prev) / (power(prev) + _TINY)``, ``power`` giving each mode's sum of
-    squares.  Where a sum or the result overflows, or a previous power is
-    below 2**-900 (too small for its ratio to keep precision), it is
-    recomputed on both arrays scaled by the one power of two that brings
-    their largest magnitude into [0.5, 1).  That scaling is exact, so a
-    sweep at an ordinary scale keeps its bits, and the value does not
-    depend on scale: an overflowing update never reads as zero, nor a tiny
-    one as convergence (the scaled 2-norm of Higham 2002, §27)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # redone below when not finite
-        denom = power(prev) + _TINY
-        norm = float(sum(power(modes - prev) / denom))
-    if np.isfinite(norm) and all(2.0**-900 <= d < np.inf for d in denom):  # NaN fails too
-        return norm
-    # ldexp, since 2.0**-exp overflows for a subnormal peak; views let it scale complex spectra
-    exp = np.frexp(max(np.max(np.abs(a.view(np.float64))) for a in (modes, prev)))[1]
-    modes, prev = (np.ldexp(a.view(np.float64), -exp).view(a.dtype) for a in (modes, prev))
-    with np.errstate(over="ignore"):  # a zero previous power gives inf, or nearly
+    squares.  The methods iterate at unit peak, where these sums fit; a
+    diverging sweep reads inf or NaN, never convergence."""
+    with np.errstate(over="ignore", invalid="ignore"):
         return float(sum(power(modes - prev) / (power(prev) + _TINY)))
 
 
@@ -127,8 +116,9 @@ def _variational_modes(
     input, bins ``0 … (t_len - 1) // 2``: the modes are analytic, so the
     negative half stays zero, and the Nyquist bin, which is its own
     mirror image, is left out too.  One inverse real FFT rebuilds the
-    real modes with the Nyquist bin at zero.
+    real modes with the Nyquist bin at zero.  It runs at unit peak.
     """
+    channels, exp = _unit_scaled(channels)
     n_ch, n = channels.shape
     k = omega.size
     if k >= n / 2:
@@ -156,9 +146,8 @@ def _variational_modes(
     converged = False
     iterations = 0
 
-    # an overflow in the sweep leaves u non-finite, which is reported, or a
-    # mode's power sum, which is redone on scaled spectra
-    with np.errstate(over="ignore"):
+    # an overflow in the sweep leaves u non-finite (and a center NaN), which is reported
+    with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(cfg.max_iters):
             u_prev[:] = u
             acc = u.sum(axis=0)  # (channels, n_bins)
@@ -172,10 +161,6 @@ def _variational_modes(
                 )
                 power = np.abs(u[i]) ** 2
                 denom = power.sum()
-                if not np.isfinite(denom):  # omega does not depend on scale
-                    scale = 2.0 ** -int(np.frexp(np.max(np.abs(u[i])))[1])
-                    power = np.abs(u[i] * scale) ** 2
-                    denom = power.sum()
                 if denom > 0.0:
                     # one channel needs no pooling; skipping the reduction keeps VMD fast
                     pooled = power[0] if n_ch == 1 else power.sum(axis=0)
@@ -215,7 +200,7 @@ def _variational_modes(
         converged=converged,
         objective_trace=tuple(trace),
     )
-    return modes, omega[order], channels - modes.sum(axis=0), report
+    return _scaled_back(modes, exp), omega[order], _scaled_back(channels - modes.sum(axis=0), exp), report
 
 
 def vmd_decompose(
@@ -370,7 +355,8 @@ def vncmd_decompose(
     frequency update is a heuristic step, so convergence is not
     guaranteed: :class:`Diverged` (carrying partial results) is raised
     when the mode update norm grows for 10 consecutive iterations, and
-    results can vary sharply with the initial frequencies.
+    results can vary sharply with the initial frequencies.  It runs at
+    unit peak; outputs and cost trace, partial ones too, are scaled back.
     """
     n = len(x)
     fs = x.sample_rate_hz
@@ -383,7 +369,7 @@ def vncmd_decompose(
     weight = 1.0 / cfg.alpha
     ma_width = max(int(round(cfg.if_smooth_frac * n)), 1)
     k = cfg.K
-    samples = x.samples
+    samples, exp = _unit_scaled(x.samples)
     with np.errstate(over="ignore"):  # reported just below
         smoothing = _smoothing_bands(n, weight)
     if not np.all(np.isfinite(smoothing)):
@@ -457,15 +443,17 @@ def vncmd_decompose(
             break
 
     decomp = Decomposition(
-        modes=tuple(Signal(m, fs) for m in modes),
-        residual=Signal(samples - modes.sum(axis=0), fs),
+        modes=tuple(Signal(m, fs) for m in _scaled_back(modes, exp)),
+        residual=Signal(_scaled_back(samples - modes.sum(axis=0), exp), fs),
         if_tracks_hz=tuple(if_tracks),
     )
+    with np.errstate(over="ignore"):  # a cost past float64's range reads inf
+        trace = np.ldexp(trace, 2 * exp)
     report = ConvergenceReport(
         iterations=len(trace),
         final_update_norm=update_norm if np.isfinite(update_norm) else 0.0,
         converged=update_norm < cfg.tol,
-        objective_trace=tuple(trace),
+        objective_trace=tuple(trace.tolist()),
     )
     if growth_run >= 10:
         raise Diverged(

@@ -60,6 +60,14 @@ def huge_tones(n, period=3.0):
     return 1e300 * np.sin(t / period) + 1e299 * np.sin(t / 1.3)
 
 
+def bundle_arrays(outdir):
+    """Every mode and residual array of a written bundle."""
+    d, _ = read_decomposition(outdir)
+    if isinstance(d, AlignedDecomposition):
+        return [m.samples for ms in d.channel_modes for m in ms] + [r.samples for r in d.residuals]
+    return [m.samples for m in d.modes] + [d.residual.samples]
+
+
 def manifest_of(outdir):
     return json.loads((outdir / "manifest.json").read_text())
 
@@ -693,54 +701,72 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert "non-finite envelopes" in err and "Warning" not in err
 
+    def decompose_at_unit_peak(self, tmp_path, capsys, columns, fs, *flags):
+        """Exit codes and bundles of ``decompose`` on ``columns`` and on
+        them scaled to unit peak, and the exponent that scales them back;
+        neither run may print a warning."""
+        peak = max(np.max(np.abs(c)) for c in columns.values())
+        exp = int(np.frexp(peak)[1])
+        runs = []
+        for name, scale in (("given", 0), ("unit", -exp)):
+            write_signals_csv(tmp_path / f"{name}.csv", {k: np.ldexp(c, scale) for k, c in columns.items()}, fs)
+            code = main("decompose", *flags, "--input", tmp_path / f"{name}.csv", "--outdir", tmp_path / name)
+            assert "Warning" not in capsys.readouterr().err
+            runs.append((code, bundle_arrays(tmp_path / name) if code == 0 else None))
+        return runs, exp
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "amplitude, flags", [(1e-310, ("--method", "vncmd", "--init-if", "10,30")), (1e-320, ("--method", "vmd"))]
     )
-    def test_subnormal_input_exit_zero(self, tmp_path, capsys, amplitude, flags):
-        # the stop rule's scaling must reach a subnormal peak without overflowing
-        write_signals_csv(tmp_path / "t.csv", {"x": amplitude * np.sin(0.7 * np.arange(256.0))}, 256.0)
-        assert main("decompose", *flags, "--input", tmp_path / "t.csv", "--outdir", tmp_path / "d") == 0
-        assert "Warning" not in capsys.readouterr().err
+    def test_subnormal_input_exits_as_at_unit_peak(self, tmp_path, capsys, amplitude, flags):
+        # a subnormal input keeps few bits, but its unit-peak copy is exact,
+        # so both runs are one run (VNCMD's stop rule reads this one as diverged)
+        columns = {"x": amplitude * np.sin(0.7 * np.arange(256.0))}
+        (given, _), (unit, _) = self.decompose_at_unit_peak(tmp_path, capsys, columns, 256.0, *flags)[0]
+        assert given == unit
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_sst_overflow_exit_three(self, tmp_path, capsys):
-        write_signals_csv(tmp_path / "huge.csv", {"x": np.sin(np.arange(256.0)) * 1e300}, 256.0)
-        code = main("decompose", "--method", "sst", "--input", tmp_path / "huge.csv", "--outdir", tmp_path / "d")
-        assert code == 3
-        assert "not finite" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "method, columns, fs, flags",
+        [
+            ("sst", {"x": np.sin(np.arange(256.0)) * 1e300}, 256.0, ()),
+            ("vncmd", {"x": huge_tones(96)}, 96.0, ("--init-if", "5")),
+            ("emd", {"x": 1.5e308 * np.sin(2.5 * np.arange(96.0))}, 96.0, ()),
+            ("memd", {"x": 1.5e308 * np.sin(np.arange(96.0)), "y": 1.5e308 * np.cos(np.arange(96.0))}, 96.0, ()),
+            ("ssa", {"x": 1.5e308 * np.sin(np.arange(2000.0) / 3) + 1.5e307 * np.sin(np.arange(2000.0) / 1.3)},
+             100.0, ("--l", "20")),
+        ],
+        ids=["sst", "vncmd", "emd", "memd", "ssa"],
+    )
+    def test_huge_input_gives_the_unit_peak_bundle_scaled(self, tmp_path, capsys, method, columns, fs, flags):
+        # inputs whose squares, envelopes or overlap-added classes overflow
+        # at their own scale decompose at unit peak, like every input
+        runs, exp = self.decompose_at_unit_peak(tmp_path, capsys, columns, fs, "--method", method, *flags)
+        (code, got), (unit_code, unit) = runs
+        assert code == unit_code == 0
+        assert len(got) == len(unit)
+        assert all(np.array_equal(g, np.ldexp(u, exp)) for g, u in zip(got, unit))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_vncmd_overflow_exit_three(self, tmp_path, capsys):
-        write_signals_csv(tmp_path / "huge.csv", {"x": huge_tones(96)}, 96.0)
-        code = main("decompose", "--method", "vncmd", "--init-if", "5",
-                    "--input", tmp_path / "huge.csv", "--outdir", tmp_path / "d")
-        assert code == 3
-        assert "non-finite" in capsys.readouterr().err
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("method", ["emd", "memd"])
-    def test_envelope_overflow_exit_three(self, tmp_path, method, capsys):
-        # finite samples whose spline envelopes (or their mean) overflow
-        t = np.arange(96.0)
-        columns = {"x": 1.5e308 * np.sin(2.5 * t)}
-        if method == "memd":
-            columns = {"x": 1.5e308 * np.sin(t), "y": 1.5e308 * np.cos(t)}
-        write_signals_csv(tmp_path / "huge.csv", columns, 96.0)
-        code = main("decompose", "--method", method, "--input", tmp_path / "huge.csv", "--outdir", tmp_path / "d")
-        assert code == 3
-        assert "not finite" in capsys.readouterr().err
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_ssa_overflow_exit_three(self, tmp_path, capsys):
-        # finite samples whose overlap-added classes overflow
-        t = np.arange(2000.0)
-        columns = {"x": 1.5e308 * np.sin(t / 3) + 1.5e307 * np.sin(t / 1.3)}
-        write_signals_csv(tmp_path / "huge.csv", columns, 100.0)
-        code = main("decompose", "--method", "ssa", "--l", "20",
-                    "--input", tmp_path / "huge.csv", "--outdir", tmp_path / "d")
-        assert code == 3
-        assert "not finite" in capsys.readouterr().err
+    @pytest.mark.parametrize("method", bench.UNIVARIATE_METHODS)
+    @pytest.mark.parametrize("shape", ["sin", "two-tone", "square", "chirp"])
+    def test_near_float_max_exits_zero_or_three(self, tmp_path, capsys, method, shape):
+        # no input may exit 2 (usage): an overflowing mode or residual is a numerical failure
+        t = np.arange(512.0)
+        x = {
+            "sin": np.sin(2.5 * t),
+            "two-tone": np.sin(2.5 * t) + 0.9 * np.sin(0.31 * t),
+            "square": np.sign(np.sin(0.2 * t)),
+            "chirp": np.sin(0.001 * t**2),
+        }[shape]
+        x = 0.999 * np.finfo(np.float64).max * (x / np.max(np.abs(x)))
+        write_signals_csv(tmp_path / "x.csv", {"x": x}, 512.0)
+        code = main("decompose", "--method", method, "--input", tmp_path / "x.csv", "--outdir", tmp_path / "d")
+        err = capsys.readouterr().err
+        assert code in (0, 3) and "Warning" not in err
+        if (shape, method) == ("square", "vmd"):  # its modes overshoot the input's peak
+            assert code == 3 and "not finite at the input's scale" in err
 
     @pytest.mark.parametrize(
         "method, flags",

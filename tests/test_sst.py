@@ -95,8 +95,14 @@ class TestSynchrosqueeze:
     def test_overflowing_energy_is_numerical_failure(self, amp, message):
         # the squeezed energy overflows first; from 1.34e154 on, |W|^2 and
         # with it the squeeze's phase products can overflow too
+        x, cfg = tone(30.0, 2.0, 256.0, amp=amp), SstConfig(K=1)
         with pytest.raises(NumericalFailure, match=message):
-            sst_decompose(tone(30.0, 2.0, 256.0, amp=amp), SstConfig(K=1))
+            extract_ridges(synchrosqueeze(*cwt_morlet(x, cfg), x, cfg), cfg, cfg.K)
+        # the decomposition runs at unit peak: the amplitude-1 modes, scaled
+        d, base = sst_decompose(x, cfg), sst_decompose(tone(30.0, 2.0, 256.0), cfg)
+        assert d.n_modes == base.n_modes == 1
+        assert np.max(np.abs(d.modes[0].samples - amp * base.modes[0].samples)) <= 1e-12 * amp
+        assert np.array_equal(d.if_tracks_hz[0], base.if_tracks_hz[0])
 
     def test_thresholded_cells_contribute_nothing(self, tone50):
         cfg = SstConfig(K=1, gamma=0.5)  # very aggressive threshold
