@@ -2,11 +2,14 @@
 penalized ridge extraction, and per-ridge mode reconstruction.
 
 An analytic Morlet CWT over log-spaced scales is squeezed by adding each
-kept coefficient to the bin of its phase derivative (``np.bincount`` on
-the real and imaginary parts).  One band rule names the cells around a
-ridge: extraction zeroes them before seeking the next ridge, and
-reconstruction sums their real parts per frame in one bincount and
-scales by the wavelet's admissibility constant; no step loops over frames.
+kept coefficient to the bin of its phase derivative.  Both stages walk
+the grid in blocks of scale rows (``_BLOCK_CELLS``), so a decompose holds
+the CWT and the squeezed grid, and the block temporaries do not grow
+with the input; the squeeze scatters each block into the grid with
+``np.add.at``, in row-major order.  One band rule names the cells around a ridge:
+extraction zeroes them before seeking the next ridge, and reconstruction
+sums their real parts per frame in one bincount and scales by the
+wavelet's admissibility constant; no step loops over frames.
 """
 
 from __future__ import annotations
@@ -64,6 +67,18 @@ RIDGE_PATIENCE_FRAMES = 32
 RIDGE_FADE_REL = 1e-4
 
 
+#: cells of the grid one block of scale rows covers (256 KiB of complex);
+#: the CWT and the squeeze hold about 80 bytes of temporaries per cell of
+#: a block, and these do not grow with the input length
+_BLOCK_CELLS = 2**14
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive row slices of about ``_BLOCK_CELLS`` cells, at least one row each."""
+    step = max(1, _BLOCK_CELLS // n_cols)
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
 @lru_cache(maxsize=8)
 def _admissibility(w0: float) -> float:
     # (1/2) * integral of psi_hat(xi)/xi over xi > 0, by dense trapezoid
@@ -101,10 +116,12 @@ def cwt_morlet(x: Signal, cfg: SstConfig = SstConfig()) -> tuple[np.ndarray, np.
     xi = 2.0 * np.pi * np.fft.fftfreq(n, 1.0 / x.sample_rate_hz)[:n_pos]  # rad/s
     spectrum = np.fft.fft(x.samples)[:n_pos]
     scales = cfg.morlet_w0 / (2.0 * np.pi * freqs_hz)  # seconds
-    # psi_hat(s*xi), zero at 0 Hz
-    arg = scales[:, None] * xi[None, :]
-    window = np.where(arg > 0.0, np.pi**-0.25 * np.exp(-0.5 * (arg - cfg.morlet_w0) ** 2), 0.0)
-    coeffs = np.fft.ifft(spectrum[None, :] * np.conj(window), n=n, axis=1)
+    coeffs = np.empty((freqs_hz.size, n), dtype=complex)
+    for rows in _row_blocks(freqs_hz.size, n):
+        # psi_hat(s*xi), zero at 0 Hz
+        arg = scales[rows, None] * xi[None, :]
+        window = np.where(arg > 0.0, np.pi**-0.25 * np.exp(-0.5 * (arg - cfg.morlet_w0) ** 2), 0.0)
+        np.fft.ifft(spectrum[None, :] * window, n=n, axis=1, out=coeffs[rows])
     return coeffs, freqs_hz
 
 
@@ -144,40 +161,44 @@ def synchrosqueeze(
     if W.shape != (freqs_hz.size, len(x)):
         raise ContractViolation("coefficient matrix must be (n_scales, n_samples)")
     n_bins, n_t = W.shape
+    blocks = _row_blocks(n_bins, n_t)
 
-    # per-cell instantaneous frequency: one-sample finite difference of the
-    # coefficient phase (the discrete form of Im(dW/dt / W) / 2pi), which
-    # stays unbiased on tones and alias-free below Nyquist
-    with np.errstate(over="ignore", invalid="ignore"):  # only if |W|^2 overflows, reported below
-        phase = W[:, 1:] * np.conj(W[:, :-1])
-        omega = np.empty(W.shape)
-        np.arctan2(phase.imag, phase.real, out=omega[:, :-1])  # np.angle
-    del phase
-    omega[:, :-1] *= x.sample_rate_hz / (2.0 * np.pi)
-    omega[:, -1] = omega[:, -2]
-
-    magnitude = np.abs(W)
-    peak = float(magnitude.max(initial=0.0))
+    peak = float(np.max([np.abs(W[rows]).max(initial=0.0) for rows in blocks], initial=0.0))
     if not np.isfinite(peak * peak):
         raise NumericalFailure("wavelet energy is not finite")
     gamma_abs = cfg.gamma * peak
-    keep = magnitude > gamma_abs
-
     log_step = np.log(2.0) / cfg.n_voices
-    cells = np.flatnonzero(keep & (omega > 0.0))
-    bins = np.rint(np.log(omega.ravel()[cells] / freqs_hz[0]) / log_step).astype(np.int64)
-    del omega
-    inside = (bins >= 0) & (bins < n_bins)
-    cells = cells[inside]
-    flat = bins[inside] * n_t + cells % n_t
-    keep.ravel()[cells] = False  # what stays kept falls outside the grid
-    dropped = float(magnitude[keep].sum())
-    del magnitude, keep, bins
+    to_hz = x.sample_rate_hz / (2.0 * np.pi)
 
-    # each cell adds up its contributions in row-major input order
-    values = np.empty(W.shape, dtype=complex)
-    values.real = np.bincount(flat, W.ravel().real[cells], W.size).reshape(W.shape)
-    values.imag = np.bincount(flat, W.ravel().imag[cells], W.size).reshape(W.shape)
+    values = np.zeros(W.shape, dtype=complex)
+    real, imag = values.real.reshape(-1), values.imag.reshape(-1)  # views
+    dropped = []
+    for rows in blocks:
+        block = W[rows]
+        # per-cell instantaneous frequency: one-sample finite difference of
+        # the coefficient phase (the discrete form of Im(dW/dt / W) / 2pi),
+        # which stays unbiased on tones and alias-free below Nyquist
+        phase = block[:, 1:] * np.conj(block[:, :-1])  # at most peak**2, which fits
+        omega = np.empty(block.shape)
+        np.arctan2(phase.imag, phase.real, out=omega[:, :-1])  # np.angle
+        omega[:, :-1] *= to_hz
+        omega[:, -1] = omega[:, -2]
+
+        magnitude = np.abs(block)
+        keep = magnitude > gamma_abs
+        cells = np.flatnonzero(keep & (omega > 0.0))
+        bins = np.rint(np.log(omega.ravel()[cells] / freqs_hz[0]) / log_step).astype(np.int64)
+        inside = (bins >= 0) & (bins < n_bins)
+        cells = cells[inside]
+        keep.ravel()[cells] = False  # what stays kept falls outside the grid
+        dropped.append(magnitude[keep])
+
+        # row-major input order, so each cell adds up its contributions as
+        # one bincount over the whole grid would
+        flat = bins[inside] * n_t + cells % n_t
+        picked = block.ravel()[cells]
+        np.add.at(real, flat, picked.real)
+        np.add.at(imag, flat, picked.imag)
 
     return SqueezedGrid(
         sample_rate_hz=x.sample_rate_hz,
@@ -186,7 +207,7 @@ def synchrosqueeze(
         gamma_abs=gamma_abs,
         log_step=log_step,
         admissibility=_admissibility(cfg.morlet_w0),
-        dropped_mass=dropped,
+        dropped_mass=float(np.concatenate(dropped).sum()),  # one row-major sum
     )
 
 

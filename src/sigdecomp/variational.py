@@ -80,13 +80,16 @@ def _initial_centers(k: int, init_mode: str, seed: int = 0) -> np.ndarray:
 _TINY = np.finfo(np.float64).tiny  # floors a denominator without setting a scale
 
 
-def _update_norm(modes: np.ndarray, prev: np.ndarray, power) -> float:
+def _update_norm(modes: np.ndarray, prev: np.ndarray, power, prev_power=None) -> float:
     """Relative update of a sweep: the sum over modes of ``power(mode -
-    prev) / (power(prev) + _TINY)``, ``power`` giving each mode's sum of
-    squares.  The methods iterate at unit peak, where these sums fit; a
-    diverging sweep reads inf or NaN, never convergence."""
+    prev) / (prev_power + _TINY)``, ``power`` giving each mode's sum of
+    squares and ``prev_power`` defaulting to ``power(prev)``.  The methods
+    iterate at unit peak, where these sums fit; a diverging sweep reads
+    inf or NaN, never convergence."""
+    if prev_power is None:
+        prev_power = power(prev)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(sum(power(modes - prev) / (power(prev) + _TINY)))
+        return float(sum(power(modes - prev) / (prev_power + _TINY)))
 
 
 def _spectral_power(u: np.ndarray) -> np.ndarray:
@@ -133,6 +136,7 @@ def _variational_modes(
     n_bins = (t_len + 1) // 2  # 0 Hz up to, not including, Nyquist
     freqs = np.arange(n_bins) / t_len  # cycles/sample
     spectrum = np.fft.fft(mirrored, axis=1)[:, :n_bins]
+    input_power = np.vdot(spectrum, spectrum).real
 
     omega = omega.copy()
     u = np.zeros((k, n_ch, n_bins), dtype=complex)
@@ -183,10 +187,12 @@ def _variational_modes(
                     else:
                         collision_run[i, j] = 0
 
-            update_norm = _update_norm(u, u_prev, _spectral_power)
+            # the first sweep starts from zero modes: it is measured against
+            # the input's power, and it stops only if it moved nothing
+            update_norm = _update_norm(u, u_prev, _spectral_power, None if iteration else input_power)
             trace.append(update_norm)
             iterations = iteration + 1
-            if update_norm < cfg.tol:
+            if update_norm < cfg.tol and (iteration or update_norm == 0.0):
                 converged = True
                 break
 

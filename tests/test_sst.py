@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sigdecomp import bench
+from sigdecomp import bench, sst
 from sigdecomp._kernels import walk_ridge
 from sigdecomp.core import ContractViolation, NumericalFailure, Signal, add
 from sigdecomp.metrics import match_components, qrf
@@ -225,20 +227,70 @@ def reference_mode(S, track, half_width):
     return (S.log_step / S.admissibility) * band_sum.real
 
 
+def reference_cwt(x, freqs_hz, cfg):
+    """The CWT as one inverse FFT of the whole window stack."""
+    n = len(x)
+    n_pos = (n + 1) // 2
+    xi = 2.0 * np.pi * np.fft.fftfreq(n, 1.0 / x.sample_rate_hz)[:n_pos]
+    spectrum = np.fft.fft(x.samples)[:n_pos]
+    arg = (cfg.morlet_w0 / (2.0 * np.pi * freqs_hz))[:, None] * xi[None, :]
+    window = np.where(arg > 0.0, np.pi**-0.25 * np.exp(-0.5 * (arg - cfg.morlet_w0) ** 2), 0.0)
+    return np.fft.ifft(spectrum[None, :] * np.conj(window), n=n, axis=1)
+
+
+def block_case(case, tone50):
+    if case.startswith("tone50"):
+        return tone50, SstConfig(K=1, gamma=0.5) if case.endswith("0.5") else SstConfig(K=1)
+    x, _ = gen_s1() if case == "s1" else gen_s2()
+    return (add_wgn(x, 3.0, 0) if case.endswith("3dB") else x), SstConfig(K=2, n_voices=64)
+
+
+def set_block_rows(monkeypatch, edge, n_rows, n_t):
+    """Set the rows per block so the grid's last block falls at ``edge``;
+    returns the block count."""
+    if edge == "default":
+        return len(sst._row_blocks(n_rows, n_t))
+    if edge == "one partial block":  # fewer rows than one block
+        rows = n_rows + 1
+    else:  # a multiple of the block, or a multiple plus one row
+        whole = n_rows if edge == "multiple" else n_rows - 1
+        rows = next(d for d in range(32, 0, -1) if whole % d == 0)
+    monkeypatch.setattr(sst, "_BLOCK_CELLS", rows * n_t)
+    blocks = sst._row_blocks(n_rows, n_t)
+    assert sum(b.stop - b.start for b in blocks) == n_rows
+    assert blocks[-1].stop - blocks[-1].start == {"one partial block": n_rows, "multiple": rows}.get(edge, 1)
+    return len(blocks)
+
+
+BLOCK_EDGES = ["one partial block", "multiple", "multiple plus one"]
+
+
 class TestWholeArrayForms:
-    @pytest.mark.parametrize("case", ["s1", "s2", "s2@3dB", "tone50@gamma0.5"])
-    def test_squeeze_matches_add_at_scatter(self, case, tone50):
-        if case.startswith("tone50"):
-            x, cfg = tone50, SstConfig(K=1, gamma=0.5)
-        else:
-            x, _ = gen_s1() if case == "s1" else gen_s2()
-            x = add_wgn(x, 3.0, 0) if case.endswith("3dB") else x
-            cfg = SstConfig(K=2, n_voices=64)
+    @pytest.mark.parametrize(
+        "case",
+        ["s1", "s2", "s2@3dB", "tone50@gamma0.5"]
+        + [f"{signal}/{edge}" for signal in ("tone50", "s1", "s2@3dB") for edge in BLOCK_EDGES],
+    )
+    def test_squeeze_matches_add_at_scatter(self, case, tone50, monkeypatch):
+        signal, _, edge = case.partition("/")
+        x, cfg = block_case(signal, tone50)
+        n_rows = sst._scale_frequencies_hz(x, cfg).size
+        n_blocks = set_block_rows(monkeypatch, edge or "default", n_rows, len(x))
+        if case == "tone50/multiple plus one":
+            assert (n_rows, n_blocks) == (257, 9)  # 8 blocks of 32 rows, then one row
         W, freqs = cwt_morlet(x, cfg)
         S = synchrosqueeze(W, freqs, x, cfg)
         values, dropped = reference_squeeze(W, freqs, x, cfg)
         assert np.array_equal(S.values, values)
         assert S.dropped_mass == dropped
+
+    @pytest.mark.parametrize("edge", ["default"] + BLOCK_EDGES)
+    @pytest.mark.parametrize("case", ["s1", "s2", "tone50"])
+    def test_cwt_matches_one_shot_ifft(self, case, edge, tone50, monkeypatch):
+        x, cfg = block_case(case, tone50)
+        set_block_rows(monkeypatch, edge, sst._scale_frequencies_hz(x, cfg).size, len(x))
+        W, freqs = cwt_morlet(x, cfg)
+        assert np.array_equal(W, reference_cwt(x, freqs, cfg))
 
     @pytest.mark.parametrize("half_width", [4, 15])
     def test_modes_match_per_frame_loop(self, half_width):
@@ -255,6 +307,37 @@ class TestWholeArrayForms:
             want = reference_mode(S, track, half_width)
             got = reconstruct_mode(S, track, half_width).samples
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def traced_peak(fn, *args):
+    """tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """The CWT and the squeeze work in blocks of scale rows, so a decompose
+    holds about the CWT and the squeezed grid, not several grids more."""
+
+    @pytest.fixture(scope="class")
+    def s1_recipe(self):
+        x, _ = gen_s1()
+        cfg = bench.default_config("sst", "s1")
+        sst_decompose(x, cfg)  # warm-up: caches and FFT plans
+        return x, cfg
+
+    def test_s1_peak(self, s1_recipe):
+        assert traced_peak(sst_decompose, *s1_recipe) <= 55 * 2**20
+
+    def test_peak_against_the_cwt_at_10240_samples(self, s1_recipe):
+        x, cfg = s1_recipe
+        long = Signal(np.tile(x.samples, 4), x.sample_rate_hz)
+        cwt_bytes = sst._scale_frequencies_hz(long, cfg).size * len(long) * np.dtype(complex).itemsize
+        assert traced_peak(sst_decompose, long, cfg) <= 2.5 * cwt_bytes
 
 
 def reference_ridges(S, cfg, K):

@@ -6,7 +6,7 @@ from sigdecomp import bench, variational
 from sigdecomp.core import ContractViolation, Diverged, MultichannelSignal, NumericalFailure, Signal, l2_norm
 from sigdecomp.metrics import match_components, qrf
 from sigdecomp.multivariate import MvmdConfig, mvmd_decompose
-from sigdecomp.synth import gen_s1
+from sigdecomp.synth import gen_mv_test, gen_s1
 from sigdecomp.variational import (
     VmdConfig,
     VncmdConfig,
@@ -195,6 +195,29 @@ class TestVmd:
 class TestUpdateNorm:
     """A sweep's relative update; the methods iterate at unit peak, so
     only a diverging sweep overflows, and it must not read as convergence."""
+
+    @pytest.mark.parametrize("case", ["vmd-s1", "vmd-s2", "mvmd-10dB"])
+    def test_every_trace_entry_is_finite(self, case):
+        # the first sweep starts from zero modes and is measured against
+        # the input's power, so it reads a finite share, not inf
+        if case == "mvmd-10dB":
+            x = bench.noisy_mv_signal(gen_mv_test()[0], 10.0, 0)
+            _, report = mvmd_decompose(x, bench.default_config("mvmd", "s1"))
+        else:
+            signal = case.split("-")[1]
+            x, _ = bench.generate_signal(signal)
+            _, report = vmd_decompose(x, bench.default_config("vmd", signal))
+        assert report.iterations > 1
+        assert np.all(np.isfinite(report.objective_trace))
+        assert 0.0 < report.objective_trace[0] < 1.0  # a share of the input's power
+
+    @pytest.mark.parametrize("method", ["vmd", "mvmd"])
+    def test_zero_input_stops_after_one_sweep(self, method):
+        if method == "vmd":
+            _, report = vmd_decompose(Signal(np.zeros(256), 256.0), VmdConfig(K=2))
+        else:
+            _, report = mvmd_decompose(MultichannelSignal(np.zeros((2, 256)), 256.0), MvmdConfig(K=2))
+        assert report.converged and report.objective_trace == (0.0,)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("spectra", [False, True])
