@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import Diverged, MultichannelSignal, NumericalFailure, Signal
+from .core import ContractViolation, Diverged, MultichannelSignal, NumericalFailure, Signal
 from .emd import EmdConfig, emd_decompose
 from .metrics import AlignmentScore, QrfReport, alignment_score, match_components
 from .multivariate import (
@@ -95,19 +95,28 @@ def default_config(method: str, signal_id: str, noisy: bool = False):
     raise ValueError(f"unknown method: {method}")
 
 
+#: a field's declared type, as a string -> the types an override of it may hold
+_OVERRIDE_TYPES = {"int": (int, np.integer), "int | None": (int, np.integer, type(None))}
+
+
 def effective_config(
     method: str, signal_id: str, noisy: bool = False, overrides: dict[str, Any] | None = None
 ):
     """The recipe with ``overrides`` applied: the config a run uses.
 
     All overrides are applied in one rebuild, so fields that are checked
-    together (``K`` and ``init_if_hz``) change together.
+    together (``K`` and ``init_if_hz``) change together.  A field declared
+    ``int`` (or ``int | None``) takes only an integer (or None).
     """
     cfg = default_config(method, signal_id, noisy)
     overrides = overrides or {}
-    missing = [key for key in overrides if key not in _field_names(cfg)]
+    types = {f.name: f.type for f in dataclasses.fields(cfg)}
+    missing = [key for key in overrides if key not in types]
     if missing:
         raise ValueError(f"{method} has no parameter {missing[0]!r}")
+    for key, value in overrides.items():
+        if not isinstance(value, _OVERRIDE_TYPES.get(types[key], object)):
+            raise ContractViolation(f"{key} must be an integer, not {value}")
     return dataclasses.replace(cfg, **overrides)
 
 
@@ -280,10 +289,10 @@ def noisy_mv_signal(
     return MultichannelSignal(np.stack(chans), mv.sample_rate_hz)
 
 
-def vmd_channelwise(mv: MultichannelSignal, K: int, alpha: float = 500.0) -> AlignedDecomposition:
+def vmd_channelwise(mv: MultichannelSignal, K: int) -> AlignedDecomposition:
     """Independent per-channel variational decomposition, index-aligned
     only by each channel's own ascending center frequencies."""
-    cfg = VmdConfig(K=K, alpha=alpha, tau=0.0)
+    cfg = VmdConfig(K=K, alpha=500.0, tau=0.0)
     per = []
     residuals = []
     for c in range(mv.n_channels):

@@ -88,17 +88,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tf.add_argument("--out", required=True)
     p_tf.add_argument("--bins", type=int, default=256)
     p_tf.add_argument("--fmax", type=float, default=None)
-    p_tf.add_argument("--fs", type=float, default=None)
+    p_tf.add_argument("--fs", type=float, default=None, help="--input only: sample rate when the file has no header")
 
     p_bench = sub.add_parser("bench", help="run an experiment suite")
     p_bench.add_argument("--suite", required=True, choices=("accuracy", "noise", "sweep"))
     p_bench.add_argument("--method", required=True, choices=bench.UNIVARIATE_METHODS)
     p_bench.add_argument("--signal", required=True, choices=bench.SIGNAL_IDS)
     p_bench.add_argument("--out", default=None, help="JSON output path (CSV written alongside for noise)")
-    p_bench.add_argument("--n", type=int, default=50, help="noise realizations")
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--n", type=int, help="noise: realizations (default 50)")
+    p_bench.add_argument("--seed", type=int, help="noise: seed of the first realization (default 0)")
     p_bench.add_argument(
-        "--snr-grid", type=_float_tuple, default=bench.DEFAULT_SNR_GRID_DB, help="comma-separated SNR values in dB"
+        "--snr-grid", type=_float_tuple, help="noise: comma-separated SNR values in dB (default 24 down to 3 by 3)"
     )
     p_bench.add_argument("--param", type=str, default=None, help="sweep: parameter name")
     p_bench.add_argument("--values", type=str, default=None, help="sweep: comma-separated values")
@@ -113,12 +113,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 #: synth flag (argparse dest) -> the one signal it applies to
 _SYNTH_FLAGS = {"seed": "s2", "gap_start": "s1", "gap_end": "s1", "no_gap": "s1", "duration": "mv", "fs": "mv"}
+#: bench flag (argparse dest) -> the one suite it applies to
+_BENCH_FLAGS = {"n": "noise", "seed": "noise", "snr_grid": "noise", "param": "sweep", "values": "sweep"}
+
+
+def _check_flag_owners(args, owners: dict[str, str], chosen: str) -> None:
+    """A flag given with a signal or suite other than its owner in
+    ``owners`` would be ignored: that is a usage error."""
+    for key, owner in owners.items():
+        if getattr(args, key) is not None and owner != chosen:
+            raise ContractViolation(f"--{key.replace('_', '-')} applies to {owner} only, not {chosen}")
 
 
 def _cmd_synth(args) -> int:
-    for key, signal in _SYNTH_FLAGS.items():
-        if getattr(args, key) is not None and signal != args.signal:
-            raise ContractViolation(f"--{key.replace('_', '-')} applies to {signal} only, not {args.signal}")
+    _check_flag_owners(args, _SYNTH_FLAGS, args.signal)
     if args.signal == "mv":
         kwargs = {key: v for key, v in (("duration_s", args.duration), ("fs", args.fs)) if v is not None}
         mv, _ = gen_mv_test(**kwargs)
@@ -170,6 +178,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_tf(args) -> int:
     if bool(args.input) == bool(args.indir):
         raise ContractViolation("tf needs exactly one of --input or --indir")
+    if args.fs is not None and args.indir:
+        raise ContractViolation("--fs applies to --input only, not --indir")
     if args.indir:
         d, _ = sdio.read_decomposition(args.indir)
         if isinstance(d, AlignedDecomposition):
@@ -189,6 +199,7 @@ def _cmd_tf(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _check_flag_owners(args, _BENCH_FLAGS, args.suite)
     if args.suite == "accuracy":
         tic = time.perf_counter()
         report, _ = bench.run_accuracy(args.method, args.signal)
@@ -200,16 +211,15 @@ def _cmd_bench(args) -> int:
             "report": sdio.to_jsonable(report),
         }
     elif args.suite == "noise":
-        spec = bench.NoiseSuiteSpec(
-            args.method, args.signal, args.snr_grid, n_realizations=args.n, base_seed=args.seed
-        )
+        given = (("snr_grid_db", args.snr_grid), ("n_realizations", args.n), ("base_seed", args.seed))
+        spec = bench.NoiseSuiteSpec(args.method, args.signal, **{k: v for k, v in given if v is not None})
         result = bench.run_noise_suite(spec)
         payload = {
             "suite": "noise",
             "method": args.method,
             "signal": args.signal,
-            "n_realizations": args.n,
-            "base_seed": args.seed,
+            "n_realizations": spec.n_realizations,
+            "base_seed": spec.base_seed,
             "rows": result.to_rows(),
             "raw_totals_db": {str(k): list(v) for k, v in result.raw_totals_db.items()},
             "elapsed_s": {str(k): list(v) for k, v in result.elapsed_s.items()},

@@ -25,12 +25,7 @@ from .core import (
     ContractViolation, Decomposition, MultichannelSignal, Signal, _scaled_back, _scaled_norm, _unit_scaled, rates_equal
 )
 from .emd import EmdConfig
-from .variational import (
-    ConvergenceReport,
-    _check_variational_config,
-    _initial_centers,
-    _variational_modes,
-)
+from .variational import ConvergenceReport, VmdConfig, _variational_modes
 
 
 @dataclass(frozen=True)
@@ -45,16 +40,10 @@ class MemdConfig:
 
 
 @dataclass(frozen=True)
-class MvmdConfig:
-    K: int = 3
-    alpha: float = 500.0
-    tau: float = 0.0
-    tol: float = 1e-7
-    max_iters: int = 500
-    init_mode: str = "zeros"  # zero-frequency start works well in practice
+class MvmdConfig(VmdConfig):
+    """:class:`~sigdecomp.variational.VmdConfig` with the zero start."""
 
-    def __post_init__(self):
-        _check_variational_config(self, ("zeros", "uniform"))
+    init_mode: str = "zeros"  # zero-frequency start works well in practice
 
 
 @dataclass(frozen=True)
@@ -294,9 +283,7 @@ def mvmd_decompose(
     behind :func:`~sigdecomp.variational.vmd_decompose`, run on every
     channel at once.
     """
-    modes, centers, residual, report = _variational_modes(
-        x.channels, _initial_centers(cfg.K, cfg.init_mode), cfg
-    )
+    modes, centers, residual, report = _variational_modes(x.channels, cfg)
     fs = x.sample_rate_hz
     decomp = AlignedDecomposition(
         channel_modes=tuple(

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import uniforms
 from .core import (
     ContractViolation,
     Decomposition,
@@ -28,20 +27,6 @@ from .core import (
 )
 
 
-def _check_variational_config(cfg, init_modes: tuple[str, ...]) -> None:
-    """Shared ``__post_init__`` checks of the VMD and MVMD configs."""
-    if cfg.K < 1:
-        raise ContractViolation("K must be >= 1")
-    if cfg.max_iters < 1:
-        raise ContractViolation("max_iters must be >= 1")
-    if not (0 < cfg.alpha < np.inf and 0 < cfg.tol < np.inf and 0 <= cfg.tau < np.inf):
-        raise ContractViolation("alpha/tol must be positive and finite, tau nonnegative and finite")
-    if cfg.init_mode not in init_modes:
-        raise ContractViolation(
-            f"init_mode must be {', '.join(init_modes[:-1])} or {init_modes[-1]}"
-        )
-
-
 @dataclass(frozen=True)
 class VmdConfig:
     K: int = 3
@@ -49,32 +34,28 @@ class VmdConfig:
     tau: float = 0.0  # dual ascent rate; 0 leaves reconstruction slack for noise
     tol: float = 1e-7
     max_iters: int = 500
-    init_mode: str = "uniform"  # zeros | uniform | random
-    seed: int = 0  # used by init_mode="random" only
+    init_mode: str = "uniform"  # zeros | uniform: the starting center frequencies
 
     def __post_init__(self):
-        _check_variational_config(self, ("zeros", "uniform", "random"))
+        if self.K < 1:
+            raise ContractViolation("K must be >= 1")
+        if self.max_iters < 1:
+            raise ContractViolation("max_iters must be >= 1")
+        if not (0 < self.alpha < np.inf and 0 < self.tol < np.inf and 0 <= self.tau < np.inf):
+            raise ContractViolation("alpha/tol must be positive and finite, tau nonnegative and finite")
+        if self.init_mode not in ("zeros", "uniform"):
+            raise ContractViolation("init_mode must be zeros or uniform")
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    iterations: int
     final_update_norm: float
     converged: bool
     objective_trace: tuple[float, ...]
 
-    def __post_init__(self):
-        if len(self.objective_trace) != self.iterations:
-            raise ContractViolation("trace length must equal iteration count")
-
-
-def _initial_centers(k: int, init_mode: str, seed: int = 0) -> np.ndarray:
-    """Starting center frequencies in cycles/sample for ``init_mode``."""
-    if init_mode == "uniform":
-        return 0.5 * np.arange(1, k + 1) / (k + 1)
-    if init_mode == "random":
-        return np.sort(uniforms(k, seed) * 0.5)
-    return np.zeros(k)
+    @property
+    def iterations(self) -> int:
+        return len(self.objective_trace)
 
 
 _TINY = np.finfo(np.float64).tiny  # floors a denominator without setting a scale
@@ -103,15 +84,15 @@ def _power(modes: np.ndarray) -> np.ndarray:
 
 
 def _variational_modes(
-    channels: np.ndarray, omega: np.ndarray, cfg
+    channels: np.ndarray, cfg: VmdConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, ConvergenceReport]:
     """Joint Wiener-update / augmented-Lagrangian iteration on ``(C, n)`` data.
 
     Every mode keeps one spectrum per channel and one center frequency
     shared by all channels, recentred on the spectral power pooled over
-    the channels; with one channel this is plain VMD.  ``cfg`` supplies
-    ``alpha``, ``tau``, ``tol`` and ``max_iters``; ``omega`` holds the
-    initial centers in cycles/sample.  Returns the modes ``(K, C, n)``
+    the channels; with one channel this is plain VMD.  The ``cfg.K``
+    centers start at 0 (``init_mode="zeros"``) or spread evenly below
+    Nyquist (``"uniform"``).  Returns the modes ``(K, C, n)``
     and their centers (cycles/sample), both ascending in frequency, the
     residual ``(C, n)`` and the report.
 
@@ -123,7 +104,7 @@ def _variational_modes(
     """
     channels, exp = _unit_scaled(channels)
     n_ch, n = channels.shape
-    k = omega.size
+    k = cfg.K
     if k >= n / 2:
         raise ContractViolation("K must be smaller than half the sample count")
 
@@ -138,7 +119,8 @@ def _variational_modes(
     spectrum = np.fft.fft(mirrored, axis=1)[:, :n_bins]
     input_power = np.vdot(spectrum, spectrum).real
 
-    omega = omega.copy()
+    # starting centers in cycles/sample
+    omega = 0.5 * np.arange(1, k + 1) / (k + 1) if cfg.init_mode == "uniform" else np.zeros(k)
     u = np.zeros((k, n_ch, n_bins), dtype=complex)
     u_prev = np.zeros_like(u)
     lam = np.zeros((n_ch, n_bins), dtype=complex)
@@ -148,7 +130,6 @@ def _variational_modes(
     trace: list[float] = []
     update_norm = np.inf
     converged = False
-    iterations = 0
 
     # an overflow in the sweep leaves u non-finite (and a center NaN), which is reported
     with np.errstate(over="ignore", invalid="ignore"):
@@ -191,7 +172,6 @@ def _variational_modes(
             # the input's power, and it stops only if it moved nothing
             update_norm = _update_norm(u, u_prev, _spectral_power, None if iteration else input_power)
             trace.append(update_norm)
-            iterations = iteration + 1
             if update_norm < cfg.tol and (iteration or update_norm == 0.0):
                 converged = True
                 break
@@ -201,7 +181,6 @@ def _variational_modes(
     modes = np.fft.irfft(u[order], n=t_len, axis=-1)[..., lo : lo + n]
 
     report = ConvergenceReport(
-        iterations=iterations,
         final_update_norm=update_norm,
         converged=converged,
         objective_trace=tuple(trace),
@@ -221,9 +200,7 @@ def vmd_decompose(
     is reported, not raised; non-finite iterates raise
     :class:`NumericalFailure`.
     """
-    modes, centers, residual, report = _variational_modes(
-        x.samples[None, :], _initial_centers(cfg.K, cfg.init_mode, cfg.seed), cfg
-    )
+    modes, centers, residual, report = _variational_modes(x.samples[None, :], cfg)
     fs = x.sample_rate_hz
     decomp = Decomposition(
         modes=tuple(Signal(m, fs) for m in modes[:, 0]),
@@ -456,7 +433,6 @@ def vncmd_decompose(
     with np.errstate(over="ignore"):  # a cost past float64's range reads inf
         trace = np.ldexp(trace, 2 * exp)
     report = ConvergenceReport(
-        iterations=len(trace),
         final_update_norm=update_norm if np.isfinite(update_norm) else 0.0,
         converged=update_norm < cfg.tol,
         objective_trace=tuple(trace.tolist()),

@@ -20,7 +20,7 @@ from sigdecomp.bench import (
     run_noise_suite,
     run_param_sweep,
 )
-from sigdecomp.core import Decomposition, MultichannelSignal, Signal
+from sigdecomp.core import ContractViolation, Decomposition, MultichannelSignal, Signal
 from sigdecomp.emd import EmdConfig, emd_decompose
 from sigdecomp.multivariate import (
     AlignedDecomposition,
@@ -56,6 +56,21 @@ class TestRecipes:
     def test_override_unknown_param_rejected(self):
         with pytest.raises(ValueError):
             run_param_sweep("vmd", "bogus_param", [1.0], "s1")
+
+    @pytest.mark.parametrize(
+        "method, param, value",
+        [("vmd", "K", 1.5), ("sst", "n_voices", 8.5), ("ssa", "L", 20.5), ("emd", "max_imfs", 2.5),
+         ("memd", "M", 8.5)],
+    )
+    def test_integer_field_rejects_a_fraction(self, method, param, value):
+        with pytest.raises(ContractViolation, match=f"{param} must be an integer, not {value}"):
+            effective_config(method, "s2", overrides={param: value})
+
+    def test_integer_fields_take_integers_or_none(self):
+        assert effective_config("vmd", "s2", overrides={"K": np.int64(4)}).K == 4
+        assert effective_config("ssa", "s1", overrides={"window_len": None}).window_len is None
+        with pytest.raises(ContractViolation, match="K must be an integer, not None"):
+            effective_config("ssa", "s1", overrides={"K": None})
 
 
 class TestAccuracy:
@@ -212,6 +227,11 @@ class TestParamSweep:
         rows = run_param_sweep("vmd", "alpha", [-1.0, 500.0], "s1")
         assert "error" in rows[0]
         assert rows[1]["total_qrf_db"] > 60
+
+    def test_fractional_mode_count_recorded(self):
+        rows = run_param_sweep("vmd", "K", [1.5, 2], "s2")
+        assert rows[0]["error"] == "ContractViolation: K must be an integer, not 1.5"
+        assert "error" not in rows[1] and np.isfinite(rows[1]["total_qrf_db"])
 
 
 class TestAlignmentSuite:

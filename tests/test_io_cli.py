@@ -603,7 +603,7 @@ class TestCliContract:
         "method, flags",
         [("memd", ("--k", "7")), ("mvmd", ("--mu", "0.3")), ("mvmd", ("--l", "4")),
          ("mvmd", ("--epsilon", "3")), ("mvmd", ("--seed", "5")), ("ssa", ("--m-directions", "3")),
-         ("emd", ("--seed", "0"))],
+         ("emd", ("--seed", "0")), ("vmd", ("--seed", "5"))],
     )
     def test_flag_the_method_lacks_exit_two(self, tmp_path, mv_csv, capsys, method, flags):
         code = main("decompose", "--method", method, "--input", mv_csv, "--outdir", tmp_path / "d", *flags)
@@ -640,6 +640,25 @@ class TestCliContract:
         assert f"{flags[0]} applies to" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "suite, flags",
+        [("accuracy", ("--n", "3")), ("accuracy", ("--seed", "4")), ("accuracy", ("--snr-grid", "1,2")),
+         ("accuracy", ("--param", "alpha")), ("accuracy", ("--values", "1")), ("noise", ("--param", "alpha")),
+         ("noise", ("--values", "1")), ("sweep", ("--n", "3")), ("sweep", ("--seed", "4")),
+         ("sweep", ("--snr-grid", "1,2"))],
+    )
+    def test_bench_flag_the_suite_ignores_exit_two(self, tmp_path, capsys, suite, flags):
+        out = tmp_path / "b.json"
+        assert main("bench", "--suite", suite, "--method", "vmd", "--signal", "s2", "--out", out, *flags) == 2
+        assert f"{flags[0]} applies to" in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".csv").exists()
+
+    def test_tf_fs_with_indir_exit_two(self, tmp_path, mv_csv, capsys):
+        assert main("decompose", "--method", "mvmd", "--input", mv_csv, "--outdir", tmp_path / "d") == 0
+        assert main("tf", "--indir", tmp_path / "d", "--fs", "9999", "--out", tmp_path / "g.csv") == 2
+        assert "--fs applies to" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
+
     def test_synth_flags_for_their_signal(self, tmp_path):
         def synth(name, *flags):
             assert main("synth", "--out", tmp_path / name, *flags) == 0
@@ -652,10 +671,6 @@ class TestCliContract:
         synth("mv.csv", "--signal", "mv", "--fs", "128", "--duration", "0.5")
         mv = read_csv_signal(tmp_path / "mv.csv")
         assert (mv.sample_rate_hz, mv.n_samples) == (128.0, 64)
-
-    def test_seed_recorded(self, tmp_path, s1_csv):
-        assert main("decompose", "--method", "vmd", "--seed", "5", "--input", s1_csv, "--outdir", tmp_path / "d") == 0
-        assert manifest_of(tmp_path / "d")["config"]["seed"] == 5
 
     def test_sst_manifest_records_ridge_config(self, tmp_path, s1_csv):
         code = main("decompose", "--method", "sst", "--k", "2", "--max-step", "5",

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -342,13 +343,19 @@ class TestMvmd:
         "bad",
         [{"alpha": -5.0}, {"alpha": 0.0}, {"tol": 0.0}, {"tau": -1.0}]
         + [{field: value} for field in ("alpha", "tol", "tau") for value in (np.nan, np.inf)]
-        + [{"max_iters": 0}],
+        + [{"max_iters": 0}, {"init_mode": "random"}],
     )
     def test_config_checks_match_vmd(self, bad):
         with pytest.raises(ContractViolation):
             VmdConfig(**bad)
         with pytest.raises(ContractViolation):
             MvmdConfig(**bad)
+
+    def test_config_is_vmds_with_the_zero_start(self):
+        fields = dataclasses.fields(MvmdConfig)
+        assert [f.name for f in fields] == [f.name for f in dataclasses.fields(VmdConfig)]
+        assert [f.name for f in fields if f.default != getattr(VmdConfig(), f.name)] == ["init_mode"]
+        assert MvmdConfig().init_mode == "zeros"
 
     def test_one_channel_is_vmd(self):
         x, _ = gen_s1()
