@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import ContractViolation, Diverged, MultichannelSignal, NumericalFailure, Signal
+from .core import ContractViolation, Diverged, MultichannelSignal, NumericalFailure, Signal, _check_fields
 from .emd import EmdConfig, emd_decompose
 from .metrics import AlignmentScore, QrfReport, alignment_score, match_components
 from .multivariate import (
@@ -95,28 +95,20 @@ def default_config(method: str, signal_id: str, noisy: bool = False):
     raise ValueError(f"unknown method: {method}")
 
 
-#: a field's declared type, as a string -> the types an override of it may hold
-_OVERRIDE_TYPES = {"int": (int, np.integer), "int | None": (int, np.integer, type(None))}
-
-
 def effective_config(
     method: str, signal_id: str, noisy: bool = False, overrides: dict[str, Any] | None = None
 ):
     """The recipe with ``overrides`` applied: the config a run uses.
 
     All overrides are applied in one rebuild, so fields that are checked
-    together (``K`` and ``init_if_hz``) change together.  A field declared
-    ``int`` (or ``int | None``) takes only an integer (or None).
+    together (``K`` and ``init_if_hz``) change together; the config checks
+    each value against its field's declared type.
     """
     cfg = default_config(method, signal_id, noisy)
     overrides = overrides or {}
-    types = {f.name: f.type for f in dataclasses.fields(cfg)}
-    missing = [key for key in overrides if key not in types]
+    missing = [key for key in overrides if key not in _field_names(cfg)]
     if missing:
         raise ValueError(f"{method} has no parameter {missing[0]!r}")
-    for key, value in overrides.items():
-        if not isinstance(value, _OVERRIDE_TYPES.get(types[key], object)):
-            raise ContractViolation(f"{key} must be an integer, not {value}")
     return dataclasses.replace(cfg, **overrides)
 
 
@@ -181,8 +173,7 @@ class NoiseSuiteSpec:
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.n_realizations < 2:
-            raise ValueError("need at least 2 realizations")
+        _check_fields(self, n_realizations=2, base_seed=0)
         if not self.snr_grid_db:
             raise ValueError("SNR grid must be nonempty")
         if len(set(self.snr_grid_db)) != len(self.snr_grid_db):
@@ -309,6 +300,8 @@ def run_alignment_suite(method: str, snr_db: float, base_seed: int = 0) -> Align
     with the requested method, and score against the expected table."""
     if method not in ALIGNMENT_METHODS:
         raise ValueError(f"unknown alignment method: {method}")
+    if base_seed < 0:
+        raise ContractViolation("base_seed must be >= 0")
     mv, table = gen_mv_test()
     noisy = noisy_mv_signal(mv, snr_db, base_seed)
     if method == "vmd-channelwise":

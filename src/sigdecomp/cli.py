@@ -21,6 +21,7 @@ import numpy as np
 
 from . import bench, io as sdio
 from .core import ContractViolation, Decomposition, Diverged, MultichannelSignal, NumericalFailure, Signal
+from .core import _is_finite_number
 from .multivariate import AlignedDecomposition
 from .multivariate import memd_decompose, mvmd_decompose  # noqa: F401 -- perfbench's ENTRY_SITES probe them here
 from .spectral import hilbert_spectrum
@@ -234,7 +235,12 @@ def _cmd_bench(args) -> int:
     else:
         if not args.param or not args.values:
             raise ContractViolation("sweep needs --param and --values")
-        values = [float(v) if "." in v or "e" in v.lower() else int(v) for v in args.values.split(",")]
+        try:
+            values = [float(v) if "." in v or "e" in v.lower() else int(v) for v in args.values.split(",")]
+        except ValueError:
+            values = [None]
+        if not all(map(_is_finite_number, values)):
+            raise ContractViolation(f"--values must be comma-separated finite numbers, not {args.values}")
         rows = bench.run_param_sweep(args.method, args.param, values, args.signal)
         payload = {
             "suite": "sweep",

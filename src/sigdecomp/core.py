@@ -12,7 +12,8 @@ are logs of norm ratios and shed precision fast in float32.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from functools import reduce
 
 import numpy as np
@@ -44,6 +45,31 @@ class Diverged(RuntimeError):
         super().__init__(message)
         self.decomposition = decomposition
         self.report = report
+
+
+def _is_finite_number(value) -> bool:
+    """A real number, not a bool, within float64's finite range (an int past it is not)."""
+    if isinstance(value, np.generic):
+        value = value.item()  # compared as a Python number, a huge int compares exactly
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _check_fields(cfg, **minimums) -> None:
+    """The config contract: each field of the dataclass ``cfg`` holds its declared type, a string
+    under ``from __future__ import annotations``: an ``int`` an int but not a bool, a ``float`` a
+    finite real number (an int stays an int), a ``tuple[float, ...]`` a tuple of those, and ``| None``
+    adds None.  Each field in ``minimums`` is at least its bound.  A breach raises naming the field."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        kind = f.type if value is None else f.type.removesuffix(" | None")
+        if kind == "int" and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+            raise ContractViolation(f"{f.name} must be an integer, not {value}")
+        if kind == "float" and not _is_finite_number(value):
+            raise ContractViolation(f"{f.name} must be a finite number, not {value}")
+        if kind == "tuple[float, ...]" and not (isinstance(value, tuple) and all(map(_is_finite_number, value))):
+            raise ContractViolation(f"{f.name} must be a tuple of finite numbers, not {value}")
+        if f.name in minimums and value is not None and value < minimums[f.name]:
+            raise ContractViolation(f"{f.name} must be >= {minimums[f.name]}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import find_extrema_arrays, natural_spline
-from .core import ContractViolation, Decomposition, NotEnoughExtrema, NumericalFailure, Signal, _scaled_back, _unit_scaled
+from .core import ContractViolation, Decomposition, NotEnoughExtrema, NumericalFailure, Signal
+from .core import _check_fields, _scaled_back, _unit_scaled
 
 _EPS = 1e-300
 
@@ -30,14 +31,11 @@ class EmdConfig:
     boundary: int = 2  # mirror extension depth, in extrema per side
 
     def __post_init__(self):
+        _check_fields(self, max_sift_iters=1, max_imfs=1, boundary=1)
         if not 0.0 < self.theta1 < self.theta2:
             raise ContractViolation("need 0 < theta1 < theta2")
         if not 0.0 < self.alpha_fraction < 1.0:
             raise ContractViolation("alpha_fraction must lie in (0, 1)")
-        if self.boundary < 1:
-            raise ContractViolation("boundary depth must be >= 1")
-        if self.max_sift_iters < 1 or self.max_imfs < 1:
-            raise ContractViolation("max_sift_iters and max_imfs must be >= 1")
 
     def sift_converged(self, mean_size: np.ndarray, half_range: np.ndarray) -> bool:
         """Two-threshold stop test on sigma = mean size / envelope half-range:

@@ -22,7 +22,8 @@ import numpy as np
 from ._kernels import find_extrema_arrays, natural_spline
 from ._rng import uniforms
 from .core import (
-    ContractViolation, Decomposition, MultichannelSignal, Signal, _scaled_back, _scaled_norm, _unit_scaled, rates_equal
+    ContractViolation, Decomposition, MultichannelSignal, Signal, _check_fields, _scaled_back, _scaled_norm,
+    _unit_scaled, rates_equal,
 )
 from .emd import EmdConfig
 from .variational import ConvergenceReport, VmdConfig, _variational_modes
@@ -35,8 +36,7 @@ class MemdConfig:
     seed: int = 0  # offsets the direction set deterministically
 
     def __post_init__(self):
-        if self.M < 2:
-            raise ContractViolation("need at least 2 projection directions")
+        _check_fields(self, M=2, seed=0)
 
 
 @dataclass(frozen=True)

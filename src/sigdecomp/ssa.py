@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, Decomposition, Signal, _scaled_back, _unit_scaled
+from .core import ContractViolation, Decomposition, Signal, _check_fields, _scaled_back, _unit_scaled
 from .metrics import dominant_frequency_hz
 
 
@@ -28,16 +28,9 @@ class SsaConfig:
     hop: int | None = None  # defaults to window_len // 4
 
     def __post_init__(self):
-        if self.L < 2:
-            raise ContractViolation("embedding dimension must be >= 2")
-        if self.K < 1:
-            raise ContractViolation("K must be >= 1")
-        if not 0 < self.epsilon < np.inf:
-            raise ContractViolation("epsilon must be positive and finite")
-        if self.window_len is not None and self.window_len < 2:
-            raise ContractViolation("window_len must be >= 2")
-        if self.hop is not None and self.hop < 1:
-            raise ContractViolation("hop must be >= 1")
+        _check_fields(self, L=2, K=1, window_len=2, hop=1)
+        if not self.epsilon > 0:
+            raise ContractViolation("epsilon must be positive")
 
     def resolved(self, n: int) -> tuple[int, int]:
         window = self.window_len if self.window_len is not None else min(n, 4 * self.L)

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import walk_ridge
-from .core import ContractViolation, Decomposition, NumericalFailure, Signal, _scaled_back, _unit_scaled
+from .core import ContractViolation, Decomposition, NumericalFailure, Signal, _check_fields, _scaled_back, _unit_scaled
 
 
 @dataclass(frozen=True)
@@ -33,16 +33,9 @@ class SstConfig:
     max_step: int = 15  # max bin change per frame while tracking
 
     def __post_init__(self):
-        if self.n_voices < 4:
-            raise ContractViolation("need at least 4 voices per octave")
-        if not 0 < self.morlet_w0 < np.inf:
-            raise ContractViolation("morlet_w0 must be positive and finite")
-        if not 0 <= self.gamma < np.inf:
-            raise ContractViolation("gamma must be nonnegative and finite")
-        if self.K < 1:
-            raise ContractViolation("K must be >= 1")
-        if self.start_band < 1 or self.max_step < 1:
-            raise ContractViolation("start_band and max_step must be >= 1")
+        _check_fields(self, n_voices=4, gamma=0, K=1, start_band=1, max_step=1)
+        if not (self.morlet_w0 > 0 and 0 < _admissibility(self.morlet_w0) < np.inf):
+            raise ContractViolation("morlet_w0 must be positive, with a positive finite admissibility")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .core import ContractViolation, MultichannelSignal, Signal
+from .core import ContractViolation, MultichannelSignal, Signal, _check_fields, _is_finite_number
 
 S1_SAMPLE_RATE_HZ = 256.0
 S1_DURATION_S = 10.0
@@ -64,6 +64,7 @@ class S2Config:
     rng_seed: int = 0
 
     def __post_init__(self):
+        _check_fields(self, rng_seed=0)
         n = self.duration_s * self.sample_rate_hz
         if abs(n - round(n)) > 1e-9:
             raise ContractViolation("duration * sample rate must be an integer sample count")
@@ -181,8 +182,13 @@ def gen_mv_test(
     Each channel sums the unit sinusoids that ``MV_EXPECTED_TABLE`` puts
     in it: 2 Hz + 50 Hz in channel 1, 2 Hz + 20 Hz + 50 Hz in channel 2.
     """
+    for name, value in (("duration_s", duration_s), ("fs", fs)):
+        if not (_is_finite_number(value) and value > 0):
+            raise ContractViolation(f"{name} must be a positive finite number, not {value}")
     if fs <= 100.0:
         raise ContractViolation("sample rate must exceed 100 Hz for the 50 Hz component")
+    if not np.isfinite(float(duration_s) * float(fs)):
+        raise ContractViolation(f"duration_s * fs must be a finite sample count, not {duration_s} * {fs}")
     bank = mv_component_bank(duration_s, fs)
     channels = [
         sum(bank[row[c]] for row in MV_EXPECTED_TABLE if row[c] is not None) for c in range(2)

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ContractViolation,
-    Decomposition,
-    Diverged,
-    NumericalFailure,
-    Signal,
-    _scaled_back,
-    _unit_scaled,
+    ContractViolation, Decomposition, Diverged, NumericalFailure, Signal, _check_fields, _scaled_back, _unit_scaled
 )
 
 
@@ -37,12 +31,9 @@ class VmdConfig:
     init_mode: str = "uniform"  # zeros | uniform: the starting center frequencies
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ContractViolation("K must be >= 1")
-        if self.max_iters < 1:
-            raise ContractViolation("max_iters must be >= 1")
-        if not (0 < self.alpha < np.inf and 0 < self.tol < np.inf and 0 <= self.tau < np.inf):
-            raise ContractViolation("alpha/tol must be positive and finite, tau nonnegative and finite")
+        _check_fields(self, K=1, tau=0, max_iters=1)
+        if not (self.alpha > 0 and self.tol > 0):
+            raise ContractViolation("alpha and tol must be positive")
         if self.init_mode not in ("zeros", "uniform"):
             raise ContractViolation("init_mode must be zeros or uniform")
 
@@ -225,20 +216,13 @@ class VncmdConfig:
     if_smooth_frac: float = 0.01  # moving-average width for IF increments, as fraction of N
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ContractViolation("K must be >= 1")
-        if len(self.init_if_hz) != self.K:
-            raise ContractViolation("need one initial frequency per mode")
-        if not np.all(np.isfinite(self.init_if_hz)):
-            raise ContractViolation("initial frequencies must be finite")
-        if len(set(self.init_if_hz)) != self.K:
-            raise ContractViolation("initial frequencies must be distinct")
-        if not (0 < self.alpha < np.inf and 0 < self.mu < np.inf and 0 < self.tol < np.inf):
-            raise ContractViolation("alpha, mu and tol must be positive and finite")
-        if self.max_iters < 1:
-            raise ContractViolation("max_iters must be >= 1")
-        if not 0.0 <= self.if_smooth_frac <= 1.0:
-            raise ContractViolation("if_smooth_frac must be finite and within [0, 1]")
+        _check_fields(self, K=1, max_iters=1, if_smooth_frac=0)
+        if not len(self.init_if_hz) == len(set(self.init_if_hz)) == self.K:
+            raise ContractViolation("need K distinct initial frequencies, one per mode")
+        if not (self.alpha > 0 and self.mu > 0 and self.tol > 0):
+            raise ContractViolation("alpha, mu and tol must be positive")
+        if self.if_smooth_frac > 1.0:
+            raise ContractViolation("if_smooth_frac must be within [0, 1]")
 
 
 def _smoothing_bands(n: int, weight: float) -> np.ndarray:

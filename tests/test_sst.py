@@ -79,7 +79,8 @@ class TestCwt:
 
     @pytest.mark.parametrize("ridge", [{"start_band": 0}, {"max_step": 0}, {"max_step": -3}])
     def test_ridge_fields_validated(self, ridge):
-        with pytest.raises(ContractViolation, match="start_band and max_step"):
+        (field,) = ridge
+        with pytest.raises(ContractViolation, match=f"{field} must be >= 1"):
             SstConfig(**ridge)
 
 
