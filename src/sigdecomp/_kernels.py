@@ -3,24 +3,46 @@
 Each kernel has one vectorized numpy/LAPACK implementation.  Callers import
 the public names (``find_extrema_arrays``, ``natural_spline``,
 ``walk_ridge``) into their own modules, which is where the benchmark's
-probes look them up.
+probes look them up.  LAPACK comes from :func:`lapack`, scipy's compiled
+module loaded alone on the first solve; ``scipy.linalg`` is never imported.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import NumericalFailure
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def lapack():
+    """scipy's LAPACK wrappers ``scipy.linalg._flapack``, whose routines ``scipy.linalg.lapack``
+    re-exports as the same objects.  The first call loads that extension alone, under its own name,
+    so the package init of ``scipy.linalg`` and its hundreds of imports never run; every later call,
+    and a later ``import scipy.linalg``, finds it in ``sys.modules``."""
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        import scipy
+
+        spec = PathFinder.find_spec(_FLAPACK, [os.path.join(scipy.__path__[0], "linalg")])
+        if spec is None:
+            raise ImportError(f"scipy {scipy.__version__} has no {_FLAPACK}")
+        module = module_from_spec(spec)
+        sys.modules[_FLAPACK] = module
+        spec.loader.exec_module(module)
+    return module
+
 
 def dgtsv(*args, **kwargs):
-    """LAPACK ``dgtsv`` from scipy, imported on the first call so that a
-    run without a spline envelope never loads ``scipy.linalg``."""
-    from scipy.linalg.lapack import dgtsv
-
-    return dgtsv(*args, **kwargs)
+    """LAPACK ``dgtsv``, looked up in :func:`lapack` at each call."""
+    return lapack().dgtsv(*args, **kwargs)
 
 
 def find_extrema_arrays(x: np.ndarray) -> tuple:

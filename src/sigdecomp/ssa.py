@@ -152,7 +152,7 @@ def ssa_decompose(x: Signal, cfg: SsaConfig = SsaConfig()) -> Decomposition:
         starts.append(n - window_len)
 
     weights = _window_weights(window_len)
-    acc = np.zeros((cfg.K, n))
+    acc = np.zeros((min(cfg.K, cfg.L), n))  # a window keeps at most L eigentriples
     acc_res = np.zeros(n)
     norm = np.zeros(n)
     for start in starts:
@@ -165,5 +165,5 @@ def ssa_decompose(x: Signal, cfg: SsaConfig = SsaConfig()) -> Decomposition:
     acc /= norm[None, :]
     acc_res /= norm
     fs = x.sample_rate_hz
-    modes = tuple(Signal(_scaled_back(acc[j], exp), fs) for j in range(cfg.K) if np.any(acc[j]))
+    modes = tuple(Signal(_scaled_back(row, exp), fs) for row in acc if np.any(row))
     return Decomposition(modes=modes, residual=Signal(_scaled_back(acc_res, exp), fs))

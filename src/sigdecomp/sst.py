@@ -240,10 +240,12 @@ def extract_ridges(S: SqueezedGrid, cfg: SstConfig, K: int) -> list[RidgeTrack]:
 
 
 def _band(track: RidgeTrack, shape: tuple[int, int], half_width: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(bins, frames)`` of the cells within ``half_width`` bins of a ridge, valid frames only."""
+    """``(bins, frames)`` of the cells within ``half_width`` bins of a ridge, valid frames only.
+    A band wider than the grid's rows holds just those rows, so its width is clipped there."""
     if track.bins.shape != shape[1:]:
         raise ContractViolation("ridge track must give one bin per frame of the grid")
     frames = np.flatnonzero(track.valid)
+    half_width = min(half_width, shape[0])
     bins = track.bins[frames, None] + np.arange(-half_width, half_width + 1)
     inside = (bins >= 0) & (bins < shape[0])
     return bins[inside], frames[np.nonzero(inside)[0]]

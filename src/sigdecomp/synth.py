@@ -46,6 +46,15 @@ class GapSpec:
             )
 
 
+def _check_sizes(duration_s: float, rate_name: str, rate: float) -> None:
+    """A duration and a sample rate are positive and finite, and so is their product."""
+    for name, value in (("duration_s", duration_s), (rate_name, rate)):
+        if not (_is_finite_number(value) and value > 0):
+            raise ContractViolation(f"{name} must be a positive finite number, not {value}")
+    if not np.isfinite(float(duration_s) * float(rate)):
+        raise ContractViolation(f"duration_s * {rate_name} must be a finite sample count, not {duration_s} * {rate}")
+
+
 @dataclass(frozen=True)
 class S2Config:
     """Wide-band test-signal parameters.
@@ -65,6 +74,7 @@ class S2Config:
 
     def __post_init__(self):
         _check_fields(self, rng_seed=0)
+        _check_sizes(self.duration_s, "sample_rate_hz", self.sample_rate_hz)
         n = self.duration_s * self.sample_rate_hz
         if abs(n - round(n)) > 1e-9:
             raise ContractViolation("duration * sample rate must be an integer sample count")
@@ -182,13 +192,9 @@ def gen_mv_test(
     Each channel sums the unit sinusoids that ``MV_EXPECTED_TABLE`` puts
     in it: 2 Hz + 50 Hz in channel 1, 2 Hz + 20 Hz + 50 Hz in channel 2.
     """
-    for name, value in (("duration_s", duration_s), ("fs", fs)):
-        if not (_is_finite_number(value) and value > 0):
-            raise ContractViolation(f"{name} must be a positive finite number, not {value}")
+    _check_sizes(duration_s, "fs", fs)
     if fs <= 100.0:
         raise ContractViolation("sample rate must exceed 100 Hz for the 50 Hz component")
-    if not np.isfinite(float(duration_s) * float(fs)):
-        raise ContractViolation(f"duration_s * fs must be a finite sample count, not {duration_s} * {fs}")
     bank = mv_component_bank(duration_s, fs)
     channels = [
         sum(bank[row[c]] for row in MV_EXPECTED_TABLE if row[c] is not None) for c in range(2)

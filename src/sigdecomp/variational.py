@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import lapack
 from .core import (
     ContractViolation, Decomposition, Diverged, NumericalFailure, Signal, _check_fields, _scaled_back, _unit_scaled
 )
@@ -261,11 +262,9 @@ def solve_banded(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ``scipy.linalg.solve_banded((4, 4), bands[4:], rhs)``, without its
     argument copies and finiteness scan.  A singular system raises
     :class:`NumericalFailure`.  This is VNCMD's one solve call site,
-    which the benchmark's probe wraps by this name.  scipy is imported
-    on the first call, so that a run without VNCMD never loads it."""
-    from scipy.linalg.lapack import dgbsv
-
-    _, _, solution, info = dgbsv(4, 4, bands, rhs, overwrite_ab=1, overwrite_b=1)
+    which the benchmark's probe wraps by this name.  ``dgbsv`` comes from
+    :func:`._kernels.lapack`, so no run loads ``scipy.linalg``."""
+    _, _, solution, info = lapack().dgbsv(4, 4, bands, rhs, overwrite_ab=1, overwrite_b=1)
     if info > 0:
         raise NumericalFailure("VNCMD envelope system is singular")
     return solution

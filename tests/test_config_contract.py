@@ -40,8 +40,9 @@ ODD = (0, 0.0, -1, -2.5, 2.0, 2.5, np.nan, np.inf, -np.inf, 1e300, -1e300, HUGE_
 #: from ``ODD`` no huge integer, so that no case allocates much or runs long:
 #: n_voices (at most 64) scales the CWT's rows, M (64) the directions per
 #: sift, L (100) the trajectory matrix and max_iters (50) the variational
-#: loop; SSA's K and SST's start_band each size an array and have no upper
-#: bound in the contract
+#: loop; SSA's K and SST's start_band also draw huge values, since what they
+#: size is bounded by what exists (L eigentriples, the grid's rows)
+_HUGE = st.sampled_from((10**7, HUGE_INT))
 _VMD_VALID = {
     "K": st.integers(1, 4), "alpha": st.sampled_from((50.0, 500.0, 5000, 1e300)),
     "tau": st.sampled_from((0.0, 0.5)), "tol": st.sampled_from((1e-7, 1e-3)), "max_iters": st.integers(1, 50),
@@ -62,11 +63,11 @@ CASES = {
     }),
     "sst": (SstConfig, {
         "n_voices": st.integers(4, 64), "morlet_w0": st.sampled_from((6.0, 0.5, 20.0, 1e17)),
-        "gamma": st.sampled_from((0.0, 1e-6, 0.5)), "K": st.integers(1, 8), "start_band": st.integers(1, 64),
+        "gamma": st.sampled_from((0.0, 1e-6, 0.5)), "K": st.integers(1, 8), "start_band": st.one_of(st.integers(1, 64), _HUGE),
         "max_step": st.integers(1, 64),
     }),
     "ssa": (SsaConfig, {
-        "L": st.integers(2, 100), "K": st.integers(1, 8), "epsilon": st.sampled_from((1e-6, 0.1)),
+        "L": st.integers(2, 100), "K": st.one_of(st.integers(1, 8), _HUGE), "epsilon": st.sampled_from((1e-6, 0.1)),
         "window_len": st.one_of(st.none(), st.integers(2, 300)), "hop": st.one_of(st.none(), st.integers(1, 300)),
     }),
     "memd": (MemdConfig, {"M": st.integers(2, 64), "seed": st.integers(0, 2**64)}),
@@ -154,6 +155,18 @@ def test_config_contract_fuzz(method, data, n, seed):
 def test_config_names_the_bad_field(cls, fields, message):
     with pytest.raises(ContractViolation, match=message):
         cls(**fields)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [({"duration_s": -1.0}, "duration_s must be a positive finite number, not -1.0"),
+     ({"sample_rate_hz": 0.0}, "sample_rate_hz must be a positive finite number, not 0.0"),
+     ({"duration_s": 1e200, "sample_rate_hz": 1e200},
+      r"duration_s \* sample_rate_hz must be a finite sample count, not 1e\+200 \* 1e\+200")],
+)
+def test_s2_config_checks_its_sizes(fields, message):
+    with pytest.raises(ContractViolation, match=message):
+        S2Config(**fields)
 
 
 def test_numbers_keep_their_type():

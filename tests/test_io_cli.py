@@ -432,32 +432,56 @@ class TestTfGridCsv:
 
 #: runs each argv list (JSON) through ``cli.main`` in a fresh interpreter
 #: and prints, after the import and after each command, the exit code and
-#: whether ``scipy.linalg`` is loaded
+#: whether scipy's LAPACK extension and ``scipy.linalg`` are loaded
 SCIPY_PROBE = """
 import json, sys
 from sigdecomp import cli
-states = [[None, "scipy.linalg" in sys.modules]]
+def loaded():
+    return ["scipy.linalg._flapack" in sys.modules, "scipy.linalg" in sys.modules]
+states = [[None, *loaded()]]
 for argv in json.loads(sys.argv[1]):
-    states.append([cli.main(argv), "scipy.linalg" in sys.modules])
+    states.append([cli.main(argv), *loaded()])
 print(json.dumps(states))
 """
 
+#: in the order given by its argument, takes the LAPACK routines from
+#: ``_kernels.lapack()`` and from ``scipy.linalg.lapack``, and prints whether
+#: they are the same objects and whether the kernels' load left
+#: ``scipy.linalg`` unimported
+IDENTITY_PROBE = """
+import json, sys
+from sigdecomp import _kernels
+if sys.argv[1] == "scipy-first":
+    from scipy.linalg import lapack
+ours = _kernels.lapack()
+alone = "scipy.linalg" not in sys.modules
+from scipy.linalg import lapack
+print(json.dumps([ours.dgtsv is lapack.dgtsv, ours.dgbsv is lapack.dgbsv, alone]))
+"""
 
-def scipy_states(cwd, commands):
-    """``[exit code, scipy.linalg loaded]`` after the import and each command."""
+
+def child_env() -> dict:
+    """This environment, with the tested package first on the path."""
     package_root = str(Path(cli.__file__).resolve().parents[1])
     paths = [package_root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    r = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
-        capture_output=True, text=True, cwd=cwd, env=env,
-    )
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
+def run_probe(cwd, script, arg) -> list:
+    """The JSON that ``script`` prints last, run on ``arg`` in a fresh interpreter."""
+    r = subprocess.run([sys.executable, "-c", script, arg], capture_output=True, text=True, cwd=cwd, env=child_env())
     assert r.returncode == 0, r.stderr
     return json.loads(r.stdout.splitlines()[-1])
 
 
+def scipy_states(cwd, commands):
+    """``[exit code, LAPACK loaded, scipy.linalg loaded]`` after the import and each command."""
+    return run_probe(cwd, SCIPY_PROBE, json.dumps(commands))
+
+
 class TestScipyOnFirstSolve:
-    """scipy is loaded by the first banded solve, not by the import."""
+    """scipy's LAPACK extension is loaded alone by the first banded solve,
+    not by the import, and no command imports ``scipy.linalg``."""
 
     def test_only_banded_solves_load_scipy(self, tmp_path):
         decompose = ["decompose", "--signal-profile", "s2", "--input", "s2.csv", "--method"]
@@ -473,15 +497,37 @@ class TestScipyOnFirstSolve:
             [*decompose, "emd", "--outdir", "emd"],  # the spline kernel's dgtsv
         ]
         states = scipy_states(tmp_path, commands)
-        assert [code for code, _ in states[1:]] == [0] * len(commands)
-        assert [loaded for _, loaded in states] == [False] * len(commands) + [True]
+        assert [code for code, _, _ in states[1:]] == [0] * len(commands)
+        assert [lapack for _, lapack, _ in states] == [False] * len(commands) + [True]
+        assert not any(linalg for _, _, linalg in states)
 
     def test_vncmd_loads_scipy(self, tmp_path):  # its envelope solve's dgbsv
         commands = [
             ["synth", "--signal", "s2", "--out", "s2.csv"],
             ["decompose", "--method", "vncmd", "--signal-profile", "s2", "--input", "s2.csv", "--outdir", "d"],
         ]
-        assert scipy_states(tmp_path, commands) == [[None, False], [0, False], [0, True]]
+        assert scipy_states(tmp_path, commands) == [[None, False, False], [0, False, False], [0, True, False]]
+
+    def test_memd_loads_scipy(self, tmp_path):  # the spline kernel's dgtsv
+        commands = [
+            ["synth", "--signal", "mv", "--duration", "0.25", "--out", "mv.csv"],
+            ["decompose", "--method", "memd", "--m-directions", "4", "--input", "mv.csv", "--outdir", "d"],
+        ]
+        assert scipy_states(tmp_path, commands) == [[None, False, False], [0, False, False], [0, True, False]]
+
+    @pytest.mark.parametrize("order", ["kernels-first", "scipy-first"])
+    def test_routines_are_scipys_own(self, tmp_path, order):
+        assert run_probe(tmp_path, IDENTITY_PROBE, order) == [True, True, order == "kernels-first"]
+
+
+#: runs ``cli.main`` on its arguments in a fresh interpreter whose address
+#: space is capped at 3 GB, so a large allocation is refused in it alone
+CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+from sigdecomp import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
 
 
 class TestCliContract:
@@ -498,6 +544,21 @@ class TestCliContract:
     def test_unknown_method_exit_two(self, tmp_path):
         r = run_cli("decompose", "--method", "nope", "--input", "x.csv")
         assert r.returncode == 2
+
+    def test_refused_allocation_exit_three(self, tmp_path):
+        """``tf --bins 10000000`` on 512 samples asks numpy for a 38.1 GiB grid,
+        which the child's 3 GB cap refuses: one error line, no traceback, no grid."""
+        assert main("synth", "--signal", "s2", "--out", tmp_path / "s2.csv") == 0
+        assert main("decompose", "--method", "vmd", "--signal-profile", "s2", "--input", tmp_path / "s2.csv",
+                    "--outdir", tmp_path / "vmd") == 0
+        r = subprocess.run(
+            [sys.executable, "-c", CAPPED_CLI, "tf", "--indir", "vmd", "--out", "grid.csv", "--bins", "10000000"],
+            capture_output=True, text=True, cwd=tmp_path, env={**child_env(), "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert r.returncode == 3
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory: Unable to allocate 38.1 GiB")
+        assert not (tmp_path / "grid.csv").exists()
 
     def test_numerical_failure_exit_three(self, tmp_path):
         synth = run_cli("synth", "--signal", "s1", "--out", str(tmp_path / "s1.csv"))

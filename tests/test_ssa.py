@@ -141,6 +141,14 @@ class TestDecompose:
         d = ssa_decompose(s, SsaConfig(L=12, K=11, epsilon=1e-3))  # the suite errors on any RuntimeWarning
         assert len(d.modes) < 11
 
+    @pytest.mark.parametrize("huge", [10**7, 10**400], ids=["1e7", "1e400"])
+    def test_more_classes_than_eigentriples(self, huge):
+        """A window keeps at most L eigentriples, so K past L gives K = L's bytes."""
+        x = Signal(tone(3.0, 2.0, 64.0).samples + tone(11.0, 2.0, 64.0).samples, 64.0)
+        want, got = (ssa_decompose(x, SsaConfig(L=12, K=k)) for k in (12, huge))
+        arrays = [(*(m.samples for m in d.modes), d.residual.samples) for d in (got, want)]
+        assert [a.tobytes() for a in arrays[0]] == [a.tobytes() for a in arrays[1]]
+
     def test_config_validation(self):
         with pytest.raises(ContractViolation):
             SsaConfig(L=1)

@@ -171,6 +171,16 @@ class TestRidges:
         assert len(d.modes) == 2
         assert all(m.sample_rate_hz == 49.0 for m in d.modes)
 
+    @pytest.mark.parametrize("huge", [10**7, 10**400], ids=["1e7", "1e400"])
+    def test_band_past_the_grid_is_the_whole_grid(self, huge):
+        """A band wider than the grid's rows covers just those rows: the same
+        bytes as a band of that width, and no huge offset array."""
+        x = add(tone(20.0, 0.5, 512.0), tone(90.0, 0.5, 512.0))  # 256 samples
+        rows = sst._scale_frequencies_hz(x, SstConfig()).size
+        want, got = (sst_decompose(x, SstConfig(K=2, start_band=band)) for band in (rows, huge))
+        arrays = [(*(m.samples for m in d.modes), d.residual.samples, *d.if_tracks_hz) for d in (got, want)]
+        assert [a.tobytes() for a in arrays[0]] == [a.tobytes() for a in arrays[1]]
+
     def test_all_invalid_track_gives_zero(self, squeezed50):
         _, _, S = squeezed50
         n_t = S.values.shape[1]
