@@ -69,7 +69,7 @@ def find_extrema_arrays(x: np.ndarray) -> tuple:
 
 
 class CubicPieces(NamedTuple):
-    """The fitted cubics of :func:`natural_spline`, evaluated by ranges of blocks."""
+    """The fitted cubics of :func:`natural_spline`, evaluated by lists of blocks."""
 
     coef: np.ndarray  # (4, C, k - 1): each interval's cubic in powers of (q - its left knot)
     left: np.ndarray  # (k - 1,) each interval's left knot
@@ -78,21 +78,27 @@ class CubicPieces(NamedTuple):
     q: np.ndarray  # the sorted queries
     shape: tuple  # one knot's value shape, () or (C,)
 
-    def values(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Blocks ``lo`` ... ``hi - 1`` (default: all) at the queries, stacked,
-        ``(hi - lo, len(q)) + shape``: that slice of every block's values.
-        One Horner pass, each cubic repeated over its run, channel-major."""
-        hi = self.bounds.size - 1 if hi is None else hi
-        a, b = self.bounds[lo], self.bounds[hi]  # their intervals; a step to the next block runs no query
-        widths = self.widths[a:b]
-        c = np.repeat(self.coef[:, :, a:b], widths, axis=2)  # (4, C, (hi - lo) * n_q)
-        t = np.tile(self.q, hi - lo) - np.repeat(self.left[a:b], widths)
-        out = c[3] * t + c[2]
-        for power in (1, 0):
+    def values(self, blocks=None) -> np.ndarray:
+        """The blocks numbered ``blocks`` (default: all, in order) at the
+        queries, stacked, ``(len(blocks), len(q)) + shape``; a block may be
+        named more than once.  One Horner pass over those blocks' intervals
+        (a step to the next block runs no query, so it is left out), each
+        power's coefficients repeated over their runs as the pass reaches
+        them, channel-major."""
+        blocks = np.arange(self.bounds.size - 1) if blocks is None else np.asarray(blocks, dtype=np.intp)
+        firsts = self.bounds[blocks]
+        sizes = self.bounds[blocks + 1] - firsts - 1  # each block's intervals, without the step to the next
+        picks = np.arange(sizes.sum()) + np.repeat(firsts - np.cumsum(sizes) + sizes, sizes)
+        coef = self.coef.take(picks, axis=2)
+        widths = self.widths[picks]
+        t = np.tile(self.q, blocks.size)
+        t -= np.repeat(self.left[picks], widths)
+        out = np.repeat(coef[3], widths, axis=1)  # (C, len(blocks) * n_q)
+        for power in (2, 1, 0):
             out *= t
-            out += c[power]
-        out = out.reshape((c.shape[1], hi - lo, self.q.size)).transpose(1, 2, 0)  # C is known when q is empty
-        return out.reshape((hi - lo, self.q.size) + self.shape)
+            out += np.repeat(coef[power], widths, axis=1)
+        out = out.reshape((coef.shape[1], blocks.size, self.q.size)).transpose(1, 2, 0)  # C is known when q is empty
+        return out.reshape((blocks.size, self.q.size) + self.shape)
 
 
 def natural_spline(

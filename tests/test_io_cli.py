@@ -560,6 +560,24 @@ class TestCliContract:
         assert len(lines) == 1 and lines[0].startswith("error: out of memory: Unable to allocate 38.1 GiB")
         assert not (tmp_path / "grid.csv").exists()
 
+    def test_refused_cwt_exit_three(self, tmp_path):
+        """``decompose --method sst`` on 2**18 samples: the recipe's 64 voices per
+        octave give ceil(64 * log2(2**18 / 4)) + 1 = 1025 rows, so the CWT alone is
+        1025 x 2**18 complex values, 4.00 GiB, which the child's 3 GB cap refuses
+        before any other large array: one error line, no traceback, no manifest."""
+        n = 2**18
+        write_signals_csv(tmp_path / "long.csv", {"x": np.sin(0.05 * np.arange(n))}, 1000.0)
+        r = subprocess.run(
+            [sys.executable, "-c", CAPPED_CLI, "decompose", "--method", "sst", "--input", "long.csv", "--outdir", "sst"],
+            capture_output=True, text=True, cwd=tmp_path, env={**child_env(), "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert r.returncode == 3
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            f"error: out of memory: Unable to allocate 4.00 GiB for an array with shape (1025, {n})"
+        )
+        assert not (tmp_path / "sst" / "manifest.json").exists()
+
     def test_numerical_failure_exit_three(self, tmp_path):
         synth = run_cli("synth", "--signal", "s1", "--out", str(tmp_path / "s1.csv"))
         assert synth.returncode == 0

@@ -342,7 +342,17 @@ class TestSplineEvaluation:
         full = pieces.values()
         for lo in range(full.shape[0] + 1):
             for hi in range(lo, full.shape[0] + 1):
-                assert_same_arrays(pieces.values(lo, hi), full[lo:hi])
+                assert_same_arrays(pieces.values(np.arange(lo, hi)), full[lo:hi])
+
+    @pytest.mark.parametrize("n_channels", [None, 1, 3])
+    @pytest.mark.parametrize("case", SPLINE_CASES)
+    def test_block_lists_equal_gathers(self, rng, case, n_channels):
+        # lists that reorder and repeat blocks, against those rows of all
+        pieces = K.natural_spline(*spline_case(rng, case, n_channels))
+        full = pieces.values()
+        n_blocks = full.shape[0]
+        for blocks in ([n_blocks - 1, 0, n_blocks - 1], rng.integers(0, n_blocks, size=2 * n_blocks)):
+            assert_same_arrays(pieces.values(blocks), full[blocks])
 
     def test_random_blocks_bytes_equal_reference(self, rng):
         for _ in range(20):

@@ -7,6 +7,7 @@ from scipy.interpolate import CubicSpline
 
 from sigdecomp._kernels import find_extrema_arrays, natural_spline
 from sigdecomp.core import ContractViolation, MultichannelSignal, Signal, l2_norm
+from sigdecomp import multivariate
 from sigdecomp.emd import EmdConfig, emd_decompose
 from sigdecomp.metrics import alignment_score, qrf
 from sigdecomp.multivariate import (
@@ -241,6 +242,19 @@ def noisy_channels(n_channels, snr_db):
     return noisy_mv_signal(MultichannelSignal(channels, mv.sample_rate_hz), snr_db, 0).channels.T
 
 
+def stats_peak(n_channels):
+    """The tracemalloc peak of one stats call on ``noisy_channels(n_channels, 10.0)``, M=64."""
+    data = noisy_channels(n_channels, 10.0)
+    directions = hypersphere_directions(64, n_channels)
+    _directional_envelope_stats(data, directions, 2)  # the first spline loads LAPACK
+    tracemalloc.start()
+    try:
+        _directional_envelope_stats(data, directions, 2)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestEnvelopeStats:
     """One batched pass over all directions against the per-direction loop."""
 
@@ -302,19 +316,67 @@ class TestEnvelopeStats:
         for g, w in zip(got[:2], want[:2]):
             assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
+    @pytest.mark.parametrize("exp", [0, 996])
+    @pytest.mark.parametrize("rows", [20, 32, 40, 160])
+    @pytest.mark.parametrize("n_channels", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["antipodes", "twins"])
+    def test_repeated_directions_bit_identical_to_one_stack(self, kind, n_channels, rows, exp):
+        # sets that repeat by construction: each direction's antipode, whose
+        # maxima are its minima, or each direction twice; the repeats take
+        # their rows from the first direction, within a group and across one;
+        # 160 antipodes read more rows from earlier groups than one group
+        # keeps: on 3 and 4 channels, the rows of directions 32-63 are
+        # evaluated again for their antipodes 112-143
+        data = np.ldexp(noisy_channels(n_channels, 10.0), exp)
+        base = hypersphere_directions(rows // 2, n_channels)
+        directions = np.vstack([base, -base]) if kind == "antipodes" else np.repeat(base, 2, axis=0)
+        with np.errstate(over="ignore"):
+            got = _directional_envelope_stats(data, directions, 2)
+            want = stacked_envelope_stats(data, directions, 2)
+        assert got[2] == want[2] > 0
+        for g, w in zip(got[:2], want[:2]):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_each_distinct_block_fitted_once(self, monkeypatch):
+        # the multichannel benchmark's first sift (10 dB, M=64, base seed 0)
+        class FirstSift(Exception):
+            pass
+
+        def capture(*args):
+            raise FirstSift(*args)
+
+        monkeypatch.setattr(multivariate, "_directional_envelope_stats", capture)
+        with pytest.raises(FirstSift) as sift:
+            memd_decompose(noisy_mv_signal(gen_mv_test()[0], 10.0, 0), MemdConfig(M=64))
+        monkeypatch.undo()
+        data, directions, depth = sift.value.args
+        fitted, spline = [], multivariate.natural_spline
+
+        def counted(xs, ys, q, starts):
+            fitted.append(len(starts))
+            return spline(xs, ys, q, starts)
+
+        monkeypatch.setattr(multivariate, "natural_spline", counted)
+        used = _directional_envelope_stats(data, directions, depth)[2]
+        # the per-direction loop: each usable direction's maxima and minima
+        projections = data @ directions.T
+        blocks = set()
+        for d in range(len(directions)):
+            max_idx, min_idx = find_extrema_arrays(projections[:, d])
+            if max_idx.size >= 2 and min_idx.size >= 2:
+                blocks.update([max_idx.tobytes(), min_idx.tobytes()])
+        assert fitted == [len(blocks)]
+        assert len(blocks) < 2 * used
+
     def test_working_set(self):
         # one stats call as the multichannel benchmark makes it (10 dB, M=64):
         # every envelope stacked at once peaked at 8.55 MiB
-        data = noisy_channels(2, 10.0)
-        directions = hypersphere_directions(64, 2)
-        _directional_envelope_stats(data, directions, 2)  # the first spline loads LAPACK
-        tracemalloc.start()
-        try:
-            _directional_envelope_stats(data, directions, 2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * 2**20
+        assert stats_peak(2) < 6 * 2**20
+
+    def test_working_set_three_channels(self):
+        # where few directions repeat another, a table of every distinct
+        # block's values peaked at 8.21 MiB
+        assert stats_peak(3) < 6 * 2**20
 
 
 class TestMvmd:
