@@ -158,8 +158,8 @@ def hypersphere_directions(M: int, n_channels: int, seed: int = 0) -> np.ndarray
 # projection-based multivariate sifting
 # ---------------------------------------------------------------------------
 
-_GROUP = 32  # directions evaluated at a time, and the most whose rows are kept for a later
-# group: together they bound the envelopes held at once, whatever the number of directions
+_GROUP = 64  # directions evaluated at a time: every direction set the recipes use is one group,
+# and the rows of one group, freed before the next, bound the envelopes held at once
 
 
 def _directional_envelope_stats(
@@ -177,12 +177,10 @@ def _directional_envelope_stats(
     and minima.  A repeat's envelope-sum and amplitude rows are bitwise
     the earlier direction's, since ``u + l == l + u`` and
     ``|l - u| == |u - l|``.  The directions are taken ``_GROUP`` at a
-    time: a group evaluates the rows it reads that no earlier group kept,
-    and keeps for later groups at most ``_GROUP`` rows, those whose last
-    reader comes soonest.  A repeat takes its rows from those, or, when
-    they were not kept, has them evaluated again from the same blocks,
-    with the same bits.  Every direction's rows are summed in direction
-    order.
+    time: a group evaluates each distinct row it reads once, and its
+    directions' rows are summed in direction order onto the total so far.
+    No row outlives its group, so a repeat of a direction in an earlier
+    group is evaluated again from the same blocks, with the same bits.
     """
     n, n_ch = data.shape
     (max_idx, max_dir), (min_idx, min_dir) = find_extrema_arrays(data @ directions.T)
@@ -204,32 +202,16 @@ def _directional_envelope_stats(
     block = np.cumsum(fresh)[first] - 1  # each block's number in the fit
     upper, lower = block[:used], block[used:]
     source = _first_seen(zip(np.minimum(upper, lower).tolist(), np.maximum(upper, lower).tolist()))
-    last = np.zeros(used, dtype=np.intp)  # the last direction that reads each direction's rows
-    np.maximum.at(last, source, np.arange(used))
-    sums = (None, None)  # envelope sum (n, c) and amplitude (n,)
-    held, pools = np.zeros(0, dtype=np.intp), ()  # directions whose rows are kept for a later group, and those rows
-    where = np.empty(used, dtype=np.intp)  # a direction's place in a group's rows
+    sums = ()  # envelope sum (n, c) and amplitude (n,)
     for lo in range(0, used, _GROUP):
-        hi = min(lo + _GROUP, used)
-        reads = source[lo:hi]
-        d = np.array(sorted(set(reads.tolist()).difference(held.tolist())), dtype=np.intp)  # rows to evaluate
-        # with nothing kept or nothing to evaluate, no copy and no empty evaluation:
-        # always concatenating made the stats calls of the captured 2- and 3-channel sifts 3-9 % slower
-        if not held.size:
-            rows = _rows(pieces, upper[d], lower[d])
-        elif d.size:  # the kept rows, then the group's
-            rows = [np.concatenate(pair) for pair in zip(pools, _rows(pieces, upper[d], lower[d]))]
-        else:
-            rows = pools
-        d = np.concatenate([held, d])
-        if np.array_equal(d, np.arange(lo, hi)):  # no repeat and nothing kept: the group's rows in order
-            sums = [_fold(total, part) for total, part in zip(sums, rows)]
-        else:
-            where[d] = np.arange(d.size)
-            sums = [_fold(total, part.take(where[reads], axis=0)) for total, part in zip(sums, rows)]
-        keep = np.flatnonzero(last[d] >= hi)  # rows a later group reads: at most _GROUP, those last read soonest
-        keep = keep[np.argsort(last[d[keep]], kind="stable")[:_GROUP]]
-        held, pools = d[keep], [part[keep] for part in rows]
+        reads = source[lo:lo + _GROUP]
+        d, at = np.unique(reads, return_inverse=True)  # the group's distinct rows, and where each direction's is
+        rows = _rows(pieces, upper[d], lower[d])
+        if not np.array_equal(d, reads):  # a repeat, or rows read out of order: gathered in direction order
+            rows = [part.take(at, axis=0) for part in rows]
+        for part, total in zip(rows, sums):
+            part[0] += total  # the total first: x + y == y + x, bitwise
+        sums = [np.add.reduce(part) for part in rows]
     env_sum, amp_sum = sums
     return env_sum / (2.0 * used), amp_sum / (2.0 * used), used
 
@@ -249,12 +231,6 @@ def _rows(pieces, upper: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.
     u -= l  # squared and summed over channels in place: np.linalg.norm's own steps, so its bits
     u *= u
     return env, np.sqrt(np.add.reduce(u, axis=2))
-
-
-def _fold(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
-    """``total`` (``None``: nothing yet) plus each of ``rows`` in turn,
-    as one reduce with the total as its first row."""
-    return np.add.reduce(rows if total is None else np.concatenate([total[None], rows]))
 
 
 def _mirrored_knots(

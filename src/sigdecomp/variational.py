@@ -416,7 +416,7 @@ def vncmd_decompose(
     with np.errstate(over="ignore"):  # a cost past float64's range reads inf
         trace = np.ldexp(trace, 2 * exp)
     report = ConvergenceReport(
-        final_update_norm=update_norm if np.isfinite(update_norm) else 0.0,
+        final_update_norm=update_norm,
         converged=update_norm < cfg.tol,
         objective_trace=tuple(trace.tolist()),
     )

@@ -301,7 +301,7 @@ class TestEnvelopeStats:
     @pytest.mark.parametrize("exp", [0, 996])
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("n_channels", [2, 3, 4])
-    @pytest.mark.parametrize("M", [2, 8, 31, 32, 33, 64, 100])
+    @pytest.mark.parametrize("M", [2, 8, 31, 32, 33, 63, 64, 65, 100, 128, 129])
     def test_groups_bit_identical_to_one_stack(self, M, n_channels, depth, exp):
         # groups of directions summed in turn against one stack summed at
         # once; at 2**996 the envelopes' norms overflow to inf, since MEMD
@@ -317,16 +317,16 @@ class TestEnvelopeStats:
             assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("exp", [0, 996])
-    @pytest.mark.parametrize("rows", [20, 32, 40, 160])
+    @pytest.mark.parametrize("rows", [20, 32, 40, 128, 160])
     @pytest.mark.parametrize("n_channels", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["antipodes", "twins"])
     def test_repeated_directions_bit_identical_to_one_stack(self, kind, n_channels, rows, exp):
         # sets that repeat by construction: each direction's antipode, whose
         # maxima are its minima, or each direction twice; the repeats take
-        # their rows from the first direction, within a group and across one;
-        # 160 antipodes read more rows from earlier groups than one group
-        # keeps: on 3 and 4 channels, the rows of directions 32-63 are
-        # evaluated again for their antipodes 112-143
+        # their rows from the first direction within a group, and have them
+        # evaluated again across one; on 3 and 4 channels, at 128 antipodes
+        # every repeat sits exactly one group after its first direction, and
+        # at 160 every repeat crosses a group, whose rows then read out of order
         data = np.ldexp(noisy_channels(n_channels, 10.0), exp)
         base = hypersphere_directions(rows // 2, n_channels)
         directions = np.vstack([base, -base]) if kind == "antipodes" else np.repeat(base, 2, axis=0)

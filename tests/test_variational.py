@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -326,6 +328,19 @@ class TestVncmd:
         assert diverged == want_diverged == (case == "diverging_s1")
         assert len(got) == len(want)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_non_finite_update_norm_reported_as_it_is(self, monkeypatch):
+        x, _ = bench.generate_signal("s2")
+        cfg = dataclasses.replace(bench.default_config("vncmd", "s2"), max_iters=5)
+        want_diverged, want = vncmd_outputs(x, cfg)
+        monkeypatch.setattr(variational, "_update_norm", lambda *args: np.inf)
+        _, report = vncmd_decompose(x, cfg)
+        assert report.final_update_norm == np.inf
+        assert report.converged is False
+        diverged, got = vncmd_outputs(x, cfg)
+        assert diverged is want_diverged is False
+        assert len(got) == len(want)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
     def test_singular_envelope_system_is_numerical_failure(self):
         n = 16
