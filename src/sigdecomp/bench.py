@@ -183,11 +183,19 @@ class NoiseSuiteSpec:
 @dataclass(frozen=True)
 class SuiteResult:
     spec: NoiseSuiteSpec
-    mean_total_db: dict[float, float | None]  # None where every realization failed
-    std_total_db: dict[float, float]
     raw_totals_db: dict[float, tuple[float, ...]]
     failures: dict[float, int]
     elapsed_s: dict[float, tuple[float, ...]]
+
+    @property
+    def mean_total_db(self) -> dict[float, float | None]:
+        """Mean total per SNR; None where every realization failed."""
+        return {snr: float(np.mean(t)) if t else None for snr, t in self.raw_totals_db.items()}
+
+    @property
+    def std_total_db(self) -> dict[float, float]:
+        """Sample standard deviation per SNR; 0 below two successes."""
+        return {snr: float(np.std(t, ddof=1)) if len(t) > 1 else 0.0 for snr, t in self.raw_totals_db.items()}
 
     def to_rows(self) -> list[dict[str, float]]:
         return [
@@ -212,8 +220,6 @@ def run_noise_suite(spec: NoiseSuiteSpec) -> SuiteResult:
     """
     x, refs = generate_signal(spec.signal)
     cfg = effective_config(spec.method, spec.signal, noisy=True)
-    means: dict[float, float | None] = {}
-    stds: dict[float, float] = {}
     raws: dict[float, tuple[float, ...]] = {}
     fails: dict[float, int] = {}
     timing: dict[float, tuple[float, ...]] = {}
@@ -232,19 +238,10 @@ def run_noise_suite(spec: NoiseSuiteSpec) -> SuiteResult:
                 continue
             elapsed.append(time.perf_counter() - tic)
             totals.append(match_or_empty(list(d.modes), refs).total_qrf_db)
-        means[snr] = float(np.mean(totals)) if totals else None
-        stds[snr] = float(np.std(totals, ddof=1)) if len(totals) > 1 else 0.0
         raws[snr] = tuple(totals)
         fails[snr] = n_failed
         timing[snr] = tuple(elapsed)
-    return SuiteResult(
-        spec=spec,
-        mean_total_db=means,
-        std_total_db=stds,
-        raw_totals_db=raws,
-        failures=fails,
-        elapsed_s=timing,
-    )
+    return SuiteResult(spec=spec, raw_totals_db=raws, failures=fails, elapsed_s=timing)
 
 
 def run_param_sweep(

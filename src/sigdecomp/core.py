@@ -263,8 +263,11 @@ def _scaled_back(values, exp: int) -> np.ndarray:
 
 
 def l2_norm(s: Signal) -> float:
-    """Square root of the sum of squared samples."""
-    return float(np.sqrt(np.sum(s.samples * s.samples)))
+    """Square root of the sum of squared samples, summed at unit peak so
+    that no square overflows (a norm past float64's range is inf)."""
+    samples, exp = _unit_scaled(s.samples)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.sqrt(np.sum(samples * samples)), exp))
 
 
 def add(a: Signal, b: Signal) -> Signal:

@@ -138,17 +138,12 @@ def mirrored_extrema_knots(
     return (*knots(maxima, lmax, rmax), *knots(minima, lmin, rmin))
 
 
-def _envelopes(samples: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean envelope and envelope half-range of a raw sample array.
-
-    Raises :class:`NotEnoughExtrema` when fewer than two maxima or two
-    minima exist, which signals that the residual has been reached, and
-    :class:`NumericalFailure` when an envelope or their mean overflows.
-    """
-    max_idx, min_idx = find_extrema_arrays(samples)
-    if max_idx.size < 2 or min_idx.size < 2:
-        raise NotEnoughExtrema(f"found {max_idx.size} maxima / {min_idx.size} minima")
-
+def _envelopes(
+    samples: np.ndarray, max_idx: np.ndarray, min_idx: np.ndarray, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean envelope and envelope half-range of a raw sample array, from its
+    maxima and minima (two or more of each).  Raises :class:`NumericalFailure`
+    when an envelope or their mean overflows."""
     t_max, v_max, t_min, v_min = mirrored_extrema_knots(samples, max_idx, min_idx, depth)
     query = np.arange(samples.size, dtype=np.float64)
     upper, lower = natural_spline(  # two blocks: the upper and the lower envelope
@@ -161,30 +156,31 @@ def _envelopes(samples: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def envelope_mean(x: Signal, boundary: int = 2) -> Signal:
-    """Mean of the upper and lower natural-spline extrema envelopes."""
-    mean, _ = _envelopes(x.samples, boundary)
+    """Mean of the upper and lower natural-spline extrema envelopes.  Raises
+    :class:`NotEnoughExtrema` when fewer than two maxima or two minima exist."""
+    max_idx, min_idx = find_extrema_arrays(x.samples)
+    if max_idx.size < 2 or min_idx.size < 2:
+        raise NotEnoughExtrema(f"found {max_idx.size} maxima / {min_idx.size} minima")
+    mean, _ = _envelopes(x.samples, max_idx, min_idx, boundary)
     return Signal(mean, x.sample_rate_hz)
 
 
-def _sift(residue: np.ndarray, cfg: EmdConfig) -> np.ndarray:
-    """One mode's sift.  Raises :class:`NotEnoughExtrema` when no valid
-    intrinsic mode can be produced (the caller keeps the remainder as
-    residual)."""
+def _sift(residue: np.ndarray, cfg: EmdConfig) -> np.ndarray | None:
+    """One mode's sift, one extrema search per iteration.  Returns the
+    mode, or None when no valid intrinsic mode can be produced (the
+    caller keeps the remainder as residual)."""
     h = residue.copy()
     for iteration in range(cfg.max_sift_iters):
-        try:
-            mean, half_range = _envelopes(h, cfg.boundary)
-        except NotEnoughExtrema:
-            if iteration == 0 or not imf_property_holds(h):
-                raise
-            return h  # oscillation exhausted mid-sift; candidate still valid
+        max_idx, min_idx = find_extrema_arrays(h)
+        n_extrema = max_idx.size + min_idx.size
+        if max_idx.size < 2 or min_idx.size < 2:  # oscillation exhausted; a sifted candidate may still be valid
+            return h if iteration > 0 and _balanced(h, n_extrema) else None
+        mean, half_range = _envelopes(h, max_idx, min_idx, cfg.boundary)
         # the defining extrema/zero-crossing balance must hold as well
-        if cfg.sift_converged(np.abs(mean), np.abs(half_range)) and imf_property_holds(h):
+        if cfg.sift_converged(np.abs(mean), np.abs(half_range)) and _balanced(h, n_extrema):
             return h
         h -= mean
-    if not imf_property_holds(h):
-        raise NotEnoughExtrema("sift cap reached without a valid intrinsic mode")
-    return h
+    return h if imf_property_holds(h) else None  # sift cap reached
 
 
 def emd_decompose(x: Signal, cfg: EmdConfig = EmdConfig()) -> Decomposition:
@@ -197,14 +193,10 @@ def emd_decompose(x: Signal, cfg: EmdConfig = EmdConfig()) -> Decomposition:
     samples, exp = _unit_scaled(x.samples)
     residue = samples
     modes: list[np.ndarray] = []
-    for _ in range(cfg.max_imfs):
-        try:
-            imf = _sift(residue, cfg)
-        except NotEnoughExtrema:
-            break
+    while len(modes) < cfg.max_imfs and (imf := _sift(residue, cfg)) is not None:
         modes.append(imf)
         residue = residue - imf
-        if np.max(np.abs(residue)) < 1e-12 * max(np.max(np.abs(samples)), _EPS):
+        if np.max(np.abs(residue)) < 1e-12 * np.max(np.abs(samples)):  # a mode was found, so the peak is in [0.5, 1)
             break
     fs = x.sample_rate_hz
     return Decomposition(tuple(Signal(_scaled_back(m, exp), fs) for m in modes), Signal(_scaled_back(residue, exp), fs))
@@ -214,9 +206,12 @@ def count_zero_crossings(samples: np.ndarray) -> int:
     """Sign changes in a sample array, ignoring exact zeros."""
     signs = np.sign(samples)
     signs = signs[signs != 0]
-    if signs.size < 2:
-        return 0
     return int(np.sum(signs[:-1] != signs[1:]))
+
+
+def _balanced(samples: np.ndarray, n_extrema: int) -> bool:
+    """The intrinsic mode property |#extrema - #zero crossings| <= 1."""
+    return abs(n_extrema - count_zero_crossings(samples)) <= 1
 
 
 def imf_property_holds(mode: Signal | np.ndarray) -> bool:
@@ -224,5 +219,4 @@ def imf_property_holds(mode: Signal | np.ndarray) -> bool:
     its raw samples)."""
     samples = mode.samples if isinstance(mode, Signal) else mode
     max_idx, min_idx = find_extrema_arrays(samples)
-    n_ext = max_idx.size + min_idx.size
-    return abs(n_ext - count_zero_crossings(samples)) <= 1
+    return _balanced(samples, max_idx.size + min_idx.size)

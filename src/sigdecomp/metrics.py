@@ -20,22 +20,23 @@ QRF_SATURATION_DB = 300.0
 
 def _qrf_table(est: list[Signal], refs: list[Signal]) -> np.ndarray:
     """QRF in dB of every mode in ``est`` against every reference, as an
-    ``(E, R)`` table.
+    ``(E, R)`` table, scored at the unit peak of the whole table (one power
+    of two, as in ``core._unit_scaled``), so no difference or square
+    overflows and exact ``2**k``-scaled inputs give the same bits.
 
-    Saturates at +300 dB; raises if the series differ in length or rate,
-    if a reference is identically zero (the norm ratio is undefined
-    there) or if a difference ``ref - est`` is not finite.
+    Saturates at +300 dB; raises if the series differ in length or rate, or
+    if a reference's norm is zero at that scale (the ratio is undefined).
     """
     for s in (*est, *refs):
         _check_compatible(refs[0], s)
+    peak = max(max(s.samples.max(), -s.samples.min()) for s in (*est, *refs))  # with no |x| copy
+    exp = int(np.frexp(peak)[1])  # the exponent of core._unit_scaled
     r = np.array([s.samples for s in refs])
+    np.ldexp(r, -exp, out=r)
     err_norm = np.empty((len(est), len(refs)))
     err = np.empty_like(r)  # one (R, n) buffer for every mode, so memory does not grow with E
     for i, mode in enumerate(est):
-        with np.errstate(over="ignore"):  # an overflowing difference is rejected just below
-            np.subtract(r, mode.samples, out=err)
-        if not np.all(np.isfinite(err)):
-            raise ContractViolation("reference minus estimate must be finite")
+        np.subtract(r, np.ldexp(mode.samples, -exp, out=err), out=err)
         np.multiply(err, err, out=err)
         err_norm[i] = np.sqrt(np.sum(err, axis=-1))
     ref_norm = np.sqrt(np.sum(r * r, axis=-1))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .core import ContractViolation, MultichannelSignal, Signal, _check_fields, _is_finite_number
+from .core import ContractViolation, MultichannelSignal, Signal, _check_fields, _is_finite_number, _unit_scaled
 
 S1_SAMPLE_RATE_HZ = 256.0
 S1_DURATION_S = 10.0
@@ -210,12 +210,16 @@ def add_wgn(x: Signal, snr_db: float, seed: int) -> Signal:
     quoted SNR is a property of the realization, not just its
     expectation.  Deterministic for a given seed.
     """
-    if not np.isfinite(snr_db):
-        raise ContractViolation("snr_db must be finite")
-    signal_power = float(np.sum(x.samples**2))
+    try:
+        ratio = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        ratio = np.inf
+    if not 0.0 < ratio < np.inf:
+        raise ContractViolation(f"snr_db must make 10**(snr_db/10) a positive finite number, not {snr_db}")
+    samples, exp = _unit_scaled(x.samples)  # both powers at unit peak: 2**k * x gets 2**k times the noise
+    signal_power = float(np.sum(samples**2))
     if signal_power == 0.0:
         raise ContractViolation("SNR is undefined for an all-zero signal")
     noise = _rng.normals(len(x), seed)
-    target_power = signal_power / 10.0 ** (snr_db / 10.0)
-    noise *= np.sqrt(target_power / np.sum(noise**2))
-    return Signal(x.samples + noise, x.sample_rate_hz)
+    noise *= np.sqrt(signal_power / ratio / np.sum(noise**2))
+    return Signal(x.samples + np.ldexp(noise, exp), x.sample_rate_hz)

@@ -208,6 +208,14 @@ class TestNoiseSuite:
         assert [r["snr_db"] for r in rows] == [24.0, 12.0]
         assert all(r["std_db"] >= 0 for r in rows)
 
+    def test_mean_and_std_derived_from_raw_totals(self):
+        spec = NoiseSuiteSpec(method="vmd", signal="s2", snr_grid_db=(3.0, 12.0, 24.0), n_realizations=3)
+        raws = {3.0: (1.5, 2.25, 4.0), 12.0: (), 24.0: (5.0,)}
+        result = bench.SuiteResult(spec, raws, {3.0: 0, 12.0: 3, 24.0: 2}, {3.0: (), 12.0: (), 24.0: ()})
+        assert result.mean_total_db == {3.0: float(np.mean(raws[3.0])), 12.0: None, 24.0: 5.0}
+        assert result.std_total_db == {3.0: float(np.std(raws[3.0], ddof=1)), 12.0: 0.0, 24.0: 0.0}
+        assert [r["mean_db"] for r in result.to_rows()] == [result.mean_total_db[s] for s in spec.snr_grid_db]
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             NoiseSuiteSpec(method="vmd", signal="s1", n_realizations=1)

@@ -130,6 +130,26 @@ class TestDecompose:
         d = emd_decompose(mix)
         assert d.reconstruction_error(mix) < 1e-9 * l2_norm(mix)
 
+    def test_one_extrema_search_per_sift_iteration(self, monkeypatch):
+        # every sift iteration that fits its envelopes searches once, and the
+        # last sift, which finds too few extrema, searches once and fits nothing
+        from sigdecomp import emd
+        from sigdecomp.synth import gen_s1
+
+        calls = {"find_extrema_arrays": 0, "natural_spline": 0}
+        for name in calls:
+            inner = getattr(emd, name)
+
+            def counted(*args, _name=name, _inner=inner):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(emd, name, counted)
+        d = emd_decompose(gen_s1()[0])
+        assert 0 < d.n_modes < EmdConfig().max_imfs
+        assert calls["natural_spline"] > d.n_modes
+        assert calls["find_extrema_arrays"] == calls["natural_spline"] + 1
+
     def test_s1_mode_mixing_underperforms_variational(self):
         # the gapped narrow-band mixture defeats sifting; the variational
         # decomposition on the same input is far ahead

@@ -732,6 +732,19 @@ class TestCliContract:
         assert f"{flags[0]} applies to" in capsys.readouterr().err
         assert not out.exists() and not out.with_suffix(".csv").exists()
 
+    @pytest.mark.parametrize("snr", ["5000", "-5000"])
+    @pytest.mark.parametrize("command", ["bench", "align"])
+    def test_snr_past_float64_exit_two(self, tmp_path, capsys, command, snr):
+        out = tmp_path / "b.json"
+        if command == "bench":
+            flags = ("--suite", "noise", "--method", "ssa", "--signal", "s2", "--n", "2", f"--snr-grid={snr}")
+        else:
+            flags = ("--method", "mvmd", f"--snr={snr}")
+        assert main(command, *flags, "--out", out) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: snr_db must make 10**(snr_db/10)")
+        assert not out.exists()
+
     def test_tf_fs_with_indir_exit_two(self, tmp_path, mv_csv, capsys):
         assert main("decompose", "--method", "mvmd", "--input", mv_csv, "--outdir", tmp_path / "d") == 0
         assert main("tf", "--indir", tmp_path / "d", "--fs", "9999", "--out", tmp_path / "g.csv") == 2

@@ -336,10 +336,32 @@ class TestWholeArrayScoring:
         with pytest.raises(ContractViolation):
             qrf(other, s)
 
-    def test_non_finite_error_rejected(self):
+    def test_overflowing_difference_scored_at_unit_peak(self):
+        # big - (-big) is past float64's range, but not at the table's unit peak
         big = Signal(np.full(8, 1.5e308), 8.0)
-        with pytest.raises(ContractViolation):
-            qrf(scale(big, -1.0), big)
+        assert qrf(scale(big, -1.0), big) == 20.0 * np.log10(0.5)
+
+    def test_power_of_two_scales_score_bit_identical(self, rng):
+        refs = [Signal(rng.normal(size=64) * 10.0 ** rng.uniform(-3, 3), 8.0) for _ in range(3)]
+        est = [Signal(r.samples + rng.normal(size=64) * 0.1, 8.0) for r in refs] + [refs[0]]
+        series = [s.samples for s in (*est, *refs)]
+        base = metrics._qrf_table(est, refs)
+        checked = 0
+        for k in range(-1000, 1001):
+            scaled = [np.ldexp(x, k) for x in series]
+            if not all(np.array_equal(np.ldexp(y, -k), x) for x, y in zip(series, scaled)):
+                continue  # a scaled sample lost bits to the subnormal range
+            sigs = [Signal(y, 8.0) for y in scaled]
+            assert np.array_equal(metrics._qrf_table(sigs[: len(est)], sigs[len(est) :]), base), k
+            checked += 1
+        assert checked > 1900
+
+    @pytest.mark.parametrize("factor", [1e-160, 1e-200, 1e160])
+    def test_decimal_scales_keep_the_score(self, factor):
+        ref = tone(5.0, 1.0, 64.0)
+        est = add(ref, scale(tone(3.0, 1.0, 64.0), 0.01))  # a 40 dB match
+        assert qrf(scale(est, factor), scale(ref, factor)) == pytest.approx(qrf(est, ref), rel=1e-12)
+        assert qrf(est, ref) == pytest.approx(40.0, abs=1e-9)
 
     def test_zero_reference_in_a_table_rejected(self):
         s = tone(5.0, 1.0, 64.0)

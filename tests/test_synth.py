@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sigdecomp.core import ContractViolation, l2_norm, subtract
+from sigdecomp.core import ContractViolation, Signal, l2_norm, subtract
 from sigdecomp.metrics import dominant_frequency_hz
 from sigdecomp.spectral import ia_if
 from sigdecomp.synth import (
@@ -127,8 +127,6 @@ class TestNoiseInjection:
             assert realized == pytest.approx(snr, abs=1e-9)
 
     def test_zero_signal_rejected(self):
-        from sigdecomp.core import Signal
-
         with pytest.raises(ContractViolation):
             add_wgn(Signal(np.zeros(16), 4.0), 10.0, 0)
 
@@ -136,6 +134,27 @@ class TestNoiseInjection:
         x, _ = gen_s2()
         with pytest.raises(ContractViolation):
             add_wgn(x, np.inf, 0)
+
+    @pytest.mark.parametrize("snr", [5000.0, -5000.0, 3085.0, -3240.0, np.nan, -np.inf])
+    def test_power_ratio_past_float64_rejected(self, snr):
+        # 10**(snr/10) overflows, or underflows to zero
+        x, _ = gen_s2()
+        with pytest.raises(ContractViolation, match="snr_db"):
+            add_wgn(x, snr, 0)
+
+    def test_power_of_two_scale_gives_scaled_noise(self):
+        x, _ = gen_s2()
+        noisy = add_wgn(x, 12.0, 4).samples
+        for k in range(-900, 1001):
+            scaled = add_wgn(Signal(np.ldexp(x.samples, k), x.sample_rate_hz), 12.0, 4)
+            assert np.array_equal(scaled.samples, np.ldexp(noisy, k)), k
+
+    def test_tiny_signal_accepted(self):
+        # its squares underflow to zero at its own scale, not at unit peak
+        x, _ = gen_s2()
+        tiny = Signal(x.samples * 1e-170, x.sample_rate_hz)
+        noise = subtract(add_wgn(tiny, 3.0, 0), tiny)
+        assert 20 * np.log10(l2_norm(tiny) / l2_norm(noise)) == pytest.approx(3.0, abs=1e-9)
 
     def test_seeds_give_different_noise(self):
         x, _ = gen_s2()
