@@ -5,9 +5,13 @@ column names, then one row per sample.  Values are written with repr
 round-trip precision (17 significant digits), so write/read cycles are
 bit-exact.  One column reads back as a single signal, several as a
 multichannel signal.  The writer refuses non-finite cells and a rate that
-is not a positive finite number, as the reader does.  The reader skips a
-UTF-8 byte-order mark and parses cells with numpy's float parser: Python's
-float syntax without ``_`` separators or non-ASCII digits.
+is not a positive finite number, as the reader does.  It formats each
+column once per block of ``_BLOCK_ROWS`` rows and writes the block at
+once, so it holds no more text than one block.  The reader takes the
+file's stripped lines in one pass and parses the data lines in one call,
+holding no more text than those lines.  It skips a UTF-8 byte-order mark
+and parses cells with numpy's float parser: Python's float syntax without
+``_`` separators or non-ASCII digits.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ import numpy as np
 from .core import ContractViolation, Decomposition, MultichannelSignal, Signal
 from .multivariate import AlignedDecomposition
 from .spectral import TFGrid
+
+
+_BLOCK_ROWS = 2**14  # rows the signal writer formats and writes at once
 
 
 class CsvFormatError(ValueError):
@@ -46,8 +53,9 @@ def write_signals_csv(
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# sample_rate=" + repr(rate) + "\n")
         fh.write(",".join(names) + "\n")
-        for row in zip(*[a.tolist() for a in arrays]):
-            fh.write(",".join(map(repr, row)) + "\n")
+        for lo in range(0, arrays[0].size, _BLOCK_ROWS):
+            cells = [map(repr, a[lo : lo + _BLOCK_ROWS].tolist()) for a in arrays]
+            fh.write("\n".join([*map(",".join, zip(*cells)), ""]))  # "" ends the last row
 
 
 def read_csv_signal(
@@ -63,55 +71,47 @@ def read_csv_signal(
     line number.
     """
     path = Path(path)
-    header_rate: float | None = None
-    names: list[str] | None = None
-    lines: list[str] = []
-    linenos: list[int] = []  # file line of each data line
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("sample_rate="):
-                    try:
-                        header_rate = float(body.split("=", 1)[1])
-                    except ValueError as exc:
-                        raise CsvFormatError(f"line {lineno}: bad sample_rate header") from exc
-                    # checked even when the caller overrides the rate: the file is malformed
-                    if not (np.isfinite(header_rate) and header_rate > 0):
-                        raise CsvFormatError(
-                            f"line {lineno}: sample_rate header must be a positive finite number"
-                        )
-                continue
-            if names is None:
-                cells = line.split(",")
-                try:
-                    [float(c) for c in cells]
-                except ValueError:
-                    names = [c.strip() for c in cells]
-                    continue
-                names = [f"col{i}" for i in range(len(cells))]
-            lines.append(line)
-            linenos.append(lineno)
-    if not lines:
+        lines = [raw.strip() for raw in fh]
+    header_rate: float | None = None
+    for lineno, line in [(i, s) for i, s in enumerate(lines, start=1) if s[:1] == "#"]:
+        body = line.lstrip("#").strip()
+        if body.startswith("sample_rate="):
+            try:
+                header_rate = float(body.split("=", 1)[1])
+            except ValueError as exc:
+                raise CsvFormatError(f"line {lineno}: bad sample_rate header") from exc
+            # checked even when the caller overrides the rate: the file is malformed
+            if not (np.isfinite(header_rate) and header_rate > 0):
+                raise CsvFormatError(f"line {lineno}: sample_rate header must be a positive finite number")
+    at = [i for i, s in enumerate(lines) if s and s[0] != "#"]  # index of each data line
+    names: list[str] = []
+    if at:
+        cells = lines[at[0]].split(",")
+        try:
+            [float(c) for c in cells]
+        except ValueError:
+            names = [c.strip() for c in cells]
+            del at[0]
+        else:
+            names = [f"col{i}" for i in range(len(cells))]
+    if not at:
         raise CsvFormatError(f"{path}: no data rows")
     try:
-        data = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        data = np.loadtxt([lines[i] for i in at], delimiter=",", comments=None, dtype=np.float64, ndmin=2)
     except ValueError:
         data = None
     if data is None or data.shape[1] != len(names):
-        for line, lineno in zip(lines, linenos):  # name the first bad line
-            if (found := line.count(",") + 1) != len(names):
-                raise CsvFormatError(f"line {lineno}: expected {len(names)} cells, found {found}")
+        for i in at:  # name the first bad line
+            if (found := lines[i].count(",") + 1) != len(names):
+                raise CsvFormatError(f"line {i + 1}: expected {len(names)} cells, found {found}")
             try:
-                np.loadtxt([line], delimiter=",", comments=None, dtype=np.float64)
+                np.loadtxt([lines[i]], delimiter=",", comments=None, dtype=np.float64)
             except ValueError as exc:
-                raise CsvFormatError(f"line {lineno}: non-numeric cell") from exc
+                raise CsvFormatError(f"line {i + 1}: non-numeric cell") from exc
     non_finite = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if non_finite.size:
-        raise CsvFormatError(f"line {linenos[non_finite[0]]}: non-finite cell")
+        raise CsvFormatError(f"line {at[non_finite[0]] + 1}: non-finite cell")
     rate = sample_rate_hz if sample_rate_hz is not None else header_rate
     if rate is None:
         raise CsvFormatError(f"{path}: no sample_rate header and none supplied")

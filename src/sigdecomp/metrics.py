@@ -18,14 +18,24 @@ from .core import ContractViolation, Signal, _check_compatible, _unit_scaled
 QRF_SATURATION_DB = 300.0
 
 
+def _unit_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's 2-norm at the row's own power-of-two unit peak, and the
+    exponent that scales it back (0 for a zero row); overwrites ``rows``."""
+    exp = np.frexp(np.maximum(rows.max(axis=-1), -rows.min(axis=-1)))[1]  # with no |x| copy
+    np.ldexp(rows, -exp[:, None], out=rows)
+    np.multiply(rows, rows, out=rows)
+    return np.sqrt(np.sum(rows, axis=-1)), exp
+
+
 def _qrf_table(est: list[Signal], refs: list[Signal]) -> np.ndarray:
     """QRF in dB of every mode in ``est`` against every reference, as an
-    ``(E, R)`` table, scored at the unit peak of the whole table (one power
-    of two, as in ``core._unit_scaled``), so no difference or square
-    overflows and exact ``2**k``-scaled inputs give the same bits.
+    ``(E, R)`` table.  Differences are formed at the unit peak of the whole
+    table (one power of two, as in ``core._unit_scaled``) and each norm at
+    its own row's unit peak, so no difference overflows, no norm underflows
+    and exact ``2**k``-scaled inputs give the same bits.
 
     Saturates at +300 dB; raises if the series differ in length or rate, or
-    if a reference's norm is zero at that scale (the ratio is undefined).
+    if a reference is zero at the table's unit peak (the ratio is undefined).
     """
     for s in (*est, *refs):
         _check_compatible(refs[0], s)
@@ -33,17 +43,19 @@ def _qrf_table(est: list[Signal], refs: list[Signal]) -> np.ndarray:
     exp = int(np.frexp(peak)[1])  # the exponent of core._unit_scaled
     r = np.array([s.samples for s in refs])
     np.ldexp(r, -exp, out=r)
-    err_norm = np.empty((len(est), len(refs)))
-    err = np.empty_like(r)  # one (R, n) buffer for every mode, so memory does not grow with E
-    for i, mode in enumerate(est):
-        np.subtract(r, np.ldexp(mode.samples, -exp, out=err), out=err)
-        np.multiply(err, err, out=err)
-        err_norm[i] = np.sqrt(np.sum(err, axis=-1))
-    ref_norm = np.sqrt(np.sum(r * r, axis=-1))
+    err = r.copy()  # one (R, n) buffer, for the references' norms and then every mode's error
+    ref_norm, ref_exp = _unit_norms(err)
     if np.any(ref_norm == 0.0):
         raise ContractViolation("QRF is undefined for a zero reference")
-    with np.errstate(divide="ignore"):  # an exact match reads +inf, then saturates
-        return np.minimum(20.0 * np.log10(ref_norm / err_norm), QRF_SATURATION_DB)
+    err_norm = np.empty((len(est), len(refs)))
+    err_exp = np.empty((len(est), len(refs)), dtype=int)
+    for i, mode in enumerate(est):
+        np.subtract(r, np.ldexp(mode.samples, -exp, out=err), out=err)
+        err_norm[i], err_exp[i] = _unit_norms(err)
+    # an exact match or a ratio past float64's range reads +inf and saturates; one below it, -inf
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = np.ldexp(ref_norm / err_norm, ref_exp - err_exp)
+        return np.minimum(20.0 * np.log10(ratio), QRF_SATURATION_DB)
 
 
 def qrf(est: Signal, ref: Signal) -> float:

@@ -221,5 +221,9 @@ def add_wgn(x: Signal, snr_db: float, seed: int) -> Signal:
     if signal_power == 0.0:
         raise ContractViolation("SNR is undefined for an all-zero signal")
     noise = _rng.normals(len(x), seed)
-    noise *= np.sqrt(signal_power / ratio / np.sum(noise**2))
-    return Signal(x.samples + np.ldexp(noise, exp), x.sample_rate_hz)
+    with np.errstate(over="ignore"):  # checked just below
+        noise *= np.sqrt(signal_power / ratio / np.sum(noise**2))
+        noisy = x.samples + np.ldexp(noise, exp)
+    if not np.isfinite(noisy).all():
+        raise ContractViolation(f"snr_db must leave the noisy signal finite at this signal's scale, not {snr_db}")
+    return Signal(noisy, x.sample_rate_hz)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,30 @@ class TestSignalCsvWriter:
         reference_signals_csv(tmp_path / "ref.csv", columns, 256.0)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    @pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 4, 7])  # 0, 1, B - 1, B, B + 1, 2B + 1 at B = 3
+    @pytest.mark.parametrize("n_cols", [1, 2, 3, 4])
+    def test_matches_reference_across_blocks(self, tmp_path, rng, monkeypatch, n_cols, n_rows):
+        monkeypatch.setattr(sdio, "_BLOCK_ROWS", 3, raising=False)
+        columns = {f"c{i}": edge_column(rng)[:n_rows] for i in range(n_cols)}
+        write_signals_csv(tmp_path / "new.csv", columns, 256.0)
+        reference_signals_csv(tmp_path / "ref.csv", columns, 256.0)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_working_set_bounded_by_a_block(self, tmp_path):
+        """Text is formatted a block of rows at a time, so the peak does not
+        grow with the file."""
+
+        def peak(n_rows):
+            columns = {f"c{i}": np.random.default_rng(i).normal(size=n_rows) for i in range(4)}
+            tracemalloc.start()
+            try:
+                write_signals_csv(tmp_path / "x.csv", columns, 256.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2**18) <= 1.25 * peak(2**15)
+
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(columns=finite_columns())
     def test_round_trip_is_bit_exact(self, columns):
@@ -218,6 +243,31 @@ class TestSignalCsvReader:
     def test_crlf_line_endings(self, tmp_path):
         x = self.read_text(tmp_path, "# sample_rate=10.0\r\na,b\r\n1.0,2.0\r\n3.0,4.0\r\n")
         assert x.sample_rate_hz == 10.0 and x.channels.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+
+    def test_lone_cr_line_endings(self, tmp_path):
+        x = self.read_text(tmp_path, "# sample_rate=10.0\ra,b\r1.0,2.0\r3.0,4.0\r")
+        assert x.sample_rate_hz == 10.0 and x.channels.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+        with pytest.raises(CsvFormatError, match="line 4: non-numeric cell"):
+            self.read_text(tmp_path, "# sample_rate=10.0\ra\r1.0\rfoo\r2.0\r")
+
+    def test_whitespace_only_lines(self, tmp_path):
+        text = "# sample_rate=10.0\n \t\na\n1.0\n\t\n2.0\n   \n3.0\n \n"
+        assert self.read_text(tmp_path, text).samples.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(CsvFormatError, match="line 6: non-numeric cell"):
+            self.read_text(tmp_path, "# sample_rate=10.0\n \t\na\n1.0\n\t\nfoo\n2.0\n")
+
+    def test_last_line_without_newline(self, tmp_path):
+        assert self.read_text(tmp_path, "# sample_rate=10.0\na\n1.0\n2.0").samples.tolist() == [1.0, 2.0]
+        with pytest.raises(CsvFormatError, match="line 4: expected 1 cells, found 2"):
+            self.read_text(tmp_path, "# sample_rate=10.0\na\n1.0\n2.0,3.0")
+
+    def test_rate_line_below_the_data(self, tmp_path):
+        x = self.read_text(tmp_path, "a\n1.0\n2.0\n# sample_rate=20.0\n3.0\n")
+        assert x.sample_rate_hz == 20.0 and x.samples.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(CsvFormatError, match="line 4: sample_rate header must be a positive finite number"):
+            self.read_text(tmp_path, "a\n1.0\n2.0\n# sample_rate=-1\n3.0\n")
+        with pytest.raises(CsvFormatError, match="line 5: bad sample_rate header"):
+            self.read_text(tmp_path, "# sample_rate=10.0\na\n1.0\n2.0\n# sample_rate=abc\n")
 
     def test_blank_and_comment_lines_mid_file(self, tmp_path):
         text = "# sample_rate=10.0\na\n1.0\n\n# note\n2.0\n   \n3.0\n"
@@ -743,6 +793,14 @@ class TestCliContract:
         assert main(command, *flags, "--out", out) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: snr_db must make 10**(snr_db/10)")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snr", ["-3070", "-3230"])
+    def test_noise_past_float64_exit_two(self, tmp_path, capsys, snr):
+        out = tmp_path / "b.json"
+        assert main("align", "--method", "mvmd", f"--snr={snr}", "--out", out) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: snr_db must leave the noisy signal finite")
         assert not out.exists()
 
     def test_tf_fs_with_indir_exit_two(self, tmp_path, mv_csv, capsys):

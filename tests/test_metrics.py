@@ -363,6 +363,12 @@ class TestWholeArrayScoring:
         assert qrf(scale(est, factor), scale(ref, factor)) == pytest.approx(qrf(est, ref), rel=1e-12)
         assert qrf(est, ref) == pytest.approx(40.0, abs=1e-9)
 
+    @pytest.mark.parametrize("factor, expected", [(1e-160, -3200.0), (1e-170, -3400.0), (1e-200, -4000.0)])
+    def test_reference_far_below_the_estimate(self, factor, expected):
+        # at the table's common scale the reference's squares underflow; at its own unit peak they do not
+        t = 2.0 * np.pi * np.arange(64) / 64
+        assert qrf(Signal(np.cos(t), 64.0), Signal(factor * np.sin(t), 64.0)) == pytest.approx(expected, abs=1e-9)
+
     def test_zero_reference_in_a_table_rejected(self):
         s = tone(5.0, 1.0, 64.0)
         with pytest.raises(ContractViolation):

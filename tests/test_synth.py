@@ -142,6 +142,18 @@ class TestNoiseInjection:
         with pytest.raises(ContractViolation, match="snr_db"):
             add_wgn(x, snr, 0)
 
+    @pytest.mark.parametrize("snr, peak_exp", [(-3070.0, 0), (-3230.0, 0), (-2000.0, 1000)])
+    def test_noise_past_float64_at_the_signal_scale_rejected(self, snr, peak_exp):
+        # the power ratio is a positive double, but the noise overflows at unit peak or at the signal's scale
+        x, _ = gen_s2()
+        with pytest.raises(ContractViolation, match="snr_db"):
+            add_wgn(Signal(np.ldexp(x.samples, peak_exp), x.sample_rate_hz), snr, 0)
+
+    def test_most_negative_finite_snr_keeps_the_noise_exact(self):
+        x, _ = gen_s2()
+        noise = subtract(add_wgn(x, -3000.0, 0), x)
+        assert 20 * np.log10(l2_norm(x) / l2_norm(noise)) == pytest.approx(-3000.0, abs=1e-9)
+
     def test_power_of_two_scale_gives_scaled_noise(self):
         x, _ = gen_s2()
         noisy = add_wgn(x, 12.0, 4).samples
