@@ -3,6 +3,7 @@ the multivariate MEMD/MVMD, plus synthetic benchmark signals, QRF
 scoring, and experiment harnesses."""
 
 from .core import (
+    AlignedDecomposition,
     ContractViolation,
     Decomposition,
     Diverged,
@@ -25,7 +26,6 @@ from .metrics import (
     qrf,
 )
 from .multivariate import (
-    AlignedDecomposition,
     MemdConfig,
     MvmdConfig,
     hypersphere_directions,

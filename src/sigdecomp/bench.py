@@ -15,16 +15,11 @@ from typing import Any
 
 import numpy as np
 
-from .core import ContractViolation, Diverged, MultichannelSignal, NumericalFailure, Signal, _check_fields
+from .core import AlignedDecomposition, ContractViolation, Diverged, MultichannelSignal, NumericalFailure, Signal
+from .core import _check_fields
 from .emd import EmdConfig, emd_decompose
 from .metrics import AlignmentScore, QrfReport, alignment_score, match_components
-from .multivariate import (
-    AlignedDecomposition,
-    MemdConfig,
-    MvmdConfig,
-    memd_decompose,
-    mvmd_decompose,
-)
+from .multivariate import MemdConfig, MvmdConfig, memd_decompose, mvmd_decompose
 from .spectral import TFGrid, hilbert_spectrum
 from .ssa import SsaConfig, ssa_decompose
 from .sst import SstConfig, sst_decompose
@@ -281,15 +276,8 @@ def vmd_channelwise(mv: MultichannelSignal, K: int) -> AlignedDecomposition:
     """Independent per-channel variational decomposition, index-aligned
     only by each channel's own ascending center frequencies."""
     cfg = VmdConfig(K=K, alpha=500.0, tau=0.0)
-    per = []
-    residuals = []
-    for c in range(mv.n_channels):
-        d = decompose("vmd", mv.channel(c), cfg)
-        per.append(tuple(d.modes))
-        residuals.append(d.residual)
-    return AlignedDecomposition(
-        channel_modes=tuple(per), residuals=tuple(residuals), sample_rate_hz=mv.sample_rate_hz
-    )
+    per = [decompose("vmd", mv.channel(c), cfg) for c in range(mv.n_channels)]
+    return AlignedDecomposition(tuple(d.modes for d in per), tuple(d.residual for d in per), mv.sample_rate_hz)
 
 
 def run_alignment_suite(method: str, snr_db: float, base_seed: int = 0) -> AlignmentScore:

@@ -20,9 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, io as sdio
-from .core import ContractViolation, Decomposition, Diverged, MultichannelSignal, NumericalFailure, Signal
-from .core import _is_finite_number
-from .multivariate import AlignedDecomposition
+from .core import AlignedDecomposition, ContractViolation, Decomposition, Diverged, MultichannelSignal, NumericalFailure
+from .core import Signal, _is_finite_number
 from .multivariate import memd_decompose, mvmd_decompose  # noqa: F401 -- perfbench's ENTRY_SITES probe them here
 from .spectral import hilbert_spectrum
 from .synth import DEFAULT_GAP, GapSpec, S2Config, gen_mv_test, gen_s1, gen_s2

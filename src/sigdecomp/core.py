@@ -1,10 +1,11 @@
 """Core data types and elementary signal arithmetic.
 
 Every algorithm in the package operates on :class:`Signal` (a uniformly
-sampled real series plus its sample rate) and produces a
-:class:`Decomposition` (ordered modes plus residual).  Values are
-immutable after construction and all operations are pure functions, so
-everything here is safe to use concurrently.
+sampled real series plus its sample rate) or :class:`MultichannelSignal`
+and produces a :class:`Decomposition` (ordered modes plus residual) or an
+:class:`AlignedDecomposition` (modes aligned by index across channels).
+Values are immutable after construction and all operations are pure
+functions, so everything here is safe to use concurrently.
 
 Samples are kept in float64 throughout: reconstruction-quality figures
 are logs of norm ratios and shed precision fast in float32.
@@ -78,6 +79,19 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _set_samples(obj, name: str, samples: np.ndarray, kind: str) -> None:
+    """Check that ``samples`` are finite and the rate of the signal ``obj`` a positive
+    finite number, then freeze them into its field ``name`` and its ``sample_rate_hz``
+    into a float; ``kind`` names the samples in the error."""
+    if not np.all(np.isfinite(samples)):
+        raise ContractViolation(f"{kind} samples must be finite")
+    rate = float(obj.sample_rate_hz)
+    if not np.isfinite(rate) or rate <= 0:
+        raise ContractViolation("sample_rate_hz must be a positive finite number")
+    object.__setattr__(obj, name, _freeze(samples))
+    object.__setattr__(obj, "sample_rate_hz", rate)
+
+
 def rates_equal(a: float, b: float) -> bool:
     return abs(a - b) <= RATE_RTOL * max(abs(a), abs(b))
 
@@ -96,13 +110,7 @@ class Signal:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size < 2:
             raise ContractViolation("signal needs a 1-D sample array of length >= 2")
-        if not np.all(np.isfinite(samples)):
-            raise ContractViolation("signal samples must be finite")
-        rate = float(self.sample_rate_hz)
-        if not np.isfinite(rate) or rate <= 0:
-            raise ContractViolation("sample_rate_hz must be a positive finite number")
-        object.__setattr__(self, "samples", _freeze(samples))
-        object.__setattr__(self, "sample_rate_hz", rate)
+        _set_samples(self, "samples", samples, "signal")
 
     def __len__(self) -> int:
         return self.samples.size
@@ -127,13 +135,7 @@ class MultichannelSignal:
         chans = np.atleast_2d(np.asarray(self.channels, dtype=np.float64))
         if chans.ndim != 2 or chans.shape[0] < 1 or chans.shape[1] < 2:
             raise ContractViolation("need >= 1 channel of >= 2 samples each")
-        if not np.all(np.isfinite(chans)):
-            raise ContractViolation("channel samples must be finite")
-        rate = float(self.sample_rate_hz)
-        if not np.isfinite(rate) or rate <= 0:
-            raise ContractViolation("sample_rate_hz must be a positive finite number")
-        object.__setattr__(self, "channels", _freeze(chans))
-        object.__setattr__(self, "sample_rate_hz", rate)
+        _set_samples(self, "channels", chans, "channel")
 
     @property
     def n_channels(self) -> int:
@@ -189,15 +191,67 @@ class Decomposition:
         return len(self.modes)
 
     def reconstruction_error(self, original: Signal) -> float:
-        """l2 norm of (original - sum of modes - residual), summed at unit
-        peak so that no partial difference overflows."""
+        """l2 norm of (original - sum of modes - residual); see :func:`_difference_norm`."""
         if len(original) != len(self.residual) or not rates_equal(
             original.sample_rate_hz, self.residual.sample_rate_hz
         ):
             raise ContractViolation("original does not match decomposition geometry")
-        parts, exp = _unit_scaled(np.stack([original.samples, self.residual.samples, *(m.samples for m in self.modes)]))
-        with np.errstate(over="ignore"):  # an error past float64's range is inf
-            return float(np.ldexp(_scaled_norm(reduce(np.subtract, parts)), exp))
+        return _difference_norm([original.samples, self.residual.samples, *(m.samples for m in self.modes)])
+
+
+@dataclass(frozen=True)
+class AlignedDecomposition:
+    """Index-aligned per-channel modes: mode k of channel c corresponds to
+    mode k of every other channel.  ``center_freqs_hz`` is present for the
+    variational method, where one frequency per mode is shared by
+    construction."""
+
+    channel_modes: tuple[tuple[Signal, ...], ...]  # [channel][mode]
+    residuals: tuple[Signal, ...]
+    sample_rate_hz: float
+    center_freqs_hz: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        counts = {len(modes) for modes in self.channel_modes}
+        if len(counts) > 1 or len(self.residuals) != len(self.channel_modes):
+            raise ContractViolation("every channel needs the same mode count and one residual")
+        if not self.residuals or len({len(r) for r in self.residuals}) > 1 or not all(
+            rates_equal(r.sample_rate_hz, self.sample_rate_hz) for r in self.residuals
+        ):
+            raise ContractViolation("need at least one channel, all of one length and at the decomposition's rate")
+        if self.center_freqs_hz is not None:
+            object.__setattr__(self, "center_freqs_hz", tuple(float(f) for f in self.center_freqs_hz))
+        for c in range(self.n_channels):
+            self.channel(c)  # the modes share their residual's length and rate, one center per mode
+
+    @classmethod
+    def of(cls, modes, residuals, fs: float, centers=None) -> AlignedDecomposition:
+        """The decomposition at rate ``fs`` whose mode k of channel c has the
+        samples ``modes[k][c]`` and whose residual of channel c has ``residuals[c]``."""
+        channel_modes = tuple(tuple(Signal(m[c], fs) for m in modes) for c in range(len(residuals)))
+        return cls(channel_modes, tuple(Signal(r, fs) for r in residuals), fs, centers)
+
+    @property
+    def n_channels(self) -> int:
+        return len(self.channel_modes)
+
+    @property
+    def n_modes(self) -> int:
+        return len(self.channel_modes[0])
+
+    def channel(self, c: int) -> Decomposition:
+        """The modes and residual of channel ``c`` as a one-channel decomposition."""
+        return Decomposition(self.channel_modes[c], self.residuals[c], self.center_freqs_hz)
+
+    def reconstruction_error(self, original: MultichannelSignal) -> float:
+        """l2 norm of (original - sum of modes - residual) over all channels;
+        see :func:`_difference_norm`."""
+        if original.channels.shape != (self.n_channels, len(self.residuals[0])) or not rates_equal(
+            original.sample_rate_hz, self.sample_rate_hz
+        ):
+            raise ContractViolation("original does not match decomposition geometry")
+        modes = ([m.samples for m in ms] for ms in zip(*self.channel_modes))  # [mode][channel]
+        return _difference_norm([original.channels, [r.samples for r in self.residuals], *modes])
 
 
 @dataclass(frozen=True)
@@ -234,14 +288,6 @@ def _check_compatible(a: Signal, b: Signal) -> None:
         )
 
 
-def _scaled_norm(values) -> float:
-    """l2 norm of ``values``, summed over ``values / max|values|`` so that no square overflows."""
-    scale = float(np.max(np.abs(values), initial=0.0))
-    if not 0.0 < scale < np.inf:
-        return scale  # all zero, or not finite
-    return scale * float(np.sqrt(np.sum(np.square(np.asarray(values) / scale))))
-
-
 def _unit_scaled(samples: np.ndarray) -> tuple[np.ndarray, int]:
     """``samples`` times the power of two that brings their peak magnitude
     into [0.5, 1), and the exponent that scales them back (0 for all zeros).
@@ -262,12 +308,34 @@ def _scaled_back(values, exp: int) -> np.ndarray:
     return out
 
 
+def _unit_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's 2-norm at the row's own power-of-two unit peak, and the
+    exponent that scales it back (0 for a zero row); overwrites ``rows``.
+    The package's one l2 norm: no square overflows, no norm underflows."""
+    exp = np.frexp(np.maximum(rows.max(axis=-1), -rows.min(axis=-1)))[1]  # with no |x| copy
+    np.ldexp(rows, -exp[:, None], out=rows)
+    np.multiply(rows, rows, out=rows)
+    return np.sqrt(np.sum(rows, axis=-1)), exp
+
+
+def _difference_norm(parts: list) -> float:
+    """l2 norm, over every channel, of ``parts[0]`` minus every later part,
+    each part one series or one row per channel.  The differences are
+    formed at the unit peak of all the parts, so none overflows; each
+    channel's norm is taken at its own unit peak (:func:`_unit_norms`), and
+    the norm of those norms at theirs.  A norm past float64's range is inf."""
+    scaled, exp = _unit_scaled(np.array(parts, dtype=np.float64))
+    norm, own = _unit_norms(np.atleast_2d(reduce(np.subtract, scaled)))
+    top = own.max()  # one norm is its own norm: sqrt(x * x) == x for a double x at unit peak
+    norm, own = _unit_norms(np.ldexp(norm, own - top)[None])
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(norm[0], own[0] + top + exp))
+
+
 def l2_norm(s: Signal) -> float:
     """Square root of the sum of squared samples, summed at unit peak so
     that no square overflows (a norm past float64's range is inf)."""
-    samples, exp = _unit_scaled(s.samples)
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(np.sqrt(np.sum(samples * samples)), exp))
+    return _difference_norm([s.samples])
 
 
 def add(a: Signal, b: Signal) -> Signal:

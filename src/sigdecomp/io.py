@@ -23,8 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ContractViolation, Decomposition, MultichannelSignal, Signal
-from .multivariate import AlignedDecomposition
+from .core import AlignedDecomposition, ContractViolation, Decomposition, MultichannelSignal, Signal, rates_equal
 from .spectral import TFGrid
 
 
@@ -204,9 +203,9 @@ def read_decomposition(outdir: str | Path) -> tuple[Decomposition | AlignedDecom
         raise CsvFormatError(f"{path}: not a bundle manifest ({exc!r})") from exc
     residual = read_csv_signal(outdir / residual_file)
     modes = [read_csv_signal(outdir / str(name)) for name in mode_files]
-    shape = _samples(residual).shape
-    if any(_samples(m).shape != shape for m in modes):
-        raise CsvFormatError(f"{outdir}: mode files and residual differ in shape")
+    shape, rate = _samples(residual).shape, residual.sample_rate_hz
+    if any(_samples(m).shape != shape or not rates_equal(m.sample_rate_hz, rate) for m in modes):
+        raise CsvFormatError(f"{outdir}: mode files and residual differ in shape or rate")
     centers = manifest.get("center_freqs_hz") or None
     tracks = None
     if manifest.get("if_tracks_file"):
@@ -218,12 +217,8 @@ def read_decomposition(outdir: str | Path) -> tuple[Decomposition | AlignedDecom
         if isinstance(residual, Signal):
             d = Decomposition(modes=tuple(modes), residual=residual, center_freqs_hz=centers, if_tracks_hz=tracks)
         else:
-            d = AlignedDecomposition(
-                channel_modes=tuple(tuple(m.channel(c) for m in modes) for c in range(shape[0])),
-                residuals=tuple(residual.channel(c) for c in range(shape[0])),
-                sample_rate_hz=residual.sample_rate_hz,
-                center_freqs_hz=centers,
-            )
+            arrays = [m.channels for m in modes]
+            d = AlignedDecomposition.of(arrays, residual.channels, rate, centers)
     except (TypeError, ValueError) as exc:
         raise CsvFormatError(f"{path}: {exc}") from exc
     return d, manifest

@@ -12,19 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, Signal, _check_compatible, _unit_scaled
+from .core import ContractViolation, Signal, _check_compatible, _unit_norms, _unit_scaled
 
 #: sentinel for an exact reconstruction (and overall cap)
 QRF_SATURATION_DB = 300.0
-
-
-def _unit_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's 2-norm at the row's own power-of-two unit peak, and the
-    exponent that scales it back (0 for a zero row); overwrites ``rows``."""
-    exp = np.frexp(np.maximum(rows.max(axis=-1), -rows.min(axis=-1)))[1]  # with no |x| copy
-    np.ldexp(rows, -exp[:, None], out=rows)
-    np.multiply(rows, rows, out=rows)
-    return np.sqrt(np.sum(rows, axis=-1)), exp
 
 
 def _qrf_table(est: list[Signal], refs: list[Signal]) -> np.ndarray:
@@ -208,7 +199,7 @@ def alignment_score(
 ) -> AlignmentScore:
     """Score a multichannel decomposition against an expected mode table.
 
-    ``decomposition`` is an :class:`~sigdecomp.multivariate.AlignedDecomposition`;
+    ``decomposition`` is an :class:`~sigdecomp.core.AlignedDecomposition`;
     ``expected`` has one row per wanted mode with a per-channel frequency
     or ``None`` where that channel should carry (almost) nothing.
 

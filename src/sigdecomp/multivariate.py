@@ -21,10 +21,7 @@ import numpy as np
 
 from ._kernels import find_extrema_arrays, natural_spline
 from ._rng import uniforms
-from .core import (
-    ContractViolation, Decomposition, MultichannelSignal, Signal, _check_fields, _scaled_back, _scaled_norm,
-    _unit_scaled, rates_equal,
-)
+from .core import AlignedDecomposition, ContractViolation, MultichannelSignal, _check_fields, _scaled_back, _unit_scaled
 from .emd import EmdConfig
 from .variational import ConvergenceReport, VmdConfig, _variational_modes
 
@@ -44,51 +41,6 @@ class MvmdConfig(VmdConfig):
     """:class:`~sigdecomp.variational.VmdConfig` with the zero start."""
 
     init_mode: str = "zeros"  # zero-frequency start works well in practice
-
-
-@dataclass(frozen=True)
-class AlignedDecomposition:
-    """Index-aligned per-channel modes: mode k of channel c corresponds to
-    mode k of every other channel.  ``center_freqs_hz`` is present for the
-    variational method, where one frequency per mode is shared by
-    construction."""
-
-    channel_modes: tuple[tuple[Signal, ...], ...]  # [channel][mode]
-    residuals: tuple[Signal, ...]
-    sample_rate_hz: float
-    center_freqs_hz: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        counts = {len(modes) for modes in self.channel_modes}
-        if len(counts) > 1 or len(self.residuals) != len(self.channel_modes):
-            raise ContractViolation("every channel needs the same mode count and one residual")
-        if not self.residuals or len({len(r) for r in self.residuals}) > 1 or not all(
-            rates_equal(r.sample_rate_hz, self.sample_rate_hz) for r in self.residuals
-        ):
-            raise ContractViolation("need at least one channel, all of one length and at the decomposition's rate")
-        if self.center_freqs_hz is not None:
-            object.__setattr__(self, "center_freqs_hz", tuple(float(f) for f in self.center_freqs_hz))
-        for c in range(self.n_channels):
-            self.channel(c)  # the modes share their residual's length and rate, one center per mode
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.channel_modes)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.channel_modes[0])
-
-    def channel(self, c: int) -> Decomposition:
-        """The modes and residual of channel ``c`` as a one-channel decomposition."""
-        return Decomposition(self.channel_modes[c], self.residuals[c], self.center_freqs_hz)
-
-    def reconstruction_error(self, original: MultichannelSignal) -> float:
-        """l2 norm of (original - sum of modes - residual) over all channels."""
-        if original.n_channels != self.n_channels:
-            raise ContractViolation("original does not match decomposition geometry")
-        errors = [self.channel(c).reconstruction_error(original.channel(c)) for c in range(self.n_channels)]
-        return _scaled_norm(errors)
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +239,7 @@ def memd_decompose(x: MultichannelSignal, cfg: MemdConfig = MemdConfig()) -> Ali
         modes.append(h)
         data = data - h
 
-    fs = x.sample_rate_hz
-    modes, data = [_scaled_back(m, exp) for m in modes], _scaled_back(data, exp)
-    channel_modes = tuple(
-        tuple(Signal(m[:, c], fs) for m in modes) for c in range(x.n_channels)
-    )
-    residuals = tuple(Signal(data[:, c], fs) for c in range(x.n_channels))
-    return AlignedDecomposition(
-        channel_modes=channel_modes, residuals=residuals, sample_rate_hz=fs
-    )
+    return AlignedDecomposition.of([_scaled_back(m, exp).T for m in modes], _scaled_back(data, exp).T, x.sample_rate_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +259,4 @@ def mvmd_decompose(
     """
     modes, centers, residual, report = _variational_modes(x.channels, cfg)
     fs = x.sample_rate_hz
-    decomp = AlignedDecomposition(
-        channel_modes=tuple(
-            tuple(Signal(m, fs) for m in modes[:, c]) for c in range(x.n_channels)
-        ),
-        residuals=tuple(Signal(r, fs) for r in residual),
-        sample_rate_hz=fs,
-        center_freqs_hz=tuple(float(f * fs) for f in centers),
-    )
-    return decomp, report
+    return AlignedDecomposition.of(modes, residual, fs, centers * fs), report

@@ -45,6 +45,35 @@ class TestSignalInvariants:
         assert s.duration_s == 2.0
 
 
+def as_signal(kind, samples, rate):
+    """A ``Signal`` of ``samples``, or a two-channel signal whose second channel they are."""
+    if kind is Signal:
+        return Signal(samples, rate)
+    return MultichannelSignal(np.stack([np.zeros(len(samples)), samples]), rate)
+
+
+@pytest.mark.parametrize("kind", [Signal, MultichannelSignal])
+class TestSampleCheck:
+    """Both signal types freeze their samples and rate through one check,
+    whose message says which of the two is at fault."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample(self, kind, bad):
+        with pytest.raises(ContractViolation, match="samples must be finite"):
+            as_signal(kind, np.array([1.0, bad, 2.0]), 10.0)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_rate(self, kind, rate):
+        with pytest.raises(ContractViolation, match="sample_rate_hz must be a positive finite number"):
+            as_signal(kind, np.array([1.0, 2.0, 3.0]), rate)
+
+    def test_frozen_float64_and_float_rate(self, kind):
+        s = as_signal(kind, np.array([1, 2, 3]), 10)
+        samples = s.samples if kind is Signal else s.channels
+        assert samples.dtype == np.float64 and not samples.flags.writeable
+        assert type(s.sample_rate_hz) is float
+
+
 class TestMultichannel:
     def test_requires_equal_lengths(self):
         with pytest.raises(ContractViolation):

@@ -181,9 +181,10 @@ class TestSignalCsvWriter:
         reference_signals_csv(tmp_path / "ref.csv", columns, 256.0)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-    def test_working_set_bounded_by_a_block(self, tmp_path):
+    def test_working_set_bounded_by_a_block(self, tmp_path, monkeypatch):
         """Text is formatted a block of rows at a time, so the peak does not
-        grow with the file."""
+        grow with the file; blocks of 2**10 rows keep the files small."""
+        monkeypatch.setattr(sdio, "_BLOCK_ROWS", 2**10)
 
         def peak(n_rows):
             columns = {f"c{i}": np.random.default_rng(i).normal(size=n_rows) for i in range(4)}
@@ -194,7 +195,7 @@ class TestSignalCsvWriter:
             finally:
                 tracemalloc.stop()
 
-        assert peak(2**18) <= 1.25 * peak(2**15)
+        assert peak(2**14) <= 1.25 * peak(2**11)
 
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(columns=finite_columns())
@@ -366,6 +367,16 @@ class TestDecompositionBundle:
         with pytest.raises(CsvFormatError, match="shape"):
             read_decomposition(tmp_path)
 
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_mode_file_rate_mismatch_is_format_error(self, tmp_path, channels):
+        x, _ = gen_mv_test(duration_s=0.25)
+        d, _ = mvmd_decompose(x, MvmdConfig())
+        write_decomposition(d if channels == 2 else d.channel(0), tmp_path)
+        columns = {f"ch{c + 1}": d.channel_modes[c][1].samples for c in range(channels)}
+        write_signals_csv(tmp_path / "mode_02.csv", columns, 2 * x.sample_rate_hz)
+        with pytest.raises(CsvFormatError, match="rate"):
+            read_decomposition(tmp_path)
+
     def test_residual_only_bundle(self, tmp_path):
         fs = 64.0
         x = Signal(np.linspace(0, 1, 64), fs)
@@ -412,6 +423,16 @@ class TestDecompositionBundle:
         write_decomposition(d, tmp_path)
         write_signals_csv(tmp_path / "mode_02.csv", {"ch1": d.channel_modes[0][1].samples}, x.sample_rate_hz)
         with pytest.raises(CsvFormatError, match="shape"):
+            read_decomposition(tmp_path)
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_mode_file_rate_mismatch_is_format_error(self, tmp_path, channels):
+        x, _ = gen_mv_test(duration_s=0.25)
+        d, _ = mvmd_decompose(x, MvmdConfig())
+        write_decomposition(d if channels == 2 else d.channel(0), tmp_path)
+        columns = {f"ch{c + 1}": d.channel_modes[c][1].samples for c in range(channels)}
+        write_signals_csv(tmp_path / "mode_02.csv", columns, 2 * x.sample_rate_hz)
+        with pytest.raises(CsvFormatError, match="rate"):
             read_decomposition(tmp_path)
 
 

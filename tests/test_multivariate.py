@@ -7,7 +7,7 @@ from scipy.interpolate import CubicSpline
 
 from sigdecomp._kernels import find_extrema_arrays, natural_spline
 from sigdecomp.core import ContractViolation, MultichannelSignal, Signal, l2_norm
-from sigdecomp import multivariate
+from sigdecomp import core, multivariate
 from sigdecomp.emd import EmdConfig, emd_decompose
 from sigdecomp.metrics import alignment_score, qrf
 from sigdecomp.multivariate import (
@@ -474,6 +474,25 @@ class TestMvmd:
             AlignedDecomposition(
                 channel_modes=tuple((r,) for r in channels), residuals=channels, sample_rate_hz=fs
             )
+
+    def test_one_class_in_core(self):
+        assert multivariate.AlignedDecomposition is core.AlignedDecomposition
+
+    def test_of_indexes_modes_by_mode_then_channel(self, rng):
+        modes, residuals = rng.normal(size=(3, 2, 50)), rng.normal(size=(2, 50))
+        d = AlignedDecomposition.of(modes, residuals, 10.0, (1.0, 2.0, 3.0))
+        assert (d.n_channels, d.n_modes, d.center_freqs_hz) == (2, 3, (1.0, 2.0, 3.0))
+        assert all(np.array_equal(d.channel_modes[c][k].samples, modes[k, c]) for c in range(2) for k in range(3))
+        assert all(np.array_equal(r.samples, residuals[c]) for c, r in enumerate(d.residuals))
+
+    def test_reconstruction_error_over_all_channels(self, rng):
+        modes, residuals, x = rng.normal(size=(3, 2, 50)), rng.normal(size=(2, 50)), rng.normal(size=(2, 50))
+        d = AlignedDecomposition.of(modes, residuals, 10.0)
+        want = np.linalg.norm(x - modes.sum(axis=0) - residuals)
+        assert d.reconstruction_error(MultichannelSignal(x, 10.0)) == pytest.approx(want, rel=1e-14)
+        for bad in (MultichannelSignal(x[:1], 10.0), MultichannelSignal(x[:, 1:], 10.0), MultichannelSignal(x, 20.0)):
+            with pytest.raises(ContractViolation, match="geometry"):
+                d.reconstruction_error(bad)
 
 
 class TestChannelwiseBaseline:

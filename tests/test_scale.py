@@ -53,10 +53,12 @@ def scaled(x, exp):
 
 
 def outcome(case, exp):
-    """(outcome name, mode arrays, residual arrays, IF tracks, centers, iterations)."""
+    """(outcome name, mode arrays, residual arrays, IF tracks, centers, iterations,
+    reconstruction error against the scaled input)."""
     method, name, cfg = CASES[case]
+    x = scaled(samples(name), exp)
     try:
-        result = METHODS[method](scaled(samples(name), exp), cfg)
+        result = METHODS[method](x, cfg)
         kind = "returned"
     except Diverged as exc:
         result, kind = (exc.decomposition, exc.report), "Diverged"
@@ -67,7 +69,7 @@ def outcome(case, exp):
         modes, residuals, tracks = [m.samples for ms in d.channel_modes for m in ms], [r.samples for r in d.residuals], None
     else:
         modes, residuals, tracks = [m.samples for m in d.modes], [d.residual.samples], d.if_tracks_hz
-    return kind, modes, residuals, tracks, d.center_freqs_hz, report and report.iterations
+    return kind, modes, residuals, tracks, d.center_freqs_hz, report and report.iterations, d.reconstruction_error(x)
 
 
 @lru_cache(maxsize=None)
@@ -86,13 +88,17 @@ def test_power_of_two_scales_the_decomposition_exactly(case, exp):
     assert got[0] == base[0]
     if base[0] == "NumericalFailure":
         return
-    _, modes, residuals, tracks, centers, iterations = got
+    _, modes, residuals, tracks, centers, iterations, error = got
     assert len(modes) == len(base[1])
     for g, b in zip(modes + residuals, base[1] + base[2]):
         assert np.array_equal(g, np.ldexp(b, exp))
     if tracks is not None:
         assert all(np.array_equal(t, t0) for t, t0 in zip(tracks, base[3]))
     assert centers == base[4] and iterations == base[5]
+    # the error's norm is taken at unit peak, so it scales exactly too wherever
+    # the scaled value is a normal double
+    if abs(np.ldexp(base[6], exp)) >= np.finfo(np.float64).tiny:
+        assert error == np.ldexp(base[6], exp)
 
 
 def test_cases_cover_every_method_and_outcome():
