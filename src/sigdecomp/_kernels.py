@@ -188,7 +188,8 @@ def walk_ridge(
     not move the track; after more than ``patience`` consecutive dead
     frames the walk stops in that direction.
     """
-    n_f, n_t = energy.shape
+    n_t = energy.shape[1]
+    columns = energy.T  # row t: frame t's bins, a view
     bins = np.full(n_t, seed_f, dtype=np.int64)
     valid = np.zeros(n_t, dtype=bool)
     valid[seed_t] = True
@@ -198,16 +199,15 @@ def walk_ridge(
         dead = 0
         for t in frames:
             lo = max(cur - max_step, 0)
-            hi = min(cur + max_step + 1, n_f)
-            best = lo + int(np.argmax(energy[lo:hi, t]))
-            if energy[best, t] > floor:
-                cur = best
-                bins[t] = best
+            window = columns[t, lo : cur + max_step + 1]  # slicing clips at the last bin
+            best = window.argmax()  # the first of equal maxima
+            if window[best] > floor:
+                cur = lo + int(best)
                 valid[t] = True
                 dead = 0
             else:
-                bins[t] = cur  # hold position across dropouts
-                dead += 1
-                if dead > patience:
-                    break
+                dead += 1  # hold position across dropouts
+            bins[t] = cur
+            if dead > patience:
+                break
     return bins, valid

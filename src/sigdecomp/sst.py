@@ -4,9 +4,9 @@ penalized ridge extraction, and per-ridge mode reconstruction.
 An analytic Morlet CWT over log-spaced scales is squeezed by adding each
 kept coefficient to the bin of its phase derivative.  Both stages walk
 the grid in blocks of scale rows (``_BLOCK_CELLS``), so a decompose holds
-the CWT and the squeezed grid, and the block temporaries do not grow
-with the input; the squeeze scatters each block into the grid with
-``np.add.at``, in row-major order.  One band rule names the cells around a ridge:
+the CWT and the squeezed grid, in one allocation, and the block temporaries
+do not grow with the input; the squeeze scatters each block into the grid
+with ``np.add.at``, in row-major order.  One band rule names the cells around a ridge:
 extraction zeroes them before seeking the next ridge, and reconstruction
 sums their real parts per frame in one bincount and scales by the
 wavelet's admissibility constant; no step loops over frames.
@@ -91,7 +91,25 @@ def _scale_frequencies_hz(x: Signal, cfg: SstConfig) -> np.ndarray:
     return fmin * 2.0 ** (np.arange(count) / cfg.n_voices)
 
 
-def cwt_morlet(x: Signal, cfg: SstConfig = SstConfig()) -> tuple[np.ndarray, np.ndarray]:
+def _cwt_frequencies_hz(x: Signal, cfg: SstConfig) -> np.ndarray:
+    """The CWT's analysis frequencies, one per coefficient row."""
+    if len(x) < 64:
+        raise ContractViolation("CWT needs at least 64 samples")
+    return _scale_frequencies_hz(x, cfg)
+
+
+def _grid_out(out: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
+    """A new complex grid of ``shape``, or ``out`` once it is checked to be one."""
+    if out is None:
+        return np.empty(shape, dtype=complex)
+    if out.shape != shape or out.dtype != complex or not out.flags.c_contiguous or not out.flags.writeable:
+        raise ContractViolation(f"out must be a writable C-contiguous complex array of shape {shape}")
+    return out
+
+
+def cwt_morlet(
+    x: Signal, cfg: SstConfig = SstConfig(), *, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Analytic Morlet CWT; returns (coefficients, frequencies_hz).
 
     Coefficient rows are ordered by ascending frequency (descending
@@ -99,17 +117,17 @@ def cwt_morlet(x: Signal, cfg: SstConfig = SstConfig()) -> tuple[np.ndarray, np.
     scaled wavelet window, i.e. an L1-normalized transform where a unit
     tone keeps scale-independent magnitude.  The wavelet is analytic, so
     the window is built on bins ``0 … (n - 1) // 2`` only (0 Hz up to,
-    not including, Nyquist); the inverse FFT zero-fills the rest.
+    not including, Nyquist); the inverse FFT zero-fills the rest.  The
+    coefficients go to ``out`` when it is given: a C-contiguous complex
+    ``(n_scales, n)`` array, which is returned.
     """
-    if len(x) < 64:
-        raise ContractViolation("CWT needs at least 64 samples")
-    freqs_hz = _scale_frequencies_hz(x, cfg)
+    freqs_hz = _cwt_frequencies_hz(x, cfg)
     n = len(x)
     n_pos = (n + 1) // 2
     xi = 2.0 * np.pi * np.fft.fftfreq(n, 1.0 / x.sample_rate_hz)[:n_pos]  # rad/s
     spectrum = np.fft.fft(x.samples)[:n_pos]
     scales = cfg.morlet_w0 / (2.0 * np.pi * freqs_hz)  # seconds
-    coeffs = np.empty((freqs_hz.size, n), dtype=complex)
+    coeffs = _grid_out(out, (freqs_hz.size, n))
     for rows in _row_blocks(freqs_hz.size, n):
         # psi_hat(s*xi), zero at 0 Hz
         arg = scales[rows, None] * xi[None, :]
@@ -137,22 +155,31 @@ class SqueezedGrid:
     admissibility: float
     dropped_mass: float
 
-    def energy(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
+    def energy(self, out: np.ndarray | None = None) -> np.ndarray:
+        """``|values|**2``, in ``out`` (a float array of the grid's shape) when given."""
+        if out is None:
+            return np.abs(self.values) ** 2
+        if out.shape != self.values.shape or out.dtype != np.float64:
+            raise ContractViolation(f"out must be a float array of shape {self.values.shape}")
+        return np.square(np.abs(self.values, out=out), out=out)  # the bits of ``** 2``
 
 
 def synchrosqueeze(
-    W: np.ndarray, freqs_hz: np.ndarray, x: Signal, cfg: SstConfig = SstConfig()
+    W: np.ndarray, freqs_hz: np.ndarray, x: Signal, cfg: SstConfig = SstConfig(), *, out: np.ndarray | None = None
 ) -> SqueezedGrid:
     """Reassign CWT cells to the frequency bin of their phase derivative.
 
     Cells with magnitude at or below ``cfg.gamma`` (relative to the max)
     contribute nothing.  Output bins reuse the log-spaced scale grid, so
     no resampling is involved; reassigned mass that falls outside the
-    grid is accounted in ``dropped_mass``.
+    grid is accounted in ``dropped_mass``.  The squeezed values go to
+    ``out`` when it is given: a C-contiguous complex array of ``W``'s
+    shape that does not overlap ``W``, zeroed first.
     """
     if W.shape != (freqs_hz.size, len(x)):
         raise ContractViolation("coefficient matrix must be (n_scales, n_samples)")
+    if out is not None and np.may_share_memory(out, W):
+        raise ContractViolation("out must not overlap the coefficients")
     n_bins, n_t = W.shape
     blocks = _row_blocks(n_bins, n_t)
 
@@ -163,7 +190,8 @@ def synchrosqueeze(
     log_step = np.log(2.0) / cfg.n_voices
     to_hz = x.sample_rate_hz / (2.0 * np.pi)
 
-    values = np.zeros(W.shape, dtype=complex)
+    values = _grid_out(out, W.shape)
+    values.fill(0.0)
     real, imag = values.real.reshape(-1), values.imag.reshape(-1)  # views
     dropped = []
     for rows in blocks:
@@ -204,7 +232,9 @@ def synchrosqueeze(
     )
 
 
-def extract_ridges(S: SqueezedGrid, cfg: SstConfig, K: int) -> list[RidgeTrack]:
+def extract_ridges(
+    S: SqueezedGrid, cfg: SstConfig, K: int, *, out: np.ndarray | None = None
+) -> list[RidgeTrack]:
     """Greedy energy-ridge tracking, strongest ridge first.
 
     Each ridge seeds at the global maximum of the remaining energy and
@@ -214,12 +244,13 @@ def extract_ridges(S: SqueezedGrid, cfg: SstConfig, K: int) -> list[RidgeTrack]:
     ``cfg.start_band`` bins around an extracted ridge is zeroed before the
     next one is sought.  Seeks ``K`` ridges (not ``cfg.K``); returns fewer
     tracks when the energy is exhausted; raises :class:`NumericalFailure`
-    when the energy overflows.
+    when the energy overflows.  The energy is worked on in ``out`` when
+    it is given (see :meth:`SqueezedGrid.energy`).
     """
     if K < 1:
         raise ContractViolation("K must be >= 1")
     with np.errstate(over="ignore"):  # reported just below
-        energy = S.energy()
+        energy = S.energy(out)
     gamma_floor = S.gamma_abs * S.gamma_abs  # inf, not OverflowError, on overflow
     if not (np.isfinite(gamma_floor) and np.all(np.isfinite(energy))):
         raise NumericalFailure("squeezed energy is not finite")
@@ -269,11 +300,19 @@ def sst_decompose(x: Signal, cfg: SstConfig) -> Decomposition:
     Modes are ordered by ascending mean ridge frequency; the residual is
     the input minus the mode sum.  IF tracks report the ridge-bin
     frequency per frame.  It runs at unit peak.
+
+    The CWT and the squeezed grid are one allocation, and the ridge
+    energy reuses the CWT's half once the squeeze has read it: two grids
+    apart would sit in the allocator's heap, where a small block left
+    between them could make the next call's grids grow the heap.
     """
     samples, exp = _unit_scaled(x.samples)
     unit = Signal(samples, x.sample_rate_hz)
-    S = synchrosqueeze(*cwt_morlet(unit, cfg), unit, cfg)
-    tracks = sorted(extract_ridges(S, cfg, cfg.K), key=lambda tr: np.mean(S.freqs_hz[tr.bins]))
+    shape = (_cwt_frequencies_hz(unit, cfg).size, len(unit))
+    grids = np.empty((2, *shape), dtype=complex)  # the CWT's, then the squeezed grid
+    S = synchrosqueeze(*cwt_morlet(unit, cfg, out=grids[0]), unit, cfg, out=grids[1])
+    energy = grids[0].view(np.float64).reshape(-1)[: S.values.size].reshape(shape)  # the CWT is spent
+    tracks = sorted(extract_ridges(S, cfg, cfg.K, out=energy), key=lambda tr: np.mean(S.freqs_hz[tr.bins]))
     modes = [reconstruct_mode(S, tr, cfg.start_band).samples for tr in tracks]
     residual = samples - np.sum(modes, axis=0)
     return Decomposition(

@@ -72,7 +72,7 @@ def _spectral_power(u: np.ndarray) -> np.ndarray:
 
 def _power(modes: np.ndarray) -> np.ndarray:
     """Sum of squares of each mode, ``(K, n)``."""
-    return np.sum(modes**2, axis=1)
+    return (modes**2).sum(axis=1)
 
 
 def _variational_modes(
@@ -270,43 +270,47 @@ def solve_banded(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
-def _envelope_solve(
-    residual: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray, smoothing: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve for quadrature envelopes (a, b) of one mode.
+def _envelope_system(trig: np.ndarray, smoothing: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One mode's normal equations for its quadrature envelopes (a, b).
 
-    Minimizes ||r - a*cos - b*sin||^2 + weight*(||D2 a||^2 + ||D2 b||^2)
+    They minimize ||r - a*cos - b*sin||^2 + weight*(||D2 a||^2 + ||D2 b||^2)
     with D2 the second-difference operator; ``smoothing`` holds the
-    weighted D2 part in the ``dgbsv`` layout of :func:`_smoothing_bands`.
+    weighted D2 part in the ``dgbsv`` layout of :func:`_smoothing_bands`,
+    and ``trig`` is the mode's carrier pair ``(cos, sin)``, ``(2, n)``.
     Unknowns are interleaved (a0, b0, a1, b1, ...), so the normal
     equations have bandwidth 4: the data term couples a_t with b_t
     (offsets 0 and +-1, rows 8, 7 and 9) and the smoothing term each
-    track with itself two samples away (offsets 0, +-2 and +-4).  Solved
-    directly for determinism, on a copy of ``smoothing``.
+    track with itself two samples away (offsets 0, +-2 and +-4).  Fills
+    and returns ``out``, the ``(13, 2n)`` system in Fortran order, so that
+    it reaches LAPACK without a copy.
     """
-    bands = smoothing.copy(order="F")
-    bands[8, 0::2] += cos_t * cos_t
-    bands[8, 1::2] += sin_t * sin_t
-    cs = cos_t * sin_t
-    bands[7, 1::2] = cs  # (a_t, b_t)
-    bands[9, 0::2] = cs  # (b_t, a_t)
+    n = trig.shape[1]
+    entries = out.T.reshape(n, 2, 13)  # by sample, then a or b, then row
+    out[:] = smoothing
+    np.add(trig * trig, smoothing[8].reshape(n, 2).T, out=entries[..., 8].T)  # the a_t and the b_t entries
+    np.multiply(trig[0], trig[1], out=entries[:, 1, 7])  # (a_t, b_t)
+    entries[:, 0, 9] = entries[:, 1, 7]  # (b_t, a_t)
+    return out
 
-    rhs = np.empty(2 * residual.size)
-    rhs[0::2] = residual * cos_t
-    rhs[1::2] = residual * sin_t
-    solution = solve_banded(bands, rhs)
-    if not np.all(np.isfinite(solution)):
+
+def _solve_envelopes(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """One mode's interleaved envelopes; both arguments overwritten."""
+    solution = solve_banded(system, rhs)
+    if not np.isfinite(solution).all():
         raise NumericalFailure("VNCMD envelope solve produced non-finite envelopes")
+    return solution
+
+
+def _envelope_solve(
+    residual: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray, smoothing: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature envelopes (a, b) of one mode, the system of
+    :func:`_envelope_system` solved directly for determinism."""
+    trig = np.stack([cos_t, sin_t])
+    rhs = (trig * residual).T.ravel()  # (a0, b0, a1, b1, ...)
+    system = _envelope_system(trig, smoothing, np.empty((13, 2 * residual.size), order="F"))
+    solution = _solve_envelopes(system, rhs)
     return solution[0::2], solution[1::2]
-
-
-def _moving_average(x: np.ndarray, width: int) -> np.ndarray:
-    if width <= 1:
-        return x
-    kernel = np.ones(width) / width
-    pad = width // 2
-    padded = np.concatenate([np.full(pad, x[0]), x, np.full(width - 1 - pad, x[-1])])
-    return np.convolve(padded, kernel, mode="valid")
 
 
 def vncmd_decompose(
@@ -323,6 +327,15 @@ def vncmd_decompose(
     when the mode update norm grows for 10 consecutive iterations, and
     results can vary sharply with the initial frequencies.  It runs at
     unit peak; outputs and cost trace, partial ones too, are scaled back.
+
+    Each mode's envelopes are one ``(2, n)`` pair, a over b, so that the
+    increment, its gradients and the cost's second differences take every
+    envelope in one call; the solve works on them interleaved (a0, b0, a1,
+    b1, ...), and each solution is copied back to its pair.  The envelope
+    system, its right-hand side, the phases, carriers, gradients and
+    increments are buffers allocated once per run, which every mode,
+    sweep or iteration overwrites; every value and every floating-point
+    operation's order are those of one envelope at a time.
     """
     n = len(x)
     fs = x.sample_rate_hz
@@ -338,15 +351,30 @@ def vncmd_decompose(
     samples, exp = _unit_scaled(x.samples)
     with np.errstate(over="ignore"):  # reported just below
         smoothing = _smoothing_bands(n, weight)
-    if not np.all(np.isfinite(smoothing)):
+    if not np.isfinite(smoothing).all():
         raise ContractViolation(
             f"alpha={cfg.alpha!r} is too small: the smoothing bands (weight 1/alpha) are not finite"
         )
 
     if_tracks = np.tile(np.asarray(cfg.init_if_hz, dtype=float)[:, None], (1, n))
-    a = np.zeros((k, n))
-    b = np.zeros((k, n))
+    envelopes = np.zeros((k, 2, n))  # each mode's a over its b
     modes = np.zeros((k, n))
+    modes_prev = np.empty((k, n))
+    steps = np.empty((k, n - 1))
+    phase = np.zeros((k, n))  # column 0 stays 0
+    trig = np.empty((k, 2, n))  # each mode's cos over its sin
+    system = np.empty((13, 2 * n), order="F")
+    rhs = np.empty(2 * n)
+    rhs_pairs = rhs.reshape(n, 2).T  # its a entries over its b entries
+    residual = np.empty(n)
+    terms = np.empty((2, n))
+    grad = np.empty((k, 2, n))
+    power = np.empty((k, 2, n))
+    pad = ma_width // 2
+    padded = np.empty((k, n + ma_width - 1))  # each mode's raw increment, its ends repeated
+    raw = padded[:, pad : pad + n]
+    increments = np.empty((k, n)) if ma_width > 1 else raw
+    kernel = np.ones(ma_width) / ma_width
 
     def sweep() -> None:
         """Refit every mode's envelopes on the current IF tracks, in place.
@@ -354,15 +382,24 @@ def vncmd_decompose(
         Gauss-Seidel order: each mode is fitted against the latest
         versions of the others.
         """
-        steps = (if_tracks[:, 1:] + if_tracks[:, :-1]) / 2.0 * dt  # trapezoid rule
-        phase = 2.0 * np.pi * np.concatenate([np.zeros((k, 1)), np.cumsum(steps, axis=1)], axis=1)
-        cos_t, sin_t = np.cos(phase), np.sin(phase)
+        np.add(if_tracks[:, 1:], if_tracks[:, :-1], out=steps)
+        np.divide(steps, 2.0, out=steps)
+        np.multiply(steps, dt, out=steps)  # trapezoid rule
+        np.cumsum(steps, axis=1, out=phase[:, 1:])
+        np.multiply(phase, 2.0 * np.pi, out=phase)
+        np.cos(phase, out=trig[:, 0])
+        np.sin(phase, out=trig[:, 1])
+        finite_tracks = np.isfinite(phase).all(axis=1)
         for i in range(k):
-            residual = samples - (modes.sum(axis=0) - modes[i])
-            if not (np.all(np.isfinite(residual)) and np.all(np.isfinite(cos_t[i]))):
+            np.subtract(modes.sum(axis=0, out=residual), modes[i], out=residual)
+            np.subtract(samples, residual, out=residual)
+            if not (np.isfinite(residual).all() and finite_tracks[i]):
                 raise NumericalFailure("VNCMD sweep produced a non-finite mode or IF track")
-            a[i], b[i] = _envelope_solve(residual, cos_t[i], sin_t[i], smoothing)
-            modes[i] = a[i] * cos_t[i] + b[i] * sin_t[i]
+            np.multiply(trig[i], residual, out=rhs_pairs)
+            _envelope_system(trig[i], smoothing, system)
+            envelopes[i] = _solve_envelopes(system, rhs).reshape(n, 2).T
+            np.multiply(envelopes[i], trig[i], out=terms)
+            np.add(terms[0], terms[1], out=modes[i])
 
     sweep()
 
@@ -371,33 +408,50 @@ def vncmd_decompose(
     growth_run = 0
 
     for _ in range(cfg.max_iters):
-        modes_prev = modes.copy()
+        np.copyto(modes_prev, modes)
 
-        # demodulation-based frequency increment of every mode
-        da = np.gradient(a, dt, axis=1)
-        db = np.gradient(b, dt, axis=1)
+        # demodulation-based frequency increment of every mode, from the
+        # envelopes' gradients: numpy.gradient's central differences inside,
+        # one-sided ones at the two ends
+        np.subtract(envelopes[..., 2:], envelopes[..., :-2], out=grad[..., 1:-1])
+        grad[..., 1:-1] /= 2.0 * dt
+        np.subtract(envelopes[..., 1], envelopes[..., 0], out=grad[..., 0])
+        np.subtract(envelopes[..., -1], envelopes[..., -2], out=grad[..., -1])
+        grad[..., :: n - 1] /= dt  # samples 0 and n - 1
         # the envelope power is checked, up to the increment's 2 pi factor (an
         # infinite denominator would read as a zero increment); an infinite
         # increment clips like any huge one, and a NaN one fails the sweep's IF check
         with np.errstate(over="ignore", invalid="ignore"):
-            denom = a**2 + b**2
+            np.multiply(envelopes, envelopes, out=power)
+            denom = np.add(power[:, 0], power[:, 1], out=power[:, 0])
             peak = denom.max(axis=1, keepdims=True)
-            if not np.all(np.isfinite(2.0 * np.pi * peak)):
+            if not np.isfinite(2.0 * np.pi * peak).all():
                 raise NumericalFailure("VNCMD iteration produced non-finite envelope power")
             floor = 1e-10 * np.maximum(peak, _TINY)
-            raw = (b * da - a * db) / (2.0 * np.pi * np.maximum(denom, floor))
-            increments = np.array([_moving_average(row, ma_width) for row in raw])
+            np.multiply(envelopes[:, ::-1], grad, out=grad)  # b da over a db
+            np.subtract(grad[:, 0], grad[:, 1], out=raw)
+            np.maximum(denom, floor, out=denom)
+            denom *= 2.0 * np.pi
+            raw /= denom
+            if ma_width > 1:  # the zero-phase moving average
+                padded[:, :pad] = raw[:, :1]
+                padded[:, pad + n :] = raw[:, -1:]
+                for i in range(k):
+                    increments[i] = np.convolve(padded[i], kernel, mode="valid")
 
-        if_tracks[:] = np.clip(if_tracks + cfg.mu * increments, 0.0, nyquist)
+        increments *= cfg.mu
+        increments += if_tracks
+        np.clip(increments, 0.0, nyquist, out=if_tracks)
         sweep()
 
-        data = samples - modes.sum(axis=0)
-        d2a = np.diff(a, n=2, axis=1)
-        d2b = np.diff(b, n=2, axis=1)
+        data = np.subtract(samples, modes.sum(axis=0, out=residual), out=residual)
+        d2 = np.diff(envelopes, n=2)
+        d2 *= d2
+        smooth_pairs = d2.sum(axis=-1)
         # Python's sum adds the per-mode terms one at a time in mode order, here
         # and in the update norm; np.sum regroups them from 8 modes on
-        smooth = sum(np.sum(d2a * d2a, axis=1) + np.sum(d2b * d2b, axis=1))
-        cost = float(np.sum(data * data) + weight * smooth)
+        smooth = sum(smooth_pairs[:, 0] + smooth_pairs[:, 1])
+        cost = float((data * data).sum() + weight * smooth)
         trace.append(cost)
         if not np.isfinite(cost):
             raise NumericalFailure("VNCMD iteration produced non-finite cost")

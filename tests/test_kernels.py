@@ -1,6 +1,6 @@
 """Behavior checks for the numeric kernels against independent oracles:
 a strict-extrema comparison, scipy's natural ``CubicSpline`` and
-``solve_banded``, and a hand-walked ridge."""
+``solve_banded``, a hand-walked ridge and the ridge walk frame by frame."""
 
 import functools
 
@@ -430,7 +430,56 @@ class TestSplineSolve:
                 K.natural_spline(np.zeros(3), np.zeros(3), np.zeros(1))
 
 
+def reference_walk(energy, seed_f, seed_t, max_step, floor, patience, events):
+    """The ridge walk frame by frame with a clipped window and ``np.argmax``,
+    adding to ``events`` the edge cases each step met."""
+    n_f, n_t = energy.shape
+    bins = np.full(n_t, seed_f, dtype=np.int64)
+    valid = np.zeros(n_t, dtype=bool)
+    valid[seed_t] = True
+    for frames in (range(seed_t + 1, n_t), range(seed_t - 1, -1, -1)):
+        cur, dead = seed_f, 0
+        for t in frames:
+            lo, hi = max(cur - max_step, 0), min(cur + max_step + 1, n_f)
+            window = energy[lo:hi, t]
+            best = lo + int(np.argmax(window))
+            events.update(
+                name for name, hit in (
+                    ("tie", np.count_nonzero(window == window.max()) > 1),
+                    ("clipped at 0", cur - max_step < 0),
+                    ("clipped at n_f - 1", cur + max_step + 1 > n_f),
+                    ("best at the floor", energy[best, t] == floor),
+                ) if hit
+            )
+            if energy[best, t] > floor:
+                cur, bins[t], valid[t], dead = best, best, True, 0
+            else:
+                bins[t] = cur
+                dead += 1
+                if dead > patience:
+                    events.add("patience reached")
+                    break
+    return bins, valid
+
+
 class TestRidgeWalkParity:
+    def test_matches_frame_by_frame_walk(self):
+        # small integer energies make ties and cells at the floor common
+        rng = np.random.default_rng(7)
+        events = set()
+        for case in range(300):
+            n_f, n_t = rng.integers(1, 12), rng.integers(1, 40)
+            energy = rng.integers(0, 4, size=(n_f, n_t)).astype(float)
+            seed_f = int(rng.integers(n_f))
+            seed_t = (0, n_t - 1, int(rng.integers(n_t)))[case % 3]  # first frame, last frame, any
+            max_step, patience = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+            floor = float(rng.integers(0, 4))
+            want = reference_walk(energy, seed_f, seed_t, max_step, floor, patience, events)
+            got = K.walk_ridge(energy, seed_f, seed_t, max_step, floor, patience)
+            assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert events == {"tie", "clipped at 0", "clipped at n_f - 1", "best at the floor", "patience reached"}
+
     def test_paths_identical(self):
         # seed (2, 4); max_step 1, floor 0.5, patience 1
         energy = np.zeros((6, 9))

@@ -351,6 +351,97 @@ class TestWorkingSet:
         assert traced_peak(sst_decompose, long, cfg) <= 2.5 * cwt_bytes
 
 
+class TestOutBuffers:
+    """The CWT, the squeeze and the ridge search write to caller buffers bit
+    for bit as to their own; ``sst_decompose`` gives them one allocation."""
+
+    @pytest.fixture(scope="class")
+    def s1_case(self):
+        x, _ = gen_s1()
+        cfg = bench.default_config("sst", "s1")
+        W, freqs = cwt_morlet(x, cfg)
+        return x, cfg, W, freqs, synchrosqueeze(W, freqs, x, cfg)
+
+    def test_cwt_into_out(self, s1_case):
+        x, cfg, W, _, _ = s1_case
+        out = np.full(W.shape, np.nan + 1j, dtype=complex)
+        got, _ = cwt_morlet(x, cfg, out=out)
+        assert got is out and np.array_equal(out, W)
+
+    def test_squeeze_into_out(self, s1_case):
+        x, cfg, W, freqs, S = s1_case
+        out = np.full(W.shape, 7.0 - 3.0j)  # stale values are zeroed first
+        got = synchrosqueeze(W, freqs, x, cfg, out=out)
+        assert got.values is out and np.array_equal(out, S.values)
+        assert got.dropped_mass == S.dropped_mass and got.gamma_abs == S.gamma_abs
+
+    def test_energy_and_ridges_into_out(self, s1_case):
+        _, cfg, _, _, S = s1_case
+        out = np.full(S.values.shape, -1.0)
+        assert S.energy(out) is out
+        assert np.array_equal(out.view(np.uint64), S.energy().view(np.uint64))
+        got = extract_ridges(S, cfg, cfg.K, out=np.empty(S.values.shape))
+        want = extract_ridges(S, cfg, cfg.K)
+        assert len(got) == len(want) == cfg.K
+        for g, w in zip(got, want):
+            assert np.array_equal(g.bins, w.bins) and np.array_equal(g.valid, w.valid)
+
+    @pytest.mark.parametrize("bad", ["shape", "dtype", "strided", "read-only"])
+    def test_out_contract(self, s1_case, bad):
+        x, cfg, W, freqs, S = s1_case
+        out = {
+            "shape": np.empty((W.shape[0] - 1, W.shape[1]), dtype=complex),
+            "dtype": np.empty(W.shape, dtype=np.complex64),
+            "strided": np.empty((W.shape[0], 2 * W.shape[1]), dtype=complex)[:, ::2],
+            "read-only": np.empty(W.shape, dtype=complex),
+        }[bad]
+        out.flags.writeable = bad != "read-only"
+        with pytest.raises(ContractViolation, match="C-contiguous complex"):
+            cwt_morlet(x, cfg, out=out)
+        with pytest.raises(ContractViolation, match="C-contiguous complex"):
+            synchrosqueeze(W, freqs, x, cfg, out=out)
+
+    def test_squeeze_out_must_not_overlap_the_cwt(self, s1_case):
+        x, cfg, W, freqs, _ = s1_case
+        with pytest.raises(ContractViolation, match="overlap"):
+            synchrosqueeze(W, freqs, x, cfg, out=W)
+
+    @pytest.mark.parametrize("bad", [(1, 1), "float32"])
+    def test_energy_out_contract(self, s1_case, bad):
+        S = s1_case[4]
+        out = np.empty(S.values.shape, dtype=np.float32) if bad == "float32" else np.empty(bad)
+        with pytest.raises(ContractViolation, match="float array"):
+            S.energy(out)
+
+    def test_decompose_holds_both_grids_in_one_allocation(self, monkeypatch):
+        x, _ = gen_s2()
+        cfg = bench.default_config("sst", "s2")
+        seen = {}
+
+        def squeeze(W, freqs_hz, x, cfg, *, out):
+            seen["W"], seen["values"] = W, out
+            return synchrosqueeze(W, freqs_hz, x, cfg, out=out)
+
+        def ridges(S, cfg, K, *, out):
+            seen["energy"] = out
+            return extract_ridges(S, cfg, K, out=out)
+
+        monkeypatch.setattr(sst, "synchrosqueeze", squeeze)
+        monkeypatch.setattr(sst, "extract_ridges", ridges)
+        d = sst_decompose(x, cfg)
+        block = seen["W"].base
+        assert block is not None and block.shape == (2, *seen["W"].shape)
+        assert seen["values"].base is block and np.shares_memory(seen["energy"], seen["W"])
+        monkeypatch.undo()
+        samples, exp = sst._unit_scaled(x.samples)
+        unit = Signal(samples, x.sample_rate_hz)
+        S = synchrosqueeze(*cwt_morlet(unit, cfg), unit, cfg)  # each stage on its own arrays
+        tracks = sorted(extract_ridges(S, cfg, cfg.K), key=lambda tr: np.mean(S.freqs_hz[tr.bins]))
+        for mode, track in zip(d.modes, tracks, strict=True):
+            want = sst._scaled_back(reconstruct_mode(S, track, cfg.start_band).samples, exp)
+            assert np.array_equal(mode.samples, want)
+
+
 def reference_ridges(S, cfg, K):
     """Ridge extraction with the band suppressed frame by frame, in a loop."""
     energy = S.energy()

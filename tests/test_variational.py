@@ -5,10 +5,12 @@ import pytest
 from scipy.linalg import solve_banded
 
 from sigdecomp import bench, variational
-from sigdecomp.core import ContractViolation, Diverged, MultichannelSignal, NumericalFailure, Signal, l2_norm
+from sigdecomp.core import (
+    ContractViolation, Diverged, MultichannelSignal, NumericalFailure, Signal, _scaled_back, _unit_scaled, l2_norm
+)
 from sigdecomp.metrics import match_components, qrf
 from sigdecomp.multivariate import MvmdConfig, mvmd_decompose
-from sigdecomp.synth import gen_mv_test, gen_s1
+from sigdecomp.synth import add_wgn, gen_mv_test, gen_s1
 from sigdecomp.variational import (
     VmdConfig,
     VncmdConfig,
@@ -29,15 +31,84 @@ def scipy_solve_banded(bands, rhs):
     return solve_banded((4, 4), bands[4:], rhs)
 
 
+def vncmd_run(x, cfg):
+    """The decomposition and report of a VNCMD run, read through ``Diverged``
+    when it raises, and whether it did."""
+    try:
+        return (*vncmd_decompose(x, cfg), False)
+    except Diverged as exc:
+        return exc.decomposition, exc.report, True
+
+
 def vncmd_outputs(x, cfg):
     """Every array a VNCMD run gives, read through ``Diverged`` when it raises."""
-    try:
-        d, report = vncmd_decompose(x, cfg)
-        diverged = False
-    except Diverged as exc:
-        d, report, diverged = exc.decomposition, exc.report, True
+    d, report, diverged = vncmd_run(x, cfg)
     arrays = [m.samples for m in d.modes] + [d.residual.samples] + list(d.if_tracks_hz)
     return diverged, arrays + [np.asarray(report.objective_trace)]
+
+
+def reference_vncmd(x, cfg):
+    """VNCMD written one envelope at a time: separate ``a`` and ``b``
+    arrays, ``np.gradient`` and ``np.diff`` per envelope, a fresh system
+    and right-hand side per solve and one moving average per mode.  It
+    skips the finiteness checks, which the runs compared here never trip.
+    Returns what :func:`vncmd_outputs` returns, then the final update norm."""
+    n, fs, k = len(x), x.sample_rate_hz, cfg.K
+    nyquist, dt, weight, tiny = fs / 2.0, 1.0 / fs, 1.0 / cfg.alpha, np.finfo(np.float64).tiny
+    width = max(int(round(cfg.if_smooth_frac * n)), 1)
+    samples, exp = _unit_scaled(x.samples)
+    smoothing = _smoothing_bands(n, weight)
+    if_tracks = np.tile(np.asarray(cfg.init_if_hz, dtype=float)[:, None], (1, n))
+    a, b, modes = np.zeros((k, n)), np.zeros((k, n)), np.zeros((k, n))
+
+    def moving_average(row):
+        if width <= 1:
+            return row
+        pad = width // 2
+        padded = np.concatenate([np.full(pad, row[0]), row, np.full(width - 1 - pad, row[-1])])
+        return np.convolve(padded, np.ones(width) / width, mode="valid")
+
+    def sweep():
+        steps = (if_tracks[:, 1:] + if_tracks[:, :-1]) / 2.0 * dt
+        phase = 2.0 * np.pi * np.concatenate([np.zeros((k, 1)), np.cumsum(steps, axis=1)], axis=1)
+        cos_t, sin_t = np.cos(phase), np.sin(phase)
+        for i in range(k):
+            residual = samples - (modes.sum(axis=0) - modes[i])
+            bands = smoothing.copy(order="F")
+            bands[8, 0::2] += cos_t[i] * cos_t[i]
+            bands[8, 1::2] += sin_t[i] * sin_t[i]
+            bands[7, 1::2] = bands[9, 0::2] = cos_t[i] * sin_t[i]
+            rhs = np.empty(2 * n)
+            rhs[0::2] = residual * cos_t[i]
+            rhs[1::2] = residual * sin_t[i]
+            solution = variational.solve_banded(bands, rhs)
+            a[i], b[i] = solution[0::2], solution[1::2]
+            modes[i] = a[i] * cos_t[i] + b[i] * sin_t[i]
+
+    trace, update_norm, growth_run = [], np.inf, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        sweep()
+        for _ in range(cfg.max_iters):
+            modes_prev = modes.copy()
+            da, db = np.gradient(a, dt, axis=1), np.gradient(b, dt, axis=1)
+            denom = a**2 + b**2
+            floor = 1e-10 * np.maximum(denom.max(axis=1, keepdims=True), tiny)
+            raw = (b * da - a * db) / (2.0 * np.pi * np.maximum(denom, floor))
+            increments = np.array([moving_average(row) for row in raw])
+            if_tracks[:] = np.clip(if_tracks + cfg.mu * increments, 0.0, nyquist)
+            sweep()
+            data = samples - modes.sum(axis=0)
+            d2a, d2b = np.diff(a, n=2, axis=1), np.diff(b, n=2, axis=1)
+            smooth = sum(np.sum(d2a * d2a, axis=1) + np.sum(d2b * d2b, axis=1))
+            trace.append(float(np.sum(data * data) + weight * smooth))
+            power_prev = np.sum(modes_prev**2, axis=1)
+            new_norm = float(sum(np.sum((modes - modes_prev) ** 2, axis=1) / (power_prev + tiny)))
+            growth_run = growth_run + 1 if new_norm > update_norm else 0
+            update_norm = new_norm
+            if growth_run >= 10 or update_norm < cfg.tol:
+                break
+    arrays = list(_scaled_back(modes, exp)) + [_scaled_back(samples - modes.sum(axis=0), exp)] + list(if_tracks)
+    return growth_run >= 10, arrays + [np.ldexp(trace, 2 * exp)], update_norm
 
 
 # a run that raises Diverged, so its partial state is what gets compared
@@ -328,6 +399,32 @@ class TestVncmd:
         assert diverged == want_diverged == (case == "diverging_s1")
         assert len(got) == len(want)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize(
+        "signal, snr_db, seed",
+        [("s1", None, None), ("s2", None, None)] + [("s2", snr, seed) for snr in (12.0, 3.0) for seed in range(4)],
+    )
+    def test_bit_identical_to_one_envelope_at_a_time(self, signal, snr_db, seed):
+        # the benchmark's clean and noisy recipes, three of the noisy ones diverging
+        x, _ = bench.generate_signal(signal)
+        if snr_db is not None:
+            x = add_wgn(x, snr_db, seed)
+        cfg = bench.default_config("vncmd", signal, noisy=snr_db is not None)
+        d, report, diverged = vncmd_run(x, cfg)
+        want_diverged, want, want_norm = reference_vncmd(x, cfg)
+        got = [m.samples for m in d.modes] + [d.residual.samples] + list(d.if_tracks_hz)
+        got.append(np.asarray(report.objective_trace))
+        assert diverged == want_diverged
+        assert len(got) == len(want)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert np.float64(report.final_update_norm).tobytes() == np.float64(want_norm).tobytes()
+
+    def test_noisy_s2_runs_that_diverge(self):
+        # the comparison above covers the divergence path on these three
+        x, _ = bench.generate_signal("s2")
+        cfg = bench.default_config("vncmd", "s2", noisy=True)
+        diverging = [(snr, seed) for snr in (12.0, 3.0) for seed in range(4) if vncmd_run(add_wgn(x, snr, seed), cfg)[2]]
+        assert diverging == [(12.0, 0), (12.0, 3), (3.0, 2)]
 
     def test_non_finite_update_norm_reported_as_it_is(self, monkeypatch):
         x, _ = bench.generate_signal("s2")
