@@ -188,8 +188,7 @@ def _cmd_tf(args) -> int:
         sig = sdio.read_csv_signal(args.input, args.fs)
         if isinstance(sig, MultichannelSignal):
             sig = sig.channel(0)
-        zero = Signal(np.zeros(len(sig)), sig.sample_rate_hz)
-        d = Decomposition(modes=(sig,), residual=zero)
+        d = Decomposition.of([sig.samples], np.zeros(len(sig)), sig.sample_rate_hz)
     fs = d.residual.sample_rate_hz
     fmax = args.fmax if args.fmax is not None else fs / 2.0
     grid = hilbert_spectrum(d, args.bins, fmax)

@@ -186,6 +186,14 @@ class Decomposition:
                 raise ContractViolation("an IF track needs one value per sample")
             object.__setattr__(self, "if_tracks_hz", tracks)
 
+    @classmethod
+    def of(cls, modes, residual, fs: float, centers=None, tracks=None, exp: int = 0) -> Decomposition:
+        """The decomposition at rate ``fs`` of the mode rows ``modes`` and ``residual``, each times
+        ``2**exp`` (:func:`_scaled_back`), with ``centers`` and ``tracks`` as its optional fields: a
+        method's unit-peak arrays at its input's scale."""
+        modes = tuple(Signal(_scaled_back(m, exp), fs) for m in modes)
+        return cls(modes, Signal(_scaled_back(residual, exp), fs), centers, tracks)
+
     @property
     def n_modes(self) -> int:
         return len(self.modes)
@@ -225,11 +233,13 @@ class AlignedDecomposition:
             self.channel(c)  # the modes share their residual's length and rate, one center per mode
 
     @classmethod
-    def of(cls, modes, residuals, fs: float, centers=None) -> AlignedDecomposition:
+    def of(cls, modes, residuals, fs: float, centers=None, exp: int = 0) -> AlignedDecomposition:
         """The decomposition at rate ``fs`` whose mode k of channel c has the
-        samples ``modes[k][c]`` and whose residual of channel c has ``residuals[c]``."""
+        samples ``modes[k][c]`` and whose residual of channel c has
+        ``residuals[c]``, each times ``2**exp`` as in :meth:`Decomposition.of`."""
+        modes = [_scaled_back(m, exp) for m in modes]
         channel_modes = tuple(tuple(Signal(m[c], fs) for m in modes) for c in range(len(residuals)))
-        return cls(channel_modes, tuple(Signal(r, fs) for r in residuals), fs, centers)
+        return cls(channel_modes, tuple(Signal(_scaled_back(r, exp), fs) for r in residuals), fs, centers)
 
     @property
     def n_channels(self) -> int:

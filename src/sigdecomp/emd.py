@@ -16,7 +16,7 @@ import numpy as np
 
 from ._kernels import find_extrema_arrays, natural_spline
 from .core import ContractViolation, Decomposition, NotEnoughExtrema, NumericalFailure, Signal
-from .core import _check_fields, _scaled_back, _unit_scaled
+from .core import _check_fields, _unit_scaled
 
 _EPS = 1e-300
 
@@ -198,8 +198,7 @@ def emd_decompose(x: Signal, cfg: EmdConfig = EmdConfig()) -> Decomposition:
         residue = residue - imf
         if np.max(np.abs(residue)) < 1e-12 * np.max(np.abs(samples)):  # a mode was found, so the peak is in [0.5, 1)
             break
-    fs = x.sample_rate_hz
-    return Decomposition(tuple(Signal(_scaled_back(m, exp), fs) for m in modes), Signal(_scaled_back(residue, exp), fs))
+    return Decomposition.of(modes, residue, x.sample_rate_hz, exp=exp)
 
 
 def count_zero_crossings(samples: np.ndarray) -> int:

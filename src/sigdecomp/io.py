@@ -212,13 +212,11 @@ def read_decomposition(outdir: str | Path) -> tuple[Decomposition | AlignedDecom
         tracks = np.atleast_2d(_samples(read_csv_signal(outdir / str(manifest["if_tracks_file"]))))
         if tracks.shape != (len(modes), shape[-1]):
             raise CsvFormatError(f"{outdir}: IF tracks and modes differ in shape")
-        tracks = tuple(tracks)
     try:
         if isinstance(residual, Signal):
-            d = Decomposition(modes=tuple(modes), residual=residual, center_freqs_hz=centers, if_tracks_hz=tracks)
+            d = Decomposition.of([m.samples for m in modes], residual.samples, rate, centers, tracks)
         else:
-            arrays = [m.channels for m in modes]
-            d = AlignedDecomposition.of(arrays, residual.channels, rate, centers)
+            d = AlignedDecomposition.of([m.channels for m in modes], residual.channels, rate, centers)
     except (TypeError, ValueError) as exc:
         raise CsvFormatError(f"{path}: {exc}") from exc
     return d, manifest

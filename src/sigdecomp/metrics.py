@@ -20,33 +20,41 @@ QRF_SATURATION_DB = 300.0
 
 def _qrf_table(est: list[Signal], refs: list[Signal]) -> np.ndarray:
     """QRF in dB of every mode in ``est`` against every reference, as an
-    ``(E, R)`` table.  Differences are formed at the unit peak of the whole
-    table (one power of two, as in ``core._unit_scaled``) and each norm at
-    its own row's unit peak, so no difference overflows, no norm underflows
-    and exact ``2**k``-scaled inputs give the same bits.
+    ``(E, R)`` table.  Each reference's norm is taken at its own unit peak,
+    each difference at the unit peak of its pair (one power of two, as in
+    ``core._unit_scaled``) and its norm at the difference's own, so no
+    difference overflows, no norm underflows, no series is lost to another's
+    scale and exact ``2**k``-scaled inputs give the same bits.  A ratio below
+    float64's normal range is taken in the log domain.
 
     Saturates at +300 dB; raises if the series differ in length or rate, or
-    if a reference is zero at the table's unit peak (the ratio is undefined).
+    if a reference is zero (the ratio is undefined).
     """
     for s in (*est, *refs):
         _check_compatible(refs[0], s)
-    peak = max(max(s.samples.max(), -s.samples.min()) for s in (*est, *refs))  # with no |x| copy
-    exp = int(np.frexp(peak)[1])  # the exponent of core._unit_scaled
     r = np.array([s.samples for s in refs])
-    np.ldexp(r, -exp, out=r)
     err = r.copy()  # one (R, n) buffer, for the references' norms and then every mode's error
-    ref_norm, ref_exp = _unit_norms(err)
+    ref_norm, ref_exp = _unit_norms(err)  # ref_exp: each reference's unit-peak exponent
     if np.any(ref_norm == 0.0):
         raise ContractViolation("QRF is undefined for a zero reference")
+    row = np.empty(r.shape[1])
     err_norm = np.empty((len(est), len(refs)))
     err_exp = np.empty((len(est), len(refs)), dtype=int)
     for i, mode in enumerate(est):
-        np.subtract(r, np.ldexp(mode.samples, -exp, out=err), out=err)
+        pair_exp = np.maximum(ref_exp, np.frexp(max(mode.samples.max(), -mode.samples.min()))[1])  # with no |x| copy
+        np.ldexp(r, -pair_exp[:, None], out=err)
+        for j, e in enumerate(-pair_exp):
+            err[j] -= np.ldexp(mode.samples, e, out=row)
         err_norm[i], err_exp[i] = _unit_norms(err)
-    # an exact match or a ratio past float64's range reads +inf and saturates; one below it, -inf
+        err_exp[i] += pair_exp
+    # an exact match or a ratio past float64's range reads +inf and saturates
     with np.errstate(divide="ignore", over="ignore"):
-        ratio = np.ldexp(ref_norm / err_norm, ref_exp - err_exp)
-        return np.minimum(20.0 * np.log10(ratio), QRF_SATURATION_DB)
+        quotient, shift = ref_norm / err_norm, ref_exp - err_exp
+        ratio = np.ldexp(quotient, shift)
+        db = 20.0 * np.log10(ratio)
+    low = ratio < np.finfo(np.float64).tiny  # below the normal range, where the ratio lost bits or is zero
+    db[low] = 20.0 * (np.log10(quotient[low]) + shift[low] * np.log10(2.0))
+    return np.minimum(db, QRF_SATURATION_DB)
 
 
 def qrf(est: Signal, ref: Signal) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._kernels import find_extrema_arrays, natural_spline
 from ._rng import uniforms
-from .core import AlignedDecomposition, ContractViolation, MultichannelSignal, _check_fields, _scaled_back, _unit_scaled
+from .core import AlignedDecomposition, ContractViolation, MultichannelSignal, _check_fields, _unit_scaled
 from .emd import EmdConfig
 from .variational import ConvergenceReport, VmdConfig, _variational_modes
 
@@ -239,7 +239,7 @@ def memd_decompose(x: MultichannelSignal, cfg: MemdConfig = MemdConfig()) -> Ali
         modes.append(h)
         data = data - h
 
-    return AlignedDecomposition.of([_scaled_back(m, exp).T for m in modes], _scaled_back(data, exp).T, x.sample_rate_hz)
+    return AlignedDecomposition.of([m.T for m in modes], data.T, x.sample_rate_hz, exp=exp)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +257,5 @@ def mvmd_decompose(
     behind :func:`~sigdecomp.variational.vmd_decompose`, run on every
     channel at once.
     """
-    modes, centers, residual, report = _variational_modes(x.channels, cfg)
-    fs = x.sample_rate_hz
-    return AlignedDecomposition.of(modes, residual, fs, centers * fs), report
+    modes, centers, residual, exp, report = _variational_modes(x.channels, cfg)
+    return AlignedDecomposition.of(modes, residual, x.sample_rate_hz, centers * x.sample_rate_hz, exp), report

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, Decomposition, Signal, _check_fields, _scaled_back, _unit_scaled
+from .core import ContractViolation, Decomposition, Signal, _check_fields, _unit_scaled
 from .metrics import dominant_frequency_hz
 
 
@@ -164,6 +164,4 @@ def ssa_decompose(x: Signal, cfg: SsaConfig = SsaConfig()) -> Decomposition:
 
     acc /= norm[None, :]
     acc_res /= norm
-    fs = x.sample_rate_hz
-    modes = tuple(Signal(_scaled_back(row, exp), fs) for row in acc if np.any(row))
-    return Decomposition(modes=modes, residual=Signal(_scaled_back(acc_res, exp), fs))
+    return Decomposition.of([row for row in acc if np.any(row)], acc_res, x.sample_rate_hz, exp=exp)

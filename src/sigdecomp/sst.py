@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import walk_ridge
-from .core import ContractViolation, Decomposition, NumericalFailure, Signal, _check_fields, _scaled_back, _unit_scaled
+from .core import ContractViolation, Decomposition, NumericalFailure, Signal, _check_fields, _unit_scaled
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,9 @@ def _admissibility(w0: float) -> float:
 
 
 def _scale_frequencies_hz(x: Signal, cfg: SstConfig) -> np.ndarray:
-    """Log-spaced analysis frequencies from 2/duration up to Nyquist."""
+    """The CWT's analysis frequencies, one per coefficient row, log-spaced from 2/duration up to Nyquist."""
+    if len(x) < 64:
+        raise ContractViolation("CWT needs at least 64 samples")
     fmin = 2.0 / x.duration_s
     fmax = x.sample_rate_hz / 2.0
     if fmin >= fmax:
@@ -89,13 +91,6 @@ def _scale_frequencies_hz(x: Signal, cfg: SstConfig) -> np.ndarray:
     n_octaves = np.log2(fmax / fmin)
     count = int(np.ceil(n_octaves * cfg.n_voices)) + 1
     return fmin * 2.0 ** (np.arange(count) / cfg.n_voices)
-
-
-def _cwt_frequencies_hz(x: Signal, cfg: SstConfig) -> np.ndarray:
-    """The CWT's analysis frequencies, one per coefficient row."""
-    if len(x) < 64:
-        raise ContractViolation("CWT needs at least 64 samples")
-    return _scale_frequencies_hz(x, cfg)
 
 
 def _grid_out(out: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
@@ -121,7 +116,7 @@ def cwt_morlet(
     coefficients go to ``out`` when it is given: a C-contiguous complex
     ``(n_scales, n)`` array, which is returned.
     """
-    freqs_hz = _cwt_frequencies_hz(x, cfg)
+    freqs_hz = _scale_frequencies_hz(x, cfg)
     n = len(x)
     n_pos = (n + 1) // 2
     xi = 2.0 * np.pi * np.fft.fftfreq(n, 1.0 / x.sample_rate_hz)[:n_pos]  # rad/s
@@ -308,15 +303,11 @@ def sst_decompose(x: Signal, cfg: SstConfig) -> Decomposition:
     """
     samples, exp = _unit_scaled(x.samples)
     unit = Signal(samples, x.sample_rate_hz)
-    shape = (_cwt_frequencies_hz(unit, cfg).size, len(unit))
+    shape = (_scale_frequencies_hz(unit, cfg).size, len(unit))
     grids = np.empty((2, *shape), dtype=complex)  # the CWT's, then the squeezed grid
     S = synchrosqueeze(*cwt_morlet(unit, cfg, out=grids[0]), unit, cfg, out=grids[1])
     energy = grids[0].view(np.float64).reshape(-1)[: S.values.size].reshape(shape)  # the CWT is spent
     tracks = sorted(extract_ridges(S, cfg, cfg.K, out=energy), key=lambda tr: np.mean(S.freqs_hz[tr.bins]))
     modes = [reconstruct_mode(S, tr, cfg.start_band).samples for tr in tracks]
-    residual = samples - np.sum(modes, axis=0)
-    return Decomposition(
-        modes=tuple(Signal(_scaled_back(m, exp), x.sample_rate_hz) for m in modes),
-        residual=Signal(_scaled_back(residual, exp), x.sample_rate_hz),
-        if_tracks_hz=tuple(S.freqs_hz[tr.bins] for tr in tracks),
-    )
+    tracks_hz = [S.freqs_hz[tr.bins] for tr in tracks]
+    return Decomposition.of(modes, samples - np.sum(modes, axis=0), x.sample_rate_hz, tracks=tracks_hz, exp=exp)

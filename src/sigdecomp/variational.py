@@ -18,7 +18,7 @@ import numpy as np
 
 from ._kernels import lapack
 from .core import (
-    ContractViolation, Decomposition, Diverged, NumericalFailure, Signal, _check_fields, _scaled_back, _unit_scaled
+    ContractViolation, Decomposition, Diverged, NumericalFailure, Signal, _check_fields, _unit_scaled
 )
 
 
@@ -77,7 +77,7 @@ def _power(modes: np.ndarray) -> np.ndarray:
 
 def _variational_modes(
     channels: np.ndarray, cfg: VmdConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, ConvergenceReport]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, ConvergenceReport]:
     """Joint Wiener-update / augmented-Lagrangian iteration on ``(C, n)`` data.
 
     Every mode keeps one spectrum per channel and one center frequency
@@ -86,7 +86,8 @@ def _variational_modes(
     centers start at 0 (``init_mode="zeros"``) or spread evenly below
     Nyquist (``"uniform"``).  Returns the modes ``(K, C, n)``
     and their centers (cycles/sample), both ascending in frequency, the
-    residual ``(C, n)`` and the report.
+    residual ``(C, n)``, the exponent that scales modes and residual back
+    from unit peak (``Decomposition.of``) and the report.
 
     The iteration keeps only the one-sided spectrum of the mirrored
     input, bins ``0 … (t_len - 1) // 2``: the modes are analytic, so the
@@ -177,7 +178,7 @@ def _variational_modes(
         converged=converged,
         objective_trace=tuple(trace),
     )
-    return _scaled_back(modes, exp), omega[order], _scaled_back(channels - modes.sum(axis=0), exp), report
+    return modes, omega[order], channels - modes.sum(axis=0), exp, report
 
 
 def vmd_decompose(
@@ -192,14 +193,8 @@ def vmd_decompose(
     is reported, not raised; non-finite iterates raise
     :class:`NumericalFailure`.
     """
-    modes, centers, residual, report = _variational_modes(x.samples[None, :], cfg)
-    fs = x.sample_rate_hz
-    decomp = Decomposition(
-        modes=tuple(Signal(m, fs) for m in modes[:, 0]),
-        residual=Signal(residual[0], fs),
-        center_freqs_hz=tuple(float(f * fs) for f in centers),
-    )
-    return decomp, report
+    modes, centers, residual, exp, report = _variational_modes(x.samples[None, :], cfg)
+    return Decomposition.of(modes[:, 0], residual[0], x.sample_rate_hz, centers * x.sample_rate_hz, exp=exp), report
 
 
 # ---------------------------------------------------------------------------
@@ -270,47 +265,36 @@ def solve_banded(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
-def _envelope_system(trig: np.ndarray, smoothing: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """One mode's normal equations for its quadrature envelopes (a, b).
+def _fit_envelopes(
+    trig: np.ndarray, residual: np.ndarray, smoothing: np.ndarray, system: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """One mode's quadrature envelopes (a, b), a ``(2, n)`` pair, a over b.
 
     They minimize ||r - a*cos - b*sin||^2 + weight*(||D2 a||^2 + ||D2 b||^2)
-    with D2 the second-difference operator; ``smoothing`` holds the
-    weighted D2 part in the ``dgbsv`` layout of :func:`_smoothing_bands`,
-    and ``trig`` is the mode's carrier pair ``(cos, sin)``, ``(2, n)``.
-    Unknowns are interleaved (a0, b0, a1, b1, ...), so the normal
-    equations have bandwidth 4: the data term couples a_t with b_t
-    (offsets 0 and +-1, rows 8, 7 and 9) and the smoothing term each
-    track with itself two samples away (offsets 0, +-2 and +-4).  Fills
-    and returns ``out``, the ``(13, 2n)`` system in Fortran order, so that
-    it reaches LAPACK without a copy.
+    with D2 the second-difference operator, r the ``residual`` and ``trig``
+    the carrier pair ``(cos, sin)``, ``(2, n)``; ``smoothing`` holds the
+    weighted D2 part in the ``dgbsv`` layout of :func:`_smoothing_bands`.
+    Unknowns are interleaved (a0, b0, a1, b1, ...), so the normal equations
+    have bandwidth 4: the data term couples a_t with b_t (offsets 0 and +-1,
+    rows 8, 7 and 9) and the smoothing term each track with itself two
+    samples away (offsets 0, +-2 and +-4).  They go to ``system``, ``(13,
+    2n)`` in Fortran order so that LAPACK takes it without a copy, and
+    their right-hand side to ``rhs``, ``(2n,)``; the solve
+    (:func:`solve_banded`, looked up at each call) overwrites both and may
+    return a view of ``rhs``.  A singular system or non-finite envelopes
+    raise :class:`NumericalFailure`.
     """
-    n = trig.shape[1]
-    entries = out.T.reshape(n, 2, 13)  # by sample, then a or b, then row
-    out[:] = smoothing
+    n = residual.size
+    entries = system.T.reshape(n, 2, 13)  # by sample, then a or b, then row
+    system[:] = smoothing
     np.add(trig * trig, smoothing[8].reshape(n, 2).T, out=entries[..., 8].T)  # the a_t and the b_t entries
     np.multiply(trig[0], trig[1], out=entries[:, 1, 7])  # (a_t, b_t)
     entries[:, 0, 9] = entries[:, 1, 7]  # (b_t, a_t)
-    return out
-
-
-def _solve_envelopes(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """One mode's interleaved envelopes; both arguments overwritten."""
+    np.multiply(trig, residual, out=rhs.reshape(n, 2).T)
     solution = solve_banded(system, rhs)
     if not np.isfinite(solution).all():
         raise NumericalFailure("VNCMD envelope solve produced non-finite envelopes")
-    return solution
-
-
-def _envelope_solve(
-    residual: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray, smoothing: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature envelopes (a, b) of one mode, the system of
-    :func:`_envelope_system` solved directly for determinism."""
-    trig = np.stack([cos_t, sin_t])
-    rhs = (trig * residual).T.ravel()  # (a0, b0, a1, b1, ...)
-    system = _envelope_system(trig, smoothing, np.empty((13, 2 * residual.size), order="F"))
-    solution = _solve_envelopes(system, rhs)
-    return solution[0::2], solution[1::2]
+    return solution.reshape(n, 2).T
 
 
 def vncmd_decompose(
@@ -365,7 +349,6 @@ def vncmd_decompose(
     trig = np.empty((k, 2, n))  # each mode's cos over its sin
     system = np.empty((13, 2 * n), order="F")
     rhs = np.empty(2 * n)
-    rhs_pairs = rhs.reshape(n, 2).T  # its a entries over its b entries
     residual = np.empty(n)
     terms = np.empty((2, n))
     grad = np.empty((k, 2, n))
@@ -395,9 +378,7 @@ def vncmd_decompose(
             np.subtract(samples, residual, out=residual)
             if not (np.isfinite(residual).all() and finite_tracks[i]):
                 raise NumericalFailure("VNCMD sweep produced a non-finite mode or IF track")
-            np.multiply(trig[i], residual, out=rhs_pairs)
-            _envelope_system(trig[i], smoothing, system)
-            envelopes[i] = _solve_envelopes(system, rhs).reshape(n, 2).T
+            envelopes[i] = _fit_envelopes(trig[i], residual, smoothing, system, rhs)
             np.multiply(envelopes[i], trig[i], out=terms)
             np.add(terms[0], terms[1], out=modes[i])
 
@@ -462,11 +443,7 @@ def vncmd_decompose(
         if growth_run >= 10 or update_norm < cfg.tol:
             break
 
-    decomp = Decomposition(
-        modes=tuple(Signal(m, fs) for m in _scaled_back(modes, exp)),
-        residual=Signal(_scaled_back(samples - modes.sum(axis=0), exp), fs),
-        if_tracks_hz=tuple(if_tracks),
-    )
+    decomp = Decomposition.of(modes, samples - modes.sum(axis=0), fs, tracks=if_tracks, exp=exp)
     with np.errstate(over="ignore"):  # a cost past float64's range reads inf
         trace = np.ldexp(trace, 2 * exp)
     report = ConvergenceReport(

@@ -8,6 +8,7 @@ from sigdecomp.core import (
     Decomposition,
     ModeModel,
     MultichannelSignal,
+    NumericalFailure,
     Signal,
     add,
     l2_norm,
@@ -175,6 +176,36 @@ class TestDecomposition:
         s = tone(4.0, 1.0, 32.0)
         with pytest.raises(ContractViolation):
             Decomposition(modes=(s,), residual=s, if_tracks_hz=(np.full(len(s) - 1, 4.0),))
+
+    @pytest.mark.parametrize("exp", [0, -1000, 3, 1000])
+    def test_of_builds_the_bits_of_a_hand_built_decomposition(self, rng, exp):
+        modes, residual = rng.normal(size=(3, 50)), rng.normal(size=50)
+        centers, tracks = (1.0, 2.0, 3.0), rng.uniform(1.0, 4.0, size=(3, 50))
+        d = Decomposition.of(modes, residual, 10.0, centers, tracks, exp)
+        want = Decomposition(
+            modes=tuple(Signal(m * 2.0**exp, 10.0) for m in modes),
+            residual=Signal(residual * 2.0**exp, 10.0),
+            center_freqs_hz=centers,
+            if_tracks_hz=tuple(tracks),
+        )
+        got_series, want_series = (*d.modes, d.residual), (*want.modes, want.residual)
+        assert all(g.samples.tobytes() == w.samples.tobytes() for g, w in zip(got_series, want_series, strict=True))
+        assert all(g.sample_rate_hz == 10.0 for g in got_series)
+        assert d.center_freqs_hz == centers
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(d.if_tracks_hz, tracks, strict=True))
+
+    def test_of_defaults_to_no_centers_tracks_or_scaling(self, rng):
+        modes = rng.normal(size=(2, 20))
+        d = Decomposition.of(modes, np.zeros(20), 8.0)
+        assert d.center_freqs_hz is None and d.if_tracks_hz is None
+        assert all(np.array_equal(m.samples, w) for m, w in zip(d.modes, modes, strict=True))
+
+    @pytest.mark.parametrize("where", ["mode", "residual"])
+    def test_of_past_float64_range_is_numerical_failure(self, where):
+        big, small = np.full(8, 0.75), np.full(8, 0.25)  # 0.75 * 2**1025 overflows, 0.25 * 2**1025 does not
+        modes, residual = ([big], small) if where == "mode" else ([small], big)
+        with pytest.raises(NumericalFailure, match="input's scale"):
+            Decomposition.of(modes, residual, 8.0, exp=1025)
 
 
 class TestModeModel:

@@ -363,11 +363,22 @@ class TestWholeArrayScoring:
         assert qrf(scale(est, factor), scale(ref, factor)) == pytest.approx(qrf(est, ref), rel=1e-12)
         assert qrf(est, ref) == pytest.approx(40.0, abs=1e-9)
 
-    @pytest.mark.parametrize("factor, expected", [(1e-160, -3200.0), (1e-170, -3400.0), (1e-200, -4000.0)])
-    def test_reference_far_below_the_estimate(self, factor, expected):
-        # at the table's common scale the reference's squares underflow; at its own unit peak they do not
+    @pytest.mark.parametrize(
+        "est_peak, factor, expected",
+        [(1.0, 1e-160, -3200.0), (1.0, 1e-170, -3400.0), (1.0, 1e-200, -4000.0)]
+        + [(1e200, 1e-120, -6400.0), (1e200, 1e-130, -6600.0), (1e200, 1e-300, -10000.0)],
+    )
+    def test_reference_far_below_the_estimate(self, est_peak, factor, expected):
+        # at a scale common to both, the reference's squares underflow (from 1e200 over 1e-120 on, the
+        # reference itself); its norm is taken at its own unit peak, the difference at the pair's, and
+        # a ratio below float64's normal range in the log domain
         t = 2.0 * np.pi * np.arange(64) / 64
-        assert qrf(Signal(np.cos(t), 64.0), Signal(factor * np.sin(t), 64.0)) == pytest.approx(expected, abs=1e-9)
+        est, ref = Signal(est_peak * np.cos(t), 64.0), Signal(factor * np.sin(t), 64.0)
+        assert qrf(est, ref) == pytest.approx(expected, abs=1e-9)
+        table = metrics._qrf_table([est, ref], [ref, est])  # each pair at its own scale
+        assert table[0, 0] == pytest.approx(expected, abs=1e-9)
+        assert table[0, 1] == table[1, 0] == QRF_SATURATION_DB
+        assert table[1, 1] == pytest.approx(0.0, abs=1e-9)  # the reference is lost in the estimate's rounding
 
     def test_zero_reference_in_a_table_rejected(self):
         s = tone(5.0, 1.0, 64.0)

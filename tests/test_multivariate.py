@@ -6,7 +6,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from sigdecomp._kernels import find_extrema_arrays, natural_spline
-from sigdecomp.core import ContractViolation, MultichannelSignal, Signal, l2_norm
+from sigdecomp.core import ContractViolation, MultichannelSignal, NumericalFailure, Signal, l2_norm
 from sigdecomp import core, multivariate
 from sigdecomp.emd import EmdConfig, emd_decompose
 from sigdecomp.metrics import alignment_score, qrf
@@ -484,6 +484,29 @@ class TestMvmd:
         assert (d.n_channels, d.n_modes, d.center_freqs_hz) == (2, 3, (1.0, 2.0, 3.0))
         assert all(np.array_equal(d.channel_modes[c][k].samples, modes[k, c]) for c in range(2) for k in range(3))
         assert all(np.array_equal(r.samples, residuals[c]) for c, r in enumerate(d.residuals))
+
+    @pytest.mark.parametrize("exp", [0, -1000, 3, 1000])
+    def test_of_builds_the_bits_of_a_hand_built_decomposition(self, rng, exp):
+        modes, residuals = rng.normal(size=(3, 2, 50)), rng.normal(size=(2, 50))
+        d = AlignedDecomposition.of(modes, residuals, 10.0, (1.0, 2.0, 3.0), exp)
+        want = AlignedDecomposition(
+            channel_modes=tuple(tuple(Signal(m[c] * 2.0**exp, 10.0) for m in modes) for c in range(2)),
+            residuals=tuple(Signal(r * 2.0**exp, 10.0) for r in residuals),
+            sample_rate_hz=10.0,
+            center_freqs_hz=(1.0, 2.0, 3.0),
+        )
+        got_series = [*(m for ms in d.channel_modes for m in ms), *d.residuals]
+        want_series = [*(m for ms in want.channel_modes for m in ms), *want.residuals]
+        assert all(g.samples.tobytes() == w.samples.tobytes() for g, w in zip(got_series, want_series, strict=True))
+        assert all(g.sample_rate_hz == 10.0 for g in got_series)
+        assert d.center_freqs_hz == (1.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize("where", ["mode", "residual"])
+    def test_of_past_float64_range_is_numerical_failure(self, where):
+        big, small = np.full((2, 8), 0.75), np.full((2, 8), 0.25)  # 0.75 * 2**1025 overflows, 0.25 * 2**1025 does not
+        modes, residuals = ([big], small) if where == "mode" else ([small], big)
+        with pytest.raises(NumericalFailure, match="input's scale"):
+            AlignedDecomposition.of(modes, residuals, 8.0, exp=1025)
 
     def test_reconstruction_error_over_all_channels(self, rng):
         modes, residuals, x = rng.normal(size=(3, 2, 50)), rng.normal(size=(2, 50)), rng.normal(size=(2, 50))

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sigdecomp import bench, sst
+from sigdecomp import bench, core, sst
 from sigdecomp._kernels import walk_ridge
 from sigdecomp.core import ContractViolation, NumericalFailure, Signal, add
 from sigdecomp.metrics import match_components, qrf
@@ -438,7 +438,7 @@ class TestOutBuffers:
         S = synchrosqueeze(*cwt_morlet(unit, cfg), unit, cfg)  # each stage on its own arrays
         tracks = sorted(extract_ridges(S, cfg, cfg.K), key=lambda tr: np.mean(S.freqs_hz[tr.bins]))
         for mode, track in zip(d.modes, tracks, strict=True):
-            want = sst._scaled_back(reconstruct_mode(S, track, cfg.start_band).samples, exp)
+            want = core._scaled_back(reconstruct_mode(S, track, cfg.start_band).samples, exp)
             assert np.array_equal(mode.samples, want)
 
 

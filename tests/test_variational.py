@@ -14,7 +14,7 @@ from sigdecomp.synth import add_wgn, gen_mv_test, gen_s1
 from sigdecomp.variational import (
     VmdConfig,
     VncmdConfig,
-    _envelope_solve,
+    _fit_envelopes,
     _smoothing_bands,
     vmd_decompose,
     vncmd_decompose,
@@ -24,6 +24,13 @@ from sigdecomp.variational import (
 def tone(freq_hz, duration_s, fs, amp=1.0):
     t = np.arange(int(duration_s * fs)) / fs
     return Signal(amp * np.cos(2 * np.pi * freq_hz * t), fs)
+
+
+def fit_envelopes(residual, cos_t, sin_t, smoothing):
+    """One mode's envelopes (a, b) from ``_fit_envelopes`` with fresh buffers."""
+    n = residual.size
+    system, rhs = np.empty((13, 2 * n), order="F"), np.empty(2 * n)
+    return _fit_envelopes(np.stack([cos_t, sin_t]), residual, smoothing, system, rhs)
 
 
 def scipy_solve_banded(bands, rhs):
@@ -355,7 +362,7 @@ class TestVncmd:
 
     @pytest.mark.parametrize("n", [12, 40])
     @pytest.mark.parametrize("weight", [1.0, 1e3])
-    def test_envelope_solve_matches_dense_normal_equations(self, rng, n, weight):
+    def test_fit_envelopes_matches_dense_normal_equations(self, rng, n, weight):
         phase = rng.uniform(0.0, 2.0 * np.pi, n)
         cos_t, sin_t = np.cos(phase), np.sin(phase)
         residual = rng.normal(size=n)
@@ -369,20 +376,20 @@ class TestVncmd:
         rhs = np.ravel(np.column_stack([residual * cos_t, residual * sin_t]))
         expected = np.linalg.solve(dense, rhs)
 
-        a, b = _envelope_solve(residual, cos_t, sin_t, _smoothing_bands(n, weight))
+        a, b = fit_envelopes(residual, cos_t, sin_t, _smoothing_bands(n, weight))
         got = np.ravel(np.column_stack([a, b]))
         assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("n", [12, 40, 512])
-    def test_envelope_solve_bit_identical_to_scipy(self, rng, monkeypatch, n):
+    def test_fit_envelopes_bit_identical_to_scipy(self, rng, monkeypatch, n):
         phase = rng.uniform(0.0, 2.0 * np.pi, n)
         residual = rng.normal(size=n)
         for weight in (1.0, 1e3, 2e5):
             args = (residual, np.cos(phase), np.sin(phase), _smoothing_bands(n, weight))
-            got = _envelope_solve(*args)
+            got = fit_envelopes(*args)
             with monkeypatch.context() as m:
                 m.setattr(variational, "solve_banded", scipy_solve_banded)
-                want = _envelope_solve(*args)
+                want = fit_envelopes(*args)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("case", ["clean_s2", "diverging_s1"])
@@ -442,7 +449,7 @@ class TestVncmd:
     def test_singular_envelope_system_is_numerical_failure(self):
         n = 16
         with pytest.raises(NumericalFailure, match="singular"):
-            _envelope_solve(np.zeros(n), np.zeros(n), np.zeros(n), _smoothing_bands(n, 0.0))
+            fit_envelopes(np.zeros(n), np.zeros(n), np.zeros(n), _smoothing_bands(n, 0.0))
 
     @pytest.mark.parametrize("alpha", [1e-320, 1e-308])
     def test_overflowing_smoothing_weight_rejected(self, alpha):
