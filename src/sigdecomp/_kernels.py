@@ -3,8 +3,13 @@
 Each kernel has one vectorized numpy/LAPACK implementation.  Callers import
 the public names (``find_extrema_arrays``, ``natural_spline``,
 ``walk_ridge``) into their own modules, which is where the benchmark's
-probes look them up.  LAPACK comes from :func:`lapack`, scipy's compiled
-module loaded alone on the first solve; ``scipy.linalg`` is never imported.
+probes look them up.  The kernels run once per sift or per envelope on a
+few hundred samples, where numpy's Python-level wrappers (``np.diff``,
+``np.flatnonzero``, ``np.tile``, ``np.append``, ``np.repeat``, ...) cost
+more than their arithmetic, so they call the ufuncs and array methods
+those wrappers call: the same operations in the same order.  LAPACK comes
+from :func:`lapack`, scipy's compiled module loaded alone on the first
+solve; ``scipy.linalg`` is never imported.
 """
 
 from __future__ import annotations
@@ -53,16 +58,16 @@ def find_extrema_arrays(x: np.ndarray) -> tuple:
     x = np.asarray(x, dtype=np.float64)
     width = max(x.shape[0] - 1, 1)  # steps per column
     with np.errstate(over="ignore"):  # an overflowing step is +-inf, and only its sign is used
-        steps = np.diff(x, axis=0).T.ravel()
-    nz = np.flatnonzero(steps)
+        steps = (x[1:] - x[:-1]).T.ravel()
+    nz = steps.nonzero()[0]
     s = np.sign(steps[nz])
-    flip = np.flatnonzero(s[:-1] != s[1:])
+    flip = (s[:-1] != s[1:]).nonzero()[0]
     left, right = nz[flip], nz[flip + 1]  # the change points around each flip
     column = left // width
     idx = (left + 1 + right) // 2 - column * width  # a plateau's midpoint
     same = right // width == column  # a flip across two columns is none
     up = s[flip]  # +1 before a maximum, -1 before a minimum
-    families = np.flatnonzero(same & (up > 0)), np.flatnonzero(same & (up < 0))
+    families = (same & (up > 0)).nonzero()[0], (same & (up < 0)).nonzero()[0]
     if x.ndim == 1:
         return tuple(idx[f] for f in families)
     return tuple((idx[f], column[f]) for f in families)
@@ -88,15 +93,15 @@ class CubicPieces(NamedTuple):
         blocks = np.arange(self.bounds.size - 1) if blocks is None else np.asarray(blocks, dtype=np.intp)
         firsts = self.bounds[blocks]
         sizes = self.bounds[blocks + 1] - firsts - 1  # each block's intervals, without the step to the next
-        picks = np.arange(sizes.sum()) + np.repeat(firsts - np.cumsum(sizes) + sizes, sizes)
+        picks = np.arange(sizes.sum()) + (firsts - sizes.cumsum() + sizes).repeat(sizes)
         coef = self.coef.take(picks, axis=2)
         widths = self.widths[picks]
-        t = np.tile(self.q, blocks.size)
-        t -= np.repeat(self.left[picks], widths)
-        out = np.repeat(coef[3], widths, axis=1)  # (C, len(blocks) * n_q)
+        t = self.q[None].repeat(blocks.size, axis=0).ravel()  # np.tile's copy of the queries, per block
+        t -= self.left[picks].repeat(widths)
+        out = coef[3].repeat(widths, axis=1)  # (C, len(blocks) * n_q)
         for power in (2, 1, 0):
             out *= t
-            out += np.repeat(coef[power], widths, axis=1)
+            out += coef[power].repeat(widths, axis=1)
         out = out.reshape((coef.shape[1], blocks.size, self.q.size)).transpose(1, 2, 0)  # C is known when q is empty
         return out.reshape((blocks.size, self.q.size) + self.shape)
 
@@ -130,11 +135,12 @@ def natural_spline(
     q = np.asarray(q, dtype=np.float64)
     k = xs.shape[0]
     firsts = np.zeros(1, dtype=np.int64) if starts is None else np.asarray(starts, dtype=np.int64)
-    lasts = np.append(firsts[1:], k) - 1
+    bounds = np.concatenate([firsts, [k]])
+    lasts = bounds[1:] - 1
     ends = np.concatenate([firsts, lasts])
     values = ys.reshape(k, -1)  # (k, C)
 
-    h = np.diff(xs)
+    h = xs[1:] - xs[:-1]
     h[lasts[:-1]] = 1.0  # the step from one block to the next is no interval
     bands = np.empty((3, k))  # solve_banded((1, 1), ...) layout
     bands[0, 1:] = h
@@ -142,7 +148,7 @@ def natural_spline(
     bands[2, :-1] = h
     rhs = np.empty_like(values, order="F")  # dgtsv's layout, passed without a copy
     with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves a whole block non-finite
-        slope = np.diff(values, axis=0) / h[:, None]
+        slope = (values[1:] - values[:-1]) / h[:, None]
         rhs[1:-1] = 6.0 * (slope[1:] - slope[:-1])
     bands[1, ends] = 1.0
     bands[0, (ends + 1) % k] = 0.0  # slot 0 of the upper band is unused
@@ -166,11 +172,11 @@ def natural_spline(
     # the sorted queries of one interval are consecutive: an interval's run
     # starts at the first query at or after its left knot (a block's ends
     # extend to every query)
-    pos = np.searchsorted(q, xs)
+    pos = q.searchsorted(xs)
     pos[firsts], pos[lasts] = 0, q.size
-    widths = np.diff(pos)
+    widths = pos[1:] - pos[:-1]
     widths[lasts[:-1]] = 0  # the step from one block to the next is no interval
-    return CubicPieces(coef, xs[:-1], widths, np.append(firsts, k), q, ys.shape[1:])
+    return CubicPieces(coef, xs[:-1], widths, bounds, q, ys.shape[1:])
 
 
 def walk_ridge(

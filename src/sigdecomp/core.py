@@ -79,16 +79,22 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _set_samples(obj, name: str, samples: np.ndarray, kind: str) -> None:
+def _set_samples(obj, name: str, samples: np.ndarray, kind: str, owned: bool = False) -> None:
     """Check that ``samples`` are finite and the rate of the signal ``obj`` a positive
     finite number, then freeze them into its field ``name`` and its ``sample_rate_hz``
-    into a float; ``kind`` names the samples in the error."""
-    if not np.all(np.isfinite(samples)):
+    into a float; ``kind`` names the samples in the error.  ``owned`` samples are a
+    fresh float64 array that no caller holds and that is already checked finite
+    (:func:`_scaled_signal`): they are frozen in place, with no second scan or copy."""
+    if not (owned or np.isfinite(samples).all()):
         raise ContractViolation(f"{kind} samples must be finite")
     rate = float(obj.sample_rate_hz)
     if not np.isfinite(rate) or rate <= 0:
         raise ContractViolation("sample_rate_hz must be a positive finite number")
-    object.__setattr__(obj, name, _freeze(samples))
+    if owned:
+        samples.flags.writeable = False
+    else:
+        samples = _freeze(samples)
+    object.__setattr__(obj, name, samples)
     object.__setattr__(obj, "sample_rate_hz", rate)
 
 
@@ -106,11 +112,11 @@ class Signal:
     samples: np.ndarray
     sample_rate_hz: float
 
-    def __post_init__(self):
+    def __post_init__(self, owned: bool = False):
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size < 2:
             raise ContractViolation("signal needs a 1-D sample array of length >= 2")
-        _set_samples(self, "samples", samples, "signal")
+        _set_samples(self, "samples", samples, "signal", owned)
 
     def __len__(self) -> int:
         return self.samples.size
@@ -191,8 +197,8 @@ class Decomposition:
         """The decomposition at rate ``fs`` of the mode rows ``modes`` and ``residual``, each times
         ``2**exp`` (:func:`_scaled_back`), with ``centers`` and ``tracks`` as its optional fields: a
         method's unit-peak arrays at its input's scale."""
-        modes = tuple(Signal(_scaled_back(m, exp), fs) for m in modes)
-        return cls(modes, Signal(_scaled_back(residual, exp), fs), centers, tracks)
+        modes = tuple(_scaled_signal(m, exp, fs) for m in modes)
+        return cls(modes, _scaled_signal(residual, exp, fs), centers, tracks)
 
     @property
     def n_modes(self) -> int:
@@ -237,9 +243,8 @@ class AlignedDecomposition:
         """The decomposition at rate ``fs`` whose mode k of channel c has the
         samples ``modes[k][c]`` and whose residual of channel c has
         ``residuals[c]``, each times ``2**exp`` as in :meth:`Decomposition.of`."""
-        modes = [_scaled_back(m, exp) for m in modes]
-        channel_modes = tuple(tuple(Signal(m[c], fs) for m in modes) for c in range(len(residuals)))
-        return cls(channel_modes, tuple(Signal(_scaled_back(r, exp), fs) for r in residuals), fs, centers)
+        channel_modes = tuple(tuple(_scaled_signal(m[c], exp, fs) for m in modes) for c in range(len(residuals)))
+        return cls(channel_modes, tuple(_scaled_signal(r, exp, fs) for r in residuals), fs, centers)
 
     @property
     def n_channels(self) -> int:
@@ -309,13 +314,26 @@ def _unit_scaled(samples: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _scaled_back(values, exp: int) -> np.ndarray:
-    """``values`` times ``2**exp``: a method's output at its input's scale.
-    Raises :class:`NumericalFailure` where that is past float64's range."""
+    """``values`` times ``2**exp``, a fresh float64 array: a method's output at
+    its input's scale.  Raises :class:`NumericalFailure` where that is past
+    float64's range."""
     with np.errstate(over="ignore"):  # reported just below
-        out = np.ldexp(values, exp)
-    if not np.all(np.isfinite(out)):
+        out = np.ldexp(np.asarray(values, dtype=np.float64), exp)
+    if not np.isfinite(out).all():
         raise NumericalFailure("an output is not finite at the input's scale")
     return out
+
+
+def _scaled_signal(row, exp: int, fs: float) -> Signal:
+    """The signal at rate ``fs`` of ``row`` times ``2**exp`` (:func:`_scaled_back`).
+    That product is fresh and scanned, so it becomes the signal's samples as it
+    is, frozen, where ``Signal`` would scan and copy it again."""
+    samples = _scaled_back(row, exp)
+    signal = object.__new__(Signal)
+    object.__setattr__(signal, "samples", samples)
+    object.__setattr__(signal, "sample_rate_hz", fs)
+    signal.__post_init__(owned=True)  # the shape and rate checks
+    return signal
 
 
 def _unit_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -40,9 +40,13 @@ class EmdConfig:
     def sift_converged(self, mean_size: np.ndarray, half_range: np.ndarray) -> bool:
         """Two-threshold stop test on sigma = mean size / envelope half-range:
         below ``theta1`` on at least (1 - alpha_fraction) of the samples
-        and below ``theta2`` everywhere."""
+        and below ``theta2`` everywhere.  The share below ``theta1`` is the
+        count over the size, the value ``np.mean`` gives for a mask."""
         sigma = mean_size / np.maximum(half_range, _EPS)
-        return bool(np.all(sigma < self.theta2) and np.mean(sigma < self.theta1) >= 1.0 - self.alpha_fraction)
+        return bool(
+            (sigma < self.theta2).all()
+            and np.count_nonzero(sigma < self.theta1) / sigma.size >= 1.0 - self.alpha_fraction
+        )
 
 
 def find_extrema(x: Signal) -> tuple[np.ndarray, np.ndarray]:
@@ -65,19 +69,20 @@ def refine_extrema(samples: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np
     left untouched (the parabola degenerates there).
     """
     pos = idx.astype(np.float64)
-    mag = samples[idx].copy()
+    mag = samples[idx]  # a copy
     inner = (idx > 0) & (idx < samples.size - 1)
     ii = idx[inner]
     y0, y1, y2 = samples[ii - 1], samples[ii], samples[ii + 1]
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         curvature = y0 - 2.0 * y1 + y2
-    if not np.all(np.isfinite(curvature)):
+    if not np.isfinite(curvature).all():
         raise NumericalFailure("EMD extremum curvature is not finite")
     safe = np.abs(curvature) > 1e-300
+    tilt = y0 - y2
     shift = np.zeros(ii.size)
-    shift[safe] = np.clip(0.5 * (y0 - y2)[safe] / curvature[safe], -0.5, 0.5)
+    shift[safe] = (0.5 * tilt[safe] / curvature[safe]).clip(-0.5, 0.5)
     pos[inner] = ii + shift
-    mag[inner] = y1 - 0.25 * (y0 - y2) * shift
+    mag[inner] = y1 - 0.25 * tilt * shift
     return pos, mag
 
 
@@ -123,8 +128,9 @@ def mirrored_extrema_knots(
     the splines from diverging at the edges.  Both ends follow one rule
     (:func:`_edge_knots`).  Returns (t_max, v_max, t_min, v_min).
     """
-    maxima = refine_extrema(samples, max_idx)
-    minima = refine_extrema(samples, min_idx)
+    pos, mag = refine_extrema(samples, np.concatenate([max_idx, min_idx]))  # elementwise: one call for both
+    split = max_idx.size
+    maxima, minima = (pos[:split], mag[:split]), (pos[split:], mag[split:])
     lmax, lmin, lsym = _edge_knots(samples[0], 0.0, 1, maxima, minima, depth)
     backwards = [(p[::-1], v[::-1]) for p, v in (maxima, minima)]
     rmax, rmin, rsym = _edge_knots(samples[-1], float(samples.size - 1), -1, *backwards, depth)
@@ -132,7 +138,7 @@ def mirrored_extrema_knots(
     def knots(family, left, right):
         t = np.concatenate([(2.0 * lsym - left[0])[::-1], family[0], 2.0 * rsym - right[0]])
         v = np.concatenate([left[1][::-1], family[1], right[1]])
-        keep = np.concatenate([[True], np.diff(t) > 1e-12])
+        keep = np.concatenate([[True], t[1:] - t[:-1] > 1e-12])
         return t[keep], v[keep]
 
     return (*knots(maxima, lmax, rmax), *knots(minima, lmin, rmin))
@@ -150,7 +156,7 @@ def _envelopes(
         np.concatenate([t_max, t_min]), np.concatenate([v_max, v_min]), query, [0, t_max.size]
     ).values()
     mean = (upper + lower) / 2.0  # not finite when either envelope is not
-    if not np.all(np.isfinite(mean)):
+    if not np.isfinite(mean).all():
         raise NumericalFailure("EMD envelope is not finite")
     return mean, (upper - lower) / 2.0
 
@@ -205,7 +211,7 @@ def count_zero_crossings(samples: np.ndarray) -> int:
     """Sign changes in a sample array, ignoring exact zeros."""
     signs = np.sign(samples)
     signs = signs[signs != 0]
-    return int(np.sum(signs[:-1] != signs[1:]))
+    return int(np.count_nonzero(signs[:-1] != signs[1:]))
 
 
 def _balanced(samples: np.ndarray, n_extrema: int) -> bool:

@@ -202,7 +202,7 @@ def synchrosqueeze(
 
         magnitude = np.abs(block)
         keep = magnitude > gamma_abs
-        cells = np.flatnonzero(keep & (omega > 0.0))
+        cells = (keep & (omega > 0.0)).ravel().nonzero()[0]
         bins = np.rint(np.log(omega.ravel()[cells] / freqs_hz[0]) / log_step).astype(np.int64)
         inside = (bins >= 0) & (bins < n_bins)
         cells = cells[inside]
@@ -247,12 +247,12 @@ def extract_ridges(
     with np.errstate(over="ignore"):  # reported just below
         energy = S.energy(out)
     gamma_floor = S.gamma_abs * S.gamma_abs  # inf, not OverflowError, on overflow
-    if not (np.isfinite(gamma_floor) and np.all(np.isfinite(energy))):
+    if not (np.isfinite(gamma_floor) and np.isfinite(energy).all()):
         raise NumericalFailure("squeezed energy is not finite")
     n_t = energy.shape[1]
     tracks: list[RidgeTrack] = []
     for _ in range(K):
-        seed_flat = int(np.argmax(energy))
+        seed_flat = int(energy.argmax())
         seed_f, seed_t = divmod(seed_flat, n_t)
         if energy[seed_f, seed_t] <= gamma_floor:
             break
@@ -270,11 +270,11 @@ def _band(track: RidgeTrack, shape: tuple[int, int], half_width: int) -> tuple[n
     A band wider than the grid's rows holds just those rows, so its width is clipped there."""
     if track.bins.shape != shape[1:]:
         raise ContractViolation("ridge track must give one bin per frame of the grid")
-    frames = np.flatnonzero(track.valid)
+    frames = track.valid.nonzero()[0]
     half_width = min(half_width, shape[0])
     bins = track.bins[frames, None] + np.arange(-half_width, half_width + 1)
     inside = (bins >= 0) & (bins < shape[0])
-    return bins[inside], frames[np.nonzero(inside)[0]]
+    return bins[inside], frames[inside.nonzero()[0]]
 
 
 def reconstruct_mode(S: SqueezedGrid, track: RidgeTrack, half_width: int) -> Signal:

@@ -58,11 +58,11 @@ def _update_norm(modes: np.ndarray, prev: np.ndarray, power, prev_power=None) ->
     prev) / (prev_power + _TINY)``, ``power`` giving each mode's sum of
     squares and ``prev_power`` defaulting to ``power(prev)``.  The methods
     iterate at unit peak, where these sums fit; a diverging sweep reads
-    inf or NaN, never convergence."""
+    inf or NaN, never convergence.  Each caller runs it inside its run's
+    ``np.errstate`` guard, which silences that overflow."""
     if prev_power is None:
         prev_power = power(prev)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(sum(power(modes - prev) / (prev_power + _TINY)))
+    return float(sum(power(modes - prev) / (prev_power + _TINY)))
 
 
 def _spectral_power(u: np.ndarray) -> np.ndarray:
@@ -72,7 +72,7 @@ def _spectral_power(u: np.ndarray) -> np.ndarray:
 
 def _power(modes: np.ndarray) -> np.ndarray:
     """Sum of squares of each mode, ``(K, n)``."""
-    return (modes**2).sum(axis=1)
+    return np.add.reduce(modes * modes, axis=1)
 
 
 def _variational_modes(
@@ -120,6 +120,13 @@ def _variational_modes(
     bin_width = 1.0 / t_len
     collision_run = np.zeros((k, k), dtype=int)
 
+    # one mode's Wiener numerator, its filter and its power, written in place
+    # by each mode update of every sweep
+    numerator = np.empty((n_ch, n_bins), dtype=complex)
+    wiener = np.empty(n_bins)
+    power = np.empty((n_ch, n_bins))
+    bandwidth = 2.0 * cfg.alpha
+
     trace: list[float] = []
     update_norm = np.inf
     converged = False
@@ -128,25 +135,27 @@ def _variational_modes(
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(cfg.max_iters):
             u_prev[:] = u
-            acc = u.sum(axis=0)  # (channels, n_bins)
+            acc = np.add.reduce(u, axis=0)  # (channels, n_bins)
             half_lam = lam / 2.0
             for i in range(k):
                 acc -= u[i]
-                np.divide(
-                    spectrum - acc + half_lam,
-                    1.0 + 2.0 * cfg.alpha * (freqs - omega[i]) ** 2,
-                    out=u[i],
-                )
-                power = np.abs(u[i]) ** 2
-                denom = power.sum()
+                np.subtract(spectrum, acc, out=numerator)
+                numerator += half_lam
+                np.subtract(freqs, omega[i], out=wiener)
+                np.square(wiener, out=wiener)  # the bits of ``** 2``
+                wiener *= bandwidth
+                wiener += 1.0  # 1 + 2 alpha (f - omega_i)**2
+                np.divide(numerator, wiener, out=u[i])  # complex by real, as numpy divides them
+                np.square(np.abs(u[i], out=power), out=power)
+                denom = np.add.reduce(power, axis=None)
                 if denom > 0.0:
                     # one channel needs no pooling; skipping the reduction keeps VMD fast
-                    pooled = power[0] if n_ch == 1 else power.sum(axis=0)
+                    pooled = power[0] if n_ch == 1 else np.add.reduce(power, axis=0)
                     omega[i] = float((pooled @ freqs) / denom)
                 acc += u[i]
             lam = lam + cfg.tau * (spectrum - acc)
 
-            if not np.all(np.isfinite(u.view(np.float64))):
+            if not np.isfinite(u.view(np.float64)).all():
                 raise NumericalFailure("variational iteration produced non-finite values")
 
             # keep center frequencies from locking onto one another
@@ -353,6 +362,8 @@ def vncmd_decompose(
     terms = np.empty((2, n))
     grad = np.empty((k, 2, n))
     power = np.empty((k, 2, n))
+    slopes = np.empty((k, 2, n - 1))  # the envelopes' first and second differences
+    bends = np.empty((k, 2, n - 2))
     pad = ma_width // 2
     padded = np.empty((k, n + ma_width - 1))  # each mode's raw increment, its ends repeated
     raw = padded[:, pad : pad + n]
@@ -368,13 +379,13 @@ def vncmd_decompose(
         np.add(if_tracks[:, 1:], if_tracks[:, :-1], out=steps)
         np.divide(steps, 2.0, out=steps)
         np.multiply(steps, dt, out=steps)  # trapezoid rule
-        np.cumsum(steps, axis=1, out=phase[:, 1:])
+        steps.cumsum(axis=1, out=phase[:, 1:])
         np.multiply(phase, 2.0 * np.pi, out=phase)
         np.cos(phase, out=trig[:, 0])
         np.sin(phase, out=trig[:, 1])
         finite_tracks = np.isfinite(phase).all(axis=1)
         for i in range(k):
-            np.subtract(modes.sum(axis=0, out=residual), modes[i], out=residual)
+            np.subtract(np.add.reduce(modes, axis=0, out=residual), modes[i], out=residual)
             np.subtract(samples, residual, out=residual)
             if not (np.isfinite(residual).all() and finite_tracks[i]):
                 raise NumericalFailure("VNCMD sweep produced a non-finite mode or IF track")
@@ -382,27 +393,29 @@ def vncmd_decompose(
             np.multiply(envelopes[i], trig[i], out=terms)
             np.add(terms[0], terms[1], out=modes[i])
 
-    sweep()
+    # one guard for the run: an overflow leaves a value non-finite, and every
+    # one is checked (the residuals, tracks, envelopes, envelope power and cost)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sweep()
 
-    trace: list[float] = []
-    update_norm = np.inf
-    growth_run = 0
+        trace: list[float] = []
+        update_norm = np.inf
+        growth_run = 0
 
-    for _ in range(cfg.max_iters):
-        np.copyto(modes_prev, modes)
+        for _ in range(cfg.max_iters):
+            np.copyto(modes_prev, modes)
 
-        # demodulation-based frequency increment of every mode, from the
-        # envelopes' gradients: numpy.gradient's central differences inside,
-        # one-sided ones at the two ends
-        np.subtract(envelopes[..., 2:], envelopes[..., :-2], out=grad[..., 1:-1])
-        grad[..., 1:-1] /= 2.0 * dt
-        np.subtract(envelopes[..., 1], envelopes[..., 0], out=grad[..., 0])
-        np.subtract(envelopes[..., -1], envelopes[..., -2], out=grad[..., -1])
-        grad[..., :: n - 1] /= dt  # samples 0 and n - 1
-        # the envelope power is checked, up to the increment's 2 pi factor (an
-        # infinite denominator would read as a zero increment); an infinite
-        # increment clips like any huge one, and a NaN one fails the sweep's IF check
-        with np.errstate(over="ignore", invalid="ignore"):
+            # demodulation-based frequency increment of every mode, from the
+            # envelopes' gradients: numpy.gradient's central differences inside,
+            # one-sided ones at the two ends
+            np.subtract(envelopes[..., 2:], envelopes[..., :-2], out=grad[..., 1:-1])
+            grad[..., 1:-1] /= 2.0 * dt
+            np.subtract(envelopes[..., 1], envelopes[..., 0], out=grad[..., 0])
+            np.subtract(envelopes[..., -1], envelopes[..., -2], out=grad[..., -1])
+            grad[..., :: n - 1] /= dt  # samples 0 and n - 1
+            # the envelope power is checked, up to the increment's 2 pi factor (an
+            # infinite denominator would read as a zero increment); an infinite
+            # increment clips like any huge one, and a NaN one fails the sweep's IF check
             np.multiply(envelopes, envelopes, out=power)
             denom = np.add(power[:, 0], power[:, 1], out=power[:, 0])
             peak = denom.max(axis=1, keepdims=True)
@@ -420,28 +433,29 @@ def vncmd_decompose(
                 for i in range(k):
                     increments[i] = np.convolve(padded[i], kernel, mode="valid")
 
-        increments *= cfg.mu
-        increments += if_tracks
-        np.clip(increments, 0.0, nyquist, out=if_tracks)
-        sweep()
+            increments *= cfg.mu
+            increments += if_tracks
+            increments.clip(0.0, nyquist, out=if_tracks)
+            sweep()
 
-        data = np.subtract(samples, modes.sum(axis=0, out=residual), out=residual)
-        d2 = np.diff(envelopes, n=2)
-        d2 *= d2
-        smooth_pairs = d2.sum(axis=-1)
-        # Python's sum adds the per-mode terms one at a time in mode order, here
-        # and in the update norm; np.sum regroups them from 8 modes on
-        smooth = sum(smooth_pairs[:, 0] + smooth_pairs[:, 1])
-        cost = float((data * data).sum() + weight * smooth)
-        trace.append(cost)
-        if not np.isfinite(cost):
-            raise NumericalFailure("VNCMD iteration produced non-finite cost")
+            data = np.subtract(samples, np.add.reduce(modes, axis=0, out=residual), out=residual)
+            np.subtract(envelopes[..., 1:], envelopes[..., :-1], out=slopes)  # np.diff(envelopes, n=2)
+            np.subtract(slopes[..., 1:], slopes[..., :-1], out=bends)
+            bends *= bends
+            smooth_pairs = np.add.reduce(bends, axis=-1)
+            # Python's sum adds the per-mode terms one at a time in mode order, here
+            # and in the update norm; np.sum regroups them from 8 modes on
+            smooth = sum(smooth_pairs[:, 0] + smooth_pairs[:, 1])
+            cost = float(np.add.reduce(data * data) + weight * smooth)
+            trace.append(cost)
+            if not np.isfinite(cost):
+                raise NumericalFailure("VNCMD iteration produced non-finite cost")
 
-        new_norm = _update_norm(modes, modes_prev, _power)
-        growth_run = growth_run + 1 if new_norm > update_norm else 0
-        update_norm = new_norm
-        if growth_run >= 10 or update_norm < cfg.tol:
-            break
+            new_norm = _update_norm(modes, modes_prev, _power)
+            growth_run = growth_run + 1 if new_norm > update_norm else 0
+            update_norm = new_norm
+            if growth_run >= 10 or update_norm < cfg.tol:
+                break
 
     decomp = Decomposition.of(modes, samples - modes.sum(axis=0), fs, tracks=if_tracks, exp=exp)
     with np.errstate(over="ignore"):  # a cost past float64's range reads inf

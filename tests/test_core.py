@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigdecomp.core import (
+    AlignedDecomposition,
     ContractViolation,
     Decomposition,
     ModeModel,
@@ -206,6 +207,42 @@ class TestDecomposition:
         modes, residual = ([big], small) if where == "mode" else ([small], big)
         with pytest.raises(NumericalFailure, match="input's scale"):
             Decomposition.of(modes, residual, 8.0, exp=1025)
+
+    @pytest.mark.parametrize("aligned", [False, True])
+    @pytest.mark.parametrize("exp", [0, 3])
+    def test_of_freezes_one_fresh_copy_per_row(self, rng, aligned, exp):
+        # each row is scaled into its own array, scanned once and frozen as it
+        # is, so it must still be a read-only float64 copy of the caller's row
+        modes, residual = rng.normal(size=(2, 3, 40)), rng.normal(size=(3, 40))
+        if aligned:
+            d = AlignedDecomposition.of(modes, residual, 8.0, exp=exp)
+            rows = [m.samples for ms in d.channel_modes for m in ms] + [r.samples for r in d.residuals]
+        else:
+            d = Decomposition.of(modes[:, 0], residual[0], 8.0, exp=exp)
+            rows = [m.samples for m in d.modes] + [d.residual.samples]
+        for row in rows:
+            assert row.dtype == np.float64 and not row.flags.writeable and row.flags.c_contiguous
+            assert not np.shares_memory(row, modes) and not np.shares_memory(row, residual)
+        assert len({id(row) for row in rows}) == len(rows)
+        modes[:] = 0.0  # the caller's arrays are its own
+        assert all(np.any(row) for row in rows)
+
+    @pytest.mark.parametrize("aligned", [False, True])
+    def test_of_checks_rows_as_the_constructor_does(self, aligned):
+        def of(mode, residual, fs=8.0, exp=0):
+            if aligned:
+                return AlignedDecomposition.of([mode[None]], residual[None], fs, exp=exp)
+            return Decomposition.of([mode], residual, fs, exp=exp)
+
+        ok = np.ones(8)
+        with pytest.raises(NumericalFailure, match="input's scale"):  # not finite at unit peak is not either
+            of(np.concatenate([[np.nan], ok[1:]]), ok)
+        with pytest.raises(NumericalFailure, match="input's scale"):
+            of(ok, np.full(8, 0.75), exp=1025)
+        with pytest.raises(ContractViolation, match="length >= 2"):
+            of(np.ones(1), np.ones(1))
+        with pytest.raises(ContractViolation, match="sample_rate_hz"):
+            of(ok, ok, fs=np.inf)
 
 
 class TestModeModel:
