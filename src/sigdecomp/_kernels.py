@@ -128,7 +128,10 @@ def natural_spline(
     - slope[i-1])`` at a knot inside a block, and ``m = 0`` with no
     neighbours at a block end, which decouples the blocks.  Values that
     overflow pass through as non-finite output, which EMD's envelope pass
-    reports; a singular system raises :class:`NumericalFailure`.
+    reports; a singular system raises :class:`NumericalFailure`.  Values
+    with no channels, ``(k, 0)``, give their empty pieces without calling
+    ``dgtsv``, which corrupts the heap when handed a right-hand side of no
+    columns.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -154,12 +157,14 @@ def natural_spline(
     bands[0, (ends + 1) % k] = 0.0  # slot 0 of the upper band is unused
     bands[2, ends - 1] = 0.0  # and so is the last slot of the lower band
     rhs[ends] = 0.0
-    *_, m, info = dgtsv(
-        bands[2, :-1], bands[1], bands[0, 1:], rhs,
-        overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
-    )
-    if info > 0:
-        raise NumericalFailure("natural-spline system is singular")
+    m = rhs  # with no channels there is nothing to solve
+    if values.shape[1]:
+        *_, m, info = dgtsv(
+            bands[2, :-1], bands[1], bands[0, 1:], rhs,
+            overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+        )
+        if info > 0:
+            raise NumericalFailure("natural-spline system is singular")
     m = m.T  # (C, k)
 
     # each interval's cubic in powers of (q - its left knot), channel-major

@@ -2,11 +2,14 @@
 penalized ridge extraction, and per-ridge mode reconstruction.
 
 An analytic Morlet CWT over log-spaced scales is squeezed by adding each
-kept coefficient to the bin of its phase derivative.  Both stages walk
-the grid in blocks of scale rows (``_BLOCK_CELLS``), so a decompose holds
-the CWT and the squeezed grid, in one allocation, and the block temporaries
-do not grow with the input; the squeeze scatters each block into the grid
-with ``np.add.at``, in row-major order.  One band rule names the cells around a ridge:
+kept coefficient to the bin of its phase derivative.  The CWT walks the
+grid in blocks of scale rows and the squeeze in blocks of time columns
+(``_BLOCK_CELLS`` each), so their temporaries do not grow with the input.
+A cell's bin lies in its own column, so the squeeze adds up each block's
+cells with one ``np.add.at`` in row-major order and writes the sums over
+the columns it has just read: a decompose holds one complex grid, the
+CWT and then the squeezed values, beside the float ridge energy, in one
+allocation.  One band rule names the cells around a ridge:
 extraction zeroes them before seeking the next ridge, and reconstruction
 sums their real parts per frame in one bincount and scales by the
 wavelet's admissibility constant; no step loops over frames.
@@ -60,16 +63,18 @@ RIDGE_PATIENCE_FRAMES = 32
 RIDGE_FADE_REL = 1e-4
 
 
-#: cells of the grid one block of scale rows covers (256 KiB of complex);
-#: the CWT and the squeeze hold about 80 bytes of temporaries per cell of
-#: a block, and these do not grow with the input length
+#: cells of the grid one block covers (256 KiB of complex), a block of
+#: scale rows in the CWT and of time columns in the squeeze; each holds
+#: about 80 bytes of temporaries per cell of a block, and these do not grow
+#: with the input length
 _BLOCK_CELLS = 2**14
 
 
-def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
-    """Consecutive row slices of about ``_BLOCK_CELLS`` cells, at least one row each."""
-    step = max(1, _BLOCK_CELLS // n_cols)
-    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+def _blocks(n: int, across: int) -> list[slice]:
+    """Consecutive slices of ``n`` rows (or columns) of ``across`` cells
+    each, about ``_BLOCK_CELLS`` cells and at least one row per slice."""
+    step = max(1, _BLOCK_CELLS // across)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 @lru_cache(maxsize=8)
@@ -123,7 +128,7 @@ def cwt_morlet(
     spectrum = np.fft.fft(x.samples)[:n_pos]
     scales = cfg.morlet_w0 / (2.0 * np.pi * freqs_hz)  # seconds
     coeffs = _grid_out(out, (freqs_hz.size, n))
-    for rows in _row_blocks(freqs_hz.size, n):
+    for rows in _blocks(freqs_hz.size, n):
         # psi_hat(s*xi), zero at 0 Hz
         arg = scales[rows, None] * xi[None, :]
         window = np.where(arg > 0.0, np.pi**-0.25 * np.exp(-0.5 * (arg - cfg.morlet_w0) ** 2), 0.0)
@@ -169,52 +174,90 @@ def synchrosqueeze(
     no resampling is involved; reassigned mass that falls outside the
     grid is accounted in ``dropped_mass``.  The squeezed values go to
     ``out`` when it is given: a C-contiguous complex array of ``W``'s
-    shape that does not overlap ``W``, zeroed first.
+    shape.  ``out=W`` squeezes in place, bit for bit as into a new grid;
+    any other overlap with ``W`` raises.
+
+    The grid is walked in blocks of time columns, each read with the
+    column after it for the phase difference.  A cell's bin lies in its
+    own column, so once a block is read its sums are complete: they are
+    added up from zero in ascending scale order, as one scatter over the
+    whole grid would, and written over the block's columns.
     """
     if W.shape != (freqs_hz.size, len(x)):
         raise ContractViolation("coefficient matrix must be (n_scales, n_samples)")
-    if out is not None and np.may_share_memory(out, W):
-        raise ContractViolation("out must not overlap the coefficients")
+    if out is not None and out is not W and np.may_share_memory(out, W):
+        raise ContractViolation("out must be the coefficients themselves or not overlap them")
+    values = _grid_out(out, W.shape)
     n_bins, n_t = W.shape
-    blocks = _row_blocks(n_bins, n_t)
 
-    peak = float(np.max([np.abs(W[rows]).max(initial=0.0) for rows in blocks], initial=0.0))
+    peak = float(np.max([np.abs(W[rows]).max(initial=0.0) for rows in _blocks(n_bins, n_t)], initial=0.0))
     if not np.isfinite(peak * peak):
         raise NumericalFailure("wavelet energy is not finite")
     gamma_abs = cfg.gamma * peak
     log_step = np.log(2.0) / cfg.n_voices
     to_hz = x.sample_rate_hz / (2.0 * np.pi)
 
-    values = _grid_out(out, W.shape)
-    values.fill(0.0)
-    real, imag = values.real.reshape(-1), values.imag.reshape(-1)  # views
-    dropped = []
-    for rows in blocks:
-        block = W[rows]
+    # one block's columns and the next one, row by row, and its per-cell
+    # arrays, reused from block to block
+    blocks = _blocks(n_t, n_bins)
+    size = n_bins * (blocks[0].stop + 1)
+    block_buf, phase_buf = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    omega_buf, magnitude_buf = np.empty(size), np.empty(size)
+    keep_buf, hit_buf = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    frames = np.arange(n_t, dtype=np.float64)
+    flat = values.reshape(-1)  # a view
+    dropped, dropped_at = [], []
+    for cols in blocks:
+        width = cols.stop - cols.start
+        span = min(cols.stop + 1, n_t) - cols.start  # with the next column, if any
+        m = n_bins * span
+        block = block_buf[:m]
+        np.copyto(block.reshape(n_bins, span), W[:, cols.start : cols.start + span])
+
         # per-cell instantaneous frequency: one-sample finite difference of
         # the coefficient phase (the discrete form of Im(dW/dt / W) / 2pi),
-        # which stays unbiased on tones and alias-free below Nyquist
-        phase = block[:, 1:] * np.conj(block[:, :-1])  # at most peak**2, which fits
-        omega = np.empty(block.shape)
-        np.arctan2(phase.imag, phase.real, out=omega[:, :-1])  # np.angle
-        omega[:, :-1] *= to_hz
-        omega[:, -1] = omega[:, -2]
+        # which stays unbiased on tones and alias-free below Nyquist.  Taken
+        # along the rows end to end, a row's last step runs into the next
+        # row: that cell is the next block's column, left out below, or the
+        # grid's last column, which repeats the column before
+        phase = phase_buf[: m - 1]
+        np.conjugate(block[:-1], out=phase)
+        np.multiply(block[1:], phase, out=phase)  # at most peak**2, which fits
+        omega = omega_buf[:m]
+        np.arctan2(phase.imag, phase.real, out=omega[:-1])  # np.angle
+        omega[-1] = 0.0  # no step starts at the last cell
+        omega *= to_hz
+        grid = omega.reshape(n_bins, span)
+        if span == width:  # the grid's last column repeats the one before
+            grid[:, -1] = grid[:, -2] if width > 1 else last
+        last = grid[:, width - 1].copy()
 
-        magnitude = np.abs(block)
-        keep = magnitude > gamma_abs
-        cells = (keep & (omega > 0.0)).ravel().nonzero()[0]
-        bins = np.rint(np.log(omega.ravel()[cells] / freqs_hz[0]) / log_step).astype(np.int64)
-        inside = (bins >= 0) & (bins < n_bins)
-        cells = cells[inside]
-        keep.ravel()[cells] = False  # what stays kept falls outside the grid
-        dropped.append(magnitude[keep])
+        magnitude = magnitude_buf[:m]
+        np.abs(block, out=magnitude)
+        keep = keep_buf[:m]
+        np.greater(magnitude, gamma_abs, out=keep)
+        keep.reshape(n_bins, span)[:, width:] = False  # the next block's column
+        # each cell's bin, nan or -inf where the frequency is not positive
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(omega, freqs_hz[0], out=omega)
+            np.log(omega, out=omega)
+            np.divide(omega, log_step, out=omega)
+            np.rint(omega, out=omega)
+        hit = hit_buf[:m]
+        np.greater_equal(omega, 0.0, out=hit)
+        hit &= keep
+        hit &= omega < n_bins
+        np.greater(keep, hit, out=keep)  # what stays kept falls outside the grid
+        lost = keep.nonzero()[0]
+        dropped.append(magnitude[lost])
+        dropped_at.append(lost // span * n_t + lost % span + cols.start)
 
-        # row-major input order, so each cell adds up its contributions as
-        # one bincount over the whole grid would
-        flat = bins[inside] * n_t + cells % n_t
-        picked = block.ravel()[cells]
-        np.add.at(real, flat, picked.real)
-        np.add.at(imag, flat, picked.imag)
+        cells = hit.nonzero()[0]
+        picked = block[cells]
+        omega *= n_t
+        grid += frames[cols.start : cols.start + span]  # each cell's target, as a flat index of the grid
+        values[:, cols] = 0.0
+        np.add.at(flat, omega[cells].astype(np.int64), picked)
 
     return SqueezedGrid(
         sample_rate_hz=x.sample_rate_hz,
@@ -223,7 +266,8 @@ def synchrosqueeze(
         gamma_abs=gamma_abs,
         log_step=log_step,
         admissibility=_admissibility(cfg.morlet_w0),
-        dropped_mass=float(np.concatenate(dropped).sum()),  # one row-major sum
+        # the dropped magnitudes in row-major order, summed as one array
+        dropped_mass=float(np.concatenate(dropped)[np.concatenate(dropped_at).argsort()].sum()),
     )
 
 
@@ -296,18 +340,18 @@ def sst_decompose(x: Signal, cfg: SstConfig) -> Decomposition:
     the input minus the mode sum.  IF tracks report the ridge-bin
     frequency per frame.  It runs at unit peak.
 
-    The CWT and the squeezed grid are one allocation, and the ridge
-    energy reuses the CWT's half once the squeeze has read it: two grids
-    apart would sit in the allocator's heap, where a small block left
-    between them could make the next call's grids grow the heap.
+    The complex grid (the CWT, squeezed in place) and the float ridge
+    energy are one allocation of 24 bytes per cell: two grids apart would
+    sit in the allocator's heap, where a small block left between them
+    could make the next call's grids grow the heap.
     """
     samples, exp = _unit_scaled(x.samples)
     unit = Signal(samples, x.sample_rate_hz)
     shape = (_scale_frequencies_hz(unit, cfg).size, len(unit))
-    grids = np.empty((2, *shape), dtype=complex)  # the CWT's, then the squeezed grid
-    S = synchrosqueeze(*cwt_morlet(unit, cfg, out=grids[0]), unit, cfg, out=grids[1])
-    energy = grids[0].view(np.float64).reshape(-1)[: S.values.size].reshape(shape)  # the CWT is spent
-    tracks = sorted(extract_ridges(S, cfg, cfg.K, out=energy), key=lambda tr: np.mean(S.freqs_hz[tr.bins]))
+    grids = np.empty((3, *shape))  # the complex grid's bytes in planes 0 and 1, the energy in plane 2
+    W = grids[:2].reshape(-1).view(complex).reshape(shape)
+    S = synchrosqueeze(*cwt_morlet(unit, cfg, out=W), unit, cfg, out=W)
+    tracks = sorted(extract_ridges(S, cfg, cfg.K, out=grids[2]), key=lambda tr: np.mean(S.freqs_hz[tr.bins]))
     modes = [reconstruct_mode(S, tr, cfg.start_band).samples for tr in tracks]
     tracks_hz = [S.freqs_hz[tr.bins] for tr in tracks]
     return Decomposition.of(modes, samples - np.sum(modes, axis=0), x.sample_rate_hz, tracks=tracks_hz, exp=exp)

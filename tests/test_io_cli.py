@@ -633,10 +633,10 @@ class TestCliContract:
 
     def test_refused_cwt_exit_three(self, tmp_path):
         """``decompose --method sst`` on 2**18 samples: the recipe's 64 voices per
-        octave give ceil(64 * log2(2**18 / 4)) + 1 = 1025 rows, so the CWT and the
-        squeezed grid, asked for as one array, are 2 x 1025 x 2**18 complex values,
-        8.01 GiB, which the child's 3 GB cap refuses before any other large array:
-        one error line, no traceback, no manifest."""
+        octave give ceil(64 * log2(2**18 / 4)) + 1 = 1025 rows, so the complex grid
+        and the ridge energy, asked for as one array of three float planes, are
+        3 x 1025 x 2**18 doubles, 6.01 GiB, which the child's 3 GB cap refuses
+        before any other large array: one error line, no traceback, no manifest."""
         n = 2**18
         write_signals_csv(tmp_path / "long.csv", {"x": np.sin(0.05 * np.arange(n))}, 1000.0)
         r = subprocess.run(
@@ -646,7 +646,7 @@ class TestCliContract:
         assert r.returncode == 3
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(
-            f"error: out of memory: Unable to allocate 8.01 GiB for an array with shape (2, 1025, {n})"
+            f"error: out of memory: Unable to allocate 6.01 GiB for an array with shape (3, 1025, {n})"
         )
         assert not (tmp_path / "sst" / "manifest.json").exists()
 

@@ -1,8 +1,13 @@
 """Behavior checks for the numeric kernels against independent oracles:
 a strict-extrema comparison, scipy's natural ``CubicSpline`` and
-``solve_banded``, a hand-walked ridge and the ridge walk frame by frame."""
+``solve_banded``, a hand-walked ridge and the ridge walk frame by frame;
+and each kernel on degenerate shapes in a child process with glibc's heap
+checks on."""
 
 import functools
+import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from sigdecomp.core import NumericalFailure
 from sigdecomp.emd import emd_decompose
 from sigdecomp.multivariate import MemdConfig, memd_decompose
 from sigdecomp.synth import gen_mv_test
+from test_io_cli import child_env
 from test_multivariate import stacked_envelope_stats
 
 
@@ -523,3 +529,71 @@ class TestDispatch:
         assert mx.size > 0 and mn.size > 0
         out = spline(np.arange(5.0), np.ones(5), np.linspace(0, 4, 9))
         assert np.allclose(out, 1.0)
+
+
+# Kernel calls on degenerate shapes, as Python expressions over DEGENERATE_PRELUDE.
+DEGENERATE_CALLS = {
+    "spline, zero channels": "natural_spline(np.arange(50.0), np.empty((50, 0)), np.linspace(0, 49, 9)).values()",
+    "spline, zero channels, empty queries": "natural_spline(np.arange(3.0), np.empty((3, 0)), np.empty(0)).values([])",
+    "spline, one two-knot block": "natural_spline(np.array([0.0, 1.0]), np.array([1.0, 3.0]), np.linspace(-1, 2, 7)).values()",
+    "spline, two-knot blocks": (
+        "natural_spline(np.array([0.0, 1.0, 0.0, 2.0]), np.ones((4, 3)), np.linspace(0, 2, 5), np.array([0, 2]))"
+        ".values([1, 0, 1])"
+    ),
+    "spline, empty queries": "natural_spline(np.arange(4.0), np.ones((4, 2)), np.empty(0)).values()",
+    "spline, empty block list": "natural_spline(np.arange(4.0), np.ones(4), np.arange(4.0)).values([])",
+    "extrema, length-2 series": "find_extrema_arrays(np.array([1.0, 2.0]))",
+    "extrema, length-2 columns": "find_extrema_arrays(np.ones((2, 3)))",
+    "extrema, zero channels": "find_extrema_arrays(np.empty((5, 0)))",
+    "banded solve, zero channels": "solve_banded(diagonal_bands(6), np.empty((6, 0), order='F'))",
+    "banded solve, length 2": "solve_banded(diagonal_bands(2), np.ones((2, 2), order='F'))",
+    "ridge walk, length-2 series": "walk_ridge(np.ones((3, 2)), 1, 0, 1, 0.0, 1)",
+    "ridge walk, one bin": "walk_ridge(np.ones((1, 5)), 0, 4, 3, 0.5, 0)",
+    "cwt, length-2 series": "cwt_morlet(Signal(np.ones(2), 64.0))",
+    "cwt, 64 samples": "cwt_morlet(Signal(np.ones(64), 64.0))",
+}
+
+DEGENERATE_PRELUDE = """
+import numpy as np
+from sigdecomp._kernels import find_extrema_arrays, natural_spline, walk_ridge
+from sigdecomp.core import ContractViolation, Signal
+from sigdecomp.sst import cwt_morlet
+from sigdecomp.variational import solve_banded
+
+def diagonal_bands(n):
+    bands = np.zeros((13, n), order="F")  # dgbsv's layout, the diagonal on row 8
+    bands[8] = 2.0
+    return bands
+
+def shapes(result):
+    return [shapes(r) for r in result] if isinstance(result, tuple) else list(result.shape)
+
+def outcome(call):
+    try:
+        return shapes(eval(call))
+    except ContractViolation:
+        return "ContractViolation"
+"""
+
+# The child runs the call, then many small allocations, with glibc's heap
+# checks on: a kernel that corrupts the heap aborts its own child, not a
+# later test.
+DEGENERATE_CHILD = DEGENERATE_PRELUDE + """
+import json, sys
+result = outcome(sys.argv[1])
+_ = [np.empty(k % 97 + 1) for k in range(20000)]
+print(json.dumps(result))
+"""
+
+
+class TestDegenerateShapes:
+    @pytest.mark.parametrize("call", DEGENERATE_CALLS.values(), ids=DEGENERATE_CALLS.keys())
+    def test_child_exits_cleanly_with_the_same_shapes(self, call):
+        r = subprocess.run(
+            [sys.executable, "-c", DEGENERATE_CHILD, call],
+            capture_output=True, text=True, env={**child_env(), "MALLOC_CHECK_": "3"},
+        )
+        assert r.returncode == 0, r.stderr
+        scope = {}
+        exec(DEGENERATE_PRELUDE, scope)
+        assert json.loads(r.stdout.splitlines()[-1]) == scope["outcome"](call)

@@ -256,20 +256,21 @@ def block_case(case, tone50):
     return (add_wgn(x, 3.0, 0) if case.endswith("3dB") else x), SstConfig(K=2, n_voices=64)
 
 
-def set_block_rows(monkeypatch, edge, n_rows, n_t):
-    """Set the rows per block so the grid's last block falls at ``edge``;
-    returns the block count."""
+def set_blocks(monkeypatch, edge, n, across):
+    """Set ``_BLOCK_CELLS`` so the last of the blocks of ``across`` cells
+    that cover ``n`` rows (or columns) falls at ``edge``; returns the block
+    count."""
     if edge == "default":
-        return len(sst._row_blocks(n_rows, n_t))
-    if edge == "one partial block":  # fewer rows than one block
-        rows = n_rows + 1
-    else:  # a multiple of the block, or a multiple plus one row
-        whole = n_rows if edge == "multiple" else n_rows - 1
-        rows = next(d for d in range(32, 0, -1) if whole % d == 0)
-    monkeypatch.setattr(sst, "_BLOCK_CELLS", rows * n_t)
-    blocks = sst._row_blocks(n_rows, n_t)
-    assert sum(b.stop - b.start for b in blocks) == n_rows
-    assert blocks[-1].stop - blocks[-1].start == {"one partial block": n_rows, "multiple": rows}.get(edge, 1)
+        return len(sst._blocks(n, across))
+    if edge == "one partial block":  # fewer than one block
+        step = n + 1
+    else:  # a multiple of the block, or a multiple plus one
+        whole = n if edge == "multiple" else n - 1
+        step = next(d for d in range(32, 0, -1) if whole % d == 0)
+    monkeypatch.setattr(sst, "_BLOCK_CELLS", step * across)
+    blocks = sst._blocks(n, across)
+    assert sum(b.stop - b.start for b in blocks) == n
+    assert blocks[-1].stop - blocks[-1].start == {"one partial block": n, "multiple": step}.get(edge, 1)
     return len(blocks)
 
 
@@ -283,23 +284,30 @@ class TestWholeArrayForms:
         + [f"{signal}/{edge}" for signal in ("tone50", "s1", "s2@3dB") for edge in BLOCK_EDGES],
     )
     def test_squeeze_matches_add_at_scatter(self, case, tone50, monkeypatch):
+        """The squeeze walks blocks of time columns: one block, a multiple of
+        the width and a trailing block one column wide, out of place and in
+        place, where that last column's phase step comes from the block
+        before it, whose columns are already overwritten."""
         signal, _, edge = case.partition("/")
         x, cfg = block_case(signal, tone50)
         n_rows = sst._scale_frequencies_hz(x, cfg).size
-        n_blocks = set_block_rows(monkeypatch, edge or "default", n_rows, len(x))
+        n_blocks = set_blocks(monkeypatch, edge or "default", len(x), n_rows)
         if case == "tone50/multiple plus one":
-            assert (n_rows, n_blocks) == (257, 9)  # 8 blocks of 32 rows, then one row
+            assert (len(x), n_blocks) == (1024, 34)  # 33 blocks of 31 columns, then one column
         W, freqs = cwt_morlet(x, cfg)
-        S = synchrosqueeze(W, freqs, x, cfg)
         values, dropped = reference_squeeze(W, freqs, x, cfg)
+        S = synchrosqueeze(W, freqs, x, cfg)
         assert np.array_equal(S.values, values)
+        assert S.dropped_mass == dropped
+        S = synchrosqueeze(W, freqs, x, cfg, out=W)
+        assert S.values is W and np.array_equal(W, values)
         assert S.dropped_mass == dropped
 
     @pytest.mark.parametrize("edge", ["default"] + BLOCK_EDGES)
     @pytest.mark.parametrize("case", ["s1", "s2", "tone50"])
     def test_cwt_matches_one_shot_ifft(self, case, edge, tone50, monkeypatch):
         x, cfg = block_case(case, tone50)
-        set_block_rows(monkeypatch, edge, sst._scale_frequencies_hz(x, cfg).size, len(x))
+        set_blocks(monkeypatch, edge, sst._scale_frequencies_hz(x, cfg).size, len(x))
         W, freqs = cwt_morlet(x, cfg)
         assert np.array_equal(W, reference_cwt(x, freqs, cfg))
 
@@ -331,8 +339,9 @@ def traced_peak(fn, *args):
 
 
 class TestWorkingSet:
-    """The CWT and the squeeze work in blocks of scale rows, so a decompose
-    holds about the CWT and the squeezed grid, not several grids more."""
+    """The CWT works in blocks of scale rows and the squeeze, in place, in
+    blocks of time columns, so a decompose holds about one complex grid and
+    the float ridge energy (24 bytes per cell), not a second complex grid."""
 
     @pytest.fixture(scope="class")
     def s1_recipe(self):
@@ -342,18 +351,19 @@ class TestWorkingSet:
         return x, cfg
 
     def test_s1_peak(self, s1_recipe):
-        assert traced_peak(sst_decompose, *s1_recipe) <= 55 * 2**20
+        assert traced_peak(sst_decompose, *s1_recipe) <= 42 * 2**20
 
     def test_peak_against_the_cwt_at_10240_samples(self, s1_recipe):
         x, cfg = s1_recipe
         long = Signal(np.tile(x.samples, 4), x.sample_rate_hz)
         cwt_bytes = sst._scale_frequencies_hz(long, cfg).size * len(long) * np.dtype(complex).itemsize
-        assert traced_peak(sst_decompose, long, cfg) <= 2.5 * cwt_bytes
+        assert traced_peak(sst_decompose, long, cfg) <= 1.75 * cwt_bytes
 
 
 class TestOutBuffers:
     """The CWT, the squeeze and the ridge search write to caller buffers bit
-    for bit as to their own; ``sst_decompose`` gives them one allocation."""
+    for bit as to their own; ``sst_decompose`` squeezes its CWT in place and
+    gives it and the ridge energy one allocation."""
 
     @pytest.fixture(scope="class")
     def s1_case(self):
@@ -401,10 +411,18 @@ class TestOutBuffers:
         with pytest.raises(ContractViolation, match="C-contiguous complex"):
             synchrosqueeze(W, freqs, x, cfg, out=out)
 
-    def test_squeeze_out_must_not_overlap_the_cwt(self, s1_case):
-        x, cfg, W, freqs, _ = s1_case
+    def test_squeeze_in_place_or_apart_from_the_cwt(self, s1_case):
+        x, cfg, W, freqs, S = s1_case
+        grid = W.copy()
+        got = synchrosqueeze(grid, freqs, x, cfg, out=grid)
+        assert got.values is grid and np.array_equal(grid, S.values)
+        assert got.dropped_mass == S.dropped_mass and got.gamma_abs == S.gamma_abs
+        rows, n_t = W.shape
+        shared = np.empty((rows + 1) * n_t, dtype=complex)
+        coeffs, out = shared[:-n_t].reshape(W.shape), shared[n_t:].reshape(W.shape)  # one row apart
+        coeffs[...] = W
         with pytest.raises(ContractViolation, match="overlap"):
-            synchrosqueeze(W, freqs, x, cfg, out=W)
+            synchrosqueeze(coeffs, freqs, x, cfg, out=out)
 
     @pytest.mark.parametrize("bad", [(1, 1), "float32"])
     def test_energy_out_contract(self, s1_case, bad):
@@ -429,9 +447,10 @@ class TestOutBuffers:
         monkeypatch.setattr(sst, "synchrosqueeze", squeeze)
         monkeypatch.setattr(sst, "extract_ridges", ridges)
         d = sst_decompose(x, cfg)
-        block = seen["W"].base
-        assert block is not None and block.shape == (2, *seen["W"].shape)
-        assert seen["values"].base is block and np.shares_memory(seen["energy"], seen["W"])
+        W, energy = seen["W"], seen["energy"]
+        assert seen["values"] is W and W.dtype == complex and energy.dtype == np.float64
+        assert W.base is not None and energy.base is W.base and W.base.shape == (3, *W.shape)  # 24 B per cell
+        assert not np.shares_memory(W, energy)
         monkeypatch.undo()
         samples, exp = sst._unit_scaled(x.samples)
         unit = Signal(samples, x.sample_rate_hz)
