@@ -54,20 +54,36 @@ def find_extrema_arrays(x: np.ndarray) -> tuple:
     """Local maxima and minima (plateau midpoint rule) of a series ``(n,)``,
     as ``(maxima, minima)`` indices, or of each column of ``(n, C)``, each
     family as flat ``(indices, columns)`` column by column.  The columns'
-    steps lie end to end; a sign flip within one column is an extremum."""
+    steps lie end to end; a sign flip within one column is an extremum.
+
+    An input whose steps are all strictly signed (no zero, no NaN) has its
+    flips read from the step signs directly: a flip between steps f and
+    f + 1 of one column puts an extremum at the sample between them.  Any
+    other input has its nonzero steps compacted first, so that a plateau's
+    flip lands on its midpoint.  On a strictly signed input both give the
+    same bytes."""
     x = np.asarray(x, dtype=np.float64)
     width = max(x.shape[0] - 1, 1)  # steps per column
     with np.errstate(over="ignore"):  # an overflowing step is +-inf, and only its sign is used
         steps = (x[1:] - x[:-1]).T.ravel()
-    nz = steps.nonzero()[0]
-    s = np.sign(steps[nz])
-    flip = (s[:-1] != s[1:]).nonzero()[0]
-    left, right = nz[flip], nz[flip + 1]  # the change points around each flip
-    column = left // width
-    idx = (left + 1 + right) // 2 - column * width  # a plateau's midpoint
-    same = right // width == column  # a flip across two columns is none
-    up = s[flip]  # +1 before a maximum, -1 before a minimum
-    families = (same & (up > 0)).nonzero()[0], (same & (up < 0)).nonzero()[0]
+    rising = steps > 0
+    if np.count_nonzero(rising) + np.count_nonzero(steps < 0) == steps.size:  # NaN is neither
+        flip = (rising[:-1] != rising[1:]).nonzero()[0]  # a flip between steps f and f + 1
+        column = flip // width
+        idx = flip + 1 - column * width  # the sample between the two steps
+        same = (flip + 1) // width == column  # a flip across two columns is none
+        up = rising[flip]  # rising before a maximum, falling before a minimum
+        families = (same & up).nonzero()[0], (same > up).nonzero()[0]
+    else:
+        nz = steps.nonzero()[0]
+        s = np.sign(steps[nz])
+        flip = (s[:-1] != s[1:]).nonzero()[0]
+        left, right = nz[flip], nz[flip + 1]  # the change points around each flip
+        column = left // width
+        idx = (left + 1 + right) // 2 - column * width  # a plateau's midpoint
+        same = right // width == column  # a flip across two columns is none
+        up = s[flip]  # +1 before a maximum, -1 before a minimum, NaN next to a NaN step
+        families = (same & (up > 0)).nonzero()[0], (same & (up < 0)).nonzero()[0]
     if x.ndim == 1:
         return tuple(idx[f] for f in families)
     return tuple((idx[f], column[f]) for f in families)

@@ -53,26 +53,30 @@ class ConvergenceReport:
 _TINY = np.finfo(np.float64).tiny  # floors a denominator without setting a scale
 
 
-def _update_norm(modes: np.ndarray, prev: np.ndarray, power, prev_power=None) -> float:
-    """Relative update of a sweep: the sum over modes of ``power(mode -
-    prev) / (prev_power + _TINY)``, ``power`` giving each mode's sum of
-    squares and ``prev_power`` defaulting to ``power(prev)``.  The methods
-    iterate at unit peak, where these sums fit; a diverging sweep reads
-    inf or NaN, never convergence.  Each caller runs it inside its run's
-    ``np.errstate`` guard, which silences that overflow."""
-    if prev_power is None:
-        prev_power = power(prev)
-    return float(sum(power(modes - prev) / (prev_power + _TINY)))
+def _update_norm(modes: np.ndarray, prev: np.ndarray, power, prev_power=None, diff=None) -> float:
+    """Relative update of a sweep: the sum over modes, one at a time from
+    the first, of ``power(mode - prev) / (prev_power + _TINY)``, ``power``
+    giving one mode's sum of squares and ``prev_power`` defaulting to
+    ``power(prev)`` of the same mode.  ``modes - prev`` is written to
+    ``diff`` when it is given.  The methods iterate at unit peak, where
+    these sums fit; a diverging sweep reads inf or NaN, never convergence.
+    Each caller runs it inside its run's ``np.errstate`` guard, which
+    silences that overflow."""
+    diff = np.subtract(modes, prev, out=diff)
+    total = 0
+    for step, base in zip(diff, prev):
+        total += power(step) / ((power(base) if prev_power is None else prev_power) + _TINY)
+    return float(total)
 
 
-def _spectral_power(u: np.ndarray) -> np.ndarray:
-    """Sum of squared magnitudes of each mode's spectra, ``(K, C, bins)``."""
-    return np.array([np.vdot(mode, mode).real for mode in u])
+def _spectral_power(mode: np.ndarray) -> np.float64:
+    """Sum of squared magnitudes of one mode's spectra, ``(C, bins)``."""
+    return np.vdot(mode, mode).real
 
 
-def _power(modes: np.ndarray) -> np.ndarray:
-    """Sum of squares of each mode, ``(K, n)``."""
-    return np.add.reduce(modes * modes, axis=1)
+def _power(mode: np.ndarray) -> np.float64:
+    """Sum of squares of one mode, ``(n,)``."""
+    return np.add.reduce(mode * mode)
 
 
 def _variational_modes(
@@ -116,6 +120,7 @@ def _variational_modes(
     omega = 0.5 * np.arange(1, k + 1) / (k + 1) if cfg.init_mode == "uniform" else np.zeros(k)
     u = np.zeros((k, n_ch, n_bins), dtype=complex)
     u_prev = np.zeros_like(u)
+    step = np.empty_like(u)  # the sweep's update, for its norm
     lam = np.zeros((n_ch, n_bins), dtype=complex)
     bin_width = 1.0 / t_len
     collision_run = np.zeros((k, k), dtype=int)
@@ -172,7 +177,7 @@ def _variational_modes(
 
             # the first sweep starts from zero modes: it is measured against
             # the input's power, and it stops only if it moved nothing
-            update_norm = _update_norm(u, u_prev, _spectral_power, None if iteration else input_power)
+            update_norm = _update_norm(u, u_prev, _spectral_power, None if iteration else input_power, step)
             trace.append(update_norm)
             if update_norm < cfg.tol and (iteration or update_norm == 0.0):
                 converged = True

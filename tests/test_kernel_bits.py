@@ -199,7 +199,53 @@ def with_nan(rng, n, columns=None):
     return x
 
 
-SERIES = {"walk": walk, "plateaus": plateaus, "infinite-steps": infinite_steps, "nan": with_nan}
+def alternating(rng, n, columns=None):
+    """Samples of +-1e308 by turns: every step overflows to +-inf, none is
+    zero and each is a flip."""
+    x = 1e308 * (-1.0) ** np.arange(n)
+    return x if columns is None else x[:, None] * rng.choice([-1.0, 1.0], size=columns)
+
+
+def one_plateau(rng, n, columns=None):
+    """A walk with one zero step in one column of a batch, set inside a
+    rise when there are four samples or more: every other step is signed,
+    yet the whole input goes through the plateau rule.  Read as a fall, the
+    zero step would make a maximum and a minimum of the rise."""
+    x = walk(rng, n, columns)
+    cols = x.reshape(n, -1)  # a view of the walk
+    if cols.size:
+        c = rng.integers(0, cols.shape[1])
+        if n < 4:
+            cols[1, c] = cols[0, c]
+        else:
+            at = rng.integers(1, n - 2)
+            cols[at - 1 : at + 3, c] = cols[at, c] + np.array([-1.0, 0.0, 0.0, 1.0])
+    return x
+
+
+def one_nan_step(rng, n, columns=None):
+    """A walk with one NaN step, a NaN first sample in one column, whose
+    next step rises; every other step is signed.  Read as a signed step,
+    the NaN step would make the sample after it a minimum."""
+    x = walk(rng, n, columns)
+    cols = x.reshape(n, -1)
+    if cols.size:
+        c = rng.integers(0, cols.shape[1])
+        cols[0, c] = np.nan
+        if n > 2 and cols[2, c] < cols[1, c]:
+            cols[1:, c] *= -1.0
+    return x
+
+
+SERIES = {
+    "walk": walk,
+    "plateaus": plateaus,
+    "infinite-steps": infinite_steps,
+    "nan": with_nan,
+    "alternating-overflow": alternating,
+    "one-plateau": one_plateau,
+    "one-nan-step": one_nan_step,
+}
 
 
 class TestExtremaBits:
@@ -209,7 +255,7 @@ class TestExtremaBits:
         assert_same(K.find_extrema_arrays, ref_find_extrema_arrays, SERIES[kind](rng, n))
 
     @pytest.mark.parametrize("kind", SERIES)
-    @pytest.mark.parametrize("n, columns", [(2, 4), (60, 1), (60, 17), (512, 0), (2, 0)])
+    @pytest.mark.parametrize("n, columns", [(2, 4), (60, 1), (60, 17), (512, 64), (512, 0), (2, 0)])
     def test_batches(self, rng, kind, n, columns):
         assert_same(K.find_extrema_arrays, ref_find_extrema_arrays, SERIES[kind](rng, n, columns))
 

@@ -213,7 +213,11 @@ def reference_squeeze(W, freqs_hz, x, cfg):
     n_bins = W.shape[0]
     gamma_abs = cfg.gamma * float(np.abs(W).max(initial=0.0))
     omega = np.empty(W.shape)
-    step = np.angle(W[:, 1:] * np.conj(W[:, :-1])) * (x.sample_rate_hz / (2.0 * np.pi))
+    # next times conj(current), with ``out``, as the squeeze multiplies them: the
+    # ``*`` operator may reuse the conj temporary and swap the operands, which
+    # rounds the imaginary part differently under FMA
+    phase = np.multiply(W[:, 1:], np.conj(W[:, :-1]), out=np.empty((n_bins, W.shape[1] - 1), dtype=W.dtype))
+    step = np.angle(phase) * (x.sample_rate_hz / (2.0 * np.pi))
     omega[:, :-1] = step
     omega[:, -1] = step[:, -1]
     keep = np.abs(W) > gamma_abs

@@ -4,13 +4,16 @@ one decompose of a long input, in doubles (8 bytes) per input sample.
 EMD, VMD, VNCMD and SSA run their s1 recipe on s1 tiled 4x (10,240
 samples); MVMD runs its recipe, and a whole MEMD decompose M=8
 directions, on the 10 dB two-channel mv signal tiled 16x (8,192 samples
-per channel).  SST's bounds are ``test_sst.py::TestWorkingSet``.
+per channel).  SST's bounds are ``test_sst.py::TestWorkingSet``.  The
+extrema kernel, MEMD's largest, is bounded on its own: its peak grows with
+the batch it is given, M directions times n samples.
 """
 
 import numpy as np
 import pytest
 
 from sigdecomp import bench
+from sigdecomp._kernels import find_extrema_arrays
 from sigdecomp.core import MultichannelSignal, Signal
 from sigdecomp.multivariate import MemdConfig
 from sigdecomp.synth import gen_mv_test
@@ -48,3 +51,13 @@ def test_peak_per_input_sample(method):
     bench.decompose(method, short, cfg)  # warm-up: caches, FFT plans and LAPACK's first load
     n_samples = x.channels.shape[1] if isinstance(x, MultichannelSignal) else len(x)
     assert traced_peak(bench.decompose, method, x, cfg) / 8 / n_samples <= bound
+
+
+def test_extrema_peak_on_a_signed_batch():
+    # 64 random-walk columns of 8,192 samples, MEMD's projections of a long
+    # input: no step is zero, so the flips are read from the step signs
+    # with no compacted copy of the steps.  That path peaks at about 4.3x
+    # the batch's bytes; the compacting path reads 7.6x on this batch.
+    x = np.cumsum(np.random.default_rng(0).normal(size=(8192, 64)), axis=0)
+    find_extrema_arrays(x[:16])  # warm-up
+    assert traced_peak(find_extrema_arrays, x) <= 5 * x.nbytes
