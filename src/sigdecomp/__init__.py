@@ -11,6 +11,7 @@ from .core import (
     MultichannelSignal,
     NotEnoughExtrema,
     NumericalFailure,
+    RunRecord,
     Signal,
     add,
     l2_norm,
@@ -45,7 +46,6 @@ from .sst import (
 )
 from .synth import GapSpec, S2Config, add_wgn, gen_mv_test, gen_s1, gen_s2
 from .variational import (
-    ConvergenceReport,
     VmdConfig,
     VncmdConfig,
     vmd_decompose,
@@ -62,6 +62,7 @@ __all__ = [
     "MultichannelSignal",
     "NotEnoughExtrema",
     "NumericalFailure",
+    "RunRecord",
     "Signal",
     "add",
     "l2_norm",
@@ -86,7 +87,6 @@ __all__ = [
     "gen_mv_test",
     "gen_s1",
     "gen_s2",
-    "ConvergenceReport",
     "VmdConfig",
     "VncmdConfig",
     "vmd_decompose",

@@ -113,7 +113,7 @@ def _field_names(cfg) -> set[str]:
 
 def decompose(method: str, x: Signal | MultichannelSignal, cfg):
     """Decompose ``x`` with ``cfg``, as :func:`effective_config` returns it:
-    the one caller of the seven methods, and the one that drops a report."""
+    the one caller of the seven methods.  Each decomposition carries its run's record."""
     if method == "emd":
         return emd_decompose(x, cfg)
     if method == "vmd":
@@ -181,6 +181,7 @@ class SuiteResult:
     raw_totals_db: dict[float, tuple[float, ...]]
     failures: dict[float, int]
     elapsed_s: dict[float, tuple[float, ...]]
+    stop_reasons: dict[float, tuple[str, ...]]  # per realization: the record's, or numerical_failure
 
     @property
     def mean_total_db(self) -> dict[float, float | None]:
@@ -211,32 +212,36 @@ def run_noise_suite(spec: NoiseSuiteSpec) -> SuiteResult:
     Divergences and numerical failures are counted and excluded from the
     mean/std; the mean is None when every realization failed, and the
     standard deviation is the sample estimate (0 when fewer than two
-    successes).
+    successes).  Each realization's stop reason is its record's, the
+    ``Diverged`` one's too, or ``numerical_failure``.
     """
     x, refs = generate_signal(spec.signal)
     cfg = effective_config(spec.method, spec.signal, noisy=True)
     raws: dict[float, tuple[float, ...]] = {}
     fails: dict[float, int] = {}
     timing: dict[float, tuple[float, ...]] = {}
+    reasons: dict[float, tuple[str, ...]] = {}
     for snr in spec.snr_grid_db:
         totals: list[float] = []
         elapsed: list[float] = []
-        n_failed = 0
+        stops: list[str] = []
         for i in range(spec.n_realizations):
             noisy_x = add_wgn(x, snr, spec.base_seed + i)
             tic = time.perf_counter()
             try:
                 d = decompose(spec.method, noisy_x, cfg)
-            except (Diverged, NumericalFailure):
-                n_failed += 1
+            except (Diverged, NumericalFailure) as exc:
                 elapsed.append(time.perf_counter() - tic)
+                stops.append(exc.report.stop_reason if isinstance(exc, Diverged) else "numerical_failure")
                 continue
             elapsed.append(time.perf_counter() - tic)
+            stops.append(d.record.stop_reason)
             totals.append(match_or_empty(list(d.modes), refs).total_qrf_db)
         raws[snr] = tuple(totals)
-        fails[snr] = n_failed
+        fails[snr] = spec.n_realizations - len(totals)
         timing[snr] = tuple(elapsed)
-    return SuiteResult(spec=spec, raw_totals_db=raws, failures=fails, elapsed_s=timing)
+        reasons[snr] = tuple(stops)
+    return SuiteResult(spec=spec, raw_totals_db=raws, failures=fails, elapsed_s=timing, stop_reasons=reasons)
 
 
 def run_param_sweep(

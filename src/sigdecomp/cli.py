@@ -222,6 +222,7 @@ def _cmd_bench(args) -> int:
             "rows": result.to_rows(),
             "raw_totals_db": {str(k): list(v) for k, v in result.raw_totals_db.items()},
             "elapsed_s": {str(k): list(v) for k, v in result.elapsed_s.items()},
+            "stop_reasons": {str(k): list(v) for k, v in result.stop_reasons.items()},
         }
         if args.out:
             lines = ["snr_db,mean_db,std_db,failures"]

@@ -3,7 +3,8 @@
 Every algorithm in the package operates on :class:`Signal` (a uniformly
 sampled real series plus its sample rate) or :class:`MultichannelSignal`
 and produces a :class:`Decomposition` (ordered modes plus residual) or an
-:class:`AlignedDecomposition` (modes aligned by index across channels).
+:class:`AlignedDecomposition` (modes aligned by index across channels),
+each with the :class:`RunRecord` of the run that made it.
 Values are immutable after construction and all operations are pure
 functions, so everything here is safe to use concurrently.
 
@@ -14,7 +15,7 @@ are logs of norm ratios and shed precision fast in float32.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import reduce
 
 import numpy as np
@@ -38,8 +39,8 @@ class NumericalFailure(RuntimeError):
 class Diverged(RuntimeError):
     """An iterative solver moved away from any fixed point.
 
-    Carries the partial result (``decomposition`` and ``report``
-    attributes) so callers can inspect how far the run got.
+    Carries the partial result as ``decomposition`` and its record, stop
+    reason ``diverged``, as ``report``, so callers can see how far it got.
     """
 
     def __init__(self, message: str, decomposition=None, report=None):
@@ -158,6 +159,28 @@ class MultichannelSignal:
         return np.arange(self.n_samples) / self.sample_rate_hz
 
 
+STOP_REASONS = ("converged", "max_iters", "exhausted", "diverged")
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    """What one decomposition run did: its ``method``, ``iterations`` (0 if it does not iterate) and
+    ``stop_reason``: at its tolerance, at an iteration or mode cap, out of extrema, ridges or
+    eigentriples, or diverging.  Where a method has them: a ``trace`` of one update norm or cost
+    per iteration, ``perf_counter`` seconds per stage and its own ``counters``."""
+
+    method: str
+    iterations: int
+    stop_reason: str
+    trace: tuple[float, ...] = ()
+    stage_seconds: dict[str, float] = field(default_factory=dict)
+    counters: dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.stop_reason not in STOP_REASONS:
+            raise ContractViolation(f"stop_reason must be one of {STOP_REASONS}, not {self.stop_reason!r}")
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Ordered extracted modes plus the non-oscillatory residual.
@@ -170,6 +193,7 @@ class Decomposition:
     residual: Signal
     center_freqs_hz: tuple[float, ...] | None = None
     if_tracks_hz: tuple[np.ndarray, ...] | None = None
+    record: RunRecord | None = field(default=None, compare=False)  # the run's, which equality ignores
 
     def __post_init__(self):
         modes = tuple(self.modes)
@@ -193,12 +217,12 @@ class Decomposition:
             object.__setattr__(self, "if_tracks_hz", tracks)
 
     @classmethod
-    def of(cls, modes, residual, fs: float, centers=None, tracks=None, exp: int = 0) -> Decomposition:
+    def of(cls, modes, residual, fs: float, centers=None, tracks=None, exp: int = 0, record=None) -> Decomposition:
         """The decomposition at rate ``fs`` of the mode rows ``modes`` and ``residual``, each times
-        ``2**exp`` (:func:`_scaled_back`), with ``centers`` and ``tracks`` as its optional fields: a
-        method's unit-peak arrays at its input's scale."""
+        ``2**exp`` (:func:`_scaled_back`), with ``centers``, ``tracks`` and ``record`` as its optional
+        fields: a method's unit-peak arrays at its input's scale."""
         modes = tuple(_scaled_signal(m, exp, fs) for m in modes)
-        return cls(modes, _scaled_signal(residual, exp, fs), centers, tracks)
+        return cls(modes, _scaled_signal(residual, exp, fs), centers, tracks, record)
 
     @property
     def n_modes(self) -> int:
@@ -218,12 +242,13 @@ class AlignedDecomposition:
     """Index-aligned per-channel modes: mode k of channel c corresponds to
     mode k of every other channel.  ``center_freqs_hz`` is present for the
     variational method, where one frequency per mode is shared by
-    construction."""
+    construction; ``record`` is the run's, as in :class:`Decomposition`."""
 
     channel_modes: tuple[tuple[Signal, ...], ...]  # [channel][mode]
     residuals: tuple[Signal, ...]
     sample_rate_hz: float
     center_freqs_hz: tuple[float, ...] | None = None
+    record: RunRecord | None = field(default=None, compare=False)
 
     def __post_init__(self):
         counts = {len(modes) for modes in self.channel_modes}
@@ -239,12 +264,12 @@ class AlignedDecomposition:
             self.channel(c)  # the modes share their residual's length and rate, one center per mode
 
     @classmethod
-    def of(cls, modes, residuals, fs: float, centers=None, exp: int = 0) -> AlignedDecomposition:
+    def of(cls, modes, residuals, fs: float, centers=None, exp: int = 0, record=None) -> AlignedDecomposition:
         """The decomposition at rate ``fs`` whose mode k of channel c has the
         samples ``modes[k][c]`` and whose residual of channel c has
         ``residuals[c]``, each times ``2**exp`` as in :meth:`Decomposition.of`."""
         channel_modes = tuple(tuple(_scaled_signal(m[c], exp, fs) for m in modes) for c in range(len(residuals)))
-        return cls(channel_modes, tuple(_scaled_signal(r, exp, fs) for r in residuals), fs, centers)
+        return cls(channel_modes, tuple(_scaled_signal(r, exp, fs) for r in residuals), fs, centers, record)
 
     @property
     def n_channels(self) -> int:
@@ -255,8 +280,8 @@ class AlignedDecomposition:
         return len(self.channel_modes[0])
 
     def channel(self, c: int) -> Decomposition:
-        """The modes and residual of channel ``c`` as a one-channel decomposition."""
-        return Decomposition(self.channel_modes[c], self.residuals[c], self.center_freqs_hz)
+        """The modes and residual of channel ``c`` as a one-channel decomposition, with the run's record."""
+        return Decomposition(self.channel_modes[c], self.residuals[c], self.center_freqs_hz, record=self.record)
 
     def reconstruction_error(self, original: MultichannelSignal) -> float:
         """l2 norm of (original - sum of modes - residual) over all channels;

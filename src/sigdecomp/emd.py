@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import find_extrema_arrays, natural_spline
-from .core import ContractViolation, Decomposition, NotEnoughExtrema, NumericalFailure, Signal
+from .core import ContractViolation, Decomposition, NotEnoughExtrema, NumericalFailure, RunRecord, Signal
 from .core import _check_fields, _unit_scaled
 
 _EPS = 1e-300
@@ -171,22 +171,23 @@ def envelope_mean(x: Signal, boundary: int = 2) -> Signal:
     return Signal(mean, x.sample_rate_hz)
 
 
-def _sift(residue: np.ndarray, cfg: EmdConfig) -> np.ndarray | None:
+def _sift(residue: np.ndarray, cfg: EmdConfig) -> tuple[np.ndarray | None, int, str]:
     """One mode's sift, one extrema search per iteration.  Returns the
     mode, or None when no valid intrinsic mode can be produced (the
-    caller keeps the remainder as residual)."""
+    caller keeps the remainder as residual), its iterations and why it
+    stopped: ``converged``, ``exhausted`` or ``max_iters``."""
     h = residue.copy()
     for iteration in range(cfg.max_sift_iters):
         max_idx, min_idx = find_extrema_arrays(h)
         n_extrema = max_idx.size + min_idx.size
         if max_idx.size < 2 or min_idx.size < 2:  # oscillation exhausted; a sifted candidate may still be valid
-            return h if iteration > 0 and _balanced(h, n_extrema) else None
+            return (h if iteration > 0 and _balanced(h, n_extrema) else None), iteration + 1, "exhausted"
         mean, half_range = _envelopes(h, max_idx, min_idx, cfg.boundary)
         # the defining extrema/zero-crossing balance must hold as well
         if cfg.sift_converged(np.abs(mean), np.abs(half_range)) and _balanced(h, n_extrema):
-            return h
+            return h, iteration + 1, "converged"
         h -= mean
-    return h if imf_property_holds(h) else None  # sift cap reached
+    return (h if imf_property_holds(h) else None), cfg.max_sift_iters, "max_iters"
 
 
 def emd_decompose(x: Signal, cfg: EmdConfig = EmdConfig()) -> Decomposition:
@@ -194,17 +195,28 @@ def emd_decompose(x: Signal, cfg: EmdConfig = EmdConfig()) -> Decomposition:
 
     Purely subtractive, so the input equals the sum of modes plus
     residual to rounding.  Degenerate inputs (no extrema) yield zero
-    modes with the input as residual.  Sifts at unit peak.
+    modes with the input as residual.  Sifts at unit peak.  Its record stops ``converged`` below 1e-12
+    of the peak, ``max_iters`` at ``max_imfs`` modes, else as the last sift did; it counts each sift's passes.
     """
     samples, exp = _unit_scaled(x.samples)
     residue = samples
     modes: list[np.ndarray] = []
-    while len(modes) < cfg.max_imfs and (imf := _sift(residue, cfg)) is not None:
+    sifts: list[tuple[int, str]] = []
+    stop = "max_iters"
+    for _ in range(cfg.max_imfs):
+        imf, passes, sift_stop = _sift(residue, cfg)
+        sifts.append((passes, sift_stop))
+        if imf is None:  # the sift's reason is the run's
+            stop = sift_stop
+            break
         modes.append(imf)
         residue = residue - imf
         if np.max(np.abs(residue)) < 1e-12 * np.max(np.abs(samples)):  # a mode was found, so the peak is in [0.5, 1)
+            stop = "converged"
             break
-    return Decomposition.of(modes, residue, x.sample_rate_hz, exp=exp)
+    passes, stops = zip(*sifts)
+    record = RunRecord("emd", sum(passes), stop, counters={"sift_iterations": passes, "sift_stops": stops})
+    return Decomposition.of(modes, residue, x.sample_rate_hz, exp=exp, record=record)
 
 
 def count_zero_crossings(samples: np.ndarray) -> int:

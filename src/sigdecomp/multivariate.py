@@ -21,9 +21,9 @@ import numpy as np
 
 from ._kernels import find_extrema_arrays, natural_spline
 from ._rng import uniforms
-from .core import AlignedDecomposition, ContractViolation, MultichannelSignal, _check_fields, _unit_scaled
+from .core import AlignedDecomposition, ContractViolation, MultichannelSignal, RunRecord, _check_fields, _unit_scaled
 from .emd import EmdConfig
-from .variational import ConvergenceReport, VmdConfig, _variational_modes
+from .variational import VmdConfig, _variational_modes
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,8 @@ def memd_decompose(x: MultichannelSignal, cfg: MemdConfig = MemdConfig()) -> Ali
     when a mode's first sift finds no direction with two maxima and two
     minima, as EMD ends when its first sift finds too few extrema, or when
     ``max_imfs`` is reached; the remainder becomes the per-channel residual.
-    Sifts at unit peak.
+    Sifts at unit peak.  The record stops ``exhausted`` or ``max_iters`` and counts
+    each sift's envelope-statistics calls and the directions each one used.
     """
     if x.n_channels < 2:
         raise ContractViolation("multivariate sifting needs at least 2 channels")
@@ -227,19 +228,26 @@ def memd_decompose(x: MultichannelSignal, cfg: MemdConfig = MemdConfig()) -> Ali
     ecfg = cfg.emd
 
     modes: list[np.ndarray] = []
+    sifts: list[tuple[int, ...]] = []  # the directions used in each sift iteration, per sift
+    stop = "max_iters"
     for _ in range(ecfg.max_imfs):
-        h = data
+        h, used_per_iteration = data, []
         for it in range(ecfg.max_sift_iters):
             env_mean, amplitude, used = _directional_envelope_stats(h, directions, ecfg.boundary)
+            used_per_iteration.append(used)
             if used == 0 or ecfg.sift_converged(np.linalg.norm(env_mean, axis=1), amplitude):
                 break
             h = h - env_mean
+        sifts.append(tuple(used_per_iteration))
         if used == 0 and it == 0:  # nothing to sift: the remainder stays the residual
+            stop = "exhausted"
             break
         modes.append(h)
         data = data - h
 
-    return AlignedDecomposition.of([m.T for m in modes], data.T, x.sample_rate_hz, exp=exp)
+    counters = {"sift_iterations": tuple(map(len, sifts)), "directions_used": tuple(sifts)}
+    record = RunRecord("memd", sum(map(len, sifts)), stop, counters=counters)
+    return AlignedDecomposition.of([m.T for m in modes], data.T, x.sample_rate_hz, exp=exp, record=record)
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +256,14 @@ def memd_decompose(x: MultichannelSignal, cfg: MemdConfig = MemdConfig()) -> Ali
 
 def mvmd_decompose(
     x: MultichannelSignal, cfg: MvmdConfig = MvmdConfig()
-) -> tuple[AlignedDecomposition, ConvergenceReport]:
+) -> tuple[AlignedDecomposition, RunRecord]:
     """Joint variational decomposition with one shared frequency per mode.
 
     Per-channel spectra receive Wiener-style updates against the shared
     center frequency, whose update pools |spectrum|^2 over channels;
     modes are returned ascending in frequency.  This is the engine
     behind :func:`~sigdecomp.variational.vmd_decompose`, run on every
-    channel at once.
+    channel at once, and returns its record beside it in the same way.
     """
-    modes, centers, residual, exp, report = _variational_modes(x.channels, cfg)
-    return AlignedDecomposition.of(modes, residual, x.sample_rate_hz, centers * x.sample_rate_hz, exp), report
+    modes, centers, residual, exp, record = _variational_modes(x.channels, cfg, "mvmd")
+    return AlignedDecomposition.of(modes, residual, x.sample_rate_hz, centers * x.sample_rate_hz, exp, record), record

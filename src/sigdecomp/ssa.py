@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, Decomposition, Signal, _check_fields, _unit_scaled
+from .core import ContractViolation, Decomposition, RunRecord, Signal, _check_fields, _unit_scaled
 from .metrics import dominant_frequency_hz
 
 
@@ -101,9 +101,9 @@ def _kmeans_1d(freqs: np.ndarray, energies: np.ndarray, k: int) -> np.ndarray:
 
 def _window_classes(
     window: np.ndarray, fs: float, cfg: SsaConfig
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Decompose one window into at most K class series (ascending energy-
-    weighted mean frequency) plus the discarded-triples remainder."""
+    weighted mean frequency), the discarded-triples remainder and the count of kept triples."""
     # at its own unit peak, which keeps a quiet window accurate
     scaled, exponent = _unit_scaled(window)
     traj = embed(scaled, cfg.L)
@@ -125,7 +125,7 @@ def _window_classes(
     class_freq = np.full(k_eff, np.inf)  # an empty class sorts last
     np.divide(member @ (freqs * energies), weight, out=class_freq, where=weight > 0)
     classes = (member @ series)[np.argsort(class_freq)]
-    return classes, window - classes.sum(axis=0)
+    return classes, window - classes.sum(axis=0), len(series)
 
 
 def _window_weights(length: int) -> np.ndarray:
@@ -142,7 +142,8 @@ def ssa_decompose(x: Signal, cfg: SsaConfig = SsaConfig()) -> Decomposition:
     series are blended with a normalized Hann cross-fade (the weights form
     a partition of unity).  Classes are index-aligned across windows by
     their frequency ordering.  The residual carries the eigentriples
-    dropped by the epsilon threshold.  It runs at unit peak.
+    dropped by the epsilon threshold.  It runs at unit peak.  The record stops ``exhausted``
+    below ``cfg.K`` classes, else ``converged``, and counts each window's kept triples.
     """
     samples, exp = _unit_scaled(x.samples)
     n = len(x)
@@ -155,8 +156,10 @@ def ssa_decompose(x: Signal, cfg: SsaConfig = SsaConfig()) -> Decomposition:
     acc = np.zeros((min(cfg.K, cfg.L), n))  # a window keeps at most L eigentriples
     acc_res = np.zeros(n)
     norm = np.zeros(n)
+    kept = []
     for start in starts:
-        classes, remainder = _window_classes(samples[start : start + window_len], x.sample_rate_hz, cfg)
+        classes, remainder, triples = _window_classes(samples[start : start + window_len], x.sample_rate_hz, cfg)
+        kept.append(triples)
         sl = slice(start, start + window_len)
         acc[: len(classes), sl] += weights * classes
         acc_res[sl] += weights * remainder
@@ -164,4 +167,7 @@ def ssa_decompose(x: Signal, cfg: SsaConfig = SsaConfig()) -> Decomposition:
 
     acc /= norm[None, :]
     acc_res /= norm
-    return Decomposition.of([row for row in acc if np.any(row)], acc_res, x.sample_rate_hz, exp=exp)
+    modes = [row for row in acc if np.any(row)]
+    stop = "exhausted" if len(modes) < cfg.K else "converged"
+    record = RunRecord("ssa", 0, stop, counters={"triples_kept": tuple(kept)})
+    return Decomposition.of(modes, acc_res, x.sample_rate_hz, exp=exp, record=record)

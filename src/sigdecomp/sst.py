@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from time import perf_counter
 
 import numpy as np
 
 from ._kernels import walk_ridge
-from .core import ContractViolation, Decomposition, NumericalFailure, Signal, _check_fields, _unit_scaled
+from .core import ContractViolation, Decomposition, NumericalFailure, RunRecord, Signal, _check_fields, _unit_scaled
 
 
 @dataclass(frozen=True)
@@ -338,7 +339,8 @@ def sst_decompose(x: Signal, cfg: SstConfig) -> Decomposition:
 
     Modes are ordered by ascending mean ridge frequency; the residual is
     the input minus the mode sum.  IF tracks report the ridge-bin
-    frequency per frame.  It runs at unit peak.
+    frequency per frame.  It runs at unit peak.  Its record, ``exhausted`` below ``cfg.K`` ridges,
+    else ``converged``, times the four stages and counts the ridges and the ``dropped_mass``.
 
     The complex grid (the CWT, squeezed in place) and the float ridge
     energy are one allocation of 24 bytes per cell: two grids apart would
@@ -350,8 +352,18 @@ def sst_decompose(x: Signal, cfg: SstConfig) -> Decomposition:
     shape = (_scale_frequencies_hz(unit, cfg).size, len(unit))
     grids = np.empty((3, *shape))  # the complex grid's bytes in planes 0 and 1, the energy in plane 2
     W = grids[:2].reshape(-1).view(complex).reshape(shape)
-    S = synchrosqueeze(*cwt_morlet(unit, cfg, out=W), unit, cfg, out=W)
+    clock = [perf_counter()]
+    W, freqs_hz = cwt_morlet(unit, cfg, out=W)
+    clock.append(perf_counter())
+    S = synchrosqueeze(W, freqs_hz, unit, cfg, out=W)
+    clock.append(perf_counter())
     tracks = sorted(extract_ridges(S, cfg, cfg.K, out=grids[2]), key=lambda tr: np.mean(S.freqs_hz[tr.bins]))
+    clock.append(perf_counter())
     modes = [reconstruct_mode(S, tr, cfg.start_band).samples for tr in tracks]
     tracks_hz = [S.freqs_hz[tr.bins] for tr in tracks]
-    return Decomposition.of(modes, samples - np.sum(modes, axis=0), x.sample_rate_hz, tracks=tracks_hz, exp=exp)
+    clock.append(perf_counter())
+    stages = zip(("cwt", "squeeze", "ridges", "reconstruct"), clock, clock[1:])
+    counters = {"ridges_found": len(tracks), "ridges_requested": cfg.K, "dropped_mass": S.dropped_mass}
+    record = RunRecord("sst", 0, "exhausted" if len(tracks) < cfg.K else "converged",
+                       stage_seconds={stage: end - start for stage, start, end in stages}, counters=counters)
+    return Decomposition.of(modes, samples - np.sum(modes, axis=0), x.sample_rate_hz, None, tracks_hz, exp, record)

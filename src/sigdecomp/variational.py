@@ -18,7 +18,7 @@ import numpy as np
 
 from ._kernels import lapack
 from .core import (
-    ContractViolation, Decomposition, Diverged, NumericalFailure, Signal, _check_fields, _unit_scaled
+    ContractViolation, Decomposition, Diverged, NumericalFailure, RunRecord, Signal, _check_fields, _unit_scaled
 )
 
 
@@ -37,17 +37,6 @@ class VmdConfig:
             raise ContractViolation("alpha and tol must be positive")
         if self.init_mode not in ("zeros", "uniform"):
             raise ContractViolation("init_mode must be zeros or uniform")
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    final_update_norm: float
-    converged: bool
-    objective_trace: tuple[float, ...]
-
-    @property
-    def iterations(self) -> int:
-        return len(self.objective_trace)
 
 
 _TINY = np.finfo(np.float64).tiny  # floors a denominator without setting a scale
@@ -80,8 +69,8 @@ def _power(mode: np.ndarray) -> np.float64:
 
 
 def _variational_modes(
-    channels: np.ndarray, cfg: VmdConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, ConvergenceReport]:
+    channels: np.ndarray, cfg: VmdConfig, method: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, RunRecord]:
     """Joint Wiener-update / augmented-Lagrangian iteration on ``(C, n)`` data.
 
     Every mode keeps one spectrum per channel and one center frequency
@@ -91,7 +80,8 @@ def _variational_modes(
     Nyquist (``"uniform"``).  Returns the modes ``(K, C, n)``
     and their centers (cycles/sample), both ascending in frequency, the
     residual ``(C, n)``, the exponent that scales modes and residual back
-    from unit peak (``Decomposition.of``) and the report.
+    from unit peak (``Decomposition.of``) and ``method``'s record, each
+    sweep's update norm in its trace.
 
     The iteration keeps only the one-sided spectrum of the mirrored
     input, bins ``0 … (t_len - 1) // 2``: the modes are analytic, so the
@@ -133,8 +123,7 @@ def _variational_modes(
     bandwidth = 2.0 * cfg.alpha
 
     trace: list[float] = []
-    update_norm = np.inf
-    converged = False
+    stop = "max_iters"
 
     # an overflow in the sweep leaves u non-finite (and a center NaN), which is reported
     with np.errstate(over="ignore", invalid="ignore"):
@@ -180,35 +169,30 @@ def _variational_modes(
             update_norm = _update_norm(u, u_prev, _spectral_power, None if iteration else input_power, step)
             trace.append(update_norm)
             if update_norm < cfg.tol and (iteration or update_norm == 0.0):
-                converged = True
+                stop = "converged"
                 break
 
     order = np.argsort(omega)
     lo = t_len // 4
     modes = np.fft.irfft(u[order], n=t_len, axis=-1)[..., lo : lo + n]
 
-    report = ConvergenceReport(
-        final_update_norm=update_norm,
-        converged=converged,
-        objective_trace=tuple(trace),
-    )
-    return modes, omega[order], channels - modes.sum(axis=0), exp, report
+    record = RunRecord(method, len(trace), stop, tuple(trace))
+    return modes, omega[order], channels - modes.sum(axis=0), exp, record
 
 
-def vmd_decompose(
-    x: Signal, cfg: VmdConfig = VmdConfig()
-) -> tuple[Decomposition, ConvergenceReport]:
+def vmd_decompose(x: Signal, cfg: VmdConfig = VmdConfig()) -> tuple[Decomposition, RunRecord]:
     """Decompose into ``cfg.K`` bandlimited modes with center frequencies.
 
     The input is mirrored to double length before the frequency-domain
     iteration and trimmed afterwards, suppressing boundary splitting.
     Modes come back sorted by ascending center frequency; the residual is
     the input minus the mode sum.  Non-convergence inside ``max_iters``
-    is reported, not raised; non-finite iterates raise
-    :class:`NumericalFailure`.
+    is recorded (``max_iters``), not raised; non-finite iterates raise
+    :class:`NumericalFailure`.  Returns the decomposition and its record.
     """
-    modes, centers, residual, exp, report = _variational_modes(x.samples[None, :], cfg)
-    return Decomposition.of(modes[:, 0], residual[0], x.sample_rate_hz, centers * x.sample_rate_hz, exp=exp), report
+    modes, centers, residual, exp, record = _variational_modes(x.samples[None, :], cfg, "vmd")
+    fs = x.sample_rate_hz
+    return Decomposition.of(modes[:, 0], residual[0], fs, centers * fs, exp=exp, record=record), record
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +295,19 @@ def _fit_envelopes(
     return solution.reshape(n, 2).T
 
 
-def vncmd_decompose(
-    x: Signal, cfg: VncmdConfig
-) -> tuple[Decomposition, ConvergenceReport]:
+def vncmd_decompose(x: Signal, cfg: VncmdConfig) -> tuple[Decomposition, RunRecord]:
     """Joint demodulation of ``cfg.K`` chirp modes with IF tracking.
 
     Alternates banded envelope solves per mode with a demodulation-based
     frequency correction: the increment from the quadrature pair is
     zero-phase moving-average filtered and applied with step ``mu``.  The
-    objective trace records the penalized cost after each sweep.  The
-    frequency update is a heuristic step, so convergence is not
-    guaranteed: :class:`Diverged` (carrying partial results) is raised
-    when the mode update norm grows for 10 consecutive iterations, and
-    results can vary sharply with the initial frequencies.  It runs at
-    unit peak; outputs and cost trace, partial ones too, are scaled back.
+    record's trace holds the penalized cost after each sweep, and its
+    ``final_update_norm`` counter the last update norm.  The frequency
+    update is a heuristic step, so convergence is not guaranteed:
+    :class:`Diverged` (carrying partial results) is raised when the mode
+    update norm grows for 10 consecutive iterations, and results can vary
+    sharply with the initial frequencies.  It runs at unit peak; outputs
+    and cost trace, partial ones too, are scaled back.
 
     Each mode's envelopes are one ``(2, n)`` pair, a over b, so that the
     increment, its gradients and the cost's second differences take every
@@ -462,18 +445,11 @@ def vncmd_decompose(
             if growth_run >= 10 or update_norm < cfg.tol:
                 break
 
-    decomp = Decomposition.of(modes, samples - modes.sum(axis=0), fs, tracks=if_tracks, exp=exp)
     with np.errstate(over="ignore"):  # a cost past float64's range reads inf
         trace = np.ldexp(trace, 2 * exp)
-    report = ConvergenceReport(
-        final_update_norm=update_norm,
-        converged=update_norm < cfg.tol,
-        objective_trace=tuple(trace.tolist()),
-    )
-    if growth_run >= 10:
-        raise Diverged(
-            "VNCMD update norm grew for 10 consecutive iterations",
-            decomposition=decomp,
-            report=report,
-        )
-    return decomp, report
+    stop = "diverged" if growth_run >= 10 else "converged" if update_norm < cfg.tol else "max_iters"
+    record = RunRecord("vncmd", len(trace), stop, tuple(trace.tolist()), counters={"final_update_norm": update_norm})
+    decomp = Decomposition.of(modes, samples - modes.sum(axis=0), fs, tracks=if_tracks, exp=exp, record=record)
+    if stop == "diverged":
+        raise Diverged("VNCMD update norm grew for 10 consecutive iterations", decomposition=decomp, report=record)
+    return decomp, record

@@ -200,18 +200,32 @@ class TestNoiseSuite:
         n_ok = len(result.raw_totals_db[12.0])
         assert n_ok + result.failures[12.0] == 4
 
+    def test_stop_reasons_per_realization(self):
+        # VNCMD on noisy s2 either diverges or stops at its iteration cap
+        spec = NoiseSuiteSpec(method="vncmd", signal="s2", snr_grid_db=(12.0, 3.0), n_realizations=4, base_seed=0)
+        result = run_noise_suite(spec)
+        assert result.stop_reasons == {
+            12.0: ("diverged", "max_iters", "max_iters", "diverged"),
+            3.0: ("max_iters", "max_iters", "diverged", "max_iters"),
+        }
+        assert result.failures == {12.0: 2, 3.0: 1}
+        assert {snr: len(t) for snr, t in result.raw_totals_db.items()} == {12.0: 2, 3.0: 3}
+
     def test_rows_export(self):
         spec = NoiseSuiteSpec(
             method="vmd", signal="s2", snr_grid_db=(24.0, 12.0), n_realizations=2, base_seed=0
         )
-        rows = run_noise_suite(spec).to_rows()
+        result = run_noise_suite(spec)
+        rows = result.to_rows()
         assert [r["snr_db"] for r in rows] == [24.0, 12.0]
         assert all(r["std_db"] >= 0 for r in rows)
+        assert result.stop_reasons == {24.0: ("converged",) * 2, 12.0: ("converged",) * 2}
 
     def test_mean_and_std_derived_from_raw_totals(self):
         spec = NoiseSuiteSpec(method="vmd", signal="s2", snr_grid_db=(3.0, 12.0, 24.0), n_realizations=3)
         raws = {3.0: (1.5, 2.25, 4.0), 12.0: (), 24.0: (5.0,)}
-        result = bench.SuiteResult(spec, raws, {3.0: 0, 12.0: 3, 24.0: 2}, {3.0: (), 12.0: (), 24.0: ()})
+        reasons = {3.0: ("converged",) * 3, 12.0: ("diverged",) * 3, 24.0: ("converged", "diverged", "diverged")}
+        result = bench.SuiteResult(spec, raws, {3.0: 0, 12.0: 3, 24.0: 2}, {3.0: (), 12.0: (), 24.0: ()}, reasons)
         assert result.mean_total_db == {3.0: float(np.mean(raws[3.0])), 12.0: None, 24.0: 5.0}
         assert result.std_total_db == {3.0: float(np.std(raws[3.0], ddof=1)), 12.0: 0.0, 24.0: 0.0}
         assert [r["mean_db"] for r in result.to_rows()] == [result.mean_total_db[s] for s in spec.snr_grid_db]

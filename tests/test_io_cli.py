@@ -869,14 +869,18 @@ class TestCliContract:
     @pytest.mark.parametrize(
         "method, rows, flags", [("sst", 96, ()), ("ssa", 16, ("--k", "2", "--l", "8", "--signal-profile", "s2"))]
     )
-    def test_fewer_modes_found_exit_zero(self, tmp_path, capsys, method, rows, flags):
+    def test_fewer_modes_found_exit_zero(self, tmp_path, capsys, monkeypatch, method, rows, flags):
         # a constant input holds fewer ridges or eigentriples than K; the run
-        # says so through its mode count alone, with nothing on stderr
+        # says so through its mode count and its record's stop reason, with
+        # nothing on stderr
+        decompose, runs = bench.decompose, []
+        monkeypatch.setattr(bench, "decompose", lambda *args: runs.append(decompose(*args)) or runs[-1])
         write_signals_csv(tmp_path / "c.csv", {"x": np.full(rows, 0.5)}, 100.0)
         code = main("decompose", "--method", method, *flags, "--input", tmp_path / "c.csv", "--outdir", tmp_path / "d")
         assert code == 0
         manifest = manifest_of(tmp_path / "d")
         assert manifest["n_modes"] < manifest["config"]["K"]
+        assert [(d.record.method, d.record.stop_reason) for d in runs] == [(method, "exhausted")]
         assert "Warning" not in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1017,9 +1021,12 @@ class TestCliContract:
         code = main("bench", "--suite", "noise", "--method", "vmd", "--signal", "s2",
                     "--n", "2", "--snr-grid", "20,10", "--out", out)
         assert code == 0
-        elapsed = json.loads(out.read_text())["elapsed_s"]
+        payload = json.loads(out.read_text())
+        elapsed = payload["elapsed_s"]
         assert sorted(elapsed) == ["10.0", "20.0"]
         assert all(len(v) == 2 and min(v) > 0 for v in elapsed.values())
+        reasons = payload["stop_reasons"]
+        assert sorted(reasons) == ["10.0", "20.0"] and all(len(v) == 2 for v in reasons.values())
 
     def test_noise_suite_all_failed_is_strict_json(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
@@ -1034,8 +1041,10 @@ class TestCliContract:
         def no_constants(name):
             raise AssertionError(f"noise suite JSON holds {name}")
 
-        row = json.loads(out.read_text(), parse_constant=no_constants)["rows"][0]
+        payload = json.loads(out.read_text(), parse_constant=no_constants)
+        row = payload["rows"][0]
         assert row["mean_db"] is None and row["failures"] == 2
+        assert payload["stop_reasons"] == {"12.0": ["numerical_failure"] * 2}
         assert out.with_suffix(".csv").read_text().splitlines()[1] == "12.0,,0.0,2"
 
     def test_io_failure_exit_four(self, tmp_path):

@@ -51,7 +51,7 @@ def vncmd_outputs(x, cfg):
     """Every array a VNCMD run gives, read through ``Diverged`` when it raises."""
     d, report, diverged = vncmd_run(x, cfg)
     arrays = [m.samples for m in d.modes] + [d.residual.samples] + list(d.if_tracks_hz)
-    return diverged, arrays + [np.asarray(report.objective_trace)]
+    return diverged, arrays + [np.asarray(report.trace)]
 
 
 def reference_vncmd(x, cfg):
@@ -131,7 +131,7 @@ class TestVmd:
         grid_bin = s.sample_rate_hz / (2 * len(s))  # mirrored-length frequency bin
         assert abs(d.center_freqs_hz[0] - 50.0) <= 2 * grid_bin
         assert qrf(d.modes[0], s) >= 40.0
-        assert report.converged
+        assert report.stop_reason == "converged"
 
     def test_two_tone_centers_and_quality(self):
         fs = 512.0
@@ -239,7 +239,7 @@ class TestVmd:
         x = np.cos(2 * np.pi * 20 * t) + 0.5 * np.cos(2 * np.pi * 60 * t)
         base, base_report = vmd_decompose(Signal(x, fs), VmdConfig(K=2))
         scaled, report = vmd_decompose(Signal(np.ldexp(x, exp), fs), VmdConfig(K=2))
-        assert report.iterations == base_report.iterations and report.converged
+        assert report.iterations == base_report.iterations and report.stop_reason == "converged"
         assert scaled.center_freqs_hz == base.center_freqs_hz
         for m, m0 in zip(scaled.modes, base.modes):
             assert np.array_equal(np.ldexp(m.samples, -exp), m0.samples)
@@ -288,8 +288,8 @@ class TestUpdateNorm:
             x, _ = bench.generate_signal(signal)
             _, report = vmd_decompose(x, bench.default_config("vmd", signal))
         assert report.iterations > 1
-        assert np.all(np.isfinite(report.objective_trace))
-        assert 0.0 < report.objective_trace[0] < 1.0  # a share of the input's power
+        assert np.all(np.isfinite(report.trace))
+        assert 0.0 < report.trace[0] < 1.0  # a share of the input's power
 
     @pytest.mark.parametrize("method", ["vmd", "mvmd"])
     def test_zero_input_stops_after_one_sweep(self, method):
@@ -297,7 +297,7 @@ class TestUpdateNorm:
             _, report = vmd_decompose(Signal(np.zeros(256), 256.0), VmdConfig(K=2))
         else:
             _, report = mvmd_decompose(MultichannelSignal(np.zeros((2, 256)), 256.0), MvmdConfig(K=2))
-        assert report.converged and report.objective_trace == (0.0,)
+        assert report.stop_reason == "converged" and report.trace == (0.0,)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("spectra", [False, True])
@@ -323,7 +323,7 @@ class TestVncmd:
         interior = slice(26, -26)
         assert np.allclose(d.if_tracks_hz[0][interior], 30.0, rtol=0.01)
         assert qrf(d.modes[0], s) >= 40.0
-        assert report.converged
+        assert report.stop_reason == "converged"
 
     def test_objective_trace_monotone_on_benign_runs(self):
         # converged runs on well-initialized inputs keep a non-increasing
@@ -331,8 +331,8 @@ class TestVncmd:
         fs = 256.0
         s = tone(30.0, 4.0, fs)
         _, report = vncmd_decompose(s, VncmdConfig(K=1, init_if_hz=(30.0,)))
-        assert report.converged
-        trace = report.objective_trace
+        assert report.stop_reason == "converged"
+        trace = report.trace
         assert all(trace[i + 1] <= trace[i] * (1 + 1e-8) for i in range(len(trace) - 1))
 
     def test_s1_component3_anchor(self):
@@ -422,11 +422,11 @@ class TestVncmd:
         d, report, diverged = vncmd_run(x, cfg)
         want_diverged, want, want_norm = reference_vncmd(x, cfg)
         got = [m.samples for m in d.modes] + [d.residual.samples] + list(d.if_tracks_hz)
-        got.append(np.asarray(report.objective_trace))
+        got.append(np.asarray(report.trace))
         assert diverged == want_diverged
         assert len(got) == len(want)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-        assert np.float64(report.final_update_norm).tobytes() == np.float64(want_norm).tobytes()
+        assert np.float64(report.counters["final_update_norm"]).tobytes() == np.float64(want_norm).tobytes()
 
     def test_noisy_s2_runs_that_diverge(self):
         # the comparison above covers the divergence path on these three
@@ -441,8 +441,8 @@ class TestVncmd:
         want_diverged, want = vncmd_outputs(x, cfg)
         monkeypatch.setattr(variational, "_update_norm", lambda *args: np.inf)
         _, report = vncmd_decompose(x, cfg)
-        assert report.final_update_norm == np.inf
-        assert report.converged is False
+        assert report.counters["final_update_norm"] == np.inf
+        assert report.stop_reason == "max_iters"
         diverged, got = vncmd_outputs(x, cfg)
         assert diverged is want_diverged is False
         assert len(got) == len(want)
@@ -478,7 +478,7 @@ class TestVncmd:
         x = tone(30.0, 1.0, 256.0)
         base, base_report = vncmd_decompose(x, cfg)
         d, report = vncmd_decompose(Signal(np.ldexp(x.samples, 511), x.sample_rate_hz), cfg)
-        assert report.iterations == base_report.iterations and report.converged == base_report.converged
+        assert report.iterations == base_report.iterations and report.stop_reason == base_report.stop_reason
         assert np.array_equal(d.modes[0].samples, np.ldexp(base.modes[0].samples, 511))
         assert np.array_equal(d.residual.samples, np.ldexp(base.residual.samples, 511))
         assert np.array_equal(d.if_tracks_hz[0], base.if_tracks_hz[0])
@@ -497,7 +497,8 @@ class TestVncmd:
         for exp in (508, -70):
             scaled, report = vncmd_decompose(Signal(np.ldexp(x, exp), fs), cfg)
             assert report.iterations == base_report.iterations > 1
-            assert report.final_update_norm == pytest.approx(base_report.final_update_norm, rel=1e-12)
+            want_norm = base_report.counters["final_update_norm"]
+            assert report.counters["final_update_norm"] == pytest.approx(want_norm, rel=1e-12)
             for m, m0 in zip(scaled.modes, base.modes):
                 assert np.array_equal(np.ldexp(m.samples, -exp), m0.samples)
             assert all(np.array_equal(f, f0) for f, f0 in zip(scaled.if_tracks_hz, base.if_tracks_hz))
