@@ -65,7 +65,7 @@ def find_extrema_arrays(x: np.ndarray) -> tuple:
     x = np.asarray(x, dtype=np.float64)
     width = max(x.shape[0] - 1, 1)  # steps per column
     with np.errstate(over="ignore"):  # an overflowing step is +-inf, and only its sign is used
-        steps = (x[1:] - x[:-1]).T.ravel()
+        steps = np.subtract(x[1:].T, x[:-1].T, order="C").ravel()  # column by column, with no copy to ravel
     rising = steps > 0
     if np.count_nonzero(rising) + np.count_nonzero(steps < 0) == steps.size:  # NaN is neither
         flip = (rising[:-1] != rising[1:]).nonzero()[0]  # a flip between steps f and f + 1
@@ -99,31 +99,37 @@ class CubicPieces(NamedTuple):
     q: np.ndarray  # the sorted queries
     shape: tuple  # one knot's value shape, () or (C,)
 
-    def values(self, blocks=None) -> np.ndarray:
+    def values(self, blocks=None, out=None) -> np.ndarray:
         """The blocks numbered ``blocks`` (default: all, in order) at the
         queries, stacked, ``(len(blocks), len(q)) + shape``; a block may be
-        named more than once.  One Horner pass over those blocks' intervals
-        (a step to the next block runs no query, so it is left out), each
-        power's coefficients repeated over their runs as the pass reaches
-        them, channel-major."""
+        named more than once.  One Horner pass per channel over those
+        blocks' intervals (a step to the next block runs no query, so it is
+        left out), each power's coefficients repeated over their runs as the
+        pass reaches them.  The values are computed channel-major into
+        ``out``, a C-ordered ``(C, len(blocks) * len(q))`` array if given
+        (else a new one), and returned as a view of it."""
         blocks = np.arange(self.bounds.size - 1) if blocks is None else np.asarray(blocks, dtype=np.intp)
         firsts = self.bounds[blocks]
         sizes = self.bounds[blocks + 1] - firsts - 1  # each block's intervals, without the step to the next
         picks = np.arange(sizes.sum()) + (firsts - sizes.cumsum() + sizes).repeat(sizes)
-        coef = self.coef.take(picks, axis=2)
-        widths = self.widths[picks]
+        run = picks.repeat(self.widths[picks])  # each query's interval, block after block
         t = self.q[None].repeat(blocks.size, axis=0).ravel()  # np.tile's copy of the queries, per block
-        t -= self.left[picks].repeat(widths)
-        out = coef[3].repeat(widths, axis=1)  # (C, len(blocks) * n_q)
-        for power in (2, 1, 0):
-            out *= t
-            out += coef[power].repeat(widths, axis=1)
-        out = out.reshape((coef.shape[1], blocks.size, self.q.size)).transpose(1, 2, 0)  # C is known when q is empty
+        t -= self.left.take(run)
+        n_ch = self.coef.shape[1]  # known when q is empty
+        if out is None:
+            out = np.empty((n_ch, t.size))
+        step = np.empty_like(t)  # one power's coefficients at the queries
+        for c, row in enumerate(out):  # mode="clip": the indices are in range, and "raise" buffers ``out``
+            self.coef[3, c].take(run, out=row, mode="clip")
+            for power in (2, 1, 0):
+                row *= t
+                row += self.coef[power, c].take(run, out=step, mode="clip")
+        out = out.reshape((n_ch, blocks.size, self.q.size)).transpose(1, 2, 0)
         return out.reshape((blocks.size, self.q.size) + self.shape)
 
 
 def natural_spline(
-    xs: np.ndarray, ys: np.ndarray, q: np.ndarray, starts: np.ndarray | None = None
+    xs: np.ndarray, ys: np.ndarray, q: np.ndarray, starts: np.ndarray | None = None, out: tuple | None = None
 ) -> CubicPieces:
     """Natural cubic splines through ``(xs, ys)``, fitted for evaluation at
     sorted ``q`` by :meth:`CubicPieces.values`.
@@ -148,6 +154,13 @@ def natural_spline(
     with no channels, ``(k, 0)``, give their empty pieces without calling
     ``dgtsv``, which corrupts the heap when handed a right-hand side of no
     columns.
+
+    ``out``, if given, is ``(rhs, coef)``: an F-ordered ``(k, C)`` array
+    for the right-hand side, which the solve overwrites with m, and a
+    ``(4, C, k - 1)`` array for the coefficients, which the pieces keep.
+    Either way every plane is written in place: the slopes go to
+    ``coef[1]`` and ``coef[2]`` holds ``coef[1]``'s correction until its
+    own turn, with the operations and their order of the whole-array form.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -165,16 +178,20 @@ def natural_spline(
     bands[0, 1:] = h
     bands[1, 1:-1] = 2.0 * (h[:-1] + h[1:])
     bands[2, :-1] = h
-    rhs = np.empty_like(values, order="F")  # dgtsv's layout, passed without a copy
+    n_ch = values.shape[1]
+    rhs, coef = (np.empty((n_ch, k)).T, np.empty((4, n_ch, k - 1))) if out is None else out  # dgtsv's layout
+    slope = coef[1].T  # (k - 1, C)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves a whole block non-finite
-        slope = (values[1:] - values[:-1]) / h[:, None]
-        rhs[1:-1] = 6.0 * (slope[1:] - slope[:-1])
+        np.subtract(values[1:], values[:-1], out=slope)
+        slope /= h[:, None]
+        inner = np.subtract(slope[1:], slope[:-1], out=rhs[1:-1])
+        inner *= 6.0
     bands[1, ends] = 1.0
     bands[0, (ends + 1) % k] = 0.0  # slot 0 of the upper band is unused
     bands[2, ends - 1] = 0.0  # and so is the last slot of the lower band
     rhs[ends] = 0.0
     m = rhs  # with no channels there is nothing to solve
-    if values.shape[1]:
+    if n_ch:
         *_, m, info = dgtsv(
             bands[2, :-1], bands[1], bands[0, 1:], rhs,
             overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
@@ -183,12 +200,18 @@ def natural_spline(
             raise NumericalFailure("natural-spline system is singular")
     m = m.T  # (C, k)
 
-    # each interval's cubic in powers of (q - its left knot), channel-major
-    coef = np.empty((4, m.shape[0], k - 1))
+    # each interval's cubic in powers of (q - its left knot), channel-major:
+    # coef[1] = slope - h (2 m[:-1] + m[1:]) / 6, coef[2] = m[:-1] / 2,
+    # coef[3] = (m[1:] - m[:-1]) / (6 h)
     coef[0] = values[:-1].T
-    coef[1] = slope.T - h * (2.0 * m[:, :-1] + m[:, 1:]) / 6.0
-    coef[2] = m[:, :-1] / 2.0
-    coef[3] = (m[:, 1:] - m[:, :-1]) / (6.0 * h)
+    correction = np.multiply(m[:, :-1], 2.0, out=coef[2])
+    correction += m[:, 1:]
+    correction *= h
+    correction /= 6.0
+    coef[1] -= correction
+    np.divide(m[:, :-1], 2.0, out=coef[2])
+    np.subtract(m[:, 1:], m[:, :-1], out=coef[3])
+    coef[3] /= 6.0 * h
 
     # the sorted queries of one interval are consecutive: an interval's run
     # starts at the first query at or after its left knot (a block's ends

@@ -15,8 +15,8 @@ from typing import Any
 
 import numpy as np
 
-from .core import AlignedDecomposition, ContractViolation, Diverged, MultichannelSignal, NumericalFailure, Signal
-from .core import _check_fields
+from .core import AlignedDecomposition, ContractViolation, Diverged, MultichannelSignal, NumericalFailure, RunRecord
+from .core import Signal, _check_fields
 from .emd import EmdConfig, emd_decompose
 from .metrics import AlignmentScore, QrfReport, alignment_score, match_components
 from .multivariate import MemdConfig, MvmdConfig, memd_decompose, mvmd_decompose
@@ -279,15 +279,32 @@ def noisy_mv_signal(
 
 def vmd_channelwise(mv: MultichannelSignal, K: int) -> AlignedDecomposition:
     """Independent per-channel variational decomposition, index-aligned
-    only by each channel's own ascending center frequencies."""
+    only by each channel's own ascending center frequencies.  Its record
+    sums the channels' iterations and stops ``max_iters`` if any channel
+    hit its cap, else ``converged``; its counters hold each channel's
+    iterations and stop reason."""
     cfg = VmdConfig(K=K, alpha=500.0, tau=0.0)
     per = [decompose("vmd", mv.channel(c), cfg) for c in range(mv.n_channels)]
-    return AlignedDecomposition(tuple(d.modes for d in per), tuple(d.residual for d in per), mv.sample_rate_hz)
+    iterations = tuple(d.record.iterations for d in per)
+    reasons = tuple(d.record.stop_reason for d in per)
+    counters = {"channel_iterations": iterations, "channel_stop_reasons": reasons}
+    stop = "max_iters" if "max_iters" in reasons else "converged"
+    record = RunRecord("vmd-channelwise", sum(iterations), stop, counters=counters)
+    modes, residuals = tuple(d.modes for d in per), tuple(d.residual for d in per)
+    return AlignedDecomposition(modes, residuals, mv.sample_rate_hz, record=record)
 
 
 def run_alignment_suite(method: str, snr_db: float, base_seed: int = 0) -> AlignmentScore:
     """Generate the bivariate test signal, add per-channel noise, decompose
     with the requested method, and score against the expected table."""
+    return alignment_study(method, snr_db, base_seed)[1]
+
+
+def alignment_study(
+    method: str, snr_db: float, base_seed: int = 0
+) -> tuple[AlignedDecomposition, AlignmentScore]:
+    """:func:`run_alignment_suite`'s decomposition, whose record says how
+    the run ended, and its score."""
     if method not in ALIGNMENT_METHODS:
         raise ValueError(f"unknown alignment method: {method}")
     if base_seed < 0:
@@ -298,7 +315,7 @@ def run_alignment_suite(method: str, snr_db: float, base_seed: int = 0) -> Align
         d = vmd_channelwise(noisy, K=3)
     else:
         d = decompose(method, noisy, default_config(method, "mv"))
-    return alignment_score(d, table, tol_hz=1.0)
+    return d, alignment_score(d, table, tol_hz=1.0)
 
 
 def mv_matched_total_qrf(d: AlignedDecomposition, duration_s: float, fs: float) -> float:

@@ -12,6 +12,7 @@ Exit codes are a stable scripting contract: 0 success, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -54,7 +55,10 @@ _DECOMPOSE_FLAGS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call: parsing leaves
+    it as it was, so every later :func:`main` in the process reuses it."""
     parser = argparse.ArgumentParser(
         prog="sigdecomp",
         description="Signal decomposition methods and benchmark harness",
@@ -255,11 +259,12 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    score = bench.run_alignment_suite(args.method, args.snr, args.seed)
+    d, score = bench.alignment_study(args.method, args.snr, args.seed)
     payload = {
         "method": args.method,
         "snr_db": args.snr,
         "seed": args.seed,
+        "stop_reason": d.record.stop_reason,
         "passed": score.passed,
         "tolerance_hz": score.tolerance_hz,
         "row_to_mode": list(score.row_to_mode),
@@ -289,9 +294,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

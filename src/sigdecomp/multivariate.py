@@ -15,6 +15,7 @@ same-index modes across channels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,11 +112,42 @@ def hypersphere_directions(M: int, n_channels: int, seed: int = 0) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 _GROUP = 64  # directions evaluated at a time: every direction set the recipes use is one group,
-# and the rows of one group, freed before the next, bound the envelopes held at once
+# and the rows of one group, overwritten by the next, bound the envelopes held at once
+
+
+class _Workspace:
+    """The arrays of one decompose's envelope statistics whose size grows
+    with directions x samples, kept from one sift iteration to the next.
+    Each named buffer grows to the largest size asked of it and is not
+    freed inside the decompose, so its pages stay mapped between
+    iterations, where freeing them let the C heap hand them back to the
+    system and fault them in again at the next iteration.
+
+    A stats call holds, in turn: in ``"upper"`` the projections, the
+    fit's knot values, a group's upper envelopes and then its rows
+    gathered in direction order; in ``"lower"`` the fit's right-hand side
+    and a group's lower envelopes, which become its envelope-sum rows; in
+    ``"coef"`` the fit's coefficient planes; in ``"amplitude"`` a group's
+    amplitude rows; and the two running sums."""
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple) -> np.ndarray:
+        """A C-ordered float64 ``shape`` view of buffer ``name``, whose
+        earlier contents it overwrites."""
+        size = math.prod(shape)
+        buffer = self._buffers.pop(name, np.empty(0))
+        if buffer.size < size:
+            capacity = max(size, buffer.size + buffer.size // 4)  # a growing fit takes a few steps
+            del buffer  # the smaller buffer goes before the larger one comes
+            buffer = np.empty(capacity)
+        self._buffers[name] = buffer
+        return buffer[:size].reshape(shape)
 
 
 def _directional_envelope_stats(
-    data: np.ndarray, directions: np.ndarray, depth: int
+    data: np.ndarray, directions: np.ndarray, depth: int, work: _Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Mean envelope (n, c) and mean amplitude (n,) over all directions
     with enough projection extrema, knots mirrored ``depth`` deep; also
@@ -133,39 +165,82 @@ def _directional_envelope_stats(
     directions' rows are summed in direction order onto the total so far.
     No row outlives its group, so a repeat of a direction in an earlier
     group is evaluated again from the same blocks, with the same bits.
+
+    The projections, the knot values, the fit's planes, the rows and the
+    two sums are written into ``work``, :func:`memd_decompose`'s
+    workspace; a call without one fits into fresh arrays, as EMD's do.
     """
     n, n_ch = data.shape
-    (max_idx, max_dir), (min_idx, min_dir) = find_extrema_arrays(data @ directions.T)
-    n_max = np.bincount(max_dir, minlength=len(directions))
-    n_min = np.bincount(min_dir, minlength=len(directions))
-    usable = (n_max >= 2) & (n_min >= 2)
-    used = int(np.count_nonzero(usable))
-    if used == 0:
+    fit = _fit_blocks(data, directions, depth, work)
+    if fit is None:
         return np.zeros((n, n_ch)), np.zeros(n), 0
+    pieces, upper, lower = fit
+    used = upper.size
+    work = _Workspace() if work is None else work
+    source = _first_seen(zip(np.minimum(upper, lower).tolist(), np.maximum(upper, lower).tolist()))
+    sums = {}  # the running envelope sum (n, c) and amplitude sum (n,), channel-major as the rows
+    for lo in range(0, used, _GROUP):
+        reads = source[lo:lo + _GROUP]
+        d, at = np.unique(reads, return_inverse=True)  # the group's distinct rows, and where each direction's is
+        for name, rows in zip(("envelope_sum", "amplitude_sum"), _rows(pieces, upper[d], lower[d], work)):
+            for part in _in_direction_order(rows, at, work):
+                if name in sums:
+                    part[0] += sums[name]  # the total first: x + y == y + x, bitwise
+                sums[name] = np.add.reduce(part, axis=0, out=work.array(name, part.shape[:0:-1]).T)
+    env_sum, amp_sum = sums.values()
+    # the mean envelope is laid out as numpy laid out its own sum of the last group's rows: C-ordered
+    # where they were gathered, channel-major where read in order.  The stop rule's sum over channels
+    # runs in that order, so on 3 channels and more the layout sets its bits
+    env_mean = np.empty((n_ch, n)).T if np.array_equal(d, reads) else np.empty((n, n_ch))
+    return np.divide(env_sum, 2.0 * used, out=env_mean), amp_sum / (2.0 * used), used
+
+
+def _fit_blocks(data: np.ndarray, directions: np.ndarray, depth: int, work: _Workspace | None):
+    """The one fit of every distinct block of extrema of the projections,
+    and each usable direction's upper and lower block numbers in it; None
+    when no direction is usable.  The extrema and key arrays die before
+    the fit, its knot arrays on return, before the rows are evaluated.
+    Without ``work`` every array is fresh and the fit is
+    :func:`natural_spline`'s own."""
+    n, n_ch = data.shape
+    scratch = _Workspace() if work is None else work
+    projections = np.matmul(data, directions.T, out=scratch.array("upper", (n, len(directions))))
+    blocks = _distinct_blocks(projections, depth)
+    if blocks is None:
+        return None
+    times, sources, starts, block = blocks
+    k = times.size
+    knots = data.take(sources, axis=0, out=scratch.array("upper", (k, n_ch)), mode="clip")  # "raise" buffers out
+    q = np.arange(n, dtype=np.float64)
+    if work is None:
+        pieces = natural_spline(times, knots, q, starts)
+    else:
+        planes = work.array("lower", (n_ch, k)).T, work.array("coef", (4, n_ch, k - 1))
+        pieces = natural_spline(times, knots, q, starts, out=planes)
+    used = block.size // 2
+    return pieces, block[:used], block[used:]
+
+
+def _distinct_blocks(projections: np.ndarray, depth: int):
+    """The mirrored knots of each distinct block of extrema of the
+    projections (their times, source samples and block starts), and the
+    number in them of each usable direction's upper block, then of each
+    one's lower block; None when no direction is usable."""
+    n, n_dir = projections.shape
+    (max_idx, max_dir), (min_idx, min_dir) = find_extrema_arrays(projections)
+    n_max = np.bincount(max_dir, minlength=n_dir)
+    n_min = np.bincount(min_dir, minlength=n_dir)
+    usable = (n_max >= 2) & (n_min >= 2)
+    if not usable.any():
+        return None
     idx = np.concatenate([max_idx[usable[max_dir]], min_idx[usable[min_dir]]])  # upper blocks, then lower
     counts = np.concatenate([n_max[usable], n_min[usable]])
     packed = idx.astype(np.min_scalar_type(n))  # a block's key: its extrema's bytes, in the fewest that hold them
     raw, ends = packed.tobytes(), (np.cumsum(counts) * packed.itemsize).tolist()
     first = _first_seen(raw[a:b] for a, b in zip([0] + ends[:-1], ends))
     fresh = first == np.arange(first.size)
-    times, sources, starts = _mirrored_knots(idx[np.repeat(fresh, counts)], counts[fresh], depth)
-    pieces = natural_spline(times, data[sources], np.arange(n, dtype=np.float64), starts)
-
     block = np.cumsum(fresh)[first] - 1  # each block's number in the fit
-    upper, lower = block[:used], block[used:]
-    source = _first_seen(zip(np.minimum(upper, lower).tolist(), np.maximum(upper, lower).tolist()))
-    sums = ()  # envelope sum (n, c) and amplitude (n,)
-    for lo in range(0, used, _GROUP):
-        reads = source[lo:lo + _GROUP]
-        d, at = np.unique(reads, return_inverse=True)  # the group's distinct rows, and where each direction's is
-        rows = _rows(pieces, upper[d], lower[d])
-        if not np.array_equal(d, reads):  # a repeat, or rows read out of order: gathered in direction order
-            rows = [part.take(at, axis=0) for part in rows]
-        for part, total in zip(rows, sums):
-            part[0] += total  # the total first: x + y == y + x, bitwise
-        sums = [np.add.reduce(part) for part in rows]
-    env_sum, amp_sum = sums
-    return env_sum / (2.0 * used), amp_sum / (2.0 * used), used
+    return *_mirrored_knots(idx[np.repeat(fresh, counts)], counts[fresh], depth), block
 
 
 def _first_seen(keys) -> np.ndarray:
@@ -174,15 +249,42 @@ def _first_seen(keys) -> np.ndarray:
     return np.array([first.setdefault(key, i) for i, key in enumerate(keys)], dtype=np.intp)
 
 
-def _rows(pieces, upper: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rows(pieces, upper: np.ndarray, lower: np.ndarray, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """The envelope-sum rows (d, n, c) and amplitude rows (d, n) of the
     directions whose upper and lower envelopes are blocks ``upper`` and
-    ``lower`` of ``pieces``."""
-    u, l = pieces.values(upper), pieces.values(lower)
-    env = u + l
-    u -= l  # squared and summed over channels in place: np.linalg.norm's own steps, so its bits
-    u *= u
-    return env, np.sqrt(np.add.reduce(u, axis=2))
+    ``lower`` of ``pieces``, one channel at a time: channel c's difference
+    goes to the amplitude (c = 0) or to channel 0's spent upper plane,
+    then its sum over the lower plane.  The squares are summed over the
+    channels in channel order and rooted: np.linalg.norm's own steps, so
+    its bits.  The sums are returned in the lower envelopes' buffer."""
+    n_ch, n = pieces.coef.shape[1], pieces.q.size
+    u = pieces.values(upper, work.array("upper", (n_ch, upper.size * n)))
+    l = pieces.values(lower, work.array("lower", (n_ch, lower.size * n)))
+    amp = work.array("amplitude", (upper.size, n))
+    for c in range(n_ch):
+        square = np.subtract(u[..., c], l[..., c], out=amp if c == 0 else u[..., 0])
+        np.add(u[..., c], l[..., c], out=l[..., c])
+        square *= square
+        if c:
+            amp += square
+    return l, np.sqrt(amp, out=amp)
+
+
+def _in_direction_order(rows: np.ndarray, at: np.ndarray, work: _Workspace):
+    """The rows ``rows[at]`` in runs of at most ``len(rows)``: ``rows``
+    itself where ``at`` reads each row once and in order, else each run
+    gathered into the upper envelopes' spent buffer, channel-major as the
+    rows are, so that take copies the run alone.  Summed run after run
+    onto a running total, they are added in the order of one sum over
+    ``rows[at]``."""
+    if np.array_equal(at, np.arange(len(rows))):
+        yield rows
+        return
+    planes = rows.reshape(rows.shape[:2] + (-1,)).transpose(2, 0, 1)  # (c, rows, n), as they lie in memory
+    for a in range(0, at.size, len(rows)):  # mode="clip": the indices are in range, and "raise" buffers ``out``
+        taken = at[a:a + len(rows)]
+        out = work.array("upper", (len(planes), taken.size, planes.shape[2]))
+        yield planes.take(taken, axis=1, out=out, mode="clip").transpose(1, 2, 0).reshape(taken.shape + rows.shape[1:])
 
 
 def _mirrored_knots(
@@ -227,13 +329,14 @@ def memd_decompose(x: MultichannelSignal, cfg: MemdConfig = MemdConfig()) -> Ali
     data = channels.T.copy()  # (n, channels)
     ecfg = cfg.emd
 
+    work = _Workspace()  # the envelope statistics' arrays, reused by every sift iteration
     modes: list[np.ndarray] = []
     sifts: list[tuple[int, ...]] = []  # the directions used in each sift iteration, per sift
     stop = "max_iters"
     for _ in range(ecfg.max_imfs):
         h, used_per_iteration = data, []
         for it in range(ecfg.max_sift_iters):
-            env_mean, amplitude, used = _directional_envelope_stats(h, directions, ecfg.boundary)
+            env_mean, amplitude, used = _directional_envelope_stats(h, directions, ecfg.boundary, work)
             used_per_iteration.append(used)
             if used == 0 or ecfg.sift_converged(np.linalg.norm(env_mean, axis=1), amplitude):
                 break

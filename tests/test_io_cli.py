@@ -1095,3 +1095,41 @@ class TestCliContract:
         assert r.returncode == 0
         payload = json.loads(out.read_text())
         assert payload["passed"] is True
+
+    @pytest.mark.parametrize(
+        "method, reason", [("memd", "exhausted"), ("mvmd", "converged"), ("vmd-channelwise", "converged")]
+    )
+    def test_align_reports_how_the_run_stopped(self, capsys, method, reason):
+        # 10 dB, seed 0: MEMD's last sift finds no usable direction; MVMD
+        # and each channel's VMD converge
+        assert main("align", "--method", method, "--snr", "10", "--seed", "0") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stop_reason"] == reason == bench.alignment_study(method, 10.0, 0)[0].record.stop_reason
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # a usage error of the parser's and one of a command's, valid
+        # commands, then help, through the parser built once in this
+        # process, against the same calls each with a parser of its own
+        csv, outdir = tmp_path / "s2.csv", tmp_path / "emd"
+        calls = [
+            ["decompose", "--method", "nope", "--input", csv],
+            ["synth", "--signal", "s1", "--seed", "3", "--out", csv],
+            ["synth", "--signal", "s2", "--out", csv],
+            ["decompose", "--method", "emd", "--signal-profile", "s2", "--input", csv, "--outdir", outdir],
+            ["tf", "--indir", outdir, "--bins", "16", "--out", tmp_path / "tf.csv"],
+            ["--help"],
+            ["align", "--help"],
+        ]
+
+        def outcomes(fresh_parser):
+            seen = []
+            for argv in calls:
+                if fresh_parser:
+                    cli._parser.cache_clear()
+                seen.append((main(*argv), *capsys.readouterr()))
+            return seen
+
+        reused = outcomes(fresh_parser=False)
+        assert cli._parser() is cli._parser()
+        assert [code for code, *_ in reused] == [2, 2, 0, 0, 0, 0, 0]
+        assert reused == outcomes(fresh_parser=True)

@@ -5,6 +5,7 @@ they called the ufuncs and array methods those wrappers call.  Each case
 compares the result's bytes, dtypes and shapes, the exception a call
 raises, and the RuntimeWarnings it emits."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -314,6 +315,41 @@ class TestSplineBits:
         t_max, v_max, t_min, v_min = emd.mirrored_extrema_knots(x, *K.find_extrema_arrays(x), 2)
         args = np.concatenate([t_max, t_min]), np.concatenate([v_max, v_min]), np.arange(512.0), [0, t_max.size]
         assert_same(spline_values, ref_spline_values, *args)
+
+    @pytest.mark.parametrize("channels", [None, 1, 3])
+    def test_fit_into_given_planes(self, rng, channels):
+        # MEMD's workspace hands the fit its right-hand side and coefficient
+        # planes, and the evaluation its output: the same bytes, held there
+        xs, ys, starts = knot_blocks(rng, [7, 2, 40, 3], channels)
+        q = np.arange(-8.0, 44.0, 0.37)
+        k, c = xs.size, 1 if channels is None else channels
+        rhs, coef = np.full((c, k), np.nan).T, np.full((4, c, k - 1), np.nan)  # stale contents are overwritten
+        out = np.full((c, 3 * q.size), np.nan)
+        got = outcome(lambda: K.natural_spline(xs, ys, q, starts, out=(rhs, coef)).values([3, 0, 3], out=out))
+        assert_same_bits(got, outcome(ref_spline_values, xs, ys, q, starts, [3, 0, 3]))
+        assert np.shares_memory(got[0], out)
+        assert K.natural_spline(xs, ys, q, starts, out=(rhs, coef)).coef is coef
+
+    def test_fit_makes_no_temporary_per_channel(self, rng):
+        # given its planes, the fit allocates only arrays of one value per
+        # knot (the steps, the bands, each interval's run of queries): its
+        # traced peak is the same on 2 channels and on 16.  The whole-array
+        # form made the slopes and four more temporaries of every channel
+        xs, ys, starts = knot_blocks(rng, [400] * 10, 16)
+        q = np.arange(-8.0, 44.0, 0.37)
+
+        def peak(channels):
+            planes = np.empty((channels, xs.size)).T, np.empty((4, channels, xs.size - 1))
+            values = np.ascontiguousarray(ys[:, :channels])
+            tracemalloc.start()
+            try:
+                K.natural_spline(xs, values, q, starts, out=planes)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        K.natural_spline(xs[:10], ys[:10], q)  # LAPACK's first load
+        assert peak(16) == peak(2)
 
 
 class TestRefineBits:

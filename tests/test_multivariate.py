@@ -15,6 +15,7 @@ from sigdecomp.multivariate import (
     MemdConfig,
     MvmdConfig,
     _directional_envelope_stats,
+    _Workspace,
     _mirrored_knots,
     hypersphere_directions,
     memd_decompose,
@@ -349,7 +350,7 @@ class TestEnvelopeStats:
         with pytest.raises(FirstSift) as sift:
             memd_decompose(noisy_mv_signal(gen_mv_test()[0], 10.0, 0), MemdConfig(M=64))
         monkeypatch.undo()
-        data, directions, depth = sift.value.args
+        data, directions, depth, _ = sift.value.args
         fitted, spline = [], multivariate.natural_spline
 
         def counted(xs, ys, q, starts):
@@ -377,6 +378,74 @@ class TestEnvelopeStats:
         # where few directions repeat another, a table of every distinct
         # block's values peaked at 8.21 MiB
         assert stats_peak(3) < 6 * 2**20
+
+
+class TestWorkspace:
+    """One workspace per decompose holds the stats calls' arrays that grow
+    with directions x samples, reused by every sift iteration."""
+
+    @pytest.mark.parametrize("exp", [0, 996])
+    @pytest.mark.parametrize("n_channels", [2, 3, 4])
+    @pytest.mark.parametrize("M", [64, 100])
+    def test_shared_workspace_bit_identical_to_fresh_calls(self, M, n_channels, exp):
+        # knot counts that shrink (10 dB, then 30 dB), a ramp, whose
+        # projections have no extrema, then more knots than before (3 dB):
+        # every buffer is read smaller, skipped, then grown.  M = 100 takes
+        # two groups.  At 2**996 the norms overflow, as in the bytes tests
+        ramp = np.linspace(0.0, 1.0, 512)[:, None] * np.arange(1, n_channels + 1)
+        inputs = [noisy_channels(n_channels, 10.0), noisy_channels(n_channels, 30.0), ramp]
+        inputs.append(noisy_channels(n_channels, 3.0))
+        directions = hypersphere_directions(M, n_channels)
+        work = _Workspace()
+        for i, data in enumerate(inputs):
+            data = np.ldexp(data, exp)
+            with np.errstate(over="ignore"):
+                got = _directional_envelope_stats(data, directions, 2, work)
+                want = _directional_envelope_stats(data, directions, 2)
+            assert got[2] == want[2] == (0 if i == 2 else M)
+            for g, w in zip(got[:2], want[:2]):
+                assert g.dtype == w.dtype and g.shape == w.shape and g.strides == w.strides
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize(
+        "n_channels, M, c_ordered", [(2, 64, True), (2, 100, False), (3, 64, True), (4, 64, False)]
+    )
+    def test_mean_envelope_laid_out_as_before(self, n_channels, M, c_ordered):
+        # at 10 dB the last group gathers its rows (2 and 3 channels at
+        # M=64, whose sets hold antipodes) or reads them in order: the mean
+        # envelope is C-ordered or channel-major, as numpy laid out its own
+        # sum of the gathered or evaluated rows.  The layout orders the stop
+        # rule's sum over the channels, so on 3 channels and more its bits
+        data, directions = noisy_channels(n_channels, 10.0), hypersphere_directions(M, n_channels)
+        mean = _directional_envelope_stats(data, directions, 2)[0]
+        assert mean.flags.c_contiguous if c_ordered else mean.flags.f_contiguous
+
+    @pytest.mark.parametrize("n_channels, bound_mib", [(2, 1.7), (3, 3.0)])
+    def test_later_calls_allocate_only_temporaries(self, monkeypatch, n_channels, bound_mib):
+        # a decompose at 10 dB, M=64: after its first stats call has built
+        # the workspace, each later call's traced peak rises above its start
+        # only by the extrema search's, the keys' and the fit's temporaries:
+        # at most 1.50 and 2.50 MiB on 2 and 3 channels; calls that make
+        # every array afresh rise by up to 1.95 and 5.47
+        stats, rises = multivariate._directional_envelope_stats, []
+
+        def traced(*args):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = stats(*args)
+            rises.append(tracemalloc.get_traced_memory()[1] - start)
+            return result
+
+        x = MultichannelSignal(noisy_channels(n_channels, 10.0).T, gen_mv_test()[0].sample_rate_hz)
+        memd_decompose(x, MemdConfig(M=64))  # the first spline loads LAPACK
+        monkeypatch.setattr(multivariate, "_directional_envelope_stats", traced)
+        tracemalloc.start()
+        try:
+            memd_decompose(x, MemdConfig(M=64))
+        finally:
+            tracemalloc.stop()
+        assert len(rises) > 100
+        assert max(rises[1:]) <= bound_mib * 2**20
 
 
 class TestMvmd:

@@ -3,6 +3,7 @@ iterations, why it stopped and the method's own counters, pinned at the
 benchmark recipes."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from sigdecomp import bench, multivariate
 from sigdecomp.core import STOP_REASONS, ContractViolation, Diverged, RunRecord
 from sigdecomp.multivariate import mvmd_decompose
 from sigdecomp.synth import add_wgn
-from sigdecomp.variational import vmd_decompose, vncmd_decompose
+from sigdecomp.variational import VmdConfig, vmd_decompose, vncmd_decompose
 
 _RUNS = {}
 
@@ -120,6 +121,25 @@ def test_emd_remainder_below_the_floor_converged():
     x = sigdecomp.Signal((-1.0) ** np.arange(512), 256.0)
     record = bench.decompose("emd", x, bench.default_config("emd", "s1")).record
     assert (record.stop_reason, record.counters["sift_iterations"]) == ("converged", (1,))
+
+
+def test_channelwise_vmd_sums_its_channels():
+    # the alignment study's per-channel VMD at 10 dB, noise seed 0: both
+    # channels converge, in 250 and 43 iterations
+    x = bench.noisy_mv_signal(bench.gen_mv_test()[0], 10.0, 0)
+    record = bench.vmd_channelwise(x, K=3).record
+    assert (record.method, record.iterations, record.stop_reason) == ("vmd-channelwise", 293, "converged")
+    assert record.counters == {"channel_iterations": (250, 43), "channel_stop_reasons": ("converged", "converged")}
+
+
+def test_channelwise_vmd_stops_at_a_channels_cap(monkeypatch):
+    # with a cap of 100 iterations the first channel stops there and the
+    # second still converges: the run stopped at its cap
+    monkeypatch.setattr(bench, "VmdConfig", functools.partial(VmdConfig, max_iters=100))
+    x = bench.noisy_mv_signal(bench.gen_mv_test()[0], 10.0, 0)
+    record = bench.vmd_channelwise(x, K=3).record
+    assert (record.iterations, record.stop_reason) == (143, "max_iters")
+    assert record.counters["channel_stop_reasons"] == ("max_iters", "converged")
 
 
 def test_memd_counts_envelope_stats_calls(monkeypatch):

@@ -6,7 +6,8 @@ samples); MVMD runs its recipe, and a whole MEMD decompose M=8
 directions, on the 10 dB two-channel mv signal tiled 16x (8,192 samples
 per channel).  SST's bounds are ``test_sst.py::TestWorkingSet``.  The
 extrema kernel, MEMD's largest, is bounded on its own: its peak grows with
-the batch it is given, M directions times n samples.
+the batch it is given, M directions times n samples; and so is one MEMD
+envelope-stats call on that long input.
 """
 
 import numpy as np
@@ -15,8 +16,9 @@ import pytest
 from sigdecomp import bench
 from sigdecomp._kernels import find_extrema_arrays
 from sigdecomp.core import MultichannelSignal, Signal
-from sigdecomp.multivariate import MemdConfig
+from sigdecomp.multivariate import MemdConfig, _directional_envelope_stats, hypersphere_directions
 from sigdecomp.synth import gen_mv_test
+from test_multivariate import noisy_channels
 from test_sst import traced_peak
 
 # method: (config, doubles per input sample at most).  Each bound is a
@@ -51,6 +53,19 @@ def test_peak_per_input_sample(method):
     bench.decompose(method, short, cfg)  # warm-up: caches, FFT plans and LAPACK's first load
     n_samples = x.channels.shape[1] if isinstance(x, MultichannelSignal) else len(x)
     assert traced_peak(bench.decompose, method, x, cfg) / 8 / n_samples <= bound
+
+
+@pytest.mark.parametrize("n_channels, bound_mib", [(2, 28.0), (3, 77.0)])
+def test_memd_stats_call_peak(n_channels, bound_mib):
+    # one envelope-stats call on the 10 dB signal tiled 16x (8,192 samples),
+    # M=64, with arrays of its own: 22.6 and 61.7 MiB on 2 channels, where
+    # antipodal directions repeat, and on 3, where none do.  Before the fit
+    # wrote its planes in place and the extrema and key arrays died before
+    # it, the call peaked at 33.8 and 85.6 MiB
+    data = np.tile(noisy_channels(n_channels, 10.0), (16, 1))
+    directions = hypersphere_directions(64, n_channels)
+    _directional_envelope_stats(data[:512], directions, 2)  # warm-up: LAPACK's first load
+    assert traced_peak(_directional_envelope_stats, data, directions, 2) <= bound_mib * 2**20
 
 
 def test_extrema_peak_on_a_signed_batch():
