@@ -177,11 +177,17 @@ class NoiseSuiteSpec:
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """A noise suite's successful totals, times and stop reasons per SNR.  The failures (realizations
+    that diverged or failed numerically), mean and standard deviation are derived from the totals."""
+
     spec: NoiseSuiteSpec
     raw_totals_db: dict[float, tuple[float, ...]]
-    failures: dict[float, int]
     elapsed_s: dict[float, tuple[float, ...]]
     stop_reasons: dict[float, tuple[str, ...]]  # per realization: the record's, or numerical_failure
+
+    @property
+    def failures(self) -> dict[float, int]:
+        return {snr: self.spec.n_realizations - len(t) for snr, t in self.raw_totals_db.items()}
 
     @property
     def mean_total_db(self) -> dict[float, float | None]:
@@ -218,7 +224,6 @@ def run_noise_suite(spec: NoiseSuiteSpec) -> SuiteResult:
     x, refs = generate_signal(spec.signal)
     cfg = effective_config(spec.method, spec.signal, noisy=True)
     raws: dict[float, tuple[float, ...]] = {}
-    fails: dict[float, int] = {}
     timing: dict[float, tuple[float, ...]] = {}
     reasons: dict[float, tuple[str, ...]] = {}
     for snr in spec.snr_grid_db:
@@ -238,10 +243,9 @@ def run_noise_suite(spec: NoiseSuiteSpec) -> SuiteResult:
             stops.append(d.record.stop_reason)
             totals.append(match_or_empty(list(d.modes), refs).total_qrf_db)
         raws[snr] = tuple(totals)
-        fails[snr] = spec.n_realizations - len(totals)
         timing[snr] = tuple(elapsed)
         reasons[snr] = tuple(stops)
-    return SuiteResult(spec=spec, raw_totals_db=raws, failures=fails, elapsed_s=timing, stop_reasons=reasons)
+    return SuiteResult(spec=spec, raw_totals_db=raws, elapsed_s=timing, stop_reasons=reasons)
 
 
 def run_param_sweep(

@@ -39,14 +39,17 @@ class NumericalFailure(RuntimeError):
 class Diverged(RuntimeError):
     """An iterative solver moved away from any fixed point.
 
-    Carries the partial result as ``decomposition`` and its record, stop
-    reason ``diverged``, as ``report``, so callers can see how far it got.
+    Carries the partial result as ``decomposition``, so callers can see how
+    far it got; ``report`` is derived, its record (stop reason ``diverged``).
     """
 
-    def __init__(self, message: str, decomposition=None, report=None):
+    def __init__(self, message: str, decomposition: Decomposition):
         super().__init__(message)
         self.decomposition = decomposition
-        self.report = report
+
+    @property
+    def report(self) -> RunRecord:
+        return self.decomposition.record
 
 
 def _is_finite_number(value) -> bool:

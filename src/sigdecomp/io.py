@@ -4,8 +4,9 @@ Signal CSV layout: a first line ``# sample_rate=<hz>``, a header row of
 column names, then one row per sample.  Values are written with repr
 round-trip precision (17 significant digits), so write/read cycles are
 bit-exact.  One column reads back as a single signal, several as a
-multichannel signal.  The writer refuses non-finite cells and a rate that
-is not a positive finite number, as the reader does.  It formats each
+multichannel signal.  The writer refuses what the reader does: no
+columns, fewer than two rows, non-finite cells and a rate that is not a
+positive finite number.  It formats each
 column once per block of ``_BLOCK_ROWS`` rows and writes the block at
 once, so it holds no more text than one block.  The reader takes the
 file's stripped lines in one pass and parses the data lines in one call,
@@ -41,8 +42,13 @@ def write_signals_csv(
     a column or rate the reader would reject raises before the file opens."""
     names = list(columns)
     arrays = [np.asarray(columns[n], dtype=np.float64) for n in names]
-    if len({a.size for a in arrays}) != 1:
+    sizes = {a.size for a in arrays}
+    if not sizes:
+        raise ContractViolation("a signal file needs at least one column")
+    if len(sizes) != 1:
         raise ContractViolation("all columns must have equal length")
+    if min(sizes) < 2:
+        raise ContractViolation(f"a signal file needs at least 2 rows, not {min(sizes)}")
     rate = float(sample_rate_hz)
     if not (np.isfinite(rate) and rate > 0):
         raise ContractViolation(f"sample_rate_hz must be a positive finite number, not {rate!r}")
@@ -64,10 +70,10 @@ def read_csv_signal(
     MultichannelSignal.
 
     The sample rate comes from the ``# sample_rate=`` header line unless
-    overridden by the argument; missing both is an error.  A header rate
-    that is not a positive finite number, and rows with non-numeric or
-    non-finite cells or the wrong column count, are rejected with their
-    line number.
+    overridden by the argument; missing both is an error.  Fewer than two
+    data rows are rejected, and so, with their line number, are a header
+    rate that is not a positive finite number and rows with non-numeric or
+    non-finite cells or the wrong column count.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8-sig") as fh:
@@ -94,8 +100,8 @@ def read_csv_signal(
             del at[0]
         else:
             names = [f"col{i}" for i in range(len(cells))]
-    if not at:
-        raise CsvFormatError(f"{path}: no data rows")
+    if len(at) < 2:
+        raise CsvFormatError(f"{path}: {'one data row' if at else 'no data rows'}; a signal needs at least 2")
     try:
         data = np.loadtxt([lines[i] for i in at], delimiter=",", comments=None, dtype=np.float64, ndmin=2)
     except ValueError:

@@ -147,7 +147,7 @@ class _Workspace:
 
 
 def _directional_envelope_stats(
-    data: np.ndarray, directions: np.ndarray, depth: int, work: _Workspace | None = None
+    data: np.ndarray, directions: np.ndarray, depth: int, work: _Workspace
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Mean envelope (n, c) and mean amplitude (n,) over all directions
     with enough projection extrema, knots mirrored ``depth`` deep; also
@@ -166,9 +166,8 @@ def _directional_envelope_stats(
     No row outlives its group, so a repeat of a direction in an earlier
     group is evaluated again from the same blocks, with the same bits.
 
-    The projections, the knot values, the fit's planes, the rows and the
-    two sums are written into ``work``, :func:`memd_decompose`'s
-    workspace; a call without one fits into fresh arrays, as EMD's do.
+    The projections, knot values, fit planes, rows and sums are written
+    into ``work``, :func:`memd_decompose`'s workspace.
     """
     n, n_ch = data.shape
     fit = _fit_blocks(data, directions, depth, work)
@@ -176,14 +175,14 @@ def _directional_envelope_stats(
         return np.zeros((n, n_ch)), np.zeros(n), 0
     pieces, upper, lower = fit
     used = upper.size
-    work = _Workspace() if work is None else work
     source = _first_seen(zip(np.minimum(upper, lower).tolist(), np.maximum(upper, lower).tolist()))
     sums = {}  # the running envelope sum (n, c) and amplitude sum (n,), channel-major as the rows
     for lo in range(0, used, _GROUP):
         reads = source[lo:lo + _GROUP]
         d, at = np.unique(reads, return_inverse=True)  # the group's distinct rows, and where each direction's is
+        in_order = np.array_equal(d, reads)  # each distinct row read once, in order
         for name, rows in zip(("envelope_sum", "amplitude_sum"), _rows(pieces, upper[d], lower[d], work)):
-            for part in _in_direction_order(rows, at, work):
+            for part in [rows] if in_order else _gathered(rows, at, work):
                 if name in sums:
                     part[0] += sums[name]  # the total first: x + y == y + x, bitwise
                 sums[name] = np.add.reduce(part, axis=0, out=work.array(name, part.shape[:0:-1]).T)
@@ -191,34 +190,26 @@ def _directional_envelope_stats(
     # the mean envelope is laid out as numpy laid out its own sum of the last group's rows: C-ordered
     # where they were gathered, channel-major where read in order.  The stop rule's sum over channels
     # runs in that order, so on 3 channels and more the layout sets its bits
-    env_mean = np.empty((n_ch, n)).T if np.array_equal(d, reads) else np.empty((n, n_ch))
+    env_mean = np.empty((n_ch, n)).T if in_order else np.empty((n, n_ch))
     return np.divide(env_sum, 2.0 * used, out=env_mean), amp_sum / (2.0 * used), used
 
 
-def _fit_blocks(data: np.ndarray, directions: np.ndarray, depth: int, work: _Workspace | None):
+def _fit_blocks(data: np.ndarray, directions: np.ndarray, depth: int, work: _Workspace):
     """The one fit of every distinct block of extrema of the projections,
     and each usable direction's upper and lower block numbers in it; None
     when no direction is usable.  The extrema and key arrays die before
-    the fit, its knot arrays on return, before the rows are evaluated.
-    Without ``work`` every array is fresh and the fit is
-    :func:`natural_spline`'s own."""
+    the fit, its knot arrays on return, before the rows are evaluated."""
     n, n_ch = data.shape
-    scratch = _Workspace() if work is None else work
-    projections = np.matmul(data, directions.T, out=scratch.array("upper", (n, len(directions))))
+    projections = np.matmul(data, directions.T, out=work.array("upper", (n, len(directions))))
     blocks = _distinct_blocks(projections, depth)
     if blocks is None:
         return None
     times, sources, starts, block = blocks
     k = times.size
-    knots = data.take(sources, axis=0, out=scratch.array("upper", (k, n_ch)), mode="clip")  # "raise" buffers out
-    q = np.arange(n, dtype=np.float64)
-    if work is None:
-        pieces = natural_spline(times, knots, q, starts)
-    else:
-        planes = work.array("lower", (n_ch, k)).T, work.array("coef", (4, n_ch, k - 1))
-        pieces = natural_spline(times, knots, q, starts, out=planes)
-    used = block.size // 2
-    return pieces, block[:used], block[used:]
+    knots = data.take(sources, axis=0, out=work.array("upper", (k, n_ch)), mode="clip")  # "raise" buffers out
+    planes = work.array("lower", (n_ch, k)).T, work.array("coef", (4, n_ch, k - 1))
+    pieces = natural_spline(times, knots, np.arange(n, dtype=np.float64), starts, out=planes)
+    return pieces, *block.reshape(2, -1)  # each usable direction's upper block number, then its lower
 
 
 def _distinct_blocks(projections: np.ndarray, depth: int):
@@ -270,16 +261,12 @@ def _rows(pieces, upper: np.ndarray, lower: np.ndarray, work: _Workspace) -> tup
     return l, np.sqrt(amp, out=amp)
 
 
-def _in_direction_order(rows: np.ndarray, at: np.ndarray, work: _Workspace):
-    """The rows ``rows[at]`` in runs of at most ``len(rows)``: ``rows``
-    itself where ``at`` reads each row once and in order, else each run
+def _gathered(rows: np.ndarray, at: np.ndarray, work: _Workspace):
+    """The rows ``rows[at]`` in runs of at most ``len(rows)``, each run
     gathered into the upper envelopes' spent buffer, channel-major as the
     rows are, so that take copies the run alone.  Summed run after run
     onto a running total, they are added in the order of one sum over
     ``rows[at]``."""
-    if np.array_equal(at, np.arange(len(rows))):
-        yield rows
-        return
     planes = rows.reshape(rows.shape[:2] + (-1,)).transpose(2, 0, 1)  # (c, rows, n), as they lie in memory
     for a in range(0, at.size, len(rows)):  # mode="clip": the indices are in range, and "raise" buffers ``out``
         taken = at[a:a + len(rows)]

@@ -355,7 +355,7 @@ def vncmd_decompose(x: Signal, cfg: VncmdConfig) -> tuple[Decomposition, RunReco
     pad = ma_width // 2
     padded = np.empty((k, n + ma_width - 1))  # each mode's raw increment, its ends repeated
     raw = padded[:, pad : pad + n]
-    increments = np.empty((k, n)) if ma_width > 1 else raw
+    increments = np.empty((k, n))
     kernel = np.ones(ma_width) / ma_width
 
     def sweep() -> None:
@@ -415,11 +415,10 @@ def vncmd_decompose(x: Signal, cfg: VncmdConfig) -> tuple[Decomposition, RunReco
             np.maximum(denom, floor, out=denom)
             denom *= 2.0 * np.pi
             raw /= denom
-            if ma_width > 1:  # the zero-phase moving average
-                padded[:, :pad] = raw[:, :1]
-                padded[:, pad + n :] = raw[:, -1:]
-                for i in range(k):
-                    increments[i] = np.convolve(padded[i], kernel, mode="valid")
+            padded[:, :pad] = raw[:, :1]  # the zero-phase moving average, the identity at width 1
+            padded[:, pad + n :] = raw[:, -1:]
+            for i in range(k):
+                increments[i] = np.convolve(padded[i], kernel, mode="valid")
 
             increments *= cfg.mu
             increments += if_tracks
@@ -451,5 +450,5 @@ def vncmd_decompose(x: Signal, cfg: VncmdConfig) -> tuple[Decomposition, RunReco
     record = RunRecord("vncmd", len(trace), stop, tuple(trace.tolist()), counters={"final_update_norm": update_norm})
     decomp = Decomposition.of(modes, samples - modes.sum(axis=0), fs, tracks=if_tracks, exp=exp, record=record)
     if stop == "diverged":
-        raise Diverged("VNCMD update norm grew for 10 consecutive iterations", decomposition=decomp, report=record)
+        raise Diverged("VNCMD update norm grew for 10 consecutive iterations", decomposition=decomp)
     return decomp, record

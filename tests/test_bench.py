@@ -225,10 +225,11 @@ class TestNoiseSuite:
         spec = NoiseSuiteSpec(method="vmd", signal="s2", snr_grid_db=(3.0, 12.0, 24.0), n_realizations=3)
         raws = {3.0: (1.5, 2.25, 4.0), 12.0: (), 24.0: (5.0,)}
         reasons = {3.0: ("converged",) * 3, 12.0: ("diverged",) * 3, 24.0: ("converged", "diverged", "diverged")}
-        result = bench.SuiteResult(spec, raws, {3.0: 0, 12.0: 3, 24.0: 2}, {3.0: (), 12.0: (), 24.0: ()}, reasons)
+        result = bench.SuiteResult(spec, raws, {3.0: (), 12.0: (), 24.0: ()}, reasons)
         assert result.mean_total_db == {3.0: float(np.mean(raws[3.0])), 12.0: None, 24.0: 5.0}
         assert result.std_total_db == {3.0: float(np.std(raws[3.0], ddof=1)), 12.0: 0.0, 24.0: 0.0}
         assert [r["mean_db"] for r in result.to_rows()] == [result.mean_total_db[s] for s in spec.snr_grid_db]
+        assert result.failures == {3.0: 0, 12.0: 3, 24.0: 2}
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -172,7 +172,7 @@ class TestSignalCsvWriter:
         reference_signals_csv(tmp_path / "ref.csv", columns, 256.0)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-    @pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 4, 7])  # 0, 1, B - 1, B, B + 1, 2B + 1 at B = 3
+    @pytest.mark.parametrize("n_rows", [2, 3, 4, 7])  # B - 1, B, B + 1, 2B + 1 at B = 3; fewer rows are refused
     @pytest.mark.parametrize("n_cols", [1, 2, 3, 4])
     def test_matches_reference_across_blocks(self, tmp_path, rng, monkeypatch, n_cols, n_rows):
         monkeypatch.setattr(sdio, "_BLOCK_ROWS", 3, raising=False)
@@ -223,6 +223,17 @@ class TestSignalCsvWriter:
         path = tmp_path / "x.csv"
         with pytest.raises(ContractViolation, match="column 'y'"):
             write_signals_csv(path, {"x": [1.0, 2.0, 3.0], "y": [1.0, bad, 2.0]}, 10.0)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [({}, "at least one column"), ({"x": []}, "at least 2 rows, not 0"), ({"x": [1.0], "y": [2.0]}, "at least 2 rows, not 1")],
+    )
+    def test_short_file_rejected_before_open(self, tmp_path, columns, message):
+        # the reader refuses fewer than two rows, so the writer never writes them
+        path = tmp_path / "x.csv"
+        with pytest.raises(ContractViolation, match=message):
+            write_signals_csv(path, columns, 10.0)
         assert not path.exists()
 
     @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -10.0])
@@ -294,6 +305,10 @@ class TestSignalCsvReader:
     def test_header_only_file(self, tmp_path):
         with pytest.raises(CsvFormatError, match="no data rows"):
             self.read_text(tmp_path, "# sample_rate=10.0\na,b\n")
+
+    def test_one_data_row(self, tmp_path):
+        with pytest.raises(CsvFormatError, match="one data row; a signal needs at least 2"):
+            self.read_text(tmp_path, "# sample_rate=10.0\na,b\n1.0,2.0\n")
 
     def test_every_row_short_of_the_names(self, tmp_path):
         with pytest.raises(CsvFormatError, match="line 3: expected 2 cells, found 1"):
@@ -761,6 +776,15 @@ class TestCliContract:
         assert code == 2
         assert f"{method} has no parameter" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("rows", ["", "0.5\n"], ids=["no_row", "one_row"])
+    def test_short_file_exit_four(self, tmp_path, capsys, rows):
+        # no data row or one: the file is malformed, as a non-finite cell is
+        path = tmp_path / "short.csv"
+        path.write_text("# sample_rate=64.0\nx\n" + rows)
+        assert main("decompose", "--method", "vmd", "--input", path, "--outdir", tmp_path / "d") == 4
+        assert main("tf", "--input", path, "--out", tmp_path / "g.csv") == 4
+        assert capsys.readouterr().err.count("a signal needs at least 2") == 2
 
     @pytest.mark.parametrize("cell", ["nan", "1e400"])
     def test_non_finite_cell_exit_four(self, tmp_path, capsys, cell):

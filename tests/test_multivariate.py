@@ -150,7 +150,7 @@ class TestMemd:
         assert d.n_modes == 4
         residual = np.stack([r.samples for r in d.residuals], axis=1)
         assert np.all(np.any(residual != 0.0, axis=0))
-        assert _directional_envelope_stats(residual, hypersphere_directions(16, 2), 2)[2] == 0
+        assert _directional_envelope_stats(residual, hypersphere_directions(16, 2), 2, _Workspace())[2] == 0
 
     def test_too_few_extrema_everywhere_is_all_residual(self):
         # 1.25 cycles: some projections oscillate, none has two maxima and
@@ -199,7 +199,7 @@ def reference_envelope_stats(data, directions, depth):
 
 
 def assert_stats_match(data, directions, depth):
-    mean, amplitude, used = _directional_envelope_stats(data, directions, depth)
+    mean, amplitude, used = _directional_envelope_stats(data, directions, depth, _Workspace())
     ref_mean, ref_amplitude, ref_used = reference_envelope_stats(data, directions, depth)
     assert used == ref_used
     assert np.max(np.abs(mean - ref_mean)) <= 1e-12 * np.max(np.abs(ref_mean))
@@ -247,10 +247,10 @@ def stats_peak(n_channels):
     """The tracemalloc peak of one stats call on ``noisy_channels(n_channels, 10.0)``, M=64."""
     data = noisy_channels(n_channels, 10.0)
     directions = hypersphere_directions(64, n_channels)
-    _directional_envelope_stats(data, directions, 2)  # the first spline loads LAPACK
+    _directional_envelope_stats(data, directions, 2, _Workspace())  # the first spline loads LAPACK
     tracemalloc.start()
     try:
-        _directional_envelope_stats(data, directions, 2)
+        _directional_envelope_stats(data, directions, 2, _Workspace())
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -295,7 +295,7 @@ class TestEnvelopeStats:
 
     def test_no_usable_direction(self):
         data = np.stack([np.linspace(0, 1, 64), np.linspace(1, 3, 64)], axis=1)
-        mean, amplitude, used = _directional_envelope_stats(data, hypersphere_directions(8, 2), 2)
+        mean, amplitude, used = _directional_envelope_stats(data, hypersphere_directions(8, 2), 2, _Workspace())
         assert used == 0
         assert not np.any(mean) and not np.any(amplitude)
 
@@ -311,7 +311,7 @@ class TestEnvelopeStats:
         data = np.ldexp(noisy_channels(n_channels, 10.0), exp)
         directions = hypersphere_directions(M, n_channels)
         with np.errstate(over="ignore"):
-            got = _directional_envelope_stats(data, directions, depth)
+            got = _directional_envelope_stats(data, directions, depth, _Workspace())
             want = stacked_envelope_stats(data, directions, depth)
         assert got[2] == want[2] > 0
         for g, w in zip(got[:2], want[:2]):
@@ -332,7 +332,7 @@ class TestEnvelopeStats:
         base = hypersphere_directions(rows // 2, n_channels)
         directions = np.vstack([base, -base]) if kind == "antipodes" else np.repeat(base, 2, axis=0)
         with np.errstate(over="ignore"):
-            got = _directional_envelope_stats(data, directions, 2)
+            got = _directional_envelope_stats(data, directions, 2, _Workspace())
             want = stacked_envelope_stats(data, directions, 2)
         assert got[2] == want[2] > 0
         for g, w in zip(got[:2], want[:2]):
@@ -353,12 +353,12 @@ class TestEnvelopeStats:
         data, directions, depth, _ = sift.value.args
         fitted, spline = [], multivariate.natural_spline
 
-        def counted(xs, ys, q, starts):
+        def counted(xs, ys, q, starts, out):
             fitted.append(len(starts))
-            return spline(xs, ys, q, starts)
+            return spline(xs, ys, q, starts, out=out)
 
         monkeypatch.setattr(multivariate, "natural_spline", counted)
-        used = _directional_envelope_stats(data, directions, depth)[2]
+        used = _directional_envelope_stats(data, directions, depth, _Workspace())[2]
         # the per-direction loop: each usable direction's maxima and minima
         projections = data @ directions.T
         blocks = set()
@@ -401,7 +401,7 @@ class TestWorkspace:
             data = np.ldexp(data, exp)
             with np.errstate(over="ignore"):
                 got = _directional_envelope_stats(data, directions, 2, work)
-                want = _directional_envelope_stats(data, directions, 2)
+                want = _directional_envelope_stats(data, directions, 2, _Workspace())
             assert got[2] == want[2] == (0 if i == 2 else M)
             for g, w in zip(got[:2], want[:2]):
                 assert g.dtype == w.dtype and g.shape == w.shape and g.strides == w.strides
@@ -417,7 +417,7 @@ class TestWorkspace:
         # sum of the gathered or evaluated rows.  The layout orders the stop
         # rule's sum over the channels, so on 3 channels and more its bits
         data, directions = noisy_channels(n_channels, 10.0), hypersphere_directions(M, n_channels)
-        mean = _directional_envelope_stats(data, directions, 2)[0]
+        mean = _directional_envelope_stats(data, directions, 2, _Workspace())[0]
         assert mean.flags.c_contiguous if c_ordered else mean.flags.f_contiguous
 
     @pytest.mark.parametrize("n_channels, bound_mib", [(2, 1.7), (3, 3.0)])

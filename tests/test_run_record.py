@@ -95,8 +95,19 @@ def test_vncmd_divergence_carries_the_record():
         bench.decompose("vncmd", x, bench.default_config("vncmd", "s2", noisy=True))
     exc = info.value
     assert (exc.report.stop_reason, exc.report.iterations) == ("diverged", 47)
-    assert exc.decomposition.record is exc.report
+    assert exc.report is exc.decomposition.record
     assert exc.report.counters["final_update_norm"] > 0
+
+
+def test_diverged_derives_its_report():
+    # the exception holds the decomposition alone; its report is no second copy of the record
+    record = RunRecord("vncmd", 3, "diverged")
+    exc = Diverged("grew", sigdecomp.Decomposition.of([np.zeros(4)], np.ones(4), 8.0, record=record))
+    assert exc.report is exc.decomposition.record is record
+    with pytest.raises(TypeError):
+        Diverged("grew", exc.decomposition, report=record)
+    with pytest.raises(AttributeError):
+        exc.report = record
 
 
 @pytest.mark.parametrize(

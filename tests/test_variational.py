@@ -428,6 +428,21 @@ class TestVncmd:
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
         assert np.float64(report.counters["final_update_norm"]).tobytes() == np.float64(want_norm).tobytes()
 
+    @pytest.mark.parametrize("signal, snr_db", [("s1", None), ("s2", None), ("s2", 3.0)])
+    def test_width_one_average_bit_identical_to_one_envelope_at_a_time(self, signal, snr_db):
+        # if_smooth_frac 0: the moving average is one sample wide, which the
+        # reference skips and the run convolves with [1.0]
+        x, _ = bench.generate_signal(signal)
+        if snr_db is not None:
+            x = add_wgn(x, snr_db, 0)
+        cfg = bench.default_config("vncmd", signal, noisy=snr_db is not None)
+        cfg = dataclasses.replace(cfg, if_smooth_frac=0.0, max_iters=40)
+        diverged, got = vncmd_outputs(x, cfg)
+        want_diverged, want, _ = reference_vncmd(x, cfg)
+        assert diverged == want_diverged
+        assert len(got) == len(want)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
     def test_noisy_s2_runs_that_diverge(self):
         # the comparison above covers the divergence path on these three
         x, _ = bench.generate_signal("s2")

@@ -16,7 +16,7 @@ import pytest
 from sigdecomp import bench
 from sigdecomp._kernels import find_extrema_arrays
 from sigdecomp.core import MultichannelSignal, Signal
-from sigdecomp.multivariate import MemdConfig, _directional_envelope_stats, hypersphere_directions
+from sigdecomp.multivariate import MemdConfig, _directional_envelope_stats, _Workspace, hypersphere_directions
 from sigdecomp.synth import gen_mv_test
 from test_multivariate import noisy_channels
 from test_sst import traced_peak
@@ -58,14 +58,14 @@ def test_peak_per_input_sample(method):
 @pytest.mark.parametrize("n_channels, bound_mib", [(2, 28.0), (3, 77.0)])
 def test_memd_stats_call_peak(n_channels, bound_mib):
     # one envelope-stats call on the 10 dB signal tiled 16x (8,192 samples),
-    # M=64, with arrays of its own: 22.6 and 61.7 MiB on 2 channels, where
+    # M=64, with a fresh workspace: 22.7 and 61.7 MiB on 2 channels, where
     # antipodal directions repeat, and on 3, where none do.  Before the fit
     # wrote its planes in place and the extrema and key arrays died before
     # it, the call peaked at 33.8 and 85.6 MiB
     data = np.tile(noisy_channels(n_channels, 10.0), (16, 1))
     directions = hypersphere_directions(64, n_channels)
-    _directional_envelope_stats(data[:512], directions, 2)  # warm-up: LAPACK's first load
-    assert traced_peak(_directional_envelope_stats, data, directions, 2) <= bound_mib * 2**20
+    _directional_envelope_stats(data[:512], directions, 2, _Workspace())  # warm-up: LAPACK's first load
+    assert traced_peak(_directional_envelope_stats, data, directions, 2, _Workspace()) <= bound_mib * 2**20
 
 
 def test_extrema_peak_on_a_signed_batch():
