@@ -291,8 +291,8 @@ def extract_ridges(
         raise ContractViolation("K must be >= 1")
     with np.errstate(over="ignore"):  # reported just below
         energy = S.energy(out)
-    gamma_floor = S.gamma_abs * S.gamma_abs  # inf, not OverflowError, on overflow
-    if not (np.isfinite(gamma_floor) and np.isfinite(energy).all()):
+    gamma_floor = S.gamma_abs * S.gamma_abs  # inf, not OverflowError, on overflow: no cell is above it
+    if not np.isfinite(energy).all():
         raise NumericalFailure("squeezed energy is not finite")
     n_t = energy.shape[1]
     tracks: list[RidgeTrack] = []

@@ -143,8 +143,7 @@ def _variational_modes(
                 np.square(np.abs(u[i], out=power), out=power)
                 denom = np.add.reduce(power, axis=None)
                 if denom > 0.0:
-                    # one channel needs no pooling; skipping the reduction keeps VMD fast
-                    pooled = power[0] if n_ch == 1 else np.add.reduce(power, axis=0)
+                    pooled = np.add.reduce(power, axis=0)
                     omega[i] = float((pooled @ freqs) / denom)
                 acc += u[i]
             lam = lam + cfg.tau * (spectrum - acc)

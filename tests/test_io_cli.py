@@ -252,6 +252,19 @@ class TestSignalCsvReader:
         path.write_bytes(text.encode(encoding))
         return read_csv_signal(path, rate)
 
+    def test_working_set_bounded_by_the_file(self, tmp_path):
+        """The reader holds the file's lines and their parse at once: its peak
+        is about three times the file's bytes (2.99 at 2**14 rows, 4 columns)."""
+        path = tmp_path / "x.csv"
+        write_signals_csv(path, {f"c{i}": np.random.default_rng(i).normal(size=2**14) for i in range(4)}, 256.0)
+        tracemalloc.start()
+        try:
+            read_csv_signal(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * path.stat().st_size
+
     def test_crlf_line_endings(self, tmp_path):
         x = self.read_text(tmp_path, "# sample_rate=10.0\r\na,b\r\n1.0,2.0\r\n3.0,4.0\r\n")
         assert x.sample_rate_hz == 10.0 and x.channels.tolist() == [[1.0, 3.0], [2.0, 4.0]]
@@ -906,6 +919,14 @@ class TestCliContract:
         assert manifest["n_modes"] < manifest["config"]["K"]
         assert [(d.record.method, d.record.stop_reason) for d in runs] == [(method, "exhausted")]
         assert "Warning" not in capsys.readouterr().err
+
+    def test_sst_threshold_past_the_peak_exit_zero(self, tmp_path, capsys):
+        # a squared threshold past float64's range keeps no cell, as gamma 2 does
+        assert main("synth", "--signal", "s2", "--out", tmp_path / "s2.csv") == 0
+        code = main("decompose", "--method", "sst", "--gamma", "1e300", "--signal-profile", "s2",
+                    "--input", tmp_path / "s2.csv", "--outdir", tmp_path / "d")
+        assert code == 0 and manifest_of(tmp_path / "d")["n_modes"] == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_vncmd_infinite_envelopes_exit_three(self, tmp_path, s1_csv, capsys):

@@ -181,6 +181,15 @@ class TestRidges:
         arrays = [(*(m.samples for m in d.modes), d.residual.samples, *d.if_tracks_hz) for d in (got, want)]
         assert [a.tobytes() for a in arrays[0]] == [a.tobytes() for a in arrays[1]]
 
+    @pytest.mark.parametrize("gamma", [2.0, 1e200])
+    def test_threshold_above_the_peak_keeps_no_ridge(self, gamma):
+        """A threshold above every cell keeps none: no mode, and the record
+        says ``exhausted``, also where the squared threshold is inf."""
+        x = bench.generate_signal("s2")[0]
+        d = sst_decompose(x, bench.effective_config("sst", "s2", overrides={"gamma": gamma}))
+        assert d.n_modes == 0 and d.record.stop_reason == "exhausted"
+        assert np.array_equal(d.residual.samples, x.samples)
+
     def test_all_invalid_track_gives_zero(self, squeezed50):
         _, _, S = squeezed50
         n_t = S.values.shape[1]
