@@ -21,10 +21,9 @@ def test_outputs_match_the_pins():
     expected = json.loads(path.read_text())
     actual = pins.pins_in_child()
     assert actual["versions"] == expected["versions"] == versions
-    moved = sorted(
-        f"{run}: {key}"
-        for run in expected["pins"].keys() | actual["pins"].keys()
-        for key in expected["pins"].get(run, {}).keys() | actual["pins"].get(run, {}).keys()
-        if expected["pins"].get(run, {}).get(key) != actual["pins"].get(run, {}).get(key)
+    want, got = (
+        {f"{run}: {key}": pin for run, run_pins in document["pins"].items() for key, pin in run_pins.items()}
+        for document in (expected, actual)
     )
+    moved = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
     assert not moved, "moved pins (rewrite them with tests/write_output_pins.py and say why):\n" + "\n".join(moved)

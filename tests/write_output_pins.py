@@ -11,8 +11,7 @@ diverges pins its partial decomposition and its record.
 The decompositions run in a child process at one BLAS thread with a fixed
 ``PYTHONHASHSEED``, so the pins do not depend on the caller's environment::
 
-    python tests/write_output_pins.py           # writes tests/output_pins/<versions>.json
-    python tests/write_output_pins.py --stdout  # prints the pins, writes nothing
+    python tests/write_output_pins.py  # writes tests/output_pins/<versions>.json
 
 ``tests/test_output_pins.py`` compares a fresh child's pins with the file
 of the running versions.  A change that moves a pin rewrites the file with
@@ -29,6 +28,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import scipy
+
 PIN_DIR = Path(__file__).resolve().parent / "output_pins"
 SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "PYTHONHASHSEED": "0"}
@@ -37,8 +39,6 @@ UNIVARIATE_RUNS = (("s1", None), ("s2", None), ("s2", 3.0), ("s2", 12.0), ("s2",
 
 def versions() -> dict[str, str]:
     """numpy's and scipy's versions and the BLAS each was built against."""
-    import numpy as np
-    import scipy
 
     def blas(config) -> str:
         info = config.get("Build Dependencies", {}).get("blas", {})
@@ -68,8 +68,6 @@ def pins_in_child() -> dict:
 
 def _digest(*parts) -> str:
     """Digest of arrays (shape, dtype and bytes), None and JSON-able values, in order."""
-    import numpy as np
-
     h = hashlib.sha256()
     for part in parts:
         if part is None or isinstance(part, (str, int, float, list, dict)):
@@ -83,8 +81,6 @@ def _digest(*parts) -> str:
 
 def _exact(value):
     """``value`` as JSON with every float in hex, so that the text holds its bits."""
-    import numpy as np
-
     if isinstance(value, np.generic):
         value = value.item()
     if isinstance(value, float):
@@ -163,17 +159,13 @@ def main(argv: list[str]) -> int:
             pins = compute_pins()
         print(json.dumps({"versions": versions(), "pins": pins}))
         return 0
-    if argv not in ([], ["--stdout"]):
+    if argv:
         print(__doc__, file=sys.stderr)
         return 2
-    document = json.dumps(pins_in_child(), indent=1, sort_keys=True) + "\n"
-    if argv:
-        print(document, end="")
-    else:
-        path = pin_file(versions())
-        path.parent.mkdir(exist_ok=True)
-        path.write_text(document)
-        print(f"wrote {path}")
+    path = pin_file(versions())
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(pins_in_child(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {path}")
     return 0
 
 
